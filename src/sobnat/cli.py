@@ -12,14 +12,13 @@ failed verification, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import data, kernel, losses, network, rkhs, riemann, verify
+from . import data, losses, network, rkhs, riemann, verify
 from .errors import SobnatError, UnboundedRegion
 from .flatness import FlatnessQuery, GridSampler, Reparam, epsilon_flatness
 from .kernel import KernelSpec
@@ -49,13 +48,6 @@ TRAIN_DEFAULTS = {
     "csv_schema": data.LABEL_FIRST,
     "skip_header": False,
 }
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SOBNAT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _read_config_file(path: str) -> dict:
@@ -169,8 +161,6 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.kernel_constant_scale is not None:
-        kernel._set_constant_scale(args.kernel_constant_scale)
     names = args.suite if args.suite else None
     try:
         results, ok = verify.run_suites(names)
@@ -319,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle/property suites")
     p_verify.add_argument("--suite", action="append", default=None,
                           help="restrict to a suite (repeatable); default all")
-    p_verify.add_argument("--_kernel-constant-scale", dest="kernel_constant_scale",
-                          type=float, default=None, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_flat = sub.add_parser("flatness", help="epsilon-flatness of a toy loss")
@@ -349,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,6 +15,10 @@ learning rate absorbs, and unit scaling keeps Gram matrices well conditioned.
 1/4 for n = 1 (the one-dimensional contour integral is self-contained),
 (n-1)! / (pi^((n+1)/2) * 2^(n+4)) for odd n >= 3, and the even-n product
 formula otherwise.
+
+Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
+``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor
+``K = L L^T`` (:meth:`GramMatrix.whiten`); no ``K^-1`` is ever formed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
@@ -31,16 +36,6 @@ __all__ = ["KernelSpec", "GramMatrix", "dimension_constant", "point_kernel", "gr
 
 UNIT_CONSTANT = "unit_constant"
 EXACT_CONSTANT = "exact_dimension_constant"
-
-# Test hook: multiplies every kernel value.  The verification CLI perturbs it
-# to confirm the oracle suites actually detect a wrong constant.
-_CONSTANT_SCALE = 1.0
-
-
-def _set_constant_scale(value: float) -> None:
-    global _CONSTANT_SCALE
-    _CONSTANT_SCALE = float(value)
-
 
 def dimension_constant(n: int) -> float:
     """Closed-form constant C_n for the order-(n+3) kernel on R^n."""
@@ -96,8 +91,8 @@ class KernelSpec:
     @property
     def constant(self) -> float:
         if self.constant_mode == UNIT_CONSTANT:
-            return 1.0 * _CONSTANT_SCALE
-        return dimension_constant(self.input_dim) * _CONSTANT_SCALE
+            return 1.0
+        return dimension_constant(self.input_dim)
 
 
 def point_kernel(r, spec: KernelSpec):
@@ -114,8 +109,8 @@ class GramMatrix:
     """Kernel Gram matrix over a batch of (already scaled) points.
 
     ``values`` holds the pure kernel evaluations (diagonal exactly d(0));
-    the cached Cholesky factor and inverse are of values + jitter*d(0)*I,
-    where ``jitter`` is the effective value after any escalation.
+    the cached Cholesky factor L is of values + jitter*d(0)*I, where
+    ``jitter`` is the effective value after any escalation.
     """
 
     points: np.ndarray
@@ -123,7 +118,6 @@ class GramMatrix:
     jitter: float
     spec: KernelSpec
     _factor: tuple = field(repr=False, default=None)
-    _inverse: np.ndarray = field(repr=False, default=None)
 
     @property
     def size(self) -> int:
@@ -131,16 +125,11 @@ class GramMatrix:
 
     @property
     def d0(self) -> float:
-        return 1.0 if self.spec is None else point_kernel(0.0, self.spec)
+        return point_kernel(0.0, self.spec)
 
-    @property
-    def inverse(self) -> np.ndarray:
-        if self._inverse is None:
-            self._inverse = self.solve(np.eye(self.size))
-        return self._inverse
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return linalg.solve_from_factor(self._factor, b)
+    def whiten(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c."""
+        return scipy.linalg.solve_triangular(self._factor[0], b, lower=True, check_finite=False)
 
     def scaled(self, c: float) -> "GramMatrix":
         """Gram matrix with every kernel entry multiplied by c > 0."""
@@ -151,15 +140,6 @@ class GramMatrix:
         factor = linalg.cholesky_factor(damped)
         out = GramMatrix(self.points, scaled_values, self.jitter, self.spec)
         out._factor = factor
-        return out
-
-    @classmethod
-    def identity(cls, size: int, spec: KernelSpec = None) -> "GramMatrix":
-        """Identity Gram, the K = I (Gauss-Newton) degenerate case."""
-        eye = np.eye(size)
-        out = cls(points=np.zeros((size, 1)), values=eye, jitter=0.0, spec=spec)
-        out._factor = linalg.cholesky_factor(eye)
-        out._inverse = eye
         return out
 
 
@@ -182,8 +162,7 @@ def gram(points, spec: KernelSpec) -> GramMatrix:
         )
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    values = point_kernel(dist, spec)
-    values = linalg.symmetrize(values)
+    values = point_kernel(dist, spec)  # bitwise symmetric: |x_a - x_b| == |x_b - x_a|
     d0 = point_kernel(0.0, spec)
     np.fill_diagonal(values, d0)
 

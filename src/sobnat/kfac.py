@@ -8,13 +8,15 @@ and the K-FAC independence assumption factors it into
 
     A = (1/B) E_K[abar abar^T],    S = sum_c E_K[Ds^(c) Ds^(c)T],
 
-so the layer update solves vec(S^-1 V A^-1).  The single batch-size
-normalization sits on the activation factor: with K = I it makes A the
-empirical activation average of standard K-FAC, and on batches whose
-statistics factorize the product A (x) S then reproduces the corresponding
-block of the unnormalized metric estimate exactly.  Factors are tracked as
-moving averages; damping is split across the factors with the
-trace-balancing pi heuristic.
+so the layer update solves vec(S^-1 V A^-1).  Each kernel average is the
+Gram product of arrays whitened by the Gram's Cholesky factor K = L L^T,
+E_K[X Y] = (L^-1 X)^T (L^-1 Y), so no K^-1 is formed and the factors are
+symmetric by construction.  The single batch-size normalization sits on the
+activation factor: with K = I it makes A the empirical activation average of
+standard K-FAC, and on batches whose statistics factorize the product A (x) S
+then reproduces the corresponding block of the unnormalized metric estimate
+exactly.  Factors are tracked as moving averages; damping is split across
+the factors with the trace-balancing pi heuristic.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class KfacLayerState:
 
     decay: float = 0.95
     damping: float = 0.03
-    update_period: int = 10
     a_factor: np.ndarray = None
     s_factor: np.ndarray = None
     _a_inv: np.ndarray = field(default=None, repr=False)
@@ -75,19 +76,21 @@ def compute_factors(cache: BatchCache, gram: GramMatrix = None) -> list:
     if cache.jacobians is None:
         raise ValueError("cache has no output Jacobians; run output_jacobians first")
     batch = cache.batch_size
-    if gram is None:
-        kinv = np.eye(batch)
-    else:
+    layers = list(zip(cache.a_bars, cache.jacobians))
+    # Row b holds [abar_l(x_b) | Ds_l^(1)(x_b) | ... | Ds_l^(m)(x_b)] for every layer l.
+    stacked = np.concatenate([col for a_bar, ds in layers for col in (a_bar, *ds)], axis=1)
+    if gram is not None:
         if gram.size != batch:
             raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
-        kinv = gram.inverse
-    factors = []
-    for a_bar, ds in zip(cache.a_bars, cache.jacobians):
-        a = linalg.symmetrize(a_bar.T @ kinv @ a_bar) / batch
-        s = np.zeros((ds.shape[2], ds.shape[2]))
-        for c in range(ds.shape[0]):
-            s += ds[c].T @ kinv @ ds[c]
-        factors.append((a, linalg.symmetrize(s)))
+        stacked = gram.whiten(stacked)
+    factors, start = [], 0
+    for a_bar, ds in layers:
+        mid = start + a_bar.shape[1]
+        end = mid + ds.shape[0] * ds.shape[2]
+        a_w = stacked[:, start:mid]
+        ds_w = stacked[:, mid:end].reshape(-1, ds.shape[2])  # (B*m, d_out)
+        factors.append((a_w.T @ a_w / batch, ds_w.T @ ds_w))
+        start = end
     return factors
 
 

@@ -18,8 +18,6 @@ __all__ = [
     "cholesky_solve",
     "solve_from_factor",
     "kron_precondition",
-    "symmetrize",
-    "check_symmetric",
 ]
 
 
@@ -31,18 +29,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
     return m
-
-
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
-def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> bool:
-    """Symmetry to within |M_ij - M_ji| <= rtol * max(1, |M_ij|)."""
-    m = np.asarray(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.all(np.abs(m - m.T) <= rtol * np.maximum(1.0, np.abs(m))))
 
 
 def cholesky_factor(a: np.ndarray):

@@ -6,9 +6,13 @@ inverse kernel Gram,
     g_ij = sum_c dphi^c/dtheta_i(x_a) Kinv_{ab} dphi^c/dtheta_j(x_b),
 
 with vector outputs contracted componentwise against a single scalar B x B
-Gram.  Setting K to the identity gives the Gauss-Newton metric J J^T.  On a
-kernel-machine model whose parameters are expansion coefficients over the
-batch centers the estimate is exact and equals the Gram matrix itself.
+Gram.  It is computed as the Gram product J~ J~^T, where J~ is J with each
+output component's B columns whitened by the Gram's Cholesky factor
+(K = L L^T, J~_c = J_c L^-T); no K^-1 is formed, and the result is
+symmetric by construction.  Setting K to the identity skips the whitening
+and gives the Gauss-Newton metric J J^T.  On a kernel-machine model whose
+parameters are expansion coefficients over the batch centers the estimate is
+exact and equals the Gram matrix itself.
 
 An exact quadrature oracle for the L2 pullback metric of tiny networks is
 included for desk-scale ground truth.
@@ -52,7 +56,9 @@ class PullbackMetric:
         return self.values.shape[0]
 
     def damped(self) -> np.ndarray:
-        return self.values + self.damping * np.eye(self.dim)
+        out = self.values.copy()
+        out[np.diag_indices(self.dim)] += self.damping
+        return out
 
 
 def _reshape_jacobian(j: np.ndarray, output_dim: int):
@@ -77,17 +83,16 @@ def estimate_metric(
 
     gram=None selects K = I, in which case the result is exactly J @ J.T.
     """
-    j, j3, batch = _reshape_jacobian(j, output_dim)
-    if gram is None:
-        return PullbackMetric(j @ j.T, damping=damping, provenance=GAUSS_NEWTON)
-    if gram.size != batch:
-        raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
-    kinv = gram.inverse
-    values = np.zeros((j.shape[0], j.shape[0]))
-    for c in range(output_dim):
-        jc = j3[:, :, c]
-        values += jc @ kinv @ jc.T
-    return PullbackMetric(linalg.symmetrize(values), damping=damping, provenance=RKHS_PROJECTED)
+    j, _, batch = _reshape_jacobian(j, output_dim)
+    jt = j.T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
+    provenance = GAUSS_NEWTON
+    if gram is not None:
+        if gram.size != batch:
+            raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
+        # Column block c of the (B, m*P) reshape is J_c^T; one solve whitens all m.
+        jt = gram.whiten(jt.reshape(batch, -1)).reshape(jt.shape)
+        provenance = RKHS_PROJECTED
+    return PullbackMetric(jt.T @ jt, damping=damping, provenance=provenance)
 
 
 def natural_gradient(metric: PullbackMetric, euclid_grad: np.ndarray) -> np.ndarray:
@@ -194,7 +199,7 @@ def exact_pullback_quadrature(
         weights *= wg.reshape(-1)
 
     j = network.param_jacobian(net, points)  # (P, N*m)
-    m = net.output_dim
-    j3 = j.reshape(j.shape[0], points.shape[0], m)
-    g = np.einsum("ibc,b,jbc->ij", j3, weights, j3)
-    return PullbackMetric(linalg.symmetrize(g), provenance=EXACT_QUADRATURE)
+    # sqrt(w) is the diagonal whitening of the node weights.
+    jw = j.reshape(j.shape[0], points.shape[0], net.output_dim) * np.sqrt(weights)[:, None]
+    jw = jw.reshape(j.shape)
+    return PullbackMetric(jw @ jw.T, provenance=EXACT_QUADRATURE)

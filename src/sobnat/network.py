@@ -24,7 +24,6 @@ __all__ = [
     "forward",
     "backward_loss",
     "output_jacobians",
-    "output_jacobians_sampled",
     "param_jacobian",
 ]
 
@@ -212,24 +211,6 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
             w_nobias = net.weights[l][:, :-1]
             d = (d @ w_nobias) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
             jacs[l - 1][c] = d
-    cache.jacobians = jacs
-    return jacs
-
-
-def output_jacobians_sampled(net: MlpNetwork, cache: BatchCache, rng) -> list:
-    """Estimator variant for large output dimension: one random unit output
-    direction u_b per sample, a single backward pass, returning per-layer
-    (1, B, d_l) arrays of d(u_b . phi)/ds_l."""
-    m = net.output_dim
-    u = rng.normal(size=(cache.batch_size, m))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    jacs = [np.zeros((1, cache.batch_size, spec.out_dim)) for spec in net.layers]
-    d = u * _dact(net.layers[-1].activation, cache.pre_acts[-1])
-    jacs[-1][0] = d
-    for l in range(len(net.layers) - 1, 0, -1):
-        w_nobias = net.weights[l][:, :-1]
-        d = (d @ w_nobias) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
-        jacs[l - 1][0] = d
     cache.jacobians = jacs
     return jacs
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kfac, linalg, losses, metric, network, rng
+from . import kfac, losses, metric, network, rng
 from .data import Dataset
 from .kernel import GramMatrix, KernelSpec, gram
 
@@ -63,8 +63,6 @@ class OptimConfig:
     kfac_decay: float = 0.95
     kfac_update_period: int = 10
     record_walltime: bool = True
-    # Test hook: run the sobolev code path with the Gram forced to identity.
-    force_identity_kernel: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -107,11 +105,7 @@ class TrainState:
         layers = None
         if config.variant.endswith("_kfac"):
             layers = [
-                kfac.KfacLayerState(
-                    decay=config.kfac_decay,
-                    damping=config.damping,
-                    update_period=config.kfac_update_period,
-                )
+                kfac.KfacLayerState(decay=config.kfac_decay, damping=config.damping)
                 for _ in net.layers
             ]
         return cls(kfac_layers=layers)
@@ -132,8 +126,6 @@ def make_net(dims, activation: str, seed_rng) -> network.MlpNetwork:
 
 
 def _batch_gram(x: np.ndarray, config: OptimConfig) -> GramMatrix:
-    if config.force_identity_kernel:
-        return GramMatrix.identity(x.shape[0])
     spec = KernelSpec(
         input_dim=x.shape[1],
         constant_mode=config.kernel_constant_mode,
@@ -144,8 +136,8 @@ def _batch_gram(x: np.ndarray, config: OptimConfig) -> GramMatrix:
 
 def _dense_direction(net, x, grad_vec, config: OptimConfig, gram_matrix) -> np.ndarray:
     j = network.param_jacobian(net, x)
-    g = metric.estimate_metric(j, net.output_dim, gram_matrix).values
-    return linalg.cholesky_solve(g + config.damping * np.eye(net.num_params), grad_vec)
+    g = metric.estimate_metric(j, net.output_dim, gram_matrix, damping=config.damping)
+    return metric.natural_gradient(g, grad_vec)
 
 
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):

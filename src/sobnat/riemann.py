@@ -47,6 +47,7 @@ class RiemannProblem:
     dim: int
     minimizer: np.ndarray = None
     f_min: float = None
+    hessian: np.ndarray = None  # constant Hessian of a quadratic objective
 
     def metric_at(self, x) -> np.ndarray:
         return np.atleast_2d(np.asarray(self.metric(x), dtype=np.float64))
@@ -72,6 +73,7 @@ class RiemannProblem:
             dim=dim,
             minimizer=np.zeros(dim),
             f_min=0.0,
+            hessian=h,
         )
 
 
@@ -117,36 +119,17 @@ class RateReport:
 def _sublevel_radius(problem: RiemannProblem, x0: np.ndarray, n_dirs: int = 512) -> float:
     """g-radius of the initial sublevel set around the minimizer.
 
-    For quadratics with a constant metric this is exact via the generalized
-    eigenproblem g u = lam H u; otherwise the boundary is sampled over
-    directions (a slight underestimate in pathological cases).
+    For quadratics (a stored Hessian H) with a constant metric this is exact
+    via the generalized eigenproblem g u = lam H u; otherwise the boundary is
+    sampled over directions (a slight underestimate in pathological cases).
     """
     v = problem.f(x0) - problem.f_min
     if v <= 0:
         return 0.0
     g0 = problem.metric_at(problem.minimizer)
     g1 = problem.metric_at(problem.minimizer + 1e-3 * np.ones(problem.dim))
-    constant_metric = np.allclose(g0, g1, rtol=1e-12, atol=1e-12)
-    hess = None
-    try:
-        # Recover H from the gradient of a quadratic: grad(x) = H (x - x*).
-        cols = []
-        for d in range(problem.dim):
-            e = np.zeros(problem.dim)
-            e[d] = 1.0
-            cols.append(problem.grad(problem.minimizer + e) - problem.grad(problem.minimizer))
-        hess = np.column_stack(cols)
-        quadratic = np.allclose(
-            problem.grad(problem.minimizer + 0.37 * np.ones(problem.dim))
-            - problem.grad(problem.minimizer),
-            hess @ (0.37 * np.ones(problem.dim)),
-            rtol=1e-8,
-            atol=1e-10,
-        )
-    except Exception:
-        quadratic = False
-    if constant_metric and quadratic:
-        lam = scipy.linalg.eigh(g0, hess, eigvals_only=True)
+    if problem.hessian is not None and np.allclose(g0, g1, rtol=1e-12, atol=1e-12):
+        lam = scipy.linalg.eigh(g0, problem.hessian, eigvals_only=True)
         return float(np.sqrt(2.0 * v * np.max(lam)))
     rng = np.random.default_rng(0)
     dirs = rng.normal(size=(n_dirs, problem.dim))

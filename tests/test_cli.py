@@ -4,6 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from sobnat import cli
+from sobnat.kernel import KernelSpec
+
 STEP_HEADER = ["step", "epoch", "lr", "train_loss", "wall_ms"]
 EPOCH_HEADER = ["epoch", "train_acc", "test_acc"]
 
@@ -155,12 +158,13 @@ class TestVerify:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "[PASS] kernel:kernel_d0_quarter" in result.stdout
 
-    def test_perturbed_kernel_constant_fails(self):
+    def test_perturbed_kernel_constant_fails(self, monkeypatch, capsys):
         # Mutation check of the harness: a 1% kernel-constant error must trip
         # the quadrature oracle.
-        result = run_cli("verify", "--suite", "kernel", "--_kernel-constant-scale", "1.01")
-        assert result.returncode == 1
-        assert "FAIL" in result.stdout
+        exact = KernelSpec.constant.fget
+        monkeypatch.setattr(KernelSpec, "constant", property(lambda spec: 1.01 * exact(spec)))
+        assert cli.main(["verify", "--suite", "kernel"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_suite_filter_unknown(self):
         result = run_cli("verify", "--suite", "nope")
@@ -222,7 +226,7 @@ class TestThreadCap:
         outs = []
         for name, cap in (("one", "1"), ("two", "2")):
             out = tmp_path / name
-            env = dict(os.environ, SOBNAT_THREADS=cap)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=cap)
             result = subprocess.run(
                 [sys.executable, "-m", "sobnat.cli", "train", "--dataset", "two-moons",
                  "--variant", "amari_kfac", *TRAIN_QUICK, "--no-walltime",

@@ -5,7 +5,6 @@ import scipy.integrate
 from sobnat.errors import DegenerateGram, DimensionMismatch, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
-    GramMatrix,
     KernelSpec,
     dimension_constant,
     gram,
@@ -130,9 +129,15 @@ class TestGram:
         g = gram(rng.normal(size=(4, 1)), SPEC_1D)
         g2 = g.scaled(3.0)
         np.testing.assert_allclose(g2.values, 3.0 * g.values)
-        np.testing.assert_allclose(g2.inverse, g.inverse / 3.0, atol=1e-14)
+        kinv = np.linalg.inv(g.values + g.jitter * g.d0 * np.eye(4))
+        w = g2.whiten(np.eye(4))
+        np.testing.assert_allclose(w.T @ w, kinv / 3.0, atol=1e-14)
 
-    def test_identity_gram(self):
-        g = GramMatrix.identity(4)
-        np.testing.assert_array_equal(g.values, np.eye(4))
-        np.testing.assert_array_equal(g.inverse, np.eye(4))
+    def test_whiten_gram_product_is_inverse_weighted(self):
+        # whiten(b)^T whiten(c) == b^T (K + jitter d(0) I)^-1 c, the solve
+        # done independently of the cached factor.
+        rng = np.random.default_rng(4)
+        g = gram(rng.normal(size=(7, 2)), KernelSpec(input_dim=2))
+        b, c = rng.normal(size=(7, 3)), rng.normal(size=(7, 5))
+        expected = b.T @ np.linalg.solve(g.values + g.jitter * g.d0 * np.eye(7), c)
+        np.testing.assert_allclose(g.whiten(b).T @ g.whiten(c), expected, rtol=1e-10, atol=1e-12)

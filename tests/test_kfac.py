@@ -57,6 +57,15 @@ class TestComputeFactors:
             assert np.max(np.abs(np.kron(s, a) - block)) <= 1e-10
             offset += size
 
+    def test_sobolev_factors_exactly_symmetric(self):
+        rng = np.random.default_rng(13)
+        net = MlpNetwork.create([2, 4, 2], ["tanh", "identity"], rng)
+        x = rng.normal(size=(9, 2))
+        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        for a, s in compute_factors(cached_forward(net, x), g):
+            assert np.array_equal(a, a.T)
+            assert np.array_equal(s, s.T)
+
     def test_kernel_scaling_divides_each_factor(self):
         # K -> cK scales each factor by 1/c, so the factored step scales by
         # c^2 where the dense path scales by c -- the intrinsic discrepancy

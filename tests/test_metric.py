@@ -29,9 +29,10 @@ class TestEstimateMetric:
     def test_identity_kernel_is_gauss_newton(self):
         rng = np.random.default_rng(0)
         j = rng.normal(size=(5, 8))
-        got = estimate_metric(j, 1, None)
-        assert np.array_equal(got.values, j @ j.T)
-        assert got.provenance == "gauss_newton"
+        for m in (1, 2):
+            got = estimate_metric(j, m, None)
+            assert np.array_equal(got.values, j @ j.T)
+            assert got.provenance == "gauss_newton"
 
     def test_kernel_machine_exactness(self):
         # Model phi(theta)(x) = sum_a theta_a d(|x_a - x|): the jacobian over
@@ -59,6 +60,14 @@ class TestEstimateMetric:
             est = estimate_metric(j, net.output_dim, g)
             np.testing.assert_allclose(est.values, est.values.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(est.values)) >= -1e-10
+
+    def test_sobolev_metric_exactly_symmetric(self):
+        rng = np.random.default_rng(12)
+        net = random_net(12)  # m = 2
+        x = rng.normal(size=(9, 2))
+        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        est = estimate_metric(param_jacobian(net, x), net.output_dim, g)
+        assert np.array_equal(est.values, est.values.T)
 
     def test_batch_mismatch(self):
         g = jitterless_gram(np.zeros((3, 1)) + np.arange(3).reshape(-1, 1), 1)
@@ -106,7 +115,7 @@ class TestProjectEmpiricalGradient:
         g = jitterless_gram(xs.reshape(-1, 1), 1)
         j = xs.reshape(1, -1)
         resid = (theta * xs - ys).reshape(-1, 1)
-        gtilde = float(xs @ g.inverse @ xs)
+        gtilde = float(xs @ np.linalg.solve(g.values, xs))
         got = project_empirical_gradient(j, g, resid)
         expected = float(xs @ resid[:, 0]) / gtilde
         np.testing.assert_allclose(got, [expected], atol=1e-12)
@@ -146,7 +155,7 @@ class TestProjectEmpiricalGradient:
         j3 = j.reshape(net.num_params, 8, 2)
         design_blocks, target_blocks = [], []
         for c in range(2):
-            alpha = g.inverse @ j3[:, :, c].T  # (B, P) representer coefficients
+            alpha = np.linalg.solve(g.values, j3[:, :, c].T)  # (B, P) representer coefficients
             design_blocks.append(chol.T @ alpha)
             target_blocks.append(chol.T @ resid[:, c])
         design = np.vstack(design_blocks)

@@ -9,7 +9,6 @@ from sobnat.network import (
     backward_loss,
     forward,
     output_jacobians,
-    output_jacobians_sampled,
     param_jacobian,
 )
 
@@ -160,21 +159,6 @@ class TestOutputJacobians:
         fd = finite_diff_outputs(net, x)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(j - fd)) / scale <= 1e-5
-
-    def test_sampled_direction_estimator(self):
-        net = tiny_net([2, 3, 4], ["tanh", "identity"], seed=4)
-        x = np.random.default_rng(5).normal(size=(3, 2))
-        cache = forward(net, x)
-        full = [j.copy() for j in output_jacobians(net, cache)]
-        rng = np.random.default_rng(0)
-        sampled = output_jacobians_sampled(net, forward(net, x), rng)
-        # The sampled row must be the u-weighted combination of the full rows.
-        rng_check = np.random.default_rng(0)
-        u = rng_check.normal(size=(3, 4))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        for layer in range(2):
-            expected = np.einsum("bc,cbd->bd", u, full[layer])
-            np.testing.assert_allclose(sampled[layer][0], expected, atol=1e-12)
 
 
 class TestParamJacobian:

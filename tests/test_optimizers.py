@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sobnat import optimizers
 from sobnat import rng as rngmod
 from sobnat.data import gen_two_moons, normalize, train_test_split
 from sobnat.kernel import KernelSpec, gram
@@ -130,15 +131,22 @@ class TestTrainStep:
             nets["sgd"].params_vector(), nets["ntk_surrogate"].params_vector(), atol=1e-10
         )
 
-    def test_variant_coherence_identity_kernel(self):
+    def test_variant_coherence_identity_kernel(self, monkeypatch):
         # amari_dense and sobolev_dense with the Gram forced to identity
-        # must produce the same trajectory.
+        # must produce the same trajectory.  Points 1000 apart have kernel
+        # values exp(-1000) (1 + 1000) == 0.0, so their Gram is exactly I.
+        def identity_gram(x, config):
+            spread = 1000.0 * np.arange(x.shape[0]).reshape(-1, 1)
+            g = gram(spread, KernelSpec(input_dim=1, jitter=0.0))
+            assert np.array_equal(g.values, np.eye(x.shape[0]))
+            return g
+
+        monkeypatch.setattr(optimizers, "_batch_gram", identity_gram)
         x, y = TWO_MOONS.train()
         finals = {}
-        for variant, force in (("amari_dense", False), ("sobolev_dense", True)):
+        for variant in ("amari_dense", "sobolev_dense"):
             cfg = OptimConfig(variant=variant, epochs=1, batch_size=10, seed=9,
-                              weight_decay=0.003, damping=0.03,
-                              force_identity_kernel=force, record_walltime=False)
+                              weight_decay=0.003, damping=0.03, record_walltime=False)
             net = make_net([2, 3, 2], "tanh", rngmod.stream(9, "init"))
             state = TrainState.create(net, cfg)
             for k in range(100):
