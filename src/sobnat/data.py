@@ -136,11 +136,12 @@ def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: 
 
     schema "label_first": first column is an integer class label, the rest
     are features.  schema "targets_last": the last target_dim columns are
-    float targets.  Malformed rows are rejected with their line numbers.
+    float targets.  Malformed rows and nan/inf fields are rejected with
+    their line and column.
     """
     if schema not in (LABEL_FIRST, TARGETS_LAST):
         raise ValueError(f"unknown schema {schema!r}")
-    rows = []
+    rows, line_nos = [], []
     width = None
     with open(path, "r", newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -157,9 +158,14 @@ def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: 
             elif len(fields) != width:
                 raise InconsistentWidth(line_no, width, len(fields))
             rows.append(_parse_row(fields, line_no))
+            line_nos.append(line_no)
     if not rows:
         raise ParseError(0, 0, "no data rows")
     arr = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, col = bad[0]
+        raise ParseError(line_nos[row], int(col) + 1, f"non-finite value {float(arr[row, col])!r}")
     if schema == LABEL_FIRST:
         labels = arr[:, 0]
         if not np.allclose(labels, np.round(labels)):

@@ -13,10 +13,10 @@ rejection sampling inside the same bounding box.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.ndimage
 import scipy.optimize
 
 from .errors import UnboundedRegion
@@ -106,50 +106,22 @@ def _grid_flatness(query: FlatnessQuery) -> FlatnessResult:
         raise ValueError("a sampled point is lower than the declared minimum")
     band = (values > f0 + BAND_FLOOR) & (values < f0 + query.epsilon)
 
-    # Flood fill from the band cells adjacent (Chebyshev) to w0's cell.
-    w0_cell = tuple(
-        int(np.clip((query.minimum[d] - lo[d]) // cell[d], 0, res - 1)) for d in range(dim)
-    )
-    seeds = []
-    for offset in np.ndindex(*(3,) * dim):
-        idx = tuple(w0_cell[d] + offset[d] - 1 for d in range(dim))
-        if all(0 <= idx[d] < res for d in range(dim)) and band[idx]:
-            seeds.append(idx)
-    component = np.zeros_like(band)
-    queue = deque(seeds)
-    for s in seeds:
-        component[s] = True
-    while queue:
-        idx = queue.popleft()
-        for d in range(dim):
-            for step in (-1, 1):
-                nxt = list(idx)
-                nxt[d] += step
-                nxt = tuple(nxt)
-                if 0 <= nxt[d] < res and band[nxt] and not component[nxt]:
-                    component[nxt] = True
-                    queue.append(nxt)
+    # The face-connected band components that reach the 3^dim cells around w0's cell.
+    w0_cell = [int(np.clip((query.minimum[d] - lo[d]) // cell[d], 0, res - 1)) for d in range(dim)]
+    labels, _ = scipy.ndimage.label(band)
+    seeds = np.unique(labels[tuple(slice(max(c - 1, 0), c + 2) for c in w0_cell)])
+    component = np.isin(labels, seeds[seeds > 0])
 
     idxs = np.argwhere(component)
     if idxs.size and (np.any(idxs == 0) or np.any(idxs == res - 1)):
         raise UnboundedRegion("flatness region touches the bounding box; reduce epsilon")
 
-    volume = 0.0
-    boundary_mass = 0.0
-    for idx in map(tuple, idxs):
-        w = np.array([axes[d][idx[d]] for d in range(dim)])
-        mass = _sqrt_det(query, w) * cell_vol
-        volume += mass
-        on_surface = False
-        for d in range(dim):
-            for step in (-1, 1):
-                nxt = list(idx)
-                nxt[d] += step
-                nxt = tuple(nxt)
-                if not (0 <= nxt[d] < res) or not component[nxt]:
-                    on_surface = True
-        if on_surface:
-            boundary_mass += mass
+    surface = component & ~scipy.ndimage.binary_erosion(component, border_value=0)
+    masses = [
+        _sqrt_det(query, np.array([axes[d][i] for d, i in enumerate(idx)])) * cell_vol for idx in idxs
+    ]
+    volume = sum(masses, 0.0)
+    boundary_mass = sum((mass for mass, edge in zip(masses, surface[tuple(idxs.T)]) if edge), 0.0)
     return FlatnessResult(volume=volume, stderr=0.5 * boundary_mass, samples_in_region=len(idxs))
 
 

@@ -125,9 +125,6 @@ class MlpNetwork:
             k += w.size
         return MlpNetwork(self.layers, weights)
 
-    def clone(self) -> "MlpNetwork":
-        return MlpNetwork(self.layers, [w.copy() for w in self.weights])
-
 
 @dataclass
 class BatchCache:
@@ -195,44 +192,38 @@ def backward_loss(net, cache, targets, loss: str, reduction: str = "mean"):
 def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     """Per-sample pre-activation Jacobians Ds_l^(c) = dphi^c/ds_l.
 
-    One backward pass per output component c, seeded with dphi^c/dphi = e_c.
-    Returns a list over layers of (m, B, d_l) arrays and stores it on the
-    cache for the K-FAC factor computation.
+    One backward pass for all output components at once, seeded with
+    dphi^c/dphi = e_c.  Returns a list over layers of (m, B, d_l) arrays and
+    stores it on the cache for the K-FAC factor computation.
     """
-    m = net.output_dim
-    num_layers = len(net.layers)
-    jacs = [np.zeros((m, cache.batch_size, spec.out_dim)) for spec in net.layers]
-    dact_last = _dact(net.layers[-1].activation, cache.pre_acts[-1])
-    for c in range(m):
-        d = np.zeros((cache.batch_size, m))
-        d[:, c] = dact_last[:, c]
-        jacs[-1][c] = d
-        for l in range(num_layers - 1, 0, -1):
-            w_nobias = net.weights[l][:, :-1]
-            d = (d @ w_nobias) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
-            jacs[l - 1][c] = d
+    jacs = [None] * len(net.layers)
+    d = np.eye(net.output_dim)[:, None, :] * _dact(net.layers[-1].activation, cache.pre_acts[-1])
+    jacs[-1] = d
+    for l in range(len(net.layers) - 1, 0, -1):
+        d = (d @ net.weights[l][:, :-1]) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
+        jacs[l - 1] = d
     cache.jacobians = jacs
     return jacs
 
 
-def param_jacobian(net: MlpNetwork, x, budget: int = DENSE_BUDGET) -> np.ndarray:
+def param_jacobian(net: MlpNetwork, x) -> np.ndarray:
     """Dense parameter Jacobian J of shape (P, B*m).
 
     Column (b, c) = b*m + c holds dphi^c(x_b)/dtheta, with theta ordered by
     layer and row-major within each Wbar_l.  Assembled from the output
     Jacobians as dphi^c/dWbar_l = Ds_l^(c) (x) abar_{l-1}.
 
-    Raises TooLarge when P*B*m exceeds the dense budget (use the K-FAC path).
+    Raises TooLarge when P*B*m exceeds DENSE_BUDGET (use the K-FAC path).
     """
     cache = forward(net, x)
     batch, m = cache.batch_size, net.output_dim
     p = net.num_params
-    if p * batch * m > budget:
-        raise TooLarge(f"dense Jacobian of {p}x{batch * m} exceeds budget {budget}")
+    if p * batch * m > DENSE_BUDGET:
+        raise TooLarge(f"dense Jacobian of {p}x{batch * m} exceeds budget {DENSE_BUDGET}")
     jacs = output_jacobians(net, cache)
-    blocks = []
-    for l, spec in enumerate(net.layers):
+    j, row = np.empty((p, batch * m)), 0  # blocks written in place: no J-sized temporaries
+    for w, jac, a_bar in zip(net.weights, jacs, cache.a_bars):
         # (m, B, d_l) x (B, d_{l-1}+1) -> rows (p, q), columns (b, c).
-        block = np.einsum("cbp,bq->pqbc", jacs[l], cache.a_bars[l])
-        blocks.append(block.reshape(spec.out_dim * (spec.in_dim + 1), batch * m))
-    return np.vstack(blocks)
+        np.einsum("cbp,bq->pqbc", jac, a_bar, out=j[row : row + w.size].reshape(*w.shape, batch, m))
+        row += w.size
+    return j

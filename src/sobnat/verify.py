@@ -1,11 +1,16 @@
-"""Self-contained verification suites behind the ``verify`` CLI command.
+"""The package's core oracles and the suites behind the ``verify`` CLI command.
 
-Each suite returns a list of (check name, passed, detail) triples; the CLI
-prints one line per check and exits nonzero if anything failed.  The checks
-mirror the package's core oracles: closed-form kernel vs quadrature, finite
-differences vs backprop, metric exactness on kernel machines, automatic
-basis orthonormality, Kronecker-factor consistency, the two-layer quadrature
-metric, flatness invariance, and the descent guarantees.
+Each oracle is one function that takes the instance it checks and returns its
+worst error, and each threshold is one module constant: closed-form kernel vs
+quadrature, finite differences vs backprop, metric exactness on kernel
+machines, automatic basis orthonormality, Kronecker-factor consistency, the
+two-layer quadrature metric, flatness invariance, and the descent guarantees.
+
+``sobnat verify`` and the acceptance criteria in ``tests/test_acceptance.py``
+share one oracle and one threshold per check and differ only in how many
+instances they run: each suite below runs a few fixed instances and returns a
+list of (check name, passed, detail) triples; the CLI prints one line per
+check and exits nonzero if anything failed.
 """
 
 from __future__ import annotations
@@ -13,10 +18,132 @@ from __future__ import annotations
 import numpy as np
 import scipy.integrate
 
-from . import kfac, kernel, linalg, metric, network, rkhs, riemann
+from . import kfac, kernel, linalg, losses, metric, network, rkhs, riemann
 from .flatness import FlatnessQuery, GridSampler, Reparam, epsilon_flatness, invariance_check
 
-__all__ = ["SUITES", "run_suites"]
+__all__ = [
+    "SUITES",
+    "run_suites",
+    "gradcheck_error",
+    "kernel_machine_error",
+    "gauss_newton_error",
+    "tangent_basis_error",
+    "kron_block_error",
+    "kron_precondition_error",
+    "quadratic_band_query",
+    "decrease_shortfall",
+    "mirror_grad_gap",
+]
+
+KERNEL_QUADRATURE_TOL = 1e-6  # closed-form kernel vs Fourier inversion
+GRADCHECK_TOL = 1e-5  # backprop vs central differences, relative per row
+EXACTNESS_TOL = 1e-10  # batch metric vs Gram on a kernel machine
+ORTHONORMALITY_TOL = 1e-8  # self-induced Gram vs identity
+KRON_BLOCK_TOL = 1e-10  # Kronecker factor block vs dense metric block
+KRON_PRECONDITION_TOL = 1e-12  # factored vs explicit Kronecker product
+QUADRATURE_TOL = 1e-8  # two-layer pullback metric vs closed form
+QUADRATURE_CROSS_MIN = 1e-3  # the w1-w2 cross term must not vanish
+INVARIANCE_TOL = 0.02  # relative pullback-flatness change under a reparam
+EUCLIDEAN_BREAK_MIN = 0.25  # relative Euclidean-flatness change under scaling
+DECREASE_SLACK = 1e-10  # per-step decrease may fall short of Prog by this
+
+
+def _row_relative_error(got, fd):
+    """Max over rows of |got - fd|, each row divided by max(1, max |fd row|)."""
+    err = np.max(np.abs(got - fd), axis=1) / np.maximum(1.0, np.max(np.abs(fd), axis=1))
+    return float(np.max(err))
+
+
+def gradcheck_error(net, x, y) -> float:
+    """Worst relative error of ``param_jacobian`` and of the mean squared-loss
+    gradient from ``backward_loss``, both against one set of central
+    differences in every parameter."""
+    j = network.param_jacobian(net, x)
+    grads = network.backward_loss(net, network.forward(net, x), y, losses.SQUARED)
+    grad = np.concatenate([v.reshape(-1) for v in grads])
+    theta = net.params_vector()
+    h = 1e-5
+    fd_out = np.empty_like(j)
+    fd_loss = np.empty_like(theta)
+    for i in range(theta.shape[0]):
+        e = np.zeros_like(theta)
+        e[i] = h
+        up = network.forward(net.with_params_vector(theta + e), x).outputs
+        dn = network.forward(net.with_params_vector(theta - e), x).outputs
+        fd_out[i] = (up - dn).reshape(-1) / (2 * h)
+        loss_up, loss_dn = (losses.loss_value(z, y, losses.SQUARED) for z in (up, dn))
+        fd_loss[i] = (loss_up - loss_dn) / (2 * h)
+    jac_err = _row_relative_error(j, fd_out)
+    return float(np.maximum(jac_err, _row_relative_error(grad[:, None], fd_loss[:, None])))
+
+
+def kernel_machine_error(pts) -> float:
+    """Gap between the batch metric of the kernel machine on pts (its
+    Jacobian is the Gram) and the Gram itself, at zero jitter."""
+    g = kernel.gram(pts, kernel.KernelSpec(input_dim=pts.shape[1], jitter=0.0))
+    return float(np.max(np.abs(metric.estimate_metric(g.values, 1, g).values - g.values)))
+
+
+def gauss_newton_error(j) -> float:
+    """Gap between the K = I metric of the Jacobian j and J J^T; exactly 0."""
+    return float(np.max(np.abs(metric.estimate_metric(j, 1, None).values - j @ j.T)))
+
+
+def tangent_basis_error(net, probes) -> float:
+    """Deviation from I of the NTK tangent basis's self-induced Gram."""
+    basis = [
+        lambda x, i=i: network.param_jacobian(net, np.atleast_2d(x))[i].reshape(-1)
+        for i in range(net.num_params)
+    ]
+    gram_matrix = rkhs.check_basis_orthonormality(basis, probes)
+    return float(np.max(np.abs(gram_matrix - np.eye(net.num_params))))
+
+
+def kron_block_error(net, x) -> float:
+    """Gap between each layer's Kronecker block S (x) A and the matching block
+    of the dense K = I metric; zero when the batch statistics factorize."""
+    cache = network.forward(net, x)
+    network.output_jacobians(net, cache)
+    factors = kfac.compute_factors(cache, None)
+    dense = metric.estimate_metric(network.param_jacobian(net, x), 1, None).values
+    offset, worst = 0, 0.0
+    for (a, s), spec in zip(factors, net.layers):
+        size = spec.out_dim * (spec.in_dim + 1)
+        block = dense[offset : offset + size, offset : offset + size]
+        worst = np.maximum(worst, float(np.max(np.abs(np.kron(s, a) - block))))
+        offset += size
+    return float(worst)
+
+
+def kron_precondition_error(a_inv, s_inv, v) -> float:
+    """Gap between kron_precondition and the explicit (S^-1 (x) A^-1) vec(V)."""
+    direct = (np.kron(s_inv, a_inv) @ v.reshape(-1)).reshape(v.shape)
+    return float(np.max(np.abs(direct - linalg.kron_precondition(a_inv, s_inv, v))))
+
+
+def quadratic_band_query(metric_fn=None) -> FlatnessQuery:
+    """The eps = 0.04 band of w^2 around 0 on an 801-cell grid over
+    [-0.5, 0.5]; metric_fn None measures the Euclidean volume."""
+    return FlatnessQuery(
+        loss=lambda w: float(w[0] ** 2),
+        minimum=np.zeros(1),
+        epsilon=0.04,
+        metric=metric_fn,
+        metric_source="euclidean" if metric_fn is None else "rkhs_projected",
+        sampler=GridSampler(resolution=801, half_width=0.5),
+    )
+
+
+def decrease_shortfall(problem, x) -> float:
+    """How far one gradient step's decrease f(x) - f(x+) falls short of Prog(x)."""
+    decrease = problem.f(x) - problem.f(riemann.grad_step(problem, x))
+    return riemann.prog(problem, x) - decrease
+
+
+def mirror_grad_gap(problem, x) -> float:
+    """Gap between the mirror step at alpha = C L and the gradient step; exactly 0."""
+    mirror = riemann.mirror_step(problem, x, problem.compat_C * problem.lipschitz_L)
+    return float(np.max(np.abs(mirror - riemann.grad_step(problem, x))))
 
 
 def _kernel_suite():
@@ -28,8 +155,9 @@ def _kernel_suite():
         quad, _ = scipy.integrate.quad(
             lambda xi: np.cos(r * xi) / (1.0 + xi * xi) ** 2, -200.0, 200.0, limit=400
         )
-        worst = max(worst, abs(quad / (2.0 * np.pi) - kernel.point_kernel(r, spec)))
-    checks.append(("kernel_matches_fourier_quadrature", worst <= 1e-6, f"max err {worst:.3g}"))
+        worst = np.maximum(worst, abs(quad / (2.0 * np.pi) - kernel.point_kernel(r, spec)))
+    ok = worst <= KERNEL_QUADRATURE_TOL
+    checks.append(("kernel_matches_fourier_quadrature", ok, f"max err {worst:.3g}"))
     g = kernel.gram(np.array([[0.0], [1.0], [2.0]]), spec)
     sym = np.allclose(g.values, g.values.T) and np.allclose(np.diag(g.values), g.d0)
     checks.append(("gram_symmetric_constant_diagonal", sym, "diag d(0), symmetric"))
@@ -37,94 +165,52 @@ def _kernel_suite():
 
 
 def _gradcheck_suite():
-    checks = []
     gen = np.random.default_rng(11)
+    targets = np.random.default_rng(12)  # its own stream: gen draws only the nets and inputs
     worst = 0.0
     for _ in range(5):
         dims = [int(gen.integers(1, 4)), int(gen.integers(2, 5)), int(gen.integers(1, 3))]
         net = network.MlpNetwork.create(dims, ["tanh", "identity"], gen)
         x = gen.normal(size=(4, dims[0]))
-        j = network.param_jacobian(net, x)
-        theta = net.params_vector()
-        h = 1e-5
-        for i in range(net.num_params):
-            e = np.zeros_like(theta)
-            e[i] = h
-            up = network.forward(net.with_params_vector(theta + e), x).outputs
-            dn = network.forward(net.with_params_vector(theta - e), x).outputs
-            fd = (up - dn).reshape(-1) / (2 * h)
-            denom = max(1.0, float(np.max(np.abs(fd))))
-            worst = max(worst, float(np.max(np.abs(j[i] - fd))) / denom)
-    checks.append(("param_jacobian_vs_finite_difference", worst <= 1e-5, f"max rel err {worst:.3g}"))
-    return checks
+        worst = np.maximum(worst, gradcheck_error(net, x, targets.normal(size=(4, dims[2]))))
+    ok = worst <= GRADCHECK_TOL
+    return [("param_jacobian_vs_finite_difference", ok, f"max rel err {worst:.3g}")]
 
 
 def _exactness_suite():
-    checks = []
     gen = np.random.default_rng(3)
-    spec = kernel.KernelSpec(input_dim=2, jitter=0.0)
-    pts = gen.normal(size=(6, 2))
-    g = kernel.gram(pts, spec)
-    est = metric.estimate_metric(g.values, 1, g)
-    err = float(np.max(np.abs(est.values - g.values)))
-    checks.append(("metric_exact_on_kernel_machine", err <= 1e-10, f"max err {err:.3g}"))
-    j = gen.normal(size=(5, 8))
-    gn = metric.estimate_metric(j, 1, None)
-    checks.append(
-        ("metric_identity_kernel_is_gauss_newton", np.array_equal(gn.values, j @ j.T), "J J^T")
-    )
-    return checks
+    err = kernel_machine_error(gen.normal(size=(6, 2)))
+    gn = gauss_newton_error(gen.normal(size=(5, 8)))
+    return [
+        ("metric_exact_on_kernel_machine", err <= EXACTNESS_TOL, f"max err {err:.3g}"),
+        ("metric_identity_kernel_is_gauss_newton", gn == 0.0, "J J^T"),
+    ]
 
 
 def _orthonormality_suite():
-    checks = []
     gen = np.random.default_rng(5)
     net = network.MlpNetwork.create([1, 1, 1], ["tanh", "identity"], gen)
-    probes = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
-    basis = [
-        (lambda i: lambda x: _tangent_value(net, x, i))(i) for i in range(net.num_params)
-    ]
-    gram_matrix = rkhs.check_basis_orthonormality(basis, probes)
-    err = float(np.max(np.abs(gram_matrix - np.eye(net.num_params))))
-    checks.append(("ntk_tangent_basis_orthonormal", err <= 1e-8, f"max err {err:.3g}"))
-    return checks
-
-
-def _tangent_value(net, x, i):
-    j = network.param_jacobian(net, np.atleast_2d(x))
-    return j[i].reshape(net.output_dim)
+    err = tangent_basis_error(net, np.linspace(-2.0, 2.0, 9).reshape(-1, 1))
+    return [("ntk_tangent_basis_orthonormal", err <= ORTHONORMALITY_TOL, f"max err {err:.3g}")]
 
 
 def _kfac_suite():
-    checks = []
     gen = np.random.default_rng(7)
     net = network.MlpNetwork.create([1, 2, 1], ["identity", "identity"], gen)
-    x = np.full((4, 1), 0.7)  # identical inputs make the statistics factorize
-    cache = network.forward(net, x)
-    network.output_jacobians(net, cache)
-    factors = kfac.compute_factors(cache, None)
-    j = network.param_jacobian(net, x)
-    dense = metric.estimate_metric(j, 1, None).values
-    offset, worst = 0, 0.0
-    for (a, s), spec in zip(factors, net.layers):
-        size = spec.out_dim * (spec.in_dim + 1)
-        block = dense[offset : offset + size, offset : offset + size]
-        worst = max(worst, float(np.max(np.abs(np.kron(s, a) - block))))
-        offset += size
-    checks.append(("kron_block_matches_dense_block", worst <= 1e-10, f"max err {worst:.3g}"))
+    # Identical inputs make the statistics factorize.
+    worst = kron_block_error(net, np.full((4, 1), 0.7))
     m = gen.normal(size=(3, 3))
     a_inv = m @ m.T + np.eye(3)
     m = gen.normal(size=(2, 2))
     s_inv = m @ m.T + np.eye(2)
-    v = gen.normal(size=(2, 3))
-    direct = (np.kron(s_inv, a_inv) @ v.reshape(-1)).reshape(v.shape)
-    kp = float(np.max(np.abs(direct - linalg.kron_precondition(a_inv, s_inv, v))))
-    checks.append(("kron_precondition_matches_explicit", kp <= 1e-12, f"max err {kp:.3g}"))
-    return checks
+    kp = kron_precondition_error(a_inv, s_inv, gen.normal(size=(2, 3)))
+    return [
+        ("kron_block_matches_dense_block", worst <= KRON_BLOCK_TOL, f"max err {worst:.3g}"),
+        ("kron_precondition_matches_explicit", kp <= KRON_PRECONDITION_TOL, f"max err {kp:.3g}"),
+    ]
 
 
 def _quadrature_suite():
-    checks = []
     w1, w2 = 0.8, -1.3
     net = network.MlpNetwork(
         [network.LayerSpec(1, 1, "identity"), network.LayerSpec(1, 1, "identity")],
@@ -140,52 +226,35 @@ def _quadrature_suite():
         ]
     )
     err = float(np.max(np.abs(g - expected)))
-    ok = err <= 1e-8 and abs(g[0, 2]) > 1e-3
-    checks.append(("two_layer_pullback_cross_term", ok, f"max err {err:.3g}"))
-    return checks
+    ok = err <= QUADRATURE_TOL and abs(g[0, 2]) > QUADRATURE_CROSS_MIN
+    return [("two_layer_pullback_cross_term", ok, f"max err {err:.3g}, cross term {g[0, 2]:.3f}")]
 
 
 def _flatness_suite():
-    checks = []
-    query = FlatnessQuery(
-        loss=lambda w: float(w[0] ** 2),
-        minimum=np.zeros(1),
-        epsilon=0.04,
-        metric=lambda w: np.array([[1.0]]),
-        metric_source="rkhs_projected",
-        sampler=GridSampler(resolution=801, half_width=0.5),
-    )
+    query = quadratic_band_query(lambda w: np.array([[1.0]]))
     vol = epsilon_flatness(query).volume
-    checks.append(("quadratic_band_volume", abs(vol - 0.4) <= 0.01, f"volume {vol:.4f}"))
     disc = invariance_check(query, Reparam.scaling(2.0, 1))
-    checks.append(("pullback_invariant_under_scaling", disc <= 0.02, f"discrepancy {disc:.3g}"))
-    euclid = FlatnessQuery(
-        loss=query.loss, minimum=np.zeros(1), epsilon=0.04, metric=None,
-        metric_source="euclidean", sampler=query.sampler,
-    )
-    disc_e = invariance_check(euclid, Reparam.scaling(2.0, 1))
-    checks.append(("euclidean_flatness_not_invariant", disc_e >= 0.25, f"discrepancy {disc_e:.3g}"))
-    return checks
+    euc = invariance_check(quadratic_band_query(), Reparam.scaling(2.0, 1))
+    return [
+        ("quadratic_band_volume", abs(vol - 0.4) <= 0.01, f"volume {vol:.4f}"),
+        ("pullback_invariant_under_scaling", disc <= INVARIANCE_TOL, f"discrepancy {disc:.3g}"),
+        ("euclidean_flatness_not_invariant", euc >= EUCLIDEAN_BREAK_MIN, f"discrepancy {euc:.3g}"),
+    ]
 
 
 def _riemann_suite():
     checks = []
     gen = np.random.default_rng(2)
-    ok_decrease = True
+    worst = -np.inf
     for _ in range(25):
         m = gen.normal(size=(3, 3))
         problem = riemann.RiemannProblem.quadratic(m @ m.T + 0.5 * np.eye(3))
-        x = gen.normal(size=3)
-        if problem.f(x) - problem.f(riemann.grad_step(problem, x)) < riemann.prog(problem, x) - 1e-10:
-            ok_decrease = False
-    checks.append(("per_step_decrease_at_least_prog", ok_decrease, "25 random quadratics"))
+        worst = np.maximum(worst, decrease_shortfall(problem, gen.normal(size=3)))
+    ok = worst <= DECREASE_SLACK
+    checks.append(("per_step_decrease_at_least_prog", ok, "25 random quadratics"))
     problem = riemann.RiemannProblem.quadratic(np.diag([4.0, 1.0]), np.diag([2.0, 3.0]))
-    x = np.array([1.0, -2.0])
-    same = np.array_equal(
-        riemann.grad_step(problem, x),
-        riemann.mirror_step(problem, x, problem.compat_C * problem.lipschitz_L),
-    )
-    checks.append(("mirror_step_equals_grad_step", same, "alpha = C L"))
+    gap = mirror_grad_gap(problem, np.array([1.0, -2.0]))
+    checks.append(("mirror_step_equals_grad_step", gap == 0.0, "alpha = C L"))
     try:
         riemann.verify_rate(problem, np.array([3.0, -1.5]), 200)
         checks.append(("rate_bound_holds", True, "2 L C R^2 / T"))

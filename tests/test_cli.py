@@ -1,10 +1,11 @@
 import csv
 import subprocess
 import sys
+from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from sobnat import cli
+from sobnat import cli, verify
 from sobnat.kernel import KernelSpec
 
 STEP_HEADER = ["step", "epoch", "lr", "train_loss", "wall_ms"]
@@ -164,6 +165,17 @@ class TestVerify:
         exact = KernelSpec.constant.fget
         monkeypatch.setattr(KernelSpec, "constant", property(lambda spec: 1.01 * exact(spec)))
         assert cli.main(["verify", "--suite", "kernel"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "suite, oracle", [("gradcheck", "gradcheck_error"), ("riemann", "decrease_shortfall")]
+    )
+    def test_nan_error_on_later_instance_fails(self, monkeypatch, capsys, suite, oracle):
+        # A NaN error from the second instance, not only the first, must fail the suite.
+        exact = getattr(verify, oracle)
+        mock = Mock(side_effect=lambda *args: np.nan if mock.call_count == 2 else exact(*args))
+        monkeypatch.setattr(verify, oracle, mock)
+        assert cli.main(["verify", "--suite", suite]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_suite_filter_unknown(self):

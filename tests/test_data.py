@@ -68,6 +68,17 @@ class TestCsv:
         assert err.value.line == 2
         assert err.value.column == 2
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [("0,1.0,2.0\n1,nan,3.0\n", 2, 2), ("0,1.0,2.0\n\ninf,1.0,3.0\n", 3, 1)],
+    )
+    def test_non_finite_field_reports_position(self, tmp_path, text, line, column):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0,1.0,2.0\n1,3.0\n")

@@ -62,6 +62,19 @@ class TestEpsilonFlatness:
         result = epsilon_flatness(query)
         assert result.volume == pytest.approx(np.pi * 0.04, rel=0.05)
 
+    def test_disconnected_well_excluded(self):
+        # The band around the second well at 0.6 is cut off from the one
+        # around 0 by cells above the band; only the component at 0 counts.
+        query = FlatnessQuery(
+            loss=lambda w: float(min(w[0] ** 2, (w[0] - 0.6) ** 2 + 0.001)),
+            minimum=np.zeros(1),
+            epsilon=0.04,
+            metric=UNIT_METRIC,
+            metric_source="rkhs_projected",
+            sampler=GridSampler(resolution=801, half_width=1.0),
+        )
+        assert epsilon_flatness(query).volume == pytest.approx(0.4, abs=0.005)
+
     def test_unbounded_region(self):
         with pytest.raises(UnboundedRegion):
             epsilon_flatness(

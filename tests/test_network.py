@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sobnat import network
 from sobnat.errors import DimensionMismatch, TooLarge
 from sobnat.losses import SOFTMAX_CE, SQUARED, loss_value
 from sobnat.network import (
@@ -185,10 +186,11 @@ class TestParamJacobian:
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(j - fd)) / scale <= 1e-5
 
-    def test_too_large(self):
+    def test_too_large(self, monkeypatch):
+        monkeypatch.setattr(network, "DENSE_BUDGET", 10)
         net = tiny_net([4, 8, 4], ["tanh", "identity"])
         with pytest.raises(TooLarge):
-            param_jacobian(net, np.ones((4, 4)), budget=10)
+            param_jacobian(net, np.ones((4, 4)))
 
 
 class TestHomogeneousBias:
