@@ -11,6 +11,7 @@ from .errors import (
     BudgetExceeded,
     DegenerateGram,
     DimensionMismatch,
+    Diverged,
     InconsistentWidth,
     NotPositiveDefinite,
     ParseError,

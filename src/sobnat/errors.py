@@ -47,6 +47,15 @@ class RateViolation(SobnatError):
         super().__init__(f"rate bound violated at T={step}: gap {gap:.6g} > bound {bound:.6g}")
 
 
+class Diverged(SobnatError):
+    """Training produced a non-finite batch loss."""
+
+    def __init__(self, step: int, loss: float):
+        self.step = step
+        self.loss = loss
+        super().__init__(f"non-finite train loss {loss} at step {step}")
+
+
 class ParseError(SobnatError):
     """CSV field could not be parsed."""
 

@@ -206,16 +206,18 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     return jacs
 
 
-def param_jacobian(net: MlpNetwork, x) -> np.ndarray:
+def param_jacobian(net: MlpNetwork, x, cache: BatchCache = None) -> np.ndarray:
     """Dense parameter Jacobian J of shape (P, B*m).
 
     Column (b, c) = b*m + c holds dphi^c(x_b)/dtheta, with theta ordered by
     layer and row-major within each Wbar_l.  Assembled from the output
-    Jacobians as dphi^c/dWbar_l = Ds_l^(c) (x) abar_{l-1}.
+    Jacobians as dphi^c/dWbar_l = Ds_l^(c) (x) abar_{l-1}.  A caller that
+    already holds forward(net, x) passes it as cache to skip the forward pass.
 
     Raises TooLarge when P*B*m exceeds DENSE_BUDGET (use the K-FAC path).
     """
-    cache = forward(net, x)
+    if cache is None:
+        cache = forward(net, x)
     batch, m = cache.batch_size, net.output_dim
     p = net.num_params
     if p * batch * m > DENSE_BUDGET:

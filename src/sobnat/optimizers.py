@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kfac, losses, metric, network, rng
 from .data import Dataset
+from .errors import Diverged
 from .kernel import GramMatrix, KernelSpec, gram
 
 __all__ = [
@@ -134,12 +135,6 @@ def _batch_gram(x: np.ndarray, config: OptimConfig) -> GramMatrix:
     return gram(x / config.input_scale, spec)
 
 
-def _dense_direction(net, x, grad_vec, config: OptimConfig, gram_matrix) -> np.ndarray:
-    j = network.param_jacobian(net, x)
-    g = metric.estimate_metric(j, net.output_dim, gram_matrix, damping=config.damping)
-    return metric.natural_gradient(g, grad_vec)
-
-
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
     """One update; returns (new network, mean batch loss before the update)."""
     cache = network.forward(net, batch_x)
@@ -154,7 +149,7 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         return network.MlpNetwork(net.layers, new_weights), train_loss
 
     if config.variant == "ntk_surrogate":
-        j = network.param_jacobian(net, batch_x)
+        j = network.param_jacobian(net, batch_x, cache)
         residuals = losses.loss_grad_z(cache.outputs, batch_y, config.loss)
         coeffs = metric.ntk_surrogate_gradient(j, residuals)
         direction = coeffs + config.weight_decay * net.params_vector()
@@ -165,7 +160,10 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config)
         grad_vec = np.concatenate([g.reshape(-1) for g in grads])
         grad_vec += config.weight_decay * net.params_vector()
-        direction = _dense_direction(net, batch_x, grad_vec, config, gram_matrix)
+        j = network.param_jacobian(net, batch_x, cache)
+        direction = metric.damped_natural_gradient(
+            j, net.output_dim, gram_matrix, config.damping, grad_vec
+        )
         state.step += 1
         return net.with_params_vector(net.params_vector() - lr * direction), train_loss
 
@@ -198,6 +196,7 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
     Weight init draws from the "init" stream and batch order from the
     "shuffle" stream of the run seed, so identical seeds and configs give
     bitwise-identical trajectories across variants sharing an init.
+    Raises Diverged at the first step whose batch loss is not finite.
     """
     net = make_net(net_dims, activation, rng.stream(config.seed, "init"))
     state = TrainState.create(net, config)
@@ -219,6 +218,8 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
             t0 = time.perf_counter()
             net, train_loss = train_step(net, x_train[idx], y_train[idx], config, state, lr)
             wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_walltime else 0.0
+            if not np.isfinite(train_loss):
+                raise Diverged(step, train_loss)
             log.steps.append((step, epoch, lr, train_loss, wall_ms))
             step += 1
         log.epochs.append((epoch, _accuracy(net, x_train, y_train), _accuracy(net, x_test, y_test)))

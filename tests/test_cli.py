@@ -114,6 +114,15 @@ class TestTrain:
         for fname in ("log_steps.csv", "log_epochs.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "diverged"
+        code = cli.main(["train", "--dataset", "two-moons", "--variant", "sgd", *TRAIN_QUICK,
+                         "--lr", "1e300", "--out", str(out)])
+        assert code == 1
+        assert "Diverged: non-finite train loss nan at step 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_flags_override_file_overrides_defaults(self, tmp_path):

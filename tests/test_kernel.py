@@ -141,3 +141,7 @@ class TestGram:
         b, c = rng.normal(size=(7, 3)), rng.normal(size=(7, 5))
         expected = b.T @ np.linalg.solve(g.values + g.jitter * g.d0 * np.eye(7), c)
         np.testing.assert_allclose(g.whiten(b).T @ g.whiten(c), expected, rtol=1e-10, atol=1e-12)
+        # Vectors and Fortran-ordered matrices whiten like the columns of b.
+        lower = np.linalg.cholesky(g.values + g.jitter * g.d0 * np.eye(7))
+        for arr in (b[:, 1], np.asfortranarray(b)):
+            np.testing.assert_allclose(lower @ g.whiten(arr), arr, rtol=1e-12, atol=1e-14)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from sobnat.errors import BudgetExceeded, DimensionMismatch
+from sobnat.errors import BudgetExceeded, DimensionMismatch, NotPositiveDefinite
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
 from sobnat.metric import (
     PullbackMetric,
+    damped_natural_gradient,
     estimate_metric,
     exact_pullback_quadrature,
     natural_gradient,
@@ -96,6 +97,58 @@ class TestNaturalGradient:
     def test_damping_enters_solve(self):
         g = PullbackMetric(np.zeros((2, 2)), damping=0.5)
         np.testing.assert_allclose(natural_gradient(g, np.array([1.0, 2.0])), [2.0, 4.0])
+
+
+class TestDampedNaturalGradient:
+    def instance(self, dims, batch, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net(seed, dims=dims)
+        x = rng.normal(size=(batch, dims[0]))
+        j = param_jacobian(net, x)
+        resid = rng.normal(size=(batch, dims[-1]))
+        grad = j @ resid.reshape(-1) + 0.003 * net.params_vector()
+        return net, x, j, grad
+
+    @pytest.mark.parametrize("dims,batch", [((2, 16, 16, 1), 1), ((2, 16, 16, 1), 50),
+                                            ((2, 16, 16, 2), 1), ((2, 16, 16, 2), 50)])
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, kernel):
+        # P > B*m: the push-through solve against the P x P oracle.
+        net, x, j, grad = self.instance(dims, batch, seed=batch + dims[-1])
+        assert net.num_params > batch * net.output_dim
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
+        oracle = natural_gradient(estimate_metric(j, net.output_dim, g, damping=0.03), grad)
+        factor_orders.clear()
+        got = damped_natural_gradient(j, net.output_dim, g, 0.03, grad)
+        assert factor_orders == [batch * net.output_dim]
+        assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    def test_parameter_space_solve_is_the_oracle(self, kernel):
+        # P = 17 <= B*m = 100 factors the P x P metric, bit for bit.
+        net, x, j, grad = self.instance((2, 3, 2), 50, seed=13)
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
+        oracle = natural_gradient(estimate_metric(j, 2, g, damping=0.03), grad)
+        assert np.array_equal(damped_natural_gradient(j, 2, g, 0.03, grad), oracle)
+
+    def test_zero_damping_is_the_oracle(self, factor_orders):
+        # Damping 0 always solves in parameter space, as the exactness
+        # oracles need: P = 9 <= B*m = 12 gives the oracle bit for bit ...
+        net, x, j, grad = self.instance((2, 2, 1), 12, seed=15)
+        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        for k in (None, g):
+            oracle = natural_gradient(estimate_metric(j, 1, k), grad)
+            assert np.array_equal(damped_natural_gradient(j, 1, k, 0.0, grad), oracle)
+        # ... and P = 13 > B*m = 12 factors the singular 13 x 13 metric.
+        net, x, j, grad = self.instance((2, 3, 1), 12, seed=14)
+        factor_orders.clear()
+        with pytest.raises(NotPositiveDefinite):
+            damped_natural_gradient(j, 1, None, 0.0, grad)
+        assert factor_orders == [13]
+
+    def test_gradient_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            damped_natural_gradient(np.ones((3, 4)), 2, None, 0.1, np.ones(4))
 
 
 class TestProjectEmpiricalGradient:

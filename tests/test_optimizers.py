@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sobnat import optimizers
 from sobnat import rng as rngmod
-from sobnat.data import gen_two_moons, normalize, train_test_split
+from sobnat.data import Dataset, gen_two_moons, normalize, train_test_split
+from sobnat.errors import Diverged
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
 from sobnat.metric import estimate_metric
@@ -73,6 +76,21 @@ class TestTrainStep:
         assert loss == pytest.approx(0.0, abs=1e-20)
         for w0, w1 in zip(net.weights, new_net.weights):
             np.testing.assert_allclose(w1, w0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", optimizers.VARIANTS)
+    def test_one_forward_pass_per_step(self, monkeypatch, variant):
+        calls, forward_pass = [], optimizers.network.forward
+
+        def counting(net, x):
+            calls.append(len(x))
+            return forward_pass(net, x)
+
+        monkeypatch.setattr(optimizers.network, "forward", counting)
+        net = make_net([2, 3, 2], "tanh", np.random.default_rng(0))
+        x, y = TWO_MOONS.train()
+        cfg = OptimConfig(variant=variant, batch_size=8, seed=0, record_walltime=False)
+        train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
+        assert calls == [8]
 
     def test_amari_dense_solves_linear_least_squares_in_one_step(self):
         # Gauss-Newton is exact on linear models: damping 0, lr 1 lands on
@@ -201,6 +219,24 @@ class TestTrainStep:
         for got, want in zip(net.weights, oracle):
             assert np.max(np.abs(got - want)) <= 1e-8
 
+    @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
+    def test_wide_dense_step_never_forms_the_parameter_metric(self, factor_orders, variant):
+        # [2,64,64,2] at B = 50: P = 4482 > B*m = 100, so a step factors
+        # the 50 x 50 Gram and the 100 x 100 sample-space system, and
+        # allocates nothing near one 4482 x 4482 array.
+        x, y = TWO_MOONS.train()
+        cfg = OptimConfig(variant=variant, batch_size=50, seed=1, record_walltime=False)
+        net = make_net([2, 64, 64, 2], "tanh", rngmod.stream(1, "init"))
+        state = TrainState.create(net, cfg)
+        tracemalloc.start()
+        try:
+            train_step(net, x[:50], y[:50], cfg, state, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(factor_orders) == 100
+        assert peak < 8 * net.num_params**2 / 10
+
     def test_dense_descent_on_linear_models(self):
         # Full-batch damped Gauss-Newton steps with a small lr never increase
         # the batch loss of a convex (linear least squares) model.
@@ -248,6 +284,21 @@ class TestTrain:
                           record_walltime=False)
         log, _ = train(cfg, TWO_MOONS, [2, 16, 16, 2])
         assert log.epochs[-1][1] >= 0.97
+
+    def test_non_finite_loss_raises_diverged(self):
+        # A NaN feature in training row 37 makes the first batch holding it
+        # lose its finite loss; train stops there instead of stepping on.
+        x, y = TWO_MOONS.train()
+        features = x[:80].copy()
+        features[37, 1] = np.nan
+        cfg = OptimConfig(variant="sgd", epochs=2, batch_size=8, seed=4, record_walltime=False)
+        order = rngmod.stream(4, "shuffle").permutation(80)
+        expected = int(np.flatnonzero(order == 37)[0]) // 8
+        assert expected > 0
+        with pytest.raises(Diverged) as info:
+            train(cfg, Dataset(features, y[:80]), [2, 4, 2])
+        assert info.value.step == expected
+        assert np.isnan(info.value.loss)
 
     def test_log_step_fields(self):
         cfg = OptimConfig(variant="sgd", epochs=1, batch_size=100, seed=2,
