@@ -129,11 +129,11 @@ class GramMatrix:
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c."""
-        if np.ndim(b) == 1:
-            return scipy.linalg.solve_triangular(self._factor[0], b, lower=True, check_finite=False)
         # X L^T = b^T on b^T, which is Fortran-ordered for a C-ordered b: the
         # right-side TRSM needs no layout copy.
-        return scipy.linalg.blas.dtrsm(1.0, self._factor[0], b.T, side=1, lower=1, trans_a=1).T
+        bt = np.reshape(b, (len(b), -1)).T
+        x = scipy.linalg.blas.dtrsm(1.0, self._factor[0], bt, side=1, lower=1, trans_a=1)
+        return x.T.reshape(np.shape(b))
 
     def scaled(self, c: float) -> "GramMatrix":
         """Gram matrix with every kernel entry multiplied by c > 0."""

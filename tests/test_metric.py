@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -139,10 +141,11 @@ class TestDampedNaturalGradient:
         for k in (None, g):
             oracle = natural_gradient(estimate_metric(j, 1, k), grad)
             assert np.array_equal(damped_natural_gradient(j, 1, k, 0.0, grad), oracle)
-        # ... and P = 13 > B*m = 12 factors the singular 13 x 13 metric.
+        # ... and P = 13 > B*m = 12 factors the 13 x 13 metric of rank <= 12,
+        # whose last pivot is 0 up to a rounding error of either sign.
         net, x, j, grad = self.instance((2, 3, 1), 12, seed=14)
         factor_orders.clear()
-        with pytest.raises(NotPositiveDefinite):
+        with contextlib.suppress(NotPositiveDefinite):
             damped_natural_gradient(j, 1, None, 0.0, grad)
         assert factor_orders == [13]
 
