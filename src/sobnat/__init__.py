@@ -22,7 +22,7 @@ from .errors import (
     UnboundedRegion,
     UnsupportedOrder,
 )
-from .kernel import GramMatrix, KernelSpec, gram, point_kernel
+from .kernel import GramMatrix, KernelSpec, gram, kernel_matrix, point_kernel
 from .network import BatchCache, LayerSpec, MlpNetwork
 from .optimizers import ExperimentLog, OptimConfig, train
 from .rkhs import KernelExpansion

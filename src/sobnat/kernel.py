@@ -16,6 +16,11 @@ learning rate absorbs, and unit scaling keeps Gram matrices well conditioned.
 (n-1)! / (pi^((n+1)/2) * 2^(n+4)) for odd n >= 3, and the even-n product
 formula otherwise.
 
+Every kernel table -- the batch Gram here and the representer evaluations,
+inner products and functional-GD iterates in :mod:`sobnat.rkhs` -- comes
+from :func:`kernel_matrix`, ``point_kernel`` of one ``cdist`` distance
+table; no other code takes a pairwise distance for a kernel.
+
 Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 ``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor
 ``K = L L^T`` (:meth:`GramMatrix.whiten`); no ``K^-1`` is ever formed.
@@ -28,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from . import linalg
 from .errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 
-__all__ = ["KernelSpec", "GramMatrix", "dimension_constant", "point_kernel", "gram"]
+__all__ = ["KernelSpec", "GramMatrix", "dimension_constant", "point_kernel", "kernel_matrix", "gram"]
 
 UNIT_CONSTANT = "unit_constant"
 EXACT_CONSTANT = "exact_dimension_constant"
@@ -104,6 +110,22 @@ def point_kernel(r, spec: KernelSpec):
     return float(value) if np.isscalar(r) or r_arr.ndim == 0 else value
 
 
+def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel table T[a, b] = d(|x_a - y_b|) between two (., n) point sets.
+
+    ``cdist`` takes each distance on its own, so ``kernel_matrix(x, x, spec)``
+    is bitwise symmetric with a diagonal of exactly d(0).
+    """
+    return point_kernel(cdist(x, y), spec)
+
+
+def _damped_factor(values: np.ndarray, shift: float):
+    """Cholesky factor of values + shift * I, shifted on the diagonal of a copy."""
+    damped = values.copy()
+    damped[np.diag_indices_from(damped)] += shift
+    return linalg.cholesky_factor(damped)
+
+
 @dataclass
 class GramMatrix:
     """Kernel Gram matrix over a batch of (already scaled) points.
@@ -140,17 +162,16 @@ class GramMatrix:
         if not c > 0:
             raise ValueError("scale must be positive")
         scaled_values = self.values * c
-        damped = scaled_values + (self.jitter * self.d0 * c) * np.eye(self.size)
-        factor = linalg.cholesky_factor(damped)
         out = GramMatrix(self.points, scaled_values, self.jitter, self.spec)
-        out._factor = factor
+        out._factor = _damped_factor(scaled_values, self.jitter * self.d0 * c)
         return out
 
 
 def gram(points, spec: KernelSpec) -> GramMatrix:
     """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|).
 
-    Points must already be divided by spec.input_scale.  jitter * d(0) is
+    Points must already be divided by spec.input_scale; a non-finite point
+    raises DegenerateGram before any factor is attempted.  jitter * d(0) is
     added to the diagonal before factoring; on failure the jitter is
     escalated tenfold up to three times before DegenerateGram is raised
     (duplicate points at excessive batch size).
@@ -164,23 +185,17 @@ def gram(points, spec: KernelSpec) -> GramMatrix:
         raise DimensionMismatch(
             f"points have dimension {pts.shape[1]}, spec.input_dim is {spec.input_dim}"
         )
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    values = point_kernel(dist, spec)  # bitwise symmetric: |x_a - x_b| == |x_b - x_a|
-    d0 = point_kernel(0.0, spec)
-    np.fill_diagonal(values, d0)
-
-    jitter = spec.jitter
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise DegenerateGram(f"point in row {int(np.argmin(finite))} is not finite")
+    out = GramMatrix(points=pts, values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
     for _ in range(4):  # initial attempt plus three escalations
         try:
-            factor = linalg.cholesky_factor(values + jitter * d0 * np.eye(pts.shape[0]))
+            out._factor = _damped_factor(out.values, out.jitter * out.d0)
+            return out
         except NotPositiveDefinite:
-            jitter *= 10.0
-            continue
-        out = GramMatrix(points=pts, values=values, jitter=jitter, spec=spec)
-        out._factor = factor
-        return out
+            out.jitter *= 10.0
     raise DegenerateGram(
         f"Gram of {pts.shape[0]} points not positive definite after jitter escalation "
-        f"(final jitter {jitter:.3g})"
+        f"(final jitter {out.jitter:.3g})"
     )

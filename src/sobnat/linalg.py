@@ -34,16 +34,20 @@ def as_matrix(a) -> np.ndarray:
 def cholesky_factor(a: np.ndarray):
     """Lower-triangular Cholesky factor of an SPD matrix, no pivoting.
 
-    Raises NotPositiveDefinite when a pivot is <= 0; the caller owns jitter.
+    Raises NotPositiveDefinite, naming the row, when a pivot is <= 0 or not
+    finite; the caller owns jitter.  LAPACK's potrf flags only the first
+    kind, so the factor's diagonal is checked for the second.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    try:
-        c, low = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return c, low
+    c, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"pivot in row {info - 1} is not positive")
+    finite = np.isfinite(np.diagonal(c))
+    if not finite.all():
+        raise NotPositiveDefinite(f"non-finite pivot in row {int(np.argmin(finite))}")
+    return c, True
 
 
 def solve_from_factor(factor, b: np.ndarray) -> np.ndarray:

@@ -55,18 +55,12 @@ __all__ = [
     "exact_pullback_quadrature",
 ]
 
-RKHS_PROJECTED = "rkhs_projected"
-GAUSS_NEWTON = "gauss_newton"
-EXACT_QUADRATURE = "exact_quadrature"
-
-
 @dataclass
 class PullbackMetric:
     """Symmetric PSD metric on parameter space plus Tikhonov damping."""
 
     values: np.ndarray
     damping: float = 0.0
-    provenance: str = RKHS_PROJECTED
 
     @property
     def dim(self) -> int:
@@ -113,8 +107,7 @@ def estimate_metric(
     gram=None selects K = I, in which case the result is exactly J @ J.T.
     """
     jt = _whitened_transpose(j, output_dim, gram)
-    provenance = GAUSS_NEWTON if gram is None else RKHS_PROJECTED
-    return PullbackMetric(jt.T @ jt, damping=damping, provenance=provenance)
+    return PullbackMetric(jt.T @ jt, damping=damping)
 
 
 def natural_gradient(metric: PullbackMetric, euclid_grad: np.ndarray) -> np.ndarray:
@@ -251,4 +244,4 @@ def exact_pullback_quadrature(
     # sqrt(w) is the diagonal whitening of the node weights.
     jw = j.reshape(j.shape[0], points.shape[0], net.output_dim) * np.sqrt(weights)[:, None]
     jw = jw.reshape(j.shape)
-    return PullbackMetric(jw @ jw.T, provenance=EXACT_QUADRATURE)
+    return PullbackMetric(jw @ jw.T)

@@ -7,7 +7,8 @@ one coefficient vector per center, evaluating to
     f(x) = sum_t d(|x - x_t|) * coeffs[t].
 
 Functional gradient descent keeps iterates in this class exactly: each step
-appends the visited point as a new center.
+appends the visited point as a new center.  Every kernel value comes from
+:func:`sobnat.kernel.kernel_matrix`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 
 from . import losses
 from .errors import DimensionMismatch, SingularProbeSet
-from .kernel import KernelSpec, point_kernel
+from .kernel import KernelSpec, kernel_matrix
 
 __all__ = [
     "KernelExpansion",
     "evaluate",
+    "evaluate_batch",
     "functional_gd",
     "rkhs_inner",
     "check_basis_orthonormality",
@@ -66,22 +68,16 @@ class KernelExpansion:
 
 def evaluate(f: KernelExpansion, x) -> np.ndarray:
     """Evaluate the expansion at a single point; returns an m-vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != f.spec.input_dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, expected {f.spec.input_dim}")
-    if f.centers.shape[0] == 0:
-        return np.zeros(f.output_dim)
-    r = np.sqrt(np.sum((f.centers - x) ** 2, axis=1))
-    return point_kernel(r, f.spec) @ f.coeffs
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != f.spec.input_dim:
+        raise DimensionMismatch(f"point has dimension {x.shape[1]}, expected {f.spec.input_dim}")
+    return evaluate_batch(f, x)[0]
 
 
 def evaluate_batch(f: KernelExpansion, xs) -> np.ndarray:
+    """Evaluate the expansion at each row of xs; returns an (N, m) array."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if f.centers.shape[0] == 0:
-        return np.zeros((xs.shape[0], f.output_dim))
-    diff = xs[:, None, :] - f.centers[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
-    return point_kernel(r, f.spec) @ f.coeffs
+    return kernel_matrix(xs, f.centers, f.spec) @ f.coeffs
 
 
 def functional_gd(
@@ -111,37 +107,21 @@ def functional_gd(
         output_dim = ys.shape[1]
     else:  # class labels
         output_dim = int(np.max(ys)) + 1 if ys.size else 1
+    if mode not in ("cyclic", "full_batch"):
+        raise ValueError(f"unknown mode {mode!r}")
 
     eta = lr if callable(lr) else (lambda t: lr)
-    centers = []
-    coeffs = []
-
-    def current(x):
-        if not centers:
-            return np.zeros(output_dim)
-        c = np.asarray(centers)
-        r = np.sqrt(np.sum((c - x) ** 2, axis=1))
-        return point_kernel(r, spec) @ np.asarray(coeffs)
-
+    visits = 1 if mode == "cyclic" else xs.shape[0]
+    centers = np.empty((steps * visits, xs.shape[1]))
+    coeffs = np.empty((steps * visits, output_dim))
     for t in range(steps):
-        if mode == "cyclic":
-            i = t % xs.shape[0]
-            z = current(xs[i])
-            g = losses.loss_grad_z(z, ys[i : i + 1], loss)[0]
-            centers.append(xs[i])
-            coeffs.append(-eta(t) * g)
-        elif mode == "full_batch":
-            z = np.array([current(x) for x in xs])
-            g = losses.loss_grad_z(z, ys, loss)
-            for i in range(xs.shape[0]):
-                centers.append(xs[i])
-                coeffs.append(-eta(t) * g[i])
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-
-    if not centers:
-        return KernelExpansion.zero(spec, output_dim)
-    return KernelExpansion(spec, np.asarray(centers), np.asarray(coeffs))
+        done = t * visits  # the visits continue cyclically after the centers so far
+        start = done % xs.shape[0]
+        x, y = xs[start : start + visits], ys[start : start + visits]
+        z = kernel_matrix(x, centers[:done], spec) @ coeffs[:done]
+        centers[done : done + visits] = x
+        coeffs[done : done + visits] = -eta(t) * losses.loss_grad_z(z, y, loss)
+    return KernelExpansion(spec, centers, coeffs)
 
 
 def rkhs_inner(f: KernelExpansion, g: KernelExpansion) -> float:
@@ -152,10 +132,7 @@ def rkhs_inner(f: KernelExpansion, g: KernelExpansion) -> float:
     """
     if f.output_dim != g.output_dim:
         raise DimensionMismatch("expansions have different output dimensions")
-    if f.centers.shape[0] == 0 or g.centers.shape[0] == 0:
-        return 0.0
-    diff = f.centers[:, None, :] - g.centers[None, :, :]
-    k = point_kernel(np.sqrt(np.sum(diff * diff, axis=2)), f.spec)
+    k = kernel_matrix(f.centers, g.centers, f.spec)
     return float(np.sum(k * (f.coeffs @ g.coeffs.T)))
 
 

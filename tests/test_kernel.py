@@ -8,6 +8,7 @@ from sobnat.kernel import (
     KernelSpec,
     dimension_constant,
     gram,
+    kernel_matrix,
     point_kernel,
 )
 
@@ -79,7 +80,21 @@ class TestGram:
         spec = KernelSpec(input_dim=1, jitter=1e-16)
         g = gram(np.array([[1.0], [1.0 + 1e-13]]), spec)
         assert g.jitter > spec.jitter
-        np.testing.assert_allclose(np.diag(g.values), g.d0)
+        assert np.all(np.diag(g.values) == g.d0)
+
+    @pytest.mark.parametrize("batch, dim", [(500, 2), (7, 3)])
+    def test_values_bitwise_symmetric_with_exact_diagonal(self, batch, dim):
+        pts = np.random.default_rng(batch).normal(size=(batch, dim)) / 20.0
+        g = gram(pts, KernelSpec(input_dim=dim))
+        assert np.array_equal(g.values, g.values.T)
+        assert np.all(np.diag(g.values) == g.d0)
+
+    def test_non_finite_point_raises_without_jitter_escalation(self, factor_orders):
+        pts = np.random.default_rng(2).normal(size=(6, 2)) / 20.0
+        pts[4, 0] = np.nan
+        with pytest.raises(DegenerateGram, match="row 4"):
+            gram(pts, KernelSpec(input_dim=2))
+        assert factor_orders == []
 
     def test_three_collinear_points_match_scalar_evaluation(self):
         pts = np.array([[0.0], [1.0], [2.0]])
@@ -145,3 +160,16 @@ class TestGram:
         lower = np.linalg.cholesky(g.values + g.jitter * g.d0 * np.eye(7))
         for arr in (b[:, 1], np.asfortranarray(b)):
             np.testing.assert_allclose(lower @ g.whiten(arr), arr, rtol=1e-12, atol=1e-14)
+
+
+def test_kernel_matrix_rows_do_not_depend_on_the_batch():
+    # Each entry is d of its own distance, so a one-point table is bitwise a
+    # row of the batch table: every caller sees the same kernel values.
+    rng = np.random.default_rng(6)
+    xs, ys = rng.normal(size=(9, 2)), rng.normal(size=(5, 2))
+    spec = KernelSpec(input_dim=2)
+    table = kernel_matrix(xs, ys, spec)
+    for i in range(9):
+        assert np.array_equal(kernel_matrix(xs[i : i + 1], ys, spec)[0], table[i])
+    expected = [[point_kernel(float(np.linalg.norm(x - y)), spec) for y in ys] for x in xs]
+    np.testing.assert_allclose(table, expected, rtol=1e-15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sobnat.errors import DimensionMismatch, NotPositiveDefinite
-from sobnat.linalg import cholesky_solve, kron_precondition
+from sobnat.linalg import cholesky_factor, cholesky_solve, kron_precondition
 
 
 def symmetrize(m):
@@ -56,8 +56,15 @@ class TestCholeskySolve:
             np.testing.assert_allclose(cholesky_solve(a, b), expected, atol=1e-9)
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="row 1"):
             cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+    def test_nan_pivot_raises_with_its_row(self):
+        # LAPACK's potrf passes a NaN pivot through without an error code.
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="row 1"):
+            cholesky_factor(a)
 
     def test_rhs_row_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -39,6 +39,18 @@ class TestEvaluate:
             expected += np.exp(-r) * (1 + r) / 4.0 * coeffs[t, 0]
         np.testing.assert_allclose(evaluate(f, x), [expected])
 
+    def test_batch_rows_match_single_point_evaluation(self):
+        # Both take their kernel row from kernel_matrix; they differ only in
+        # BLAS rounding the matrix-matrix and the vector-matrix product.
+        rng = np.random.default_rng(3)
+        spec = KernelSpec(input_dim=2)
+        f = KernelExpansion(spec, rng.normal(size=(12, 2)), rng.normal(size=(12, 2)))
+        xs = rng.normal(size=(8, 2))
+        batch = evaluate_batch(f, xs)
+        assert batch.shape == (8, 2)
+        for i in range(8):
+            np.testing.assert_allclose(batch[i], evaluate(f, xs[i]), rtol=0, atol=1e-14)
+
 
 class TestFunctionalGD:
     def test_zero_steps(self):
@@ -80,6 +92,15 @@ class TestFunctionalGD:
         ys = np.array([1.0, -1.0])
         f = functional_gd(xs, ys, SQUARED, 3, 0.1, UNIT_1D, mode="full_batch")
         assert f.centers.shape[0] == 6  # every step appends the whole batch
+
+    def test_full_batch_centers_in_visit_order_2d(self):
+        rng = np.random.default_rng(5)
+        xs, ys = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        f = functional_gd(xs, ys, SQUARED, 3, 0.1, KernelSpec(input_dim=2), mode="full_batch")
+        assert np.array_equal(f.centers, np.tile(xs, (3, 1)))
+        assert f.coeffs.shape == (12, 2)
+        # The first step starts from f_0 = 0: coefficients -eta * (0 - y).
+        np.testing.assert_array_equal(f.coeffs[:4], 0.1 * ys)
 
 
 class TestRkhsInner:
