@@ -18,6 +18,7 @@ from .errors import (
     RateViolation,
     SingularProbeSet,
     SobnatError,
+    StepFailed,
     TooLarge,
     UnboundedRegion,
     UnsupportedOrder,

@@ -48,12 +48,23 @@ class RateViolation(SobnatError):
 
 
 class Diverged(SobnatError):
-    """Training produced a non-finite batch loss."""
+    """Training produced a non-finite batch loss, or a non-finite update
+    from a finite one (update=True)."""
 
-    def __init__(self, step: int, loss: float):
+    def __init__(self, step: int, loss: float, update: bool = False):
         self.step = step
         self.loss = loss
-        super().__init__(f"non-finite train loss {loss} at step {step}")
+        self.update = update
+        what = f"update (train loss {loss})" if update else f"train loss {loss}"
+        super().__init__(f"non-finite {what} at step {step}")
+
+
+class StepFailed(SobnatError):
+    """A training step raised a SobnatError; the original is the __cause__."""
+
+    def __init__(self, step: int, cause: SobnatError):
+        self.step = step
+        super().__init__(f"step {step}: {type(cause).__name__}: {cause}")
 
 
 class ParseError(SobnatError):

@@ -151,10 +151,18 @@ class GramMatrix:
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c."""
-        # X L^T = b^T on b^T, which is Fortran-ordered for a C-ordered b: the
-        # right-side TRSM needs no layout copy.
+        return self._triangular_solve(b, trans=1)
+
+    def whiten_adjoint(self, w: np.ndarray) -> np.ndarray:
+        """L^-T w, the adjoint of whiten: whiten(b)^T w = b^T whiten_adjoint(w)."""
+        return self._triangular_solve(w, trans=0)
+
+    def _triangular_solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        # X L^T = b^T (trans=1) or X L = b^T (trans=0) on b^T, which is
+        # Fortran-ordered for a C-ordered b: the right-side TRSM needs no
+        # layout copy.
         bt = np.reshape(b, (len(b), -1)).T
-        x = scipy.linalg.blas.dtrsm(1.0, self._factor[0], bt, side=1, lower=1, trans_a=1)
+        x = scipy.linalg.blas.dtrsm(1.0, self._factor[0], bt, side=1, lower=1, trans_a=trans)
         return x.T.reshape(np.shape(b))
 
     def scaled(self, c: float) -> "GramMatrix":

@@ -51,10 +51,14 @@ def cholesky_factor(a: np.ndarray):
 
 
 def solve_from_factor(factor, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from a's :func:`cholesky_factor`; x has the shape of b."""
     b = np.asarray(b, dtype=np.float64)
-    vector_in = b.ndim == 1
-    x = scipy.linalg.cho_solve(factor, b.reshape(b.shape[0], -1), check_finite=False)
-    return x.reshape(-1) if vector_in else x
+    # LAPACK potrs directly: the same call cho_solve makes, without its
+    # per-call argument handling, which dominates at the sizes solved here.
+    x, info = scipy.linalg.lapack.dpotrs(factor[0], b.reshape(b.shape[0], -1), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x.reshape(b.shape)
 
 
 def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

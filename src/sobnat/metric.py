@@ -21,12 +21,32 @@ push-through (Woodbury) identity
 
     v = (g - J~ (damping I + J~^T J~)^-1 J~^T g) / damping,
 
-a B*m x B*m system, and no P x P array is formed.  With P <= B*m, or with
-damping 0 (the exactness oracles), where the identity would divide by 0, it
-factors the P x P system, exactly as natural_gradient(estimate_metric(...)).
-On the [2,64,64,2] net at B = 50 (P = 4482, B*m = 100) this takes a
-sobolev_dense train step from about 1.1 s to 15 ms (one BLAS thread on a
-2-core x86 host).
+a B*m x B*m system that needs J only through products, so neither J nor
+any P x P array is formed.  With W = L^-1 (x) I_m the whitening,
+J~^T J~ = W Theta W^T, where Theta = J^T J is the empirical tangent kernel
+-- the natural gradient is kernel ridge regression with the NTK.  Theta is
+built layer by layer from the forward pass's factors
+(:meth:`sobnat.network.Tangents.ntk`),
+
+    Theta = sum_l (Abar_l Abar_l^T) (x) 1_{m x m}  .*  Ds_l Ds_l^T,
+
+whitened on both sides by :meth:`GramMatrix.whiten`, shifted by damping
+and factored once.  J~^T g = W J^T g and J~ y = J W^T y are per-layer
+products with Abar_l and Ds_l plus one triangular solve on a (B, m) array
+(:meth:`GramMatrix.whiten`, :meth:`GramMatrix.whiten_adjoint`).  With a
+Sobolev Gram, W magnifies the rounding of the formed Theta by up to
+cond(K) (1e9-1e10 on 50 two-moons points at input scale 20), which leaves
+the step 4e-9 to 2e-8 off the P x P oracle.  One step of iterative
+refinement fixes that: the residual g - damping v - J W^T W J^T v, taken
+through the products, is solved with the same factor and added to v,
+which brings the step to about 1e-11 of the oracle.  K = I needs no
+refinement.  With P <= B*m, or with damping 0 (the exactness oracles),
+where the identity would divide by 0, J is assembled and the P x P system
+is factored, exactly as natural_gradient(estimate_metric(...)).
+On the [2,64,64,2] net at B = 50 (P = 4482, B*m = 100) a sobolev_dense
+train step takes 1.0-1.5 ms, against about 1.1 s for the P x P solve
+and about 11 ms when the push-through whitened a dense J; an amari_dense
+step takes 0.7-1.1 ms (one BLAS thread on a 2-core x86 host).
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 
@@ -43,6 +63,7 @@ import numpy as np
 from . import linalg, network
 from .errors import BudgetExceeded, DimensionMismatch
 from .kernel import GramMatrix
+from .network import Tangents
 
 __all__ = [
     "PullbackMetric",
@@ -50,7 +71,6 @@ __all__ = [
     "natural_gradient",
     "damped_natural_gradient",
     "project_empirical_gradient",
-    "ntk_kernel",
     "ntk_surrogate_gradient",
     "exact_pullback_quadrature",
 ]
@@ -72,22 +92,10 @@ class PullbackMetric:
         return out
 
 
-def _reshape_jacobian(j: np.ndarray, output_dim: int):
-    j = np.asarray(j, dtype=np.float64)
-    if j.ndim != 2:
-        raise DimensionMismatch("jacobian must be a (P, B*m) matrix")
-    if j.shape[1] % output_dim != 0:
-        raise DimensionMismatch(
-            f"jacobian has {j.shape[1]} columns, not a multiple of output_dim={output_dim}"
-        )
-    batch = j.shape[1] // output_dim
-    return j, j.reshape(j.shape[0], batch, output_dim), batch
-
-
 def _whitened_transpose(j: np.ndarray, output_dim: int, gram: GramMatrix) -> np.ndarray:
     """J~^T as a (B*m, P) array; gram=None (K = I) leaves J^T unwhitened."""
-    j, _, batch = _reshape_jacobian(j, output_dim)
-    jt = j.T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
+    batch = Tangents.of_matrix(j, output_dim).batch  # checks the shape
+    jt = np.asarray(j, dtype=np.float64).T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
     if gram is not None:
         if gram.size != batch:
             raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
@@ -119,31 +127,60 @@ def natural_gradient(metric: PullbackMetric, euclid_grad: np.ndarray) -> np.ndar
 
 
 def damped_natural_gradient(
-    j: np.ndarray,
-    output_dim: int,
+    tangents: Tangents,
     gram: GramMatrix,
     damping: float,
     grad: np.ndarray,
 ) -> np.ndarray:
     """Solve (damping I + J~ J~^T) v = grad with one factor in the smaller space.
 
-    J~ is the whitened Jacobian of :func:`estimate_metric` (gram=None: K = I).
-    With P > B*m and damping > 0 the B*m x B*m Gram of J~ is factored (the
-    push-through identity of the module docstring); otherwise the P x P
-    metric is, and the result equals natural_gradient(estimate_metric(...)).
+    J~ is the whitened Jacobian of :func:`estimate_metric` (gram=None: K = I),
+    given as the :class:`~sobnat.network.Tangents` of a network or of a
+    dense J.  With P > B*m and damping > 0 the B*m x B*m system of the
+    module docstring is factored and J is never formed; otherwise the
+    P x P metric is, and the result equals natural_gradient(estimate_metric(...)).
     """
-    jt = _whitened_transpose(j, output_dim, gram)
-    n, p = jt.shape
+    p, n = tangents.num_params, tangents.batch * tangents.output_dim
     grad = np.asarray(grad, dtype=np.float64).reshape(-1)
     if grad.shape[0] != p:
         raise DimensionMismatch(f"gradient has length {grad.shape[0]}, metric is {p}")
-    kernel_space = damping > 0 and p > n
-    a = jt @ jt.T if kernel_space else jt.T @ jt
-    a[np.diag_indices(a.shape[0])] += damping
-    factor = linalg.cholesky_factor(a)
-    if kernel_space:
-        return (grad - jt.T @ linalg.solve_from_factor(factor, jt @ grad)) / damping
-    return linalg.solve_from_factor(factor, grad)
+    if gram is not None and gram.size != tangents.batch:
+        raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
+    if damping > 0 and p > n:
+        return _kernel_space_solve(tangents, gram, damping, grad)
+    jt = _whitened_transpose(tangents.matrix(), tangents.output_dim, gram)
+    a = jt.T @ jt
+    a[np.diag_indices(p)] += damping
+    return linalg.solve_from_factor(linalg.cholesky_factor(a), grad)
+
+
+def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):
+    """The P > B*m branch of :func:`damped_natural_gradient`; see the module docstring."""
+    theta = tangents.ntk()
+    if gram is not None:
+        # W Theta W^T with W = L^-1 (x) I_m: Theta is symmetric, so the
+        # second whitening acts on the transpose of the first.
+        batch, n = gram.size, theta.shape[0]
+        theta = gram.whiten(theta.reshape(batch, -1)).reshape(n, n)
+        theta = gram.whiten(theta.T.reshape(batch, -1)).reshape(n, n)
+    theta[np.diag_indices_from(theta)] += damping
+    factor = linalg.cholesky_factor(theta)
+
+    def push_through(r):
+        w = tangents.rmatvec(r)
+        if gram is not None:
+            w = gram.whiten(w)
+        y = linalg.solve_from_factor(factor, w.reshape(-1)).reshape(w.shape)
+        if gram is not None:
+            y = gram.whiten_adjoint(y)
+        return (r - tangents.matvec(y)) / damping
+
+    v = push_through(grad)
+    if gram is None:
+        return v
+    # One step of iterative refinement against the product form of the metric.
+    w = gram.whiten_adjoint(gram.whiten(tangents.rmatvec(v)))
+    return v + push_through(grad - damping * v - tangents.matvec(w))
 
 
 def project_empirical_gradient(
@@ -159,22 +196,14 @@ def project_empirical_gradient(
     metric estimate as :func:`estimate_metric`; they equal the natural
     gradient of the pulled-back sum loss.
     """
-    j, _, batch = _reshape_jacobian(j, np.atleast_2d(residual_grads).shape[1])
     r = np.atleast_2d(np.asarray(residual_grads, dtype=np.float64))
-    if r.shape[0] != batch:
-        raise DimensionMismatch(f"{r.shape[0]} residual rows for batch of {batch}")
-    return damped_natural_gradient(j, r.shape[1], gram, damping, j @ r.reshape(-1))
+    tangents = Tangents.of_matrix(j, r.shape[1])
+    if r.shape[0] != tangents.batch:
+        raise DimensionMismatch(f"{r.shape[0]} residual rows for batch of {tangents.batch}")
+    return damped_natural_gradient(tangents, gram, damping, tangents.matvec(r))
 
 
-def ntk_kernel(j: np.ndarray, a: int, b: int, output_dim: int) -> np.ndarray:
-    """Empirical tangent kernel Theta(x_a, x_b) = sum_i dphi_i(x_a) (x) dphi_i(x_b)."""
-    _, j3, batch = _reshape_jacobian(j, output_dim)
-    if not (0 <= a < batch and 0 <= b < batch):
-        raise DimensionMismatch("sample index out of range")
-    return j3[:, a, :].T @ j3[:, b, :]
-
-
-def ntk_surrogate_gradient(j: np.ndarray, residual_grads: np.ndarray) -> np.ndarray:
+def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> np.ndarray:
     """Tangent coefficients of the metric-free surrogate, J r.
 
     Unlike the projection this applies no inverse metric; it agrees with
@@ -182,10 +211,11 @@ def ntk_surrogate_gradient(j: np.ndarray, residual_grads: np.ndarray) -> np.ndar
     identity and disagrees otherwise (the surrogate is not a projection).
     """
     r = np.atleast_2d(np.asarray(residual_grads, dtype=np.float64))
-    j, _, batch = _reshape_jacobian(j, r.shape[1])
-    if r.shape[0] != batch:
-        raise DimensionMismatch(f"{r.shape[0]} residual rows for batch of {batch}")
-    return j @ r.reshape(-1)
+    if r.shape != (tangents.batch, tangents.output_dim):
+        raise DimensionMismatch(
+            f"residuals of shape {r.shape} for batch of {tangents.batch} with {tangents.output_dim} outputs"
+        )
+    return tangents.matvec(r)
 
 
 def _gaussian_nodes(nodes_per_dim: int):

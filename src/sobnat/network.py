@@ -5,7 +5,8 @@ weights and bias live in one out x (in+1) matrix acting on activations with
 an appended homogeneous coordinate.  Besides plain loss gradients, the
 engine exposes the per-sample quantities the metric and K-FAC modules need:
 homogeneous activations, pre-activation output Jacobians Ds_l = dphi/ds_l,
-and the dense parameter Jacobian.
+and the parameter Jacobian -- as products of its layer factors
+(:class:`Tangents`) or as a dense array.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "forward",
     "backward_loss",
     "output_jacobians",
+    "Tangents",
     "param_jacobian",
 ]
 
@@ -206,15 +208,107 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     return jacs
 
 
+@dataclass(frozen=True)
+class Tangents:
+    """The parameter Jacobian J (P x B*m) held as its layer factors.
+
+    Layer l owns the rows of Wbar_l, and its block of column (b, c) is
+    dphi^c(x_b)/dWbar_l = Ds_l^(c)(x_b) (x) abar_{l-1}(x_b): a_bars[l] is
+    the (B, q_l) homogeneous input and jacobians[l] the (m, B, p_l) output
+    Jacobian of layer l, as on :class:`BatchCache`.  The products below
+    touch only these factors, so no P x B*m array exists unless
+    :meth:`matrix` is called (the structured tangent-kernel products of
+    Novak et al. 2022).
+    """
+
+    a_bars: list
+    jacobians: list
+
+    @classmethod
+    def of_network(cls, net: MlpNetwork, cache: BatchCache) -> "Tangents":
+        """Tangents of net on the cached batch (runs :func:`output_jacobians`)."""
+        return cls(cache.a_bars, output_jacobians(net, cache))
+
+    @classmethod
+    def of_matrix(cls, j: np.ndarray, output_dim: int) -> "Tangents":
+        """Any dense (P, B*m) Jacobian, as a single layer whose input is abar = 1."""
+        j = np.asarray(j, dtype=np.float64)
+        if j.ndim != 2:
+            raise DimensionMismatch("jacobian must be a (P, B*m) matrix")
+        if j.shape[1] % output_dim != 0:
+            raise DimensionMismatch(
+                f"jacobian has {j.shape[1]} columns, not a multiple of output_dim={output_dim}"
+            )
+        batch = j.shape[1] // output_dim
+        return cls([np.ones((batch, 1))], [j.reshape(j.shape[0], batch, output_dim).transpose(2, 1, 0)])
+
+    @property
+    def batch(self) -> int:
+        return self.a_bars[0].shape[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.jacobians[0].shape[0]
+
+    @property
+    def num_params(self) -> int:
+        return sum(d.shape[2] * a.shape[1] for a, d in zip(self.a_bars, self.jacobians))
+
+    def ntk(self) -> np.ndarray:
+        """Empirical tangent kernel Theta = J^T J, a (B*m, B*m) array.
+
+        Theta[(a, c), (b, e)] = sum_l (abar_l(x_a) . abar_l(x_b))
+        (Ds_l^(c)(x_a) . Ds_l^(e)(x_b)), so block (a, b) of Theta is the
+        m x m kernel Theta(x_a, x_b).  Each layer costs two small Gram
+        products; it is summed in (c, a, e, b) order, where the
+        elementwise product runs along b, and reordered once at the end.
+        """
+        batch, m = self.batch, self.output_dim
+        theta = np.zeros((m, batch, m, batch))
+        for a, d in zip(self.a_bars, self.jacobians):
+            rows = d.reshape(m * batch, -1)  # row c*B + b holds Ds_l^(c)(x_b)
+            theta += (rows @ rows.T).reshape(theta.shape) * (a @ a.T)[:, None, :]
+        return theta.transpose(1, 0, 3, 2).reshape(batch * m, batch * m)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """J^T v for a length-P vector v, as a (B, m) array."""
+        out, row = 0.0, 0
+        for a, d in zip(self.a_bars, self.jacobians):
+            size = d.shape[2] * a.shape[1]
+            u = a @ v[row : row + size].reshape(d.shape[2], a.shape[1]).T  # (B, p_l)
+            out = out + np.einsum("cbp,bp->bc", d, u)
+            row += size
+        return out
+
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """J z for a (B, m) array z, as a length-P vector."""
+        return np.concatenate(
+            [(np.einsum("cbp,bc->pb", d, z) @ a).reshape(-1) for a, d in zip(self.a_bars, self.jacobians)]
+        )
+
+    def matrix(self) -> np.ndarray:
+        """The dense (P, B*m) Jacobian; column (b, c) = b*m + c."""
+        batch, m = self.batch, self.output_dim
+        j, row = np.empty((self.num_params, batch * m)), 0  # blocks written in place
+        for a, d in zip(self.a_bars, self.jacobians):
+            size = d.shape[2] * a.shape[1]
+            # (m, B, p_l) x (B, q_l) -> rows (p, q), columns (b, c).
+            np.einsum("cbp,bq->pqbc", d, a, out=j[row : row + size].reshape(d.shape[2], a.shape[1], batch, m))
+            row += size
+        return j
+
+
 def param_jacobian(net: MlpNetwork, x, cache: BatchCache = None) -> np.ndarray:
     """Dense parameter Jacobian J of shape (P, B*m).
 
     Column (b, c) = b*m + c holds dphi^c(x_b)/dtheta, with theta ordered by
-    layer and row-major within each Wbar_l.  Assembled from the output
-    Jacobians as dphi^c/dWbar_l = Ds_l^(c) (x) abar_{l-1}.  A caller that
-    already holds forward(net, x) passes it as cache to skip the forward pass.
+    layer and row-major within each Wbar_l; see :class:`Tangents`.  A caller
+    that already holds forward(net, x) passes it as cache to skip the
+    forward pass.  Outside the oracles only a dense step with P <= B*m
+    needs J; wider dense steps and the NTK surrogate use the Tangents
+    products.
 
-    Raises TooLarge when P*B*m exceeds DENSE_BUDGET (use the K-FAC path).
+    Raises TooLarge when P*B*m exceeds DENSE_BUDGET.
     """
     if cache is None:
         cache = forward(net, x)
@@ -222,10 +316,4 @@ def param_jacobian(net: MlpNetwork, x, cache: BatchCache = None) -> np.ndarray:
     p = net.num_params
     if p * batch * m > DENSE_BUDGET:
         raise TooLarge(f"dense Jacobian of {p}x{batch * m} exceeds budget {DENSE_BUDGET}")
-    jacs = output_jacobians(net, cache)
-    j, row = np.empty((p, batch * m)), 0  # blocks written in place: no J-sized temporaries
-    for w, jac, a_bar in zip(net.weights, jacs, cache.a_bars):
-        # (m, B, d_l) x (B, d_{l-1}+1) -> rows (p, q), columns (b, c).
-        np.einsum("cbp,bq->pqbc", jac, a_bar, out=j[row : row + w.size].reshape(*w.shape, batch, m))
-        row += w.size
-    return j
+    return Tangents.of_network(net, cache).matrix()

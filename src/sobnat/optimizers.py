@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kfac, losses, metric, network, rng
 from .data import Dataset
-from .errors import Diverged
+from .errors import Diverged, SobnatError, StepFailed
 from .kernel import GramMatrix, KernelSpec, gram
 
 __all__ = [
@@ -149,9 +149,8 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         return network.MlpNetwork(net.layers, new_weights), train_loss
 
     if config.variant == "ntk_surrogate":
-        j = network.param_jacobian(net, batch_x, cache)
         residuals = losses.loss_grad_z(cache.outputs, batch_y, config.loss)
-        coeffs = metric.ntk_surrogate_gradient(j, residuals)
+        coeffs = metric.ntk_surrogate_gradient(network.Tangents.of_network(net, cache), residuals)
         direction = coeffs + config.weight_decay * net.params_vector()
         state.step += 1
         return net.with_params_vector(net.params_vector() - lr * direction), train_loss
@@ -160,9 +159,8 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config)
         grad_vec = np.concatenate([g.reshape(-1) for g in grads])
         grad_vec += config.weight_decay * net.params_vector()
-        j = network.param_jacobian(net, batch_x, cache)
         direction = metric.damped_natural_gradient(
-            j, net.output_dim, gram_matrix, config.damping, grad_vec
+            network.Tangents.of_network(net, cache), gram_matrix, config.damping, grad_vec
         )
         state.step += 1
         return net.with_params_vector(net.params_vector() - lr * direction), train_loss
@@ -196,7 +194,9 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
     Weight init draws from the "init" stream and batch order from the
     "shuffle" stream of the run seed, so identical seeds and configs give
     bitwise-identical trajectories across variants sharing an init.
-    Raises Diverged at the first step whose batch loss is not finite.
+    Raises Diverged at the first step whose batch loss, or else whose
+    update, is not finite, and StepFailed, naming the step and chained
+    from the original, for any other SobnatError a step raises.
     """
     net = make_net(net_dims, activation, rng.stream(config.seed, "init"))
     state = TrainState.create(net, config)
@@ -216,10 +216,15 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
             idx = order[b * config.batch_size : (b + 1) * config.batch_size]
             lr = lr_at(config, step, total_steps)
             t0 = time.perf_counter()
-            net, train_loss = train_step(net, x_train[idx], y_train[idx], config, state, lr)
+            try:
+                net, train_loss = train_step(net, x_train[idx], y_train[idx], config, state, lr)
+            except SobnatError as exc:
+                raise StepFailed(step, exc) from exc
             wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_walltime else 0.0
             if not np.isfinite(train_loss):
                 raise Diverged(step, train_loss)
+            if not all(np.isfinite(w).all() for w in net.weights):
+                raise Diverged(step, train_loss, update=True)
             log.steps.append((step, epoch, lr, train_loss, wall_ms))
             step += 1
         log.epochs.append((epoch, _accuracy(net, x_train, y_train), _accuracy(net, x_test, y_test)))

@@ -12,11 +12,10 @@ from sobnat.metric import (
     estimate_metric,
     exact_pullback_quadrature,
     natural_gradient,
-    ntk_kernel,
     ntk_surrogate_gradient,
     project_empirical_gradient,
 )
-from sobnat.network import LayerSpec, MlpNetwork, backward_loss, forward, param_jacobian
+from sobnat.network import LayerSpec, MlpNetwork, Tangents, backward_loss, forward, param_jacobian
 
 
 def jitterless_gram(points, dim):
@@ -113,24 +112,32 @@ class TestDampedNaturalGradient:
     @pytest.mark.parametrize("dims,batch", [((2, 16, 16, 1), 1), ((2, 16, 16, 1), 50),
                                             ((2, 16, 16, 2), 1), ((2, 16, 16, 2), 50)])
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
-    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, kernel):
-        # P > B*m: the push-through solve against the P x P oracle.
+    @pytest.mark.parametrize("source", ["matrix", "layers"])
+    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, kernel, source):
+        # P > B*m: the kernel-space solve, from a dense J or from the
+        # network's layer factors, against the P x P oracle.
         net, x, j, grad = self.instance(dims, batch, seed=batch + dims[-1])
         assert net.num_params > batch * net.output_dim
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         oracle = natural_gradient(estimate_metric(j, net.output_dim, g, damping=0.03), grad)
+        if source == "matrix":
+            tangents = Tangents.of_matrix(j, net.output_dim)
+        else:
+            tangents = Tangents.of_network(net, forward(net, x))
         factor_orders.clear()
-        got = damped_natural_gradient(j, net.output_dim, g, 0.03, grad)
+        got = damped_natural_gradient(tangents, g, 0.03, grad)
         assert factor_orders == [batch * net.output_dim]
         assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
     def test_parameter_space_solve_is_the_oracle(self, kernel):
-        # P = 17 <= B*m = 100 factors the P x P metric, bit for bit.
+        # P = 17 <= B*m = 100 factors the P x P metric, bit for bit, from a
+        # dense J or from the network's layer factors.
         net, x, j, grad = self.instance((2, 3, 2), 50, seed=13)
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         oracle = natural_gradient(estimate_metric(j, 2, g, damping=0.03), grad)
-        assert np.array_equal(damped_natural_gradient(j, 2, g, 0.03, grad), oracle)
+        for tangents in (Tangents.of_matrix(j, 2), Tangents.of_network(net, forward(net, x))):
+            assert np.array_equal(damped_natural_gradient(tangents, g, 0.03, grad), oracle)
 
     def test_zero_damping_is_the_oracle(self, factor_orders):
         # Damping 0 always solves in parameter space, as the exactness
@@ -139,18 +146,23 @@ class TestDampedNaturalGradient:
         g = gram(x / 20.0, KernelSpec(input_dim=2))
         for k in (None, g):
             oracle = natural_gradient(estimate_metric(j, 1, k), grad)
-            assert np.array_equal(damped_natural_gradient(j, 1, k, 0.0, grad), oracle)
+            assert np.array_equal(damped_natural_gradient(Tangents.of_matrix(j, 1), k, 0.0, grad), oracle)
         # ... and P = 13 > B*m = 12 factors the 13 x 13 metric of rank <= 12,
         # whose last pivot is 0 up to a rounding error of either sign.
         net, x, j, grad = self.instance((2, 3, 1), 12, seed=14)
         factor_orders.clear()
         with contextlib.suppress(NotPositiveDefinite):
-            damped_natural_gradient(j, 1, None, 0.0, grad)
+            damped_natural_gradient(Tangents.of_matrix(j, 1), None, 0.0, grad)
         assert factor_orders == [13]
 
     def test_gradient_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            damped_natural_gradient(np.ones((3, 4)), 2, None, 0.1, np.ones(4))
+            damped_natural_gradient(Tangents.of_matrix(np.ones((3, 4)), 2), None, 0.1, np.ones(4))
+
+    def test_gram_size_mismatch(self):
+        g = jitterless_gram(np.arange(3.0).reshape(-1, 1), 1)
+        with pytest.raises(DimensionMismatch):
+            damped_natural_gradient(Tangents.of_matrix(np.ones((9, 4)), 2), g, 0.1, np.ones(9))
 
 
 class TestProjectEmpiricalGradient:
@@ -220,31 +232,44 @@ class TestProjectEmpiricalGradient:
 
 
 class TestNtk:
+    @pytest.mark.parametrize("dims,batch", [((2, 3, 2), 7), ((2, 16, 16, 1), 5), ((3, 4, 5, 3), 1)])
+    def test_blocks_assemble_to_gram_of_columns(self, dims, batch):
+        # The layerwise Theta against J^T J; block (a, b) is Theta(x_a, x_b).
+        net = random_net(batch, dims=dims)
+        x = np.random.default_rng(batch).normal(size=(batch, dims[0]))
+        j = param_jacobian(net, x)
+        big = j.T @ j
+        for tangents in (Tangents.of_network(net, forward(net, x)), Tangents.of_matrix(j, dims[-1])):
+            assert np.max(np.abs(tangents.ntk() - big)) <= 1e-14 * np.max(np.abs(big))
+
+    def test_layerwise_products_are_the_jacobian_products(self):
+        rng = np.random.default_rng(8)
+        net = random_net(8, dims=(2, 5, 4, 3))
+        x = rng.normal(size=(6, 2))
+        j = param_jacobian(net, x)
+        tangents = Tangents.of_network(net, forward(net, x))
+        z, v = rng.normal(size=(6, 3)), rng.normal(size=net.num_params)
+        np.testing.assert_allclose(tangents.matvec(z), j @ z.reshape(-1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tangents.rmatvec(v), (j.T @ v).reshape(6, 3), rtol=0, atol=1e-14)
+        assert np.array_equal(tangents.matrix(), j)
+
     def test_single_parameter(self):
         j = np.array([[0.7, -2.0]])  # one parameter, two scalar samples
-        np.testing.assert_allclose(ntk_kernel(j, 0, 1, 1), [[0.7 * -2.0]])
+        theta = Tangents.of_matrix(j, 1).ntk()
+        np.testing.assert_allclose(theta[0:1, 1:2], [[0.7 * -2.0]])
 
     def test_diagonal_blocks_psd(self):
         rng = np.random.default_rng(7)
         j = rng.normal(size=(6, 4 * 2))
+        theta = Tangents.of_matrix(j, 2).ntk()
         for a in range(4):
-            block = ntk_kernel(j, a, a, 2)
+            block = theta[a * 2 : a * 2 + 2, a * 2 : a * 2 + 2]
             assert np.min(np.linalg.eigvalsh(block)) >= -1e-12
-
-    def test_blocks_assemble_to_gram_of_columns(self):
-        rng = np.random.default_rng(8)
-        j = rng.normal(size=(5, 3 * 2))
-        big = j.T @ j
-        for a in range(3):
-            for b in range(3):
-                np.testing.assert_allclose(
-                    ntk_kernel(j, a, b, 2), big[a * 2 : a * 2 + 2, b * 2 : b * 2 + 2], atol=1e-14
-                )
 
     def test_surrogate_zero_residuals(self):
         j = np.random.default_rng(9).normal(size=(4, 6))
         np.testing.assert_array_equal(
-            ntk_surrogate_gradient(j, np.zeros((3, 2))), np.zeros(4)
+            ntk_surrogate_gradient(Tangents.of_matrix(j, 2), np.zeros((3, 2))), np.zeros(4)
         )
 
     def test_surrogate_equals_projection_for_orthonormal_tangents(self):
@@ -254,7 +279,7 @@ class TestNtk:
         q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
         j = q.T  # rows orthonormal
         resid = rng.normal(size=(6, 1))
-        surr = ntk_surrogate_gradient(j, resid)
+        surr = ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid)
         est = estimate_metric(j, 1, None)
         proj = natural_gradient(est, j @ resid.reshape(-1))
         np.testing.assert_allclose(surr, proj, atol=1e-12)
@@ -264,7 +289,7 @@ class TestNtk:
         xs = np.array([0.5, 1.0, 2.0])
         j = np.vstack([xs, xs**2])
         resid = np.array([[1.0], [0.5], [-1.0]])
-        surr = ntk_surrogate_gradient(j, resid)
+        surr = ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid)
         proj = natural_gradient(estimate_metric(j, 1, None), j @ resid.reshape(-1))
         assert np.max(np.abs(surr - proj)) > 1e-3
 
@@ -285,7 +310,7 @@ class TestNtk:
         np.testing.assert_allclose(tangent_gram, np.eye(net.num_params), atol=1e-8)
         j = param_jacobian(net, probes)
         resid = np.random.default_rng(0).normal(size=(9, 1))
-        surr = ntk_surrogate_gradient(j, resid)
+        surr = ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid)
         proj = natural_gradient(PullbackMetric(tangent_gram), j @ resid.reshape(-1))
         np.testing.assert_allclose(surr, proj, atol=1e-7)
 

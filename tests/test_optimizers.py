@@ -6,11 +6,11 @@ import pytest
 from sobnat import optimizers
 from sobnat import rng as rngmod
 from sobnat.data import Dataset, gen_two_moons, normalize, train_test_split
-from sobnat.errors import Diverged
+from sobnat.errors import DegenerateGram, Diverged, NotPositiveDefinite, StepFailed
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
 from sobnat.metric import estimate_metric
-from sobnat.network import LayerSpec, MlpNetwork, forward, param_jacobian
+from sobnat.network import LayerSpec, MlpNetwork, backward_loss, forward, param_jacobian
 from sobnat.optimizers import (
     ExperimentLog,
     OptimConfig,
@@ -220,10 +220,15 @@ class TestTrainStep:
             assert np.max(np.abs(got - want)) <= 1e-8
 
     @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
-    def test_wide_dense_step_never_forms_the_parameter_metric(self, factor_orders, variant):
+    def test_wide_dense_step_never_forms_the_jacobian(self, monkeypatch, factor_orders, variant):
         # [2,64,64,2] at B = 50: P = 4482 > B*m = 100, so a step factors
-        # the 50 x 50 Gram and the 100 x 100 sample-space system, and
-        # allocates nothing near one 4482 x 4482 array.
+        # only the 50 x 50 Gram and the 100 x 100 kernel-space system, never
+        # builds J, and allocates less than half of one P x B*m array.
+        def no_jacobian(*args, **kwargs):
+            raise AssertionError("param_jacobian called on a P > B*m dense step")
+
+        monkeypatch.setattr(optimizers.network, "param_jacobian", no_jacobian)
+        monkeypatch.setattr(optimizers.network.Tangents, "matrix", no_jacobian)
         x, y = TWO_MOONS.train()
         cfg = OptimConfig(variant=variant, batch_size=50, seed=1, record_walltime=False)
         net = make_net([2, 64, 64, 2], "tanh", rngmod.stream(1, "init"))
@@ -234,8 +239,23 @@ class TestTrainStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(factor_orders) == 100
-        assert peak < 8 * net.num_params**2 / 10
+        assert factor_orders == ([100] if variant == "amari_dense" else [50, 100])
+        assert peak < 8 * net.num_params * 100 / 2
+
+    @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
+    def test_dense_step_past_the_jacobian_budget(self, variant):
+        # [2,256,256,2]: P * B * m = 67074 * 100 exceeds DENSE_BUDGET, where
+        # param_jacobian raises TooLarge; the dense step needs no J.
+        x, y = TWO_MOONS.train()
+        cfg = OptimConfig(variant=variant, batch_size=50, seed=2, record_walltime=False)
+        net = make_net([2, 256, 256, 2], "tanh", rngmod.stream(2, "init"))
+        assert net.num_params * 100 > optimizers.network.DENSE_BUDGET
+        new_net, _ = train_step(net, x[:50], y[:50], cfg, TrainState.create(net, cfg), 0.01)
+        step = net.params_vector() - new_net.params_vector()
+        assert np.isfinite(step).all()
+        grads = backward_loss(net, forward(net, x[:50]), y[:50], cfg.loss, reduction="sum")
+        grad = np.concatenate([g.reshape(-1) for g in grads]) + cfg.weight_decay * net.params_vector()
+        assert step @ grad > 0
 
     def test_dense_descent_on_linear_models(self):
         # Full-batch damped Gauss-Newton steps with a small lr never increase
@@ -299,6 +319,20 @@ class TestTrain:
             train(cfg, Dataset(features, y[:80]), [2, 4, 2])
         assert info.value.step == expected
         assert np.isnan(info.value.loss)
+
+    @pytest.mark.parametrize("variant,cause", [("amari_dense", NotPositiveDefinite),
+                                               ("sobolev_dense", DegenerateGram)])
+    def test_numerical_failure_names_its_step(self, variant, cause):
+        # The NaN feature of training row 37 reaches the batch of step 9,
+        # where the dense step's Cholesky factor or its Gram fails.
+        x, y = TWO_MOONS.train()
+        features = x[:200].copy()
+        features[37, 1] = np.nan
+        cfg = OptimConfig(variant=variant, epochs=1, batch_size=20, seed=4, record_walltime=False)
+        with pytest.raises(StepFailed, match="^step 9: ") as info:
+            train(cfg, Dataset(features, y[:200]), [2, 4, 2])
+        assert info.value.step == 9
+        assert isinstance(info.value.__cause__, cause)
 
     def test_log_step_fields(self):
         cfg = OptimConfig(variant="sgd", epochs=1, batch_size=100, seed=2,
