@@ -73,14 +73,18 @@ class FlatnessResult:
     samples_in_region: int
 
 
-def _sqrt_det(query: FlatnessQuery, w: np.ndarray) -> float:
-    if query.metric is None:
-        return 1.0
-    g = np.atleast_2d(np.asarray(query.metric(w), dtype=np.float64))
-    det = float(np.linalg.det(g))
-    if det < -1e-12:
-        raise ValueError(f"metric determinant {det} is negative at {w}")
-    return float(np.sqrt(max(det, 0.0)))
+def _sqrt_dets(query: FlatnessQuery, points: np.ndarray) -> np.ndarray:
+    """Volume-form density sqrt(det g(w)) at each row w of points."""
+    if query.metric is None or len(points) == 0:
+        return np.ones(len(points))
+    # One metric call per point, as the w -> matrix contract asks; one stacked det.
+    mats = [np.atleast_2d(np.asarray(query.metric(w), dtype=np.float64)) for w in points]
+    dets = np.linalg.det(np.stack(mats))
+    negative = dets < -1e-12
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise ValueError(f"metric determinant {float(dets[k])} is negative at {points[k]}")
+    return np.sqrt(np.maximum(dets, 0.0))
 
 
 def _half_widths(query: FlatnessQuery) -> np.ndarray:
@@ -117,9 +121,8 @@ def _grid_flatness(query: FlatnessQuery) -> FlatnessResult:
         raise UnboundedRegion("flatness region touches the bounding box; reduce epsilon")
 
     surface = component & ~scipy.ndimage.binary_erosion(component, border_value=0)
-    masses = [
-        _sqrt_det(query, np.array([axes[d][i] for d, i in enumerate(idx)])) * cell_vol for idx in idxs
-    ]
+    points = np.stack([axes[d][idxs[:, d]] for d in range(dim)], axis=1)
+    masses = (_sqrt_dets(query, points) * cell_vol).tolist()
     volume = sum(masses, 0.0)
     boundary_mass = sum((mass for mass, edge in zip(masses, surface[tuple(idxs.T)]) if edge), 0.0)
     return FlatnessResult(volume=volume, stderr=0.5 * boundary_mass, samples_in_region=len(idxs))
@@ -141,8 +144,7 @@ def _mc_flatness(query: FlatnessQuery) -> FlatnessResult:
     if np.any(inside & near_edge):
         raise UnboundedRegion("flatness region reaches the bounding box; reduce epsilon")
     contrib = np.zeros(points.shape[0])
-    for i in np.nonzero(inside)[0]:
-        contrib[i] = _sqrt_det(query, points[i])
+    contrib[inside] = _sqrt_dets(query, points[inside])
     volume = box_vol * float(np.mean(contrib))
     stderr = box_vol * float(np.std(contrib, ddof=1)) / np.sqrt(points.shape[0])
     return FlatnessResult(volume=volume, stderr=stderr, samples_in_region=int(inside.sum()))

@@ -23,7 +23,10 @@ table; no other code takes a pairwise distance for a kernel.
 
 Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 ``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor
-``K = L L^T`` (:meth:`GramMatrix.whiten`); no ``K^-1`` is ever formed.
+``K = L L^T`` (:meth:`GramMatrix.whiten`), or by a system that carries K
+itself: the dense natural-gradient step of :mod:`sobnat.metric` factors
+``Theta + damping (K_j (x) I_m)``, with ``K_j = values + jitter*d(0)*I``
+the matrix whose factor the Gram holds.  No ``K^-1`` is ever formed.
 """
 
 from __future__ import annotations
@@ -101,12 +104,22 @@ class KernelSpec:
         return dimension_constant(self.input_dim)
 
 
+def _profile_in_place(r: np.ndarray, constant: float) -> np.ndarray:
+    """Overwrite the float64 distances r with (C_n e^{-r}) (1 + r) and return r."""
+    scale = np.negative(r, out=np.empty_like(r))  # out= keeps a 0-d r an array
+    np.exp(scale, out=scale)
+    scale *= constant
+    r += 1.0
+    r *= scale
+    return r
+
+
 def point_kernel(r, spec: KernelSpec):
     """Radial kernel value C_n e^{-r} (1 + r) at distance r >= 0."""
-    r_arr = np.asarray(r, dtype=np.float64)
-    if np.any(r_arr < 0):
+    r_arr = np.array(r, dtype=np.float64)  # a copy: the profile overwrites it
+    if (r_arr < 0).any():
         raise ValueError("distance must be non-negative")
-    value = spec.constant * np.exp(-r_arr) * (1.0 + r_arr)
+    value = _profile_in_place(r_arr, spec.constant)
     return float(value) if np.isscalar(r) or r_arr.ndim == 0 else value
 
 
@@ -114,9 +127,10 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel table T[a, b] = d(|x_a - y_b|) between two (., n) point sets.
 
     ``cdist`` takes each distance on its own, so ``kernel_matrix(x, x, spec)``
-    is bitwise symmetric with a diagonal of exactly d(0).
+    is bitwise symmetric with a diagonal of exactly d(0).  The profile is
+    evaluated in place on the fresh distance table.
     """
-    return point_kernel(cdist(x, y), spec)
+    return _profile_in_place(cdist(x, y), spec.constant)
 
 
 def _damped_factor(values: np.ndarray, shift: float):

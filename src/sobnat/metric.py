@@ -23,30 +23,47 @@ push-through (Woodbury) identity
 
 a B*m x B*m system that needs J only through products, so neither J nor
 any P x P array is formed.  With W = L^-1 (x) I_m the whitening,
-J~^T J~ = W Theta W^T, where Theta = J^T J is the empirical tangent kernel
--- the natural gradient is kernel ridge regression with the NTK.  Theta is
-built layer by layer from the forward pass's factors
+J~^T J~ = W Theta W^T, where Theta = J^T J is the empirical tangent
+kernel.  Theta is built layer by layer from the forward pass's factors
 (:meth:`sobnat.network.Tangents.ntk`),
 
     Theta = sum_l (Abar_l Abar_l^T) (x) 1_{m x m}  .*  Ds_l Ds_l^T,
 
-whitened on both sides by :meth:`GramMatrix.whiten`, shifted by damping
-and factored once.  J~^T g = W J^T g and J~ y = J W^T y are per-layer
-products with Abar_l and Ds_l plus one triangular solve on a (B, m) array
-(:meth:`GramMatrix.whiten`, :meth:`GramMatrix.whiten_adjoint`).  With a
-Sobolev Gram, W magnifies the rounding of the formed Theta by up to
-cond(K) (1e9-1e10 on 50 two-moons points at input scale 20), which leaves
-the step 4e-9 to 2e-8 off the P x P oracle.  One step of iterative
-refinement fixes that: the residual g - damping v - J W^T W J^T v, taken
-through the products, is solved with the same factor and added to v,
-which brings the step to about 1e-11 of the oracle.  K = I needs no
-refinement.  With P <= B*m, or with damping 0 (the exactness oracles),
-where the identity would divide by 0, J is assembled and the P x P system
-is factored, exactly as natural_gradient(estimate_metric(...)).
-On the [2,64,64,2] net at B = 50 (P = 4482, B*m = 100) a sobolev_dense
-train step takes 1.0-1.5 ms, against about 1.1 s for the P x P solve
-and about 11 ms when the push-through whitened a dense J; an amari_dense
-step takes 0.7-1.1 ms (one BLAS thread on a 2-core x86 host).
+and the whitening need not be applied to it.  W^T W = K_j^-1 (x) I_m,
+where K_j = K + jitter d(0) I is the matrix the Gram's factor L is of, so
+the identity is v = (g - J z) / damping with
+
+    S z = J^T g,    S = Theta + damping (K_j (x) I_m):
+
+kernel ridge regression with the NTK in which the Sobolev Gram takes the
+place of the identity.  S is formed from Theta and K_j and factored once;
+J^T g and J z are per-layer products with Abar_l and Ds_l, and no
+triangular solve touches Theta.  The rounding of the formed Theta is not
+shaped like damping K_j, whose condition number is 1e9-1e10 on 50
+two-moons points at input scale 20, so on its own v_0 = (g - J z) / damping
+is 1.5e-9 to 2.1e-7 off the P x P oracle.  One step of iterative
+refinement in kernel space fixes that.  The residual of v_0 is
+
+    g - damping v_0 - J (K_j^-1 (x) I_m) J^T v_0 = J e,
+    e = z - (K_j^-1 (x) I_m) J^T v_0,
+
+so the correction is the same solve with J e as the gradient:
+z_2 = S^-1 J^T J e = S^-1 Theta e, and v = (g - J (z - e + z_2)) / damping.
+J^T v_0 must be taken by :meth:`~sobnat.network.Tangents.rmatvec` and
+K_j^-1 as whiten_adjoint(whiten(.)) on the (B, m) array: the algebraically
+equal (J^T g - Theta z) / damping makes e vanish identically, and the
+refinement would then correct nothing.  The refined step is within 1.8e-11
+of the oracle (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
+[2,64,64,2]).  A step makes two rmatvec and two matvec calls, factors S
+and whitens only (B, m) arrays; with K = I, S = Theta + damping I and the
+first v is the answer.  With P <= B*m, or with damping 0 (the exactness
+oracles), where the identity would divide by 0, J is assembled and the
+P x P system is factored, exactly as natural_gradient(estimate_metric(...)).
+A sobolev_dense train step at B = 50 takes 0.44 ms on the desk
+[2,16,16,2] net (P = 354; 0.58 ms when Theta was whitened on both sides)
+and 0.60 ms on [2,64,64,2] (P = 4482; 0.77 ms whitened, about 1.1 s for
+the P x P solve); amari_dense takes 0.28 and 0.39 ms (medians of 2000 and
+1000 steps, one BLAS thread on a 2-core x86 host).
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 
@@ -157,30 +174,31 @@ def damped_natural_gradient(
 def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):
     """The P > B*m branch of :func:`damped_natural_gradient`; see the module docstring."""
     theta = tangents.ntk()
-    if gram is not None:
-        # W Theta W^T with W = L^-1 (x) I_m: Theta is symmetric, so the
-        # second whitening acts on the transpose of the first.
-        batch, n = gram.size, theta.shape[0]
-        theta = gram.whiten(theta.reshape(batch, -1)).reshape(n, n)
-        theta = gram.whiten(theta.T.reshape(batch, -1)).reshape(n, n)
-    theta[np.diag_indices_from(theta)] += damping
-    factor = linalg.cholesky_factor(theta)
-
-    def push_through(r):
-        w = tangents.rmatvec(r)
-        if gram is not None:
-            w = gram.whiten(w)
-        y = linalg.solve_from_factor(factor, w.reshape(-1)).reshape(w.shape)
-        if gram is not None:
-            y = gram.whiten_adjoint(y)
-        return (r - tangents.matvec(y)) / damping
-
-    v = push_through(grad)
+    jg = tangents.rmatvec(grad)
     if gram is None:
-        return v
-    # One step of iterative refinement against the product form of the metric.
-    w = gram.whiten_adjoint(gram.whiten(tangents.rmatvec(v)))
-    return v + push_through(grad - damping * v - tangents.matvec(w))
+        theta[np.diag_indices_from(theta)] += damping
+        z = linalg.solve_from_factor(linalg.cholesky_factor(theta), jg.reshape(-1))
+        return (grad - tangents.matvec(z.reshape(jg.shape))) / damping
+    # S = Theta + damping (K_j (x) I_m), K_j the matrix gram's factor is of.
+    shift = gram.values.copy()
+    shift.flat[:: len(shift) + 1] += gram.jitter * gram.d0
+    shift *= damping
+    s = theta.copy()
+    blocks = s.reshape(jg.shape * 2)  # blocks[a, c, b, e] = S[(a, c), (b, e)]
+    for c in range(jg.shape[1]):
+        blocks[:, c, :, c] += shift
+    factor = linalg.cholesky_factor(s)
+
+    def solve(r):
+        return linalg.solve_from_factor(factor, r.reshape(-1)).reshape(jg.shape)
+
+    z = solve(jg)
+    v = (grad - tangents.matvec(z)) / damping
+    # v's residual is J e; J^T v must come from rmatvec, since the
+    # algebraically equal (J^T g - Theta z) / damping makes e vanish.
+    e = z - gram.whiten_adjoint(gram.whiten(tangents.rmatvec(v)))
+    z_refined = solve(theta @ e.reshape(-1))
+    return (grad - tangents.matvec(z - e + z_refined)) / damping
 
 
 def project_empirical_gradient(

@@ -287,15 +287,22 @@ class Tangents:
         )
 
     def matrix(self) -> np.ndarray:
-        """The dense (P, B*m) Jacobian; column (b, c) = b*m + c."""
+        """The dense (P, B*m) Jacobian; column (b, c) = b*m + c.
+
+        It is the transposed view of a C-ordered (B, m, P) array, so J^T
+        reshapes to the (B, m*P) layout of :meth:`GramMatrix.whiten`
+        without a copy.
+        """
         batch, m = self.batch, self.output_dim
-        j, row = np.empty((self.num_params, batch * m)), 0  # blocks written in place
+        jt, row = np.empty((batch, m, self.num_params)), 0  # blocks written in place
         for a, d in zip(self.a_bars, self.jacobians):
             size = d.shape[2] * a.shape[1]
-            # (m, B, p_l) x (B, q_l) -> rows (p, q), columns (b, c).
-            np.einsum("cbp,bq->pqbc", d, a, out=j[row : row + size].reshape(d.shape[2], a.shape[1], batch, m))
+            # (m, B, p_l) x (B, q_l) -> (b, c, p, q); splitting the contiguous
+            # last axis keeps the block a view of jt.
+            block = jt[:, :, row : row + size].reshape(batch, m, d.shape[2], a.shape[1])
+            np.einsum("cbp,bq->bcpq", d, a, out=block)
             row += size
-        return j
+        return jt.reshape(batch * m, -1).T
 
 
 def param_jacobian(net: MlpNetwork, x, cache: BatchCache = None) -> np.ndarray:

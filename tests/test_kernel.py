@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.spatial.distance import cdist
 
 from sobnat.errors import DegenerateGram, DimensionMismatch, UnsupportedOrder
 from sobnat.kernel import (
@@ -29,6 +30,20 @@ class TestPointKernel:
 
     def test_r_one(self):
         np.testing.assert_allclose(point_kernel(1.0, SPEC_1D), 2.0 * np.exp(-1.0) / 4.0)
+
+    @pytest.mark.parametrize("spec", [SPEC_1D, KernelSpec(input_dim=2)])
+    def test_in_place_table_is_point_kernel_of_a_copy(self, spec):
+        # kernel_matrix evaluates the profile in its own cdist table;
+        # point_kernel leaves the caller's distances alone.  Both keep the
+        # bits of (C e^{-r}) (1 + r).
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(7, spec.input_dim)), rng.normal(size=(5, spec.input_dim))
+        r = cdist(x, y)
+        before = r.copy()
+        values = point_kernel(r, spec)
+        assert np.array_equal(r, before)
+        assert np.array_equal(values, spec.constant * np.exp(-r) * (1.0 + r))
+        assert np.array_equal(kernel_matrix(x, y, spec), values)
 
     def test_monotone_decay_to_zero(self):
         rs = np.linspace(0.0, 40.0, 200)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sobnat.errors import BudgetExceeded, DimensionMismatch, NotPositiveDefinite
-from sobnat.kernel import KernelSpec, gram
+from sobnat.kernel import GramMatrix, KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
 from sobnat.metric import (
     PullbackMetric,
@@ -100,23 +100,26 @@ class TestNaturalGradient:
 
 
 class TestDampedNaturalGradient:
-    def instance(self, dims, batch, seed):
+    def instance(self, dims, batch, seed, copies=1):
+        # copies > 1 repeats each of batch / copies points that many times.
         rng = np.random.default_rng(seed)
         net = random_net(seed, dims=dims)
-        x = rng.normal(size=(batch, dims[0]))
+        x = np.tile(rng.normal(size=(batch // copies, dims[0])), (copies, 1))
         j = param_jacobian(net, x)
         resid = rng.normal(size=(batch, dims[-1]))
         grad = j @ resid.reshape(-1) + 0.003 * net.params_vector()
         return net, x, j, grad
 
-    @pytest.mark.parametrize("dims,batch", [((2, 16, 16, 1), 1), ((2, 16, 16, 1), 50),
-                                            ((2, 16, 16, 2), 1), ((2, 16, 16, 2), 50)])
+    @pytest.mark.parametrize("dims,batch,copies", [((2, 16, 16, 1), 1, 1), ((2, 16, 16, 1), 50, 1),
+                                                   ((2, 16, 16, 2), 1, 1), ((2, 16, 16, 2), 50, 1),
+                                                   ((2, 16, 16, 2), 50, 2)])
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
     @pytest.mark.parametrize("source", ["matrix", "layers"])
-    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, kernel, source):
+    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, copies, kernel, source):
         # P > B*m: the kernel-space solve, from a dense J or from the
-        # network's layer factors, against the P x P oracle.
-        net, x, j, grad = self.instance(dims, batch, seed=batch + dims[-1])
+        # network's layer factors, against the P x P oracle; copies = 2
+        # gives the Gram of duplicate points, singular but for its jitter.
+        net, x, j, grad = self.instance(dims, batch, seed=batch + dims[-1], copies=copies)
         assert net.num_params > batch * net.output_dim
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         oracle = natural_gradient(estimate_metric(j, net.output_dim, g, damping=0.03), grad)
@@ -128,6 +131,24 @@ class TestDampedNaturalGradient:
         got = damped_natural_gradient(tangents, g, 0.03, grad)
         assert factor_orders == [batch * net.output_dim]
         assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("dims", [(2, 16, 16, 1), (2, 16, 16, 2)])
+    def test_sobolev_kernel_space_solve_whitens_only_kernel_space_vectors(self, monkeypatch, factor_orders, dims):
+        # The Sobolev P > B*m solve factors Theta + damping (K_j (x) I_m)
+        # itself: one B*m factor, and Gram solves on (B, m) arrays only.
+        net, x, j, grad = self.instance(dims, 50, seed=3)
+        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        shapes, solve = [], GramMatrix._triangular_solve
+
+        def recording(self, b, trans):
+            shapes.append(np.shape(b))
+            return solve(self, b, trans)
+
+        monkeypatch.setattr(GramMatrix, "_triangular_solve", recording)
+        factor_orders.clear()
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, grad)
+        assert factor_orders == [50 * dims[-1]]
+        assert shapes and set(shapes) == {(50, dims[-1])}
 
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
     def test_parameter_space_solve_is_the_oracle(self, kernel):
