@@ -133,20 +133,16 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return _profile_in_place(cdist(x, y), spec.constant)
 
 
-def _damped_factor(values: np.ndarray, shift: float):
-    """Cholesky factor of values + shift * I, shifted on the diagonal of a copy."""
-    damped = values.copy()
-    damped[np.diag_indices_from(damped)] += shift
-    return linalg.cholesky_factor(damped)
-
-
 @dataclass
 class GramMatrix:
     """Kernel Gram matrix over a batch of (already scaled) points.
 
     ``values`` holds the pure kernel evaluations (diagonal exactly d(0));
     the cached Cholesky factor L is of values + jitter*d(0)*I, where
-    ``jitter`` is the effective value after any escalation.
+    ``jitter`` is the effective value after any escalation.  whiten and
+    whiten_adjoint return new arrays; the dense metric and the K-FAC
+    factors whiten the arrays they have just built in place, through the
+    private _whiten_in_place.
     """
 
     points: np.ndarray
@@ -161,7 +157,8 @@ class GramMatrix:
 
     @property
     def d0(self) -> float:
-        return point_kernel(0.0, self.spec)
+        """d(0) = C_n e^0 (1 + 0), which is C_n exactly."""
+        return self.spec.constant
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c."""
@@ -171,12 +168,18 @@ class GramMatrix:
         """L^-T w, the adjoint of whiten: whiten(b)^T w = b^T whiten_adjoint(w)."""
         return self._triangular_solve(w, trans=0)
 
-    def _triangular_solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+    def _whiten_in_place(self, b: np.ndarray) -> np.ndarray:
+        """whiten(b), written over b when b is a C-ordered float64 array."""
+        return self._triangular_solve(b, trans=1, overwrite_b=True)
+
+    def _triangular_solve(self, b: np.ndarray, trans: int, overwrite_b: bool = False) -> np.ndarray:
         # X L^T = b^T (trans=1) or X L = b^T (trans=0) on b^T, which is
         # Fortran-ordered for a C-ordered b: the right-side TRSM needs no
-        # layout copy.
+        # layout copy, and with overwrite_b it solves in b's own buffer.
         bt = np.reshape(b, (len(b), -1)).T
-        x = scipy.linalg.blas.dtrsm(1.0, self._factor[0], bt, side=1, lower=1, trans_a=trans)
+        x = scipy.linalg.blas.dtrsm(
+            1.0, self._factor[0], bt, side=1, lower=1, trans_a=trans, overwrite_b=overwrite_b
+        )
         return x.T.reshape(np.shape(b))
 
     def scaled(self, c: float) -> "GramMatrix":
@@ -185,7 +188,7 @@ class GramMatrix:
             raise ValueError("scale must be positive")
         scaled_values = self.values * c
         out = GramMatrix(self.points, scaled_values, self.jitter, self.spec)
-        out._factor = _damped_factor(scaled_values, self.jitter * self.d0 * c)
+        out._factor = linalg.cholesky_factor(scaled_values, self.jitter * self.d0 * c)
         return out
 
 
@@ -193,9 +196,10 @@ def gram(points, spec: KernelSpec) -> GramMatrix:
     """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|).
 
     Points must already be divided by spec.input_scale; a non-finite point
-    raises DegenerateGram before any factor is attempted.  jitter * d(0) is
-    added to the diagonal before factoring; on failure the jitter is
-    escalated tenfold up to three times before DegenerateGram is raised
+    raises DegenerateGram before any factor is attempted.  The factor is of
+    values + jitter*d(0)*I, the shift :func:`sobnat.linalg.cholesky_factor`
+    adds to its copy, so values keeps the pure kernel; on failure the jitter
+    is escalated tenfold up to three times before DegenerateGram is raised
     (duplicate points at excessive batch size).
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -213,7 +217,7 @@ def gram(points, spec: KernelSpec) -> GramMatrix:
     out = GramMatrix(points=pts, values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
     for _ in range(4):  # initial attempt plus three escalations
         try:
-            out._factor = _damped_factor(out.values, out.jitter * out.d0)
+            out._factor = linalg.cholesky_factor(out.values, out.jitter * out.d0)
             return out
         except NotPositiveDefinite:
             out.jitter *= 10.0

@@ -45,7 +45,10 @@ class KfacLayerState:
     a_factor is (d_in+1) x (d_in+1), s_factor d_out x d_out; both start
     unset and adopt the first batch wholesale, then follow
     new = decay * old + (1 - decay) * fresh.  Inverse caches are filled by
-    refresh_inverses and dropped whenever the factors change.
+    refresh_inverses and dropped whenever the factors change.  damping is
+    the value the inverses were last formed with: refresh_inverses raises
+    it tenfold while a damped factor is indefinite and keeps the raised
+    value for the next refresh.
     """
 
     decay: float = 0.95
@@ -87,7 +90,7 @@ def compute_factors(cache: BatchCache, gram: GramMatrix = None) -> list:
     if gram is not None:
         if gram.size != batch:
             raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
-        stacked = gram.whiten(stacked)
+        stacked = gram._whiten_in_place(stacked)
     factors, start = [], 0
     for a_bar, ds in layers:
         mid = start + a_bar.shape[1]
@@ -123,20 +126,23 @@ def _pi(a: np.ndarray, s: np.ndarray) -> float:
 
 
 def refresh_inverses(state: KfacLayerState) -> None:
-    """Recompute damped factor inverses, escalating damping if needed."""
+    """Recompute damped factor inverses, escalating damping if needed.
+
+    An escalated damping is kept in state.damping, so later refreshes
+    start from it.
+    """
     lam = state.damping
     for _ in range(4):
         sq = np.sqrt(lam)
         pi = _pi(state.a_factor, state.s_factor)
         try:
-            a_damped = state.a_factor + (sq / pi) * np.eye(state.a_factor.shape[0])
-            s_damped = state.s_factor + (sq * pi) * np.eye(state.s_factor.shape[0])
             state._a_inv = linalg.solve_from_factor(
-                linalg.cholesky_factor(a_damped), np.eye(a_damped.shape[0])
+                linalg.cholesky_factor(state.a_factor, sq / pi), np.eye(state.a_factor.shape[0])
             )
             state._s_inv = linalg.solve_from_factor(
-                linalg.cholesky_factor(s_damped), np.eye(s_damped.shape[0])
+                linalg.cholesky_factor(state.s_factor, sq * pi), np.eye(state.s_factor.shape[0])
             )
+            state.damping = lam
             return
         except NotPositiveDefinite:
             lam = max(lam, 1e-12) * 10.0

@@ -3,6 +3,8 @@
 Matrices are plain numpy float64 arrays in C (row-major) order; this module
 only adds the SPD solve and the Kronecker-factored preconditioning product
 that the metric and K-FAC paths need, with the package's error types.
+Jitter and damping enter as the diagonal shift of :func:`cholesky_factor`,
+which factors in a single copy of its argument.
 """
 
 from __future__ import annotations
@@ -31,17 +33,26 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def cholesky_factor(a: np.ndarray):
-    """Lower-triangular Cholesky factor of an SPD matrix, no pivoting.
+def cholesky_factor(a: np.ndarray, shift: float = 0.0):
+    """Lower-triangular Cholesky factor of the SPD matrix a + shift*I, no pivoting.
+
+    The factor is taken in place in one plain C-ordered copy of a, with
+    shift added on its diagonal; a itself is never modified.  LAPACK gets
+    the copy's transpose, which is Fortran-ordered and so needs no layout
+    copy, and reads its lower triangle: the factor is of the *upper*
+    triangle of a.  For the bitwise-symmetric matrices every caller passes
+    (syrk products, ``cdist`` kernel tables and their averages) that is the
+    same matrix.
 
     Raises NotPositiveDefinite, naming the row, when a pivot is <= 0 or not
-    finite; the caller owns jitter.  LAPACK's potrf flags only the first
-    kind, so the factor's diagonal is checked for the second.
+    finite; the caller owns jitter and damping.  LAPACK's potrf flags only
+    the first kind, so the factor's diagonal is checked for the second.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    c, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0)
+    c = np.array(a, dtype=np.float64, order="C")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {c.shape}")
+    c.flat[:: len(c) + 1] += shift
+    c, info = scipy.linalg.lapack.dpotrf(c.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(f"pivot in row {info - 1} is not positive")
     finite = np.isfinite(np.diagonal(c))

@@ -57,8 +57,11 @@ of the oracle (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
 [2,64,64,2]).  A step makes two rmatvec and two matvec calls, factors S
 and whitens only (B, m) arrays; with K = I, S = Theta + damping I and the
 first v is the answer.  With P <= B*m, or with damping 0 (the exactness
-oracles), where the identity would divide by 0, J is assembled and the
-P x P system is factored, exactly as natural_gradient(estimate_metric(...)).
+oracles), where the identity would divide by 0, J is assembled, whitened in
+its own buffer, and the P x P system is factored, exactly as
+natural_gradient(estimate_metric(...)), whose whitening copies J.  A scalar
+damping is passed as the diagonal shift of
+:func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand.
 A sobolev_dense train step at B = 50 takes 0.44 ms on the desk
 [2,16,16,2] net (P = 354; 0.58 ms when Theta was whitened on both sides)
 and 0.60 ms on [2,64,64,2] (P = 4482; 0.77 ms whitened, about 1.1 s for
@@ -103,21 +106,23 @@ class PullbackMetric:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def damped(self) -> np.ndarray:
-        out = self.values.copy()
-        out[np.diag_indices(self.dim)] += self.damping
-        return out
 
+def _whitened_transpose(
+    j: np.ndarray, output_dim: int, gram: GramMatrix, in_place: bool = False
+) -> np.ndarray:
+    """J~^T as a (B*m, P) array; gram=None (K = I) leaves J^T unwhitened.
 
-def _whitened_transpose(j: np.ndarray, output_dim: int, gram: GramMatrix) -> np.ndarray:
-    """J~^T as a (B*m, P) array; gram=None (K = I) leaves J^T unwhitened."""
+    in_place lets the whitening overwrite j; on the transposed view of a
+    C-ordered array, as :meth:`Tangents.matrix` returns, it copies nothing.
+    """
     batch = Tangents.of_matrix(j, output_dim).batch  # checks the shape
     jt = np.asarray(j, dtype=np.float64).T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
     if gram is not None:
         if gram.size != batch:
             raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
         # Column block c of the (B, m*P) reshape is J_c^T; one solve whitens all m.
-        jt = gram.whiten(jt.reshape(batch, -1)).reshape(jt.shape)
+        whiten = gram._whiten_in_place if in_place else gram.whiten
+        jt = whiten(jt.reshape(batch, -1)).reshape(jt.shape)
     return jt
 
 
@@ -140,7 +145,7 @@ def natural_gradient(metric: PullbackMetric, euclid_grad: np.ndarray) -> np.ndar
     grad = np.asarray(euclid_grad, dtype=np.float64).reshape(-1)
     if grad.shape[0] != metric.dim:
         raise DimensionMismatch(f"gradient has length {grad.shape[0]}, metric is {metric.dim}")
-    return linalg.cholesky_solve(metric.damped(), grad)
+    return linalg.solve_from_factor(linalg.cholesky_factor(metric.values, metric.damping), grad)
 
 
 def damped_natural_gradient(
@@ -165,10 +170,8 @@ def damped_natural_gradient(
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     if damping > 0 and p > n:
         return _kernel_space_solve(tangents, gram, damping, grad)
-    jt = _whitened_transpose(tangents.matrix(), tangents.output_dim, gram)
-    a = jt.T @ jt
-    a[np.diag_indices(p)] += damping
-    return linalg.solve_from_factor(linalg.cholesky_factor(a), grad)
+    jt = _whitened_transpose(tangents.matrix(), tangents.output_dim, gram, in_place=True)
+    return linalg.solve_from_factor(linalg.cholesky_factor(jt.T @ jt, damping), grad)
 
 
 def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):
@@ -176,8 +179,7 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, gr
     theta = tangents.ntk()
     jg = tangents.rmatvec(grad)
     if gram is None:
-        theta[np.diag_indices_from(theta)] += damping
-        z = linalg.solve_from_factor(linalg.cholesky_factor(theta), jg.reshape(-1))
+        z = linalg.solve_from_factor(linalg.cholesky_factor(theta, damping), jg.reshape(-1))
         return (grad - tangents.matvec(z.reshape(jg.shape))) / damping
     # S = Theta + damping (K_j (x) I_m), K_j the matrix gram's factor is of.
     shift = gram.values.copy()

@@ -48,6 +48,7 @@ class RiemannProblem:
     minimizer: np.ndarray = None
     f_min: float = None
     hessian: np.ndarray = None  # constant Hessian of a quadratic objective
+    metric_factor: tuple = None  # Cholesky factor of a constant metric; None: factor metric(x) per call
 
     def metric_at(self, x) -> np.ndarray:
         return np.atleast_2d(np.asarray(self.metric(x), dtype=np.float64))
@@ -57,7 +58,7 @@ class RiemannProblem:
         """f(x) = 0.5 x^T H x with a constant SPD metric g (None = Euclidean).
 
         The constants are computed, not assumed: L = lambda_max(H) and
-        C = lambda_max(g^-1) = 1 / lambda_min(g).
+        C = lambda_max(g^-1) = 1 / lambda_min(g).  g is factored here, once.
         """
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         dim = h.shape[0]
@@ -74,11 +75,15 @@ class RiemannProblem:
             minimizer=np.zeros(dim),
             f_min=0.0,
             hessian=h,
+            metric_factor=linalg.cholesky_factor(g_mat),
         )
 
 
 def _natural_grad(problem: RiemannProblem, x: np.ndarray) -> np.ndarray:
-    return linalg.cholesky_solve(problem.metric_at(x), problem.grad(x))
+    factor = problem.metric_factor
+    if factor is None:
+        factor = linalg.cholesky_factor(problem.metric_at(x))
+    return linalg.solve_from_factor(factor, problem.grad(x))
 
 
 def grad_step(problem: RiemannProblem, x) -> np.ndarray:

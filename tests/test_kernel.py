@@ -104,6 +104,13 @@ class TestGram:
         assert np.array_equal(g.values, g.values.T)
         assert np.all(np.diag(g.values) == g.d0)
 
+    @pytest.mark.parametrize("mode", ["unit_constant", EXACT_CONSTANT])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_d0_is_the_profile_at_zero(self, mode, dim):
+        spec = KernelSpec(input_dim=dim, constant_mode=mode)
+        g = gram(np.zeros((1, dim)), spec)
+        assert g.d0 == point_kernel(0.0, spec) == g.values[0, 0]
+
     def test_non_finite_point_raises_without_jitter_escalation(self, factor_orders):
         pts = np.random.default_rng(2).normal(size=(6, 2)) / 20.0
         pts[4, 0] = np.nan

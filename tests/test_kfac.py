@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sobnat import linalg
 from sobnat.errors import DimensionMismatch
 from sobnat.kernel import KernelSpec, gram
 from sobnat.kfac import KfacLayerState, compute_factors, precondition, refresh_inverses, update_state
@@ -177,6 +178,26 @@ class TestPrecondition:
         update_state(state, np.eye(2), np.zeros((2, 2)))
         out = precondition(state, np.ones((2, 2)))
         assert np.all(np.isfinite(out))
+
+    def test_escalated_damping_carries_to_the_next_refresh(self, monkeypatch):
+        # A singular A factor at damping 0 escalates; the next refresh starts
+        # from the escalated damping, not from 0 again.
+        shifts, factor = [], linalg.cholesky_factor
+
+        def recording(a, shift=0.0):
+            shifts.append(shift)
+            return factor(a, shift)
+
+        monkeypatch.setattr(linalg, "cholesky_factor", recording)
+        state = KfacLayerState(damping=0.0)
+        update_state(state, np.ones((2, 2)), np.eye(3))
+        refresh_inverses(state)
+        assert shifts[0] == 0.0
+        assert state.damping > 0.0
+        shifts.clear()
+        refresh_inverses(state)
+        # pi = sqrt(mean diag S / mean diag A) = 1, so both shifts are sqrt(damping).
+        assert shifts == [np.sqrt(state.damping)] * 2
 
     def test_shape_mismatch(self):
         state = KfacLayerState()

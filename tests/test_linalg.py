@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sobnat.errors import DimensionMismatch, NotPositiveDefinite
 from sobnat.linalg import cholesky_factor, cholesky_solve, kron_precondition
@@ -85,6 +88,52 @@ class TestCholeskySolve:
         b = rng.normal(size=(10, 3))
         x = cholesky_solve(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestCholeskyFactor:
+    @staticmethod
+    def gram_of(rng, n):
+        m = rng.normal(size=(n, n + 3))
+        return m @ m.T  # a syrk product: bitwise symmetric
+
+    @pytest.mark.parametrize("n", [1, 3, 17, 354, 500])
+    def test_shift_factors_the_shifted_copy(self, n):
+        # The factor of a + s*I equals LAPACK's factor of that matrix, formed
+        # apart, bit for bit, and a is left as it was.
+        a = self.gram_of(np.random.default_rng(n), n)
+        before = a.copy()
+        for s in (0.0, 0.03, 1e-8):
+            shifted = a.copy()
+            shifted[np.diag_indices(n)] += s
+            expected, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=0)
+            assert info == 0
+            got, lower = cholesky_factor(a, s)
+            assert lower
+            np.testing.assert_array_equal(np.tril(got), np.tril(expected))
+            np.testing.assert_array_equal(a, before)
+
+    def test_bad_pivot_names_the_row_of_the_shifted_matrix(self):
+        a = self.gram_of(np.random.default_rng(0), 17)
+        a[9, 9] = -1.0
+        shifted = a.copy()
+        shifted[np.diag_indices(17)] += 0.5
+        info = scipy.linalg.lapack.dpotrf(shifted, lower=1)[1]
+        assert info > 0
+        with pytest.raises(NotPositiveDefinite, match=f"row {info - 1} "):
+            cholesky_factor(a, 0.5)
+        # A shift large enough makes the same matrix positive definite.
+        assert np.all(np.diagonal(cholesky_factor(a, 1e3)[0]) > 0)
+
+    def test_factors_in_one_copy(self):
+        a = self.gram_of(np.random.default_rng(1), 500)
+        tracemalloc.start()
+        try:
+            factor = cholesky_factor(a, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 500 x 500 array plus small bookkeeping; no second, transposed copy.
+        assert factor[0].nbytes <= peak <= a.nbytes + 65536
 
 
 class TestKronPrecondition:

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,9 +141,9 @@ class TestDampedNaturalGradient:
         g = gram(x / 20.0, KernelSpec(input_dim=2))
         shapes, solve = [], GramMatrix._triangular_solve
 
-        def recording(self, b, trans):
+        def recording(self, b, trans, overwrite_b=False):
             shapes.append(np.shape(b))
-            return solve(self, b, trans)
+            return solve(self, b, trans, overwrite_b)
 
         monkeypatch.setattr(GramMatrix, "_triangular_solve", recording)
         factor_orders.clear()
@@ -159,6 +160,27 @@ class TestDampedNaturalGradient:
         oracle = natural_gradient(estimate_metric(j, 2, g, damping=0.03), grad)
         for tangents in (Tangents.of_matrix(j, 2), Tangents.of_network(net, forward(net, x))):
             assert np.array_equal(damped_natural_gradient(tangents, g, 0.03, grad), oracle)
+
+    def test_parameter_space_solve_whitens_j_in_its_own_buffer(self):
+        # A large_batch-shaped Sobolev step, [2,16,16,2] at B = 500 (P = 354
+        # <= B*m = 1000), whitens the J it forms in place: it never holds
+        # two P x B*m arrays at once, and it is still the oracle bit for bit.
+        rng = np.random.default_rng(5)
+        net = random_net(5, dims=(2, 16, 16, 2))
+        x = rng.normal(size=(500, 2))
+        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        tangents = Tangents.of_network(net, forward(net, x))
+        grad = rng.normal(size=net.num_params)
+        j_bytes = net.num_params * 500 * 2 * 8
+        tracemalloc.start()
+        try:
+            got = damped_natural_gradient(tangents, g, 0.03, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j_bytes <= peak < 2 * j_bytes
+        oracle = natural_gradient(estimate_metric(tangents.matrix(), 2, g, damping=0.03), grad)
+        assert np.array_equal(got, oracle)
 
     def test_zero_damping_is_the_oracle(self, factor_orders):
         # Damping 0 always solves in parameter space, as the exactness

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -45,6 +47,23 @@ class TestGradStep:
             x = rng.normal(size=3) * 2.0
             drop = problem.f(x) - problem.f(grad_step(problem, x))
             assert drop >= prog(problem, x) - 1e-10
+
+
+    def test_constant_metric_is_factored_once(self, factor_orders):
+        # quadratic() factors its constant metric once; the per-call path,
+        # which factors metric(x) at every call, gives the same bits.
+        rng = np.random.default_rng(4)
+        problem = random_quadratic(rng, with_metric=True)
+        per_call = dataclasses.replace(problem, metric_factor=None)
+        assert factor_orders == [3]
+        x = rng.normal(size=3)
+        for _ in range(5):
+            assert prog(problem, x) == prog(per_call, x)
+            assert np.array_equal(mirror_step(problem, x, 2.0), mirror_step(per_call, x, 2.0))
+            step = grad_step(problem, x)
+            assert np.array_equal(step, grad_step(per_call, x))
+            x = step
+        assert factor_orders == [3] * 16
 
 
 class TestProg:
