@@ -27,24 +27,22 @@ from .optimizers import SCHEDULES, VARIANTS, ExperimentLog, OptimConfig, train
 STEP_HEADER = "step,epoch,lr,train_loss,wall_ms"
 EPOCH_HEADER = "epoch,train_acc,test_acc"
 
+# The OptimConfig fields a config file or flag may set; the loss follows the
+# dataset and the rest keep their OptimConfig defaults.
+OPTIM_KEYS = (
+    "variant", "lr", "weight_decay", "damping", "input_scale", "schedule",
+    "batch_size", "epochs", "seed", "record_walltime",
+)
+
 TRAIN_DEFAULTS = {
     "dataset": "two-moons",
-    "variant": "sobolev_kfac",
-    "lr": 0.01,
-    "weight_decay": 0.003,
-    "damping": 0.03,
-    "input_scale": 20.0,
-    "schedule": "baseline_tenth_at_40pct",
-    "batch_size": 50,
-    "epochs": 10,
-    "seed": 0,
+    **{key: getattr(OptimConfig, key) for key in OPTIM_KEYS},
     "layers": "16,16",
     "activation": "tanh",
     "count": 1000,
     "noise": 0.1,
     "test_fraction": 0.25,
     "out": "runs/latest",
-    "record_walltime": True,
     "csv_schema": data.LABEL_FIRST,
     "skip_header": False,
 }
@@ -82,7 +80,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         for key, value in file_values.items():
             if key not in merged:
                 parser.error(f"--config: unknown key {key!r}")
-            merged[key] = _coerce(key, value, TRAIN_DEFAULTS)
+            try:
+                merged[key] = _coerce(key, value, TRAIN_DEFAULTS)
+            except ValueError as exc:
+                parser.error(f"--config: {key}: {exc}")
     for key in merged:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -110,40 +111,34 @@ def write_logs(log: ExperimentLog, out_dir: str) -> None:
 def _load_dataset(cfg: dict, parser) -> data.Dataset:
     name = cfg["dataset"]
     if name == "two-moons":
-        ds = data.gen_two_moons(int(cfg["count"]), float(cfg["noise"]), int(cfg["seed"]))
+        ds = data.gen_two_moons(cfg["count"], cfg["noise"], cfg["seed"])
     elif name.startswith("csv:"):
         path = name[4:]
         if not path:
             parser.error("--dataset: csv requires a path, e.g. --dataset csv:/path/file.csv")
         if not Path(path).exists():
             parser.error(f"--dataset: file not found: {path}")
-        ds = data.load_csv(path, schema=cfg["csv_schema"], skip_header=bool(cfg["skip_header"]))
+        ds = data.load_csv(path, schema=cfg["csv_schema"], skip_header=cfg["skip_header"])
     else:
         parser.error(f"--dataset: unknown dataset {name!r} (use two-moons or csv:PATH)")
-    ds = data.train_test_split(ds, float(cfg["test_fraction"]), int(cfg["seed"]))
+    ds = data.train_test_split(ds, cfg["test_fraction"], cfg["seed"])
     return data.normalize(ds)
 
 
 def cmd_train(args, parser) -> int:
     cfg = _merge_config(args, parser)
+    try:
+        hidden = [int(h) for h in cfg["layers"].split(",") if h.strip()]
+    except ValueError as exc:
+        parser.error(f"--layers: {exc}")
     dataset = _load_dataset(cfg, parser)
-    hidden = [int(h) for h in str(cfg["layers"]).split(",") if h.strip()]
     out_dim = dataset.num_classes if dataset.classification else dataset.targets.shape[1]
     dims = [dataset.input_dim] + hidden + [out_dim]
     loss = losses.SOFTMAX_CE if dataset.classification else losses.SQUARED
-    config = OptimConfig(
-        variant=cfg["variant"],
-        lr=float(cfg["lr"]),
-        weight_decay=float(cfg["weight_decay"]),
-        damping=float(cfg["damping"]),
-        input_scale=float(cfg["input_scale"]),
-        schedule=cfg["schedule"],
-        batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]),
-        seed=int(cfg["seed"]),
-        loss=loss,
-        record_walltime=bool(cfg["record_walltime"]),
-    )
+    try:
+        config = OptimConfig(loss=loss, **{key: cfg[key] for key in OPTIM_KEYS})
+    except ValueError as exc:
+        parser.error(str(exc))
     t0 = time.perf_counter()
     log, _net = train(config, dataset, dims, activation=cfg["activation"])
     elapsed = time.perf_counter() - t0

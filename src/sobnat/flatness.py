@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 BAND_FLOOR = 1e-12  # relaxation of the strict lower bound F > F(w0)
+DET_CHUNK = 4096  # region points per stacked determinant
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,13 @@ def _sqrt_dets(query: FlatnessQuery, points: np.ndarray) -> np.ndarray:
     """Volume-form density sqrt(det g(w)) at each row w of points."""
     if query.metric is None or len(points) == 0:
         return np.ones(len(points))
-    # One metric call per point, as the w -> matrix contract asks; one stacked det.
-    mats = [np.atleast_2d(np.asarray(query.metric(w), dtype=np.float64)) for w in points]
-    dets = np.linalg.det(np.stack(mats))
+    # One metric call per point, as the w -> matrix contract asks; one stacked
+    # det per chunk bounds the matrices alive at once.
+    dets = np.empty(len(points))
+    for start in range(0, len(points), DET_CHUNK):
+        chunk = points[start : start + DET_CHUNK]
+        mats = [np.atleast_2d(np.asarray(query.metric(w), dtype=np.float64)) for w in chunk]
+        dets[start : start + len(chunk)] = np.linalg.det(np.stack(mats))
     negative = dets < -1e-12
     if negative.any():
         k = int(np.argmax(negative))

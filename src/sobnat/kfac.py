@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .kernel import GramMatrix
-from .network import BatchCache
+from .network import Tangents
 
 __all__ = ["KfacLayerState", "compute_factors", "update_state", "precondition"]
 
@@ -73,18 +73,18 @@ class KfacLayerState:
         self._s_inv = None
 
 
-def compute_factors(cache: BatchCache, gram: GramMatrix = None) -> list:
-    """Per-layer factors (A, S) from a forward cache with output Jacobians.
+def compute_factors(tangents: Tangents, gram: GramMatrix = None) -> list:
+    """Per-layer factors (A, S) from the layer factors of the Jacobian.
 
-    gram=None selects K = I.  A carries the batch-size normalization; S sums
-    the per-output-component Jacobian statistics unnormalized, so that
-    A (x) S matches the unnormalized dense layer block when the batch
-    statistics factorize.
+    tangents is :meth:`Tangents.of_network` of the batch, or any dense J
+    as :meth:`Tangents.of_matrix`: a single block, on which gram=None gives
+    A = [[1]] and S = J J^T exactly.  gram=None selects K = I.  A carries the
+    batch-size normalization; S sums the per-output-component Jacobian
+    statistics unnormalized, so that A (x) S matches the unnormalized dense
+    layer block when the batch statistics factorize.
     """
-    if cache.jacobians is None:
-        raise ValueError("cache has no output Jacobians; run output_jacobians first")
-    batch = cache.batch_size
-    layers = list(zip(cache.a_bars, cache.jacobians))
+    batch = tangents.batch
+    layers = list(zip(tangents.a_bars, tangents.jacobians))
     # Row b holds [abar_l(x_b) | Ds_l^(1)(x_b) | ... | Ds_l^(m)(x_b)] for every layer l.
     stacked = np.concatenate([col for a_bar, ds in layers for col in (a_bar, *ds)], axis=1)
     if gram is not None:

@@ -57,16 +57,16 @@ of the oracle (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
 [2,64,64,2]).  A step makes two rmatvec and two matvec calls, factors S
 and whitens only (B, m) arrays; with K = I, S = Theta + damping I and the
 first v is the answer.  With P <= B*m, or with damping 0 (the exactness
-oracles), where the identity would divide by 0, J is assembled, whitened in
-its own buffer, and the P x P system is factored, exactly as
-natural_gradient(estimate_metric(...)), whose whitening copies J.  A scalar
-damping is passed as the diagonal shift of
+oracles), where the identity would divide by 0, the step is
+natural_gradient on the P x P metric that :func:`estimate_metric` builds:
+one private build that whitens the fresh buffer of
+:meth:`~sobnat.network.Tangents.matrix` in place and returns J~ J~^T.  A
+scalar damping is passed as the diagonal shift of
 :func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand.
 A sobolev_dense train step at B = 50 takes 0.44 ms on the desk
-[2,16,16,2] net (P = 354; 0.58 ms when Theta was whitened on both sides)
-and 0.60 ms on [2,64,64,2] (P = 4482; 0.77 ms whitened, about 1.1 s for
-the P x P solve); amari_dense takes 0.28 and 0.39 ms (medians of 2000 and
-1000 steps, one BLAS thread on a 2-core x86 host).
+[2,16,16,2] net (P = 354) and 0.60 ms on [2,64,64,2] (P = 4482, where
+the P x P solve takes about 1.1 s); amari_dense takes 0.28 and 0.39 ms
+(medians of 2000 and 1000 steps, one BLAS thread on a 2-core x86 host).
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 
@@ -107,23 +107,19 @@ class PullbackMetric:
         return self.values.shape[0]
 
 
-def _whitened_transpose(
-    j: np.ndarray, output_dim: int, gram: GramMatrix, in_place: bool = False
-) -> np.ndarray:
-    """J~^T as a (B*m, P) array; gram=None (K = I) leaves J^T unwhitened.
+def _metric_values(tangents: Tangents, gram: GramMatrix) -> np.ndarray:
+    """J~ J~^T, a (P, P) array; gram=None (K = I) leaves J unwhitened.
 
-    in_place lets the whitening overwrite j; on the transposed view of a
-    C-ordered array, as :meth:`Tangents.matrix` returns, it copies nothing.
+    The whitening overwrites the fresh buffer of :meth:`Tangents.matrix`,
+    whose transposed view of a C-ordered array it solves without a copy.
     """
-    batch = Tangents.of_matrix(j, output_dim).batch  # checks the shape
-    jt = np.asarray(j, dtype=np.float64).T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
+    if gram is not None and gram.size != tangents.batch:
+        raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
+    jt = tangents.matrix().T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
     if gram is not None:
-        if gram.size != batch:
-            raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
         # Column block c of the (B, m*P) reshape is J_c^T; one solve whitens all m.
-        whiten = gram._whiten_in_place if in_place else gram.whiten
-        jt = whiten(jt.reshape(batch, -1)).reshape(jt.shape)
-    return jt
+        jt = gram._whiten_in_place(jt.reshape(tangents.batch, -1)).reshape(jt.shape)
+    return jt.T @ jt
 
 
 def estimate_metric(
@@ -136,8 +132,7 @@ def estimate_metric(
 
     gram=None selects K = I, in which case the result is exactly J @ J.T.
     """
-    jt = _whitened_transpose(j, output_dim, gram)
-    return PullbackMetric(jt.T @ jt, damping=damping)
+    return PullbackMetric(_metric_values(Tangents.of_matrix(j, output_dim), gram), damping=damping)
 
 
 def natural_gradient(metric: PullbackMetric, euclid_grad: np.ndarray) -> np.ndarray:
@@ -170,8 +165,7 @@ def damped_natural_gradient(
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     if damping > 0 and p > n:
         return _kernel_space_solve(tangents, gram, damping, grad)
-    jt = _whitened_transpose(tangents.matrix(), tangents.output_dim, gram, in_place=True)
-    return linalg.solve_from_factor(linalg.cholesky_factor(jt.T @ jt, damping), grad)
+    return natural_gradient(PullbackMetric(_metric_values(tangents, gram), damping), grad)
 
 
 def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):

@@ -11,7 +11,7 @@ and the parameter Jacobian -- as products of its layer factors
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,15 +134,13 @@ class BatchCache:
 
     a_bars[l] is the homogeneous activation feeding layer l (last column all
     ones); pre_acts[l] the pre-activations s_l; outputs the network values.
-    jacobians is filled by output_jacobians: one (m, B, d_l) array per layer
-    with dphi^c/ds_l per sample.
+    The output Jacobians are held with a_bars by :meth:`Tangents.of_network`.
     """
 
     inputs: np.ndarray
     a_bars: list
     pre_acts: list
     outputs: np.ndarray
-    jacobians: list = field(default=None)
 
     @property
     def batch_size(self) -> int:
@@ -195,8 +193,8 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     """Per-sample pre-activation Jacobians Ds_l^(c) = dphi^c/ds_l.
 
     One backward pass for all output components at once, seeded with
-    dphi^c/dphi = e_c.  Returns a list over layers of (m, B, d_l) arrays and
-    stores it on the cache for the K-FAC factor computation.
+    dphi^c/dphi = e_c.  Returns a list over layers of (m, B, d_l) arrays,
+    the jacobians of :class:`Tangents`.
     """
     jacs = [None] * len(net.layers)
     d = np.eye(net.output_dim)[:, None, :] * _dact(net.layers[-1].activation, cache.pre_acts[-1])
@@ -204,7 +202,6 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     for l in range(len(net.layers) - 1, 0, -1):
         d = (d @ net.weights[l][:, :-1]) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
         jacs[l - 1] = d
-    cache.jacobians = jacs
     return jacs
 
 
@@ -215,10 +212,11 @@ class Tangents:
     Layer l owns the rows of Wbar_l, and its block of column (b, c) is
     dphi^c(x_b)/dWbar_l = Ds_l^(c)(x_b) (x) abar_{l-1}(x_b): a_bars[l] is
     the (B, q_l) homogeneous input and jacobians[l] the (m, B, p_l) output
-    Jacobian of layer l, as on :class:`BatchCache`.  The products below
-    touch only these factors, so no P x B*m array exists unless
-    :meth:`matrix` is called (the structured tangent-kernel products of
-    Novak et al. 2022).
+    Jacobian of layer l, as :func:`output_jacobians` returns it.  These are
+    also the factors of K-FAC (:func:`sobnat.kfac.compute_factors`), and
+    this is the one place they are held.  The products below touch only
+    the factors, so no P x B*m array exists unless :meth:`matrix` is called
+    (the structured tangent-kernel products of Novak et al. 2022).
     """
 
     a_bars: list
@@ -305,20 +303,16 @@ class Tangents:
         return jt.reshape(batch * m, -1).T
 
 
-def param_jacobian(net: MlpNetwork, x, cache: BatchCache = None) -> np.ndarray:
-    """Dense parameter Jacobian J of shape (P, B*m).
+def param_jacobian(net: MlpNetwork, x) -> np.ndarray:
+    """Dense parameter Jacobian J of shape (P, B*m), for the oracles.
 
     Column (b, c) = b*m + c holds dphi^c(x_b)/dtheta, with theta ordered by
-    layer and row-major within each Wbar_l; see :class:`Tangents`.  A caller
-    that already holds forward(net, x) passes it as cache to skip the
-    forward pass.  Outside the oracles only a dense step with P <= B*m
-    needs J; wider dense steps and the NTK surrogate use the Tangents
-    products.
+    layer and row-major within each Wbar_l; see :class:`Tangents`, whose
+    :meth:`~Tangents.matrix` the training steps call instead.
 
     Raises TooLarge when P*B*m exceeds DENSE_BUDGET.
     """
-    if cache is None:
-        cache = forward(net, x)
+    cache = forward(net, x)
     batch, m = cache.batch_size, net.output_dim
     p = net.num_params
     if p * batch * m > DENSE_BUDGET:

@@ -2,9 +2,9 @@
 
 Variants:
   sgd            plain Euclidean step on the batch-mean loss
-  ntk_surrogate  tangent-coefficient step J r (no metric inverse); its
-                 trajectory coincides with sgd by construction and exists as
-                 an independent code path
+  ntk_surrogate  tangent-coefficient step J r (no metric inverse, no
+                 backward pass); its trajectory coincides with sgd by
+                 construction and exists as an independent code path
   amari_dense    dense batch metric with K = I (Gauss-Newton), Tikhonov damped
   sobolev_dense  dense batch metric with the Sobolev kernel Gram
   amari_kfac     Kronecker-factored K = I metric, factored damping
@@ -76,6 +76,8 @@ class OptimConfig:
             raise ValueError("lr must be positive and damping non-negative")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
 
 def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
@@ -139,14 +141,6 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
     """One update; returns (new network, mean batch loss before the update)."""
     cache = network.forward(net, batch_x)
     train_loss = losses.loss_value(cache.outputs, batch_y, config.loss)
-    grads = network.backward_loss(net, cache, batch_y, config.loss, reduction="sum")
-
-    if config.variant == "sgd":
-        new_weights = [
-            w - lr * (g + config.weight_decay * w) for w, g in zip(net.weights, grads)
-        ]
-        state.step += 1
-        return network.MlpNetwork(net.layers, new_weights), train_loss
 
     if config.variant == "ntk_surrogate":
         residuals = losses.loss_grad_z(cache.outputs, batch_y, config.loss)
@@ -154,6 +148,14 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         direction = coeffs + config.weight_decay * net.params_vector()
         state.step += 1
         return net.with_params_vector(net.params_vector() - lr * direction), train_loss
+
+    grads = network.backward_loss(net, cache, batch_y, config.loss, reduction="sum")
+    if config.variant == "sgd":
+        new_weights = [
+            w - lr * (g + config.weight_decay * w) for w, g in zip(net.weights, grads)
+        ]
+        state.step += 1
+        return network.MlpNetwork(net.layers, new_weights), train_loss
 
     if config.variant in ("amari_dense", "sobolev_dense"):
         gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config)
@@ -167,9 +169,8 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
 
     # K-FAC variants: refresh factors, inverses on the configured period.
     if state.step % config.kfac_update_period == 0:
-        network.output_jacobians(net, cache)
         gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, config)
-        fresh = kfac.compute_factors(cache, gram_matrix)
+        fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), gram_matrix)
         for layer_state, (a, s) in zip(state.kfac_layers, fresh):
             kfac.update_state(layer_state, a, s)
             kfac.refresh_inverses(layer_state)

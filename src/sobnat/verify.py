@@ -102,10 +102,9 @@ def tangent_basis_error(net, probes) -> float:
 def kron_block_error(net, x) -> float:
     """Gap between each layer's Kronecker block S (x) A and the matching block
     of the dense K = I metric; zero when the batch statistics factorize."""
-    cache = network.forward(net, x)
-    network.output_jacobians(net, cache)
-    factors = kfac.compute_factors(cache, None)
-    dense = metric.estimate_metric(network.param_jacobian(net, x), 1, None).values
+    tangents = network.Tangents.of_network(net, network.forward(net, x))
+    factors = kfac.compute_factors(tangents, None)
+    dense = metric.estimate_metric(tangents.matrix(), tangents.output_dim, None).values
     offset, worst = 0, 0.0
     for (a, s), spec in zip(factors, net.layers):
         size = spec.out_dim * (spec.in_dim + 1)

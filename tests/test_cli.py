@@ -158,6 +158,27 @@ class TestConfigPrecedence:
         result = run_cli("train", "--config", str(cfg))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "line, flags, key",
+        [
+            ("lr=abc", [], "lr"),
+            ("epochs=2.5", [], "epochs"),
+            ("variant=bogus", [], "variant"),
+            (None, ["--batch-size", "0"], "batch_size"),
+            (None, ["--layers", "16,x"], "layers"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_its_key(self, tmp_path, line, flags, key):
+        args = ["train", *flags, "--out", str(tmp_path / "run")]
+        if line is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            args += ["--config", str(cfg)]
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert key in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestVerify:
     def test_all_suites_pass(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sobnat import flatness
 from sobnat.errors import UnboundedRegion
 from sobnat.flatness import (
     FlatnessQuery,
@@ -104,6 +105,29 @@ class TestEpsilonFlatness:
     def test_metric_determinant_must_be_nonnegative(self):
         query = quadratic_query(metric=lambda w: -np.eye(1))
         with pytest.raises(ValueError):
+            epsilon_flatness(query)
+
+    def test_chunked_determinants_match_one_chunk(self, monkeypatch):
+        query = FlatnessQuery(
+            loss=lambda w: float(np.sum(w**2)),
+            minimum=np.zeros(2),
+            epsilon=0.04,
+            metric=lambda w: np.array([[1.0 + w[0] ** 2, 0.3 * w[1]], [0.3 * w[1], 2.0]]),
+            metric_source="rkhs_projected",
+            sampler=GridSampler(resolution=41, half_width=0.3),
+        )
+        monkeypatch.setattr(flatness, "DET_CHUNK", 10**9)
+        whole = epsilon_flatness(query)
+        monkeypatch.setattr(flatness, "DET_CHUNK", 7)
+        chunked = epsilon_flatness(query)
+        assert chunked.samples_in_region > 3 * 7
+        assert np.array_equal(chunked.volume, whole.volume)
+        assert np.array_equal(chunked.stderr, whole.stderr)
+
+    def test_negative_determinant_in_a_later_chunk_names_its_point(self, monkeypatch):
+        monkeypatch.setattr(flatness, "DET_CHUNK", 5)
+        query = quadratic_query(metric=lambda w: np.array([[-1.0 if w[0] > 0.1 else 1.0]]))
+        with pytest.raises(ValueError, match=r"negative at \[0\.10"):
             epsilon_flatness(query)
 
     def test_euclidean_source_is_lebesgue(self):

@@ -6,13 +6,11 @@ from sobnat.errors import DimensionMismatch
 from sobnat.kernel import KernelSpec, gram
 from sobnat.kfac import KfacLayerState, compute_factors, precondition, refresh_inverses, update_state
 from sobnat.metric import estimate_metric
-from sobnat.network import LayerSpec, MlpNetwork, forward, output_jacobians, param_jacobian
+from sobnat.network import LayerSpec, MlpNetwork, Tangents, forward, param_jacobian
 
 
-def cached_forward(net, x):
-    cache = forward(net, x)
-    output_jacobians(net, cache)
-    return cache
+def tangents_of(net, x):
+    return Tangents.of_network(net, forward(net, x))
 
 
 def linear_121(w1=None, w2=None, seed=0):
@@ -28,9 +26,9 @@ class TestComputeFactors:
     def test_single_sample_rank_one(self):
         net = linear_121(seed=1)
         x = np.array([[0.4]])
-        cache = cached_forward(net, x)
-        factors = compute_factors(cache, None)
-        for (a, s), a_bar, ds in zip(factors, cache.a_bars, cache.jacobians):
+        tangents = tangents_of(net, x)
+        factors = compute_factors(tangents, None)
+        for (a, s), a_bar, ds in zip(factors, tangents.a_bars, tangents.jacobians):
             np.testing.assert_allclose(a, np.outer(a_bar[0], a_bar[0]), atol=1e-14)
             expected_s = sum(np.outer(ds[c, 0], ds[c, 0]) for c in range(ds.shape[0]))
             np.testing.assert_allclose(s, expected_s, atol=1e-14)
@@ -38,8 +36,7 @@ class TestComputeFactors:
     def test_zero_jacobians_give_zero_s(self):
         # Zero second-layer weights kill dphi/ds_1.
         net = linear_121(w1=[[0.5, 0.1], [1.0, -0.2]], w2=[[0.0, 0.0, 0.0]])
-        cache = cached_forward(net, np.array([[1.0], [2.0]]))
-        factors = compute_factors(cache, None)
+        factors = compute_factors(tangents_of(net, np.array([[1.0], [2.0]])), None)
         np.testing.assert_array_equal(factors[0][1], np.zeros((2, 2)))
 
     def test_factorizing_batch_matches_dense_block(self):
@@ -48,8 +45,7 @@ class TestComputeFactors:
         # per-layer block of the dense metric estimate exactly.
         net = linear_121(seed=2)
         x = np.full((5, 1), 0.7)
-        cache = cached_forward(net, x)
-        factors = compute_factors(cache, None)
+        factors = compute_factors(tangents_of(net, x), None)
         dense = estimate_metric(param_jacobian(net, x), 1, None).values
         offset = 0
         for (a, s), spec in zip(factors, net.layers):
@@ -63,7 +59,7 @@ class TestComputeFactors:
         net = MlpNetwork.create([2, 4, 2], ["tanh", "identity"], rng)
         x = rng.normal(size=(9, 2))
         g = gram(x / 20.0, KernelSpec(input_dim=2))
-        for a, s in compute_factors(cached_forward(net, x), g):
+        for a, s in compute_factors(tangents_of(net, x), g):
             assert np.array_equal(a, a.T)
             assert np.array_equal(s, s.T)
 
@@ -74,10 +70,10 @@ class TestComputeFactors:
         rng = np.random.default_rng(3)
         net = MlpNetwork.create([2, 3, 2], ["tanh", "identity"], rng)
         x = rng.normal(size=(6, 2))
-        cache = cached_forward(net, x)
+        tangents = tangents_of(net, x)
         g = gram(x / 20.0, KernelSpec(input_dim=2, jitter=0.0))
-        base = compute_factors(cache, g)
-        scaled = compute_factors(cache, g.scaled(4.0))
+        base = compute_factors(tangents, g)
+        scaled = compute_factors(tangents, g.scaled(4.0))
         for (a0, s0), (a1, s1) in zip(base, scaled):
             np.testing.assert_allclose(a1, a0 / 4.0, atol=1e-12)
             np.testing.assert_allclose(s1, s0 / 4.0, atol=1e-12)
@@ -90,18 +86,21 @@ class TestComputeFactors:
             precondition(state1, v), 16.0 * precondition(state0, v), rtol=1e-8
         )
 
-    def test_requires_jacobians(self):
-        net = linear_121(seed=4)
-        cache = forward(net, np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            compute_factors(cache, None)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_block_is_the_dense_metric(self, m):
+        # K-FAC is exact on a single block: a dense J as Tangents.of_matrix
+        # has the constant input abar = 1, so A = [[1]] and S = J J^T.
+        j = np.random.default_rng(6).normal(size=(7, 5 * m))
+        ((a, s),) = compute_factors(Tangents.of_matrix(j, m), None)
+        np.testing.assert_array_equal(a, [[1.0]])
+        assert np.max(np.abs(s - estimate_metric(j, m, None).values)) <= 1e-14
 
     def test_gram_batch_mismatch(self):
         net = linear_121(seed=5)
-        cache = cached_forward(net, np.array([[1.0], [2.0]]))
+        tangents = tangents_of(net, np.array([[1.0], [2.0]]))
         g = gram(np.array([[0.0], [1.0], [2.0]]), KernelSpec(input_dim=1))
         with pytest.raises(DimensionMismatch):
-            compute_factors(cache, g)
+            compute_factors(tangents, g)
 
 
 class TestUpdateState:

@@ -68,8 +68,11 @@ class TestEstimateMetric:
         net = random_net(12)  # m = 2
         x = rng.normal(size=(9, 2))
         g = gram(x / 20.0, KernelSpec(input_dim=2))
-        est = estimate_metric(param_jacobian(net, x), net.output_dim, g)
+        j = param_jacobian(net, x)
+        j_before = j.copy()
+        est = estimate_metric(j, net.output_dim, g)
         assert np.array_equal(est.values, est.values.T)
+        assert np.array_equal(j, j_before)  # whitened in a buffer of its own
 
     def test_batch_mismatch(self):
         g = jitterless_gram(np.zeros((3, 1)) + np.arange(3).reshape(-1, 1), 1)

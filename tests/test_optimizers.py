@@ -149,6 +149,18 @@ class TestTrainStep:
             nets["sgd"].params_vector(), nets["ntk_surrogate"].params_vector(), atol=1e-10
         )
 
+    def test_ntk_surrogate_step_runs_no_backward_pass(self, monkeypatch):
+        # J r already is the sum-loss gradient; a backprop pass would be waste.
+        def no_backward(*args, **kwargs):
+            raise AssertionError("backward_loss called on an ntk_surrogate step")
+
+        monkeypatch.setattr(optimizers.network, "backward_loss", no_backward)
+        net = make_net([2, 3, 2], "tanh", np.random.default_rng(0))
+        x, y = TWO_MOONS.train()
+        cfg = OptimConfig(variant="ntk_surrogate", batch_size=8, seed=0, record_walltime=False)
+        new_net, _ = train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
+        assert not np.array_equal(new_net.params_vector(), net.params_vector())
+
     def test_variant_coherence_identity_kernel(self, monkeypatch):
         # amari_dense and sobolev_dense with the Gram forced to identity
         # must produce the same trajectory.  Points 1000 apart have kernel
