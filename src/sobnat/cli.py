@@ -131,6 +131,11 @@ def cmd_train(args, parser) -> int:
         hidden = [int(h) for h in cfg["layers"].split(",") if h.strip()]
     except ValueError as exc:
         parser.error(f"--layers: {exc}")
+    # OptimConfig admits epochs=0 for library callers; a run from here must train.
+    if cfg["epochs"] < 1:
+        parser.error(f"epochs must be at least 1, got {cfg['epochs']}")
+    if not 0 <= cfg["test_fraction"] < 1:
+        parser.error(f"test_fraction must be in [0, 1), got {cfg['test_fraction']}")
     dataset = _load_dataset(cfg, parser)
     out_dim = dataset.num_classes if dataset.classification else dataset.targets.shape[1]
     dims = [dataset.input_dim] + hidden + [out_dim]
@@ -202,7 +207,7 @@ def cmd_flatness(args, parser) -> int:
         result = epsilon_flatness(query)
         line = f"{source}: volume {result.volume:.6f} +- {result.stderr:.6f}"
         if reparam is not None:
-            disc = invariance_check(query, reparam)
+            disc = invariance_check(query, reparam, result.volume)
             line += f" | reparam discrepancy {disc * 100:.2f}%"
         print(line)
     return 0

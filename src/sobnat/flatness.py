@@ -211,14 +211,16 @@ class Reparam:
         return cls(fwd, jac, inv)
 
 
-def invariance_check(query: FlatnessQuery, reparam: Reparam) -> float:
+def invariance_check(query: FlatnessQuery, reparam: Reparam, base_volume: float = None) -> float:
     """Relative flatness discrepancy between original and warped coordinates.
 
     The loss is composed with the reparameterization and the metric pulled
     back covariantly (Da^T g Da); a Euclidean-source query keeps the
     Euclidean volume in both charts, exposing its coordinate dependence.
+    base_volume is ``epsilon_flatness(query).volume``, taken here unless the
+    caller passes the one it already has.
     """
-    base = epsilon_flatness(query).volume
+    base = epsilon_flatness(query).volume if base_volume is None else base_volume
 
     w0 = query.minimum
     u0 = np.asarray(reparam.inverse(w0), dtype=np.float64).reshape(-1)

@@ -192,7 +192,7 @@ class GramMatrix:
         return out
 
 
-def gram(points, spec: KernelSpec) -> GramMatrix:
+def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> GramMatrix:
     """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|).
 
     Points must already be divided by spec.input_scale; a non-finite point
@@ -200,7 +200,9 @@ def gram(points, spec: KernelSpec) -> GramMatrix:
     values + jitter*d(0)*I, the shift :func:`sobnat.linalg.cholesky_factor`
     adds to its copy, so values keeps the pure kernel; on failure the jitter
     is escalated tenfold up to three times before DegenerateGram is raised
-    (duplicate points at excessive batch size).
+    (duplicate points at excessive batch size).  With ``buffers`` every
+    attempt factors into its "gram" array, and the returned Gram's factor
+    is valid until the next Gram factored there; without, into a fresh one.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -215,9 +217,10 @@ def gram(points, spec: KernelSpec) -> GramMatrix:
     if not finite.all():
         raise DegenerateGram(f"point in row {int(np.argmin(finite))} is not finite")
     out = GramMatrix(points=pts, values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
+    buffer = None if buffers is None else buffers.get("gram", len(pts))
     for _ in range(4):  # initial attempt plus three escalations
         try:
-            out._factor = linalg.cholesky_factor(out.values, out.jitter * out.d0)
+            out._factor = linalg.cholesky_factor(out.values, out.jitter * out.d0, out=buffer)
             return out
         except NotPositiveDefinite:
             out.jitter *= 10.0

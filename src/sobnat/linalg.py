@@ -4,7 +4,8 @@ Matrices are plain numpy float64 arrays in C (row-major) order; this module
 only adds the SPD solve and the Kronecker-factored preconditioning product
 that the metric and K-FAC paths need, with the package's error types.
 Jitter and damping enter as the diagonal shift of :func:`cholesky_factor`,
-which factors in a single copy of its argument.
+which factors in a single copy of its argument, fresh or in a caller's
+buffer (:class:`FactorBuffers`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "as_matrix",
+    "FactorBuffers",
     "cholesky_factor",
     "cholesky_solve",
     "solve_from_factor",
@@ -33,22 +35,50 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def cholesky_factor(a: np.ndarray, shift: float = 0.0):
+class FactorBuffers:
+    """Square float64 arrays for :func:`cholesky_factor`'s ``out``, one per key.
+
+    Each key names the caller that factors into it.  An array is kept across
+    calls and re-made only when the order asked for changes, so a factor
+    taken into it is valid until the next factor under the same key.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, key: str, order: int) -> np.ndarray:
+        array = self._arrays.get(key)
+        if array is None or len(array) != order:
+            array = self._arrays[key] = np.empty((order, order))
+        return array
+
+
+def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None):
     """Lower-triangular Cholesky factor of the SPD matrix a + shift*I, no pivoting.
 
-    The factor is taken in place in one plain C-ordered copy of a, with
-    shift added on its diagonal; a itself is never modified.  LAPACK gets
-    the copy's transpose, which is Fortran-ordered and so needs no layout
-    copy, and reads its lower triangle: the factor is of the *upper*
-    triangle of a.  For the bitwise-symmetric matrices every caller passes
-    (syrk products, ``cdist`` kernel tables and their averages) that is the
-    same matrix.
+    The factor is taken in place in one plain C-ordered copy of a, or in
+    ``out`` (a C-ordered float64 array of a's shape that does not overlap
+    a) when it is given, with shift added on its diagonal; a itself is
+    never modified.  LAPACK gets the copy's transpose, which is
+    Fortran-ordered and so needs no layout copy, and reads its lower
+    triangle: the factor is of the *upper* triangle of a.  For the
+    bitwise-symmetric matrices every caller passes (syrk products, ``cdist``
+    kernel tables and their averages) that is the same matrix.
 
     Raises NotPositiveDefinite, naming the row, when a pivot is <= 0 or not
     finite; the caller owns jitter and damping.  LAPACK's potrf flags only
     the first kind, so the factor's diagonal is checked for the second.
     """
-    c = np.array(a, dtype=np.float64, order="C")
+    if out is None:
+        c = np.array(a, dtype=np.float64, order="C")
+    else:
+        if out.shape != np.shape(a) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise DimensionMismatch(
+                f"out must be a C-ordered float64 array of shape {np.shape(a)}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        c = out
+        np.copyto(c, a)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {c.shape}")
     c.flat[:: len(c) + 1] += shift

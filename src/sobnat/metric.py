@@ -57,16 +57,20 @@ of the oracle (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
 [2,64,64,2]).  A step makes two rmatvec and two matvec calls, factors S
 and whitens only (B, m) arrays; with K = I, S = Theta + damping I and the
 first v is the answer.  With P <= B*m, or with damping 0 (the exactness
-oracles), where the identity would divide by 0, the step is
-natural_gradient on the P x P metric that :func:`estimate_metric` builds:
-one private build that whitens the fresh buffer of
+oracles), where the identity would divide by 0, the step factors the
+P x P metric that :func:`estimate_metric` builds, as natural_gradient
+does: one private build that whitens the fresh buffer of
 :meth:`~sobnat.network.Tangents.matrix` in place and returns J~ J~^T.  A
 scalar damping is passed as the diagonal shift of
-:func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand.
-A sobolev_dense train step at B = 50 takes 0.44 ms on the desk
-[2,16,16,2] net (P = 354) and 0.60 ms on [2,64,64,2] (P = 4482, where
-the P x P solve takes about 1.1 s); amari_dense takes 0.28 and 0.39 ms
+:func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand,
+and a training run has the factor taken in a buffer it keeps across steps.
+A sobolev_dense train step at B = 50 takes 0.38 ms on the desk
+[2,16,16,2] net (P = 354) and 0.52 ms on [2,64,64,2] (P = 4482, where
+the P x P solve takes about 1.1 s); amari_dense takes 0.26 and 0.36 ms
 (medians of 2000 and 1000 steps, one BLAS thread on a 2-core x86 host).
+At B = 500 on the desk net (P <= B*m, the P x P branch) a sobolev_dense
+step takes 9.9 ms, against 11.7 ms with fresh factor copies (medians of
+40 steps).
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 
@@ -148,6 +152,7 @@ def damped_natural_gradient(
     gram: GramMatrix,
     damping: float,
     grad: np.ndarray,
+    buffers: linalg.FactorBuffers = None,
 ) -> np.ndarray:
     """Solve (damping I + J~ J~^T) v = grad with one factor in the smaller space.
 
@@ -156,6 +161,7 @@ def damped_natural_gradient(
     dense J.  With P > B*m and damping > 0 the B*m x B*m system of the
     module docstring is factored and J is never formed; otherwise the
     P x P metric is, and the result equals natural_gradient(estimate_metric(...)).
+    With ``buffers`` that P x P metric is factored into its "metric" array.
     """
     p, n = tangents.num_params, tangents.batch * tangents.output_dim
     grad = np.asarray(grad, dtype=np.float64).reshape(-1)
@@ -165,7 +171,9 @@ def damped_natural_gradient(
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     if damping > 0 and p > n:
         return _kernel_space_solve(tangents, gram, damping, grad)
-    return natural_gradient(PullbackMetric(_metric_values(tangents, gram), damping), grad)
+    out = None if buffers is None else buffers.get("metric", p)
+    factor = linalg.cholesky_factor(_metric_values(tangents, gram), damping, out=out)
+    return linalg.solve_from_factor(factor, grad)
 
 
 def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kfac, losses, metric, network, rng
+from . import kfac, linalg, losses, metric, network, rng
 from .data import Dataset
 from .errors import Diverged, SobnatError, StepFailed
 from .kernel import GramMatrix, KernelSpec, gram
@@ -78,6 +78,10 @@ class OptimConfig:
             raise ValueError("weight_decay must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        if not self.input_scale > 0:
+            raise ValueError("input_scale must be positive")
 
 
 def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
@@ -98,10 +102,19 @@ def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
 
 @dataclass
 class TrainState:
-    """Per-run mutable state owned by one optimizer."""
+    """Per-run mutable state owned by one optimizer.
+
+    ``buffers`` holds the arrays the Sobolev and dense steps factor into:
+    the B x B Gram's factor and, when P <= B*m, the P x P metric's.  At
+    B = 500 each is a multi-megabyte block, which glibc serves by a fresh
+    mmap or from the top of its heap and hands back to the OS when it is
+    freed, so a copy made per step page-faults in again on every step.
+    They stay here for the run and are re-made only when B or P changes.
+    """
 
     kfac_layers: list = None
     step: int = 0
+    buffers: linalg.FactorBuffers = field(default_factory=linalg.FactorBuffers)
 
     @classmethod
     def create(cls, net: network.MlpNetwork, config: OptimConfig) -> "TrainState":
@@ -128,13 +141,13 @@ def make_net(dims, activation: str, seed_rng) -> network.MlpNetwork:
     return network.MlpNetwork.create(dims, acts, seed_rng)
 
 
-def _batch_gram(x: np.ndarray, config: OptimConfig) -> GramMatrix:
+def _batch_gram(x: np.ndarray, config: OptimConfig, buffers: linalg.FactorBuffers) -> GramMatrix:
     spec = KernelSpec(
         input_dim=x.shape[1],
         constant_mode=config.kernel_constant_mode,
         input_scale=config.input_scale,
     )
-    return gram(x / config.input_scale, spec)
+    return gram(x / config.input_scale, spec, buffers)
 
 
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
@@ -158,18 +171,18 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         return network.MlpNetwork(net.layers, new_weights), train_loss
 
     if config.variant in ("amari_dense", "sobolev_dense"):
-        gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config)
+        gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config, state.buffers)
         grad_vec = np.concatenate([g.reshape(-1) for g in grads])
         grad_vec += config.weight_decay * net.params_vector()
         direction = metric.damped_natural_gradient(
-            network.Tangents.of_network(net, cache), gram_matrix, config.damping, grad_vec
+            network.Tangents.of_network(net, cache), gram_matrix, config.damping, grad_vec, state.buffers
         )
         state.step += 1
         return net.with_params_vector(net.params_vector() - lr * direction), train_loss
 
     # K-FAC variants: refresh factors, inverses on the configured period.
     if state.step % config.kfac_update_period == 0:
-        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, config)
+        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, config, state.buffers)
         fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), gram_matrix)
         for layer_state, (a, s) in zip(state.kfac_layers, fresh):
             kfac.update_state(layer_state, a, s)

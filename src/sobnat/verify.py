@@ -232,7 +232,7 @@ def _quadrature_suite():
 def _flatness_suite():
     query = quadratic_band_query(lambda w: np.array([[1.0]]))
     vol = epsilon_flatness(query).volume
-    disc = invariance_check(query, Reparam.scaling(2.0, 1))
+    disc = invariance_check(query, Reparam.scaling(2.0, 1), vol)
     euc = invariance_check(quadratic_band_query(), Reparam.scaling(2.0, 1))
     return [
         ("quadratic_band_volume", abs(vol - 0.4) <= 0.01, f"volume {vol:.4f}"),

@@ -24,7 +24,7 @@ import pytest
 from sobnat import verify
 from sobnat.cli import write_logs
 from sobnat.data import gen_two_moons, normalize, train_test_split
-from sobnat.flatness import Reparam, invariance_check
+from sobnat.flatness import Reparam, epsilon_flatness, invariance_check
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
 from sobnat.metric import estimate_metric, natural_gradient, project_empirical_gradient
@@ -145,8 +145,9 @@ def test_criterion_07_two_layer_quadrature_oracle():
 def test_criterion_08_flatness_invariance():
     """Pullback flatness is coordinate-free; Euclidean flatness is not."""
     query = verify.quadratic_band_query(lambda w: np.array([[1.0 + w[0] ** 2]]))
-    disc_scale = invariance_check(query, Reparam.scaling(2.0, 1))
-    disc_warp = invariance_check(query, Reparam.tanh_warp(0.3, 1.0))
+    base = epsilon_flatness(query).volume
+    disc_scale = invariance_check(query, Reparam.scaling(2.0, 1), base)
+    disc_warp = invariance_check(query, Reparam.tanh_warp(0.3, 1.0), base)
     disc_euclid = invariance_check(verify.quadratic_band_query(), Reparam.scaling(2.0, 1))
     ok = (
         disc_scale <= verify.INVARIANCE_TOL

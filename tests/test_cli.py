@@ -166,6 +166,9 @@ class TestConfigPrecedence:
             ("variant=bogus", [], "variant"),
             (None, ["--batch-size", "0"], "batch_size"),
             (None, ["--layers", "16,x"], "layers"),
+            (None, ["--input-scale", "0"], "input_scale"),
+            (None, ["--epochs", "-1"], "epochs"),
+            (None, ["--test-fraction", "1.5"], "test_fraction"),
         ],
     )
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, line, flags, key):

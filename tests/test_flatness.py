@@ -171,6 +171,20 @@ class TestInvarianceCheck:
         disc = invariance_check(query, Reparam.scaling(2.0, 1))
         assert disc <= 0.02
 
+    def test_given_base_volume_is_not_taken_again(self, monkeypatch):
+        query = quadratic_query(metric=lambda w: np.array([[1.0 + w[0] ** 2]]))
+        base = epsilon_flatness(query).volume
+        expected = invariance_check(query, Reparam.tanh_warp(0.3, 1.0))
+        queries, volume = [], flatness.epsilon_flatness
+
+        def recording(q):
+            queries.append(q)
+            return volume(q)
+
+        monkeypatch.setattr(flatness, "epsilon_flatness", recording)
+        assert invariance_check(query, Reparam.tanh_warp(0.3, 1.0), base) == expected
+        assert len(queries) == 1 and queries[0] is not query
+
     def test_tanh_warp_roundtrip(self):
         warp = Reparam.tanh_warp(0.3, 1.0)
         for w in (-0.4, 0.0, 0.7):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from sobnat.errors import DimensionMismatch, NotPositiveDefinite
-from sobnat.linalg import cholesky_factor, cholesky_solve, kron_precondition
+from sobnat.linalg import FactorBuffers, cholesky_factor, cholesky_solve, kron_precondition
 
 
 def symmetrize(m):
@@ -134,6 +134,37 @@ class TestCholeskyFactor:
             tracemalloc.stop()
         # One 500 x 500 array plus small bookkeeping; no second, transposed copy.
         assert factor[0].nbytes <= peak <= a.nbytes + 65536
+
+
+    @pytest.mark.parametrize("n", [1, 17, 500])
+    def test_out_holds_the_same_factor(self, n):
+        # Factored into a given buffer, the factor is the fresh copy's bit
+        # for bit, lives in that buffer, and a is left as it was.
+        a = self.gram_of(np.random.default_rng(n), n)
+        before = a.copy()
+        buf = np.full((n, n), np.nan)
+        for s in (0.0, 0.03):
+            got, lower = cholesky_factor(a, s, out=buf)
+            assert lower and np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got, cholesky_factor(a, s)[0])
+            np.testing.assert_array_equal(a, before)
+
+    def test_out_of_another_shape_or_layout_is_refused(self):
+        a = self.gram_of(np.random.default_rng(2), 4)
+        for buf in (np.empty((5, 5)), np.empty((4, 4), order="F"), np.empty((4, 4), np.float32)):
+            with pytest.raises(DimensionMismatch):
+                cholesky_factor(a, out=buf)
+
+
+class TestFactorBuffers:
+    def test_kept_per_key_and_remade_when_the_order_changes(self):
+        buffers = FactorBuffers()
+        first = buffers.get("gram", 5)
+        assert first.shape == (5, 5) and first.flags.c_contiguous
+        assert buffers.get("gram", 5) is first
+        assert buffers.get("metric", 5) is not first
+        assert buffers.get("gram", 3).shape == (3, 3)
+        assert buffers.get("gram", 5) is not first
 
 
 class TestKronPrecondition:

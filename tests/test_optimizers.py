@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sobnat import optimizers
+from sobnat import kfac, linalg, optimizers
 from sobnat import rng as rngmod
 from sobnat.data import Dataset, gen_two_moons, normalize, train_test_split
 from sobnat.errors import DegenerateGram, Diverged, NotPositiveDefinite, StepFailed
 from sobnat.kernel import KernelSpec, gram
-from sobnat.losses import SQUARED, loss_grad_z
-from sobnat.metric import estimate_metric
-from sobnat.network import LayerSpec, MlpNetwork, backward_loss, forward, param_jacobian
+from sobnat.losses import SOFTMAX_CE, SQUARED, loss_grad_z
+from sobnat.metric import damped_natural_gradient, estimate_metric
+from sobnat.network import LayerSpec, MlpNetwork, Tangents, backward_loss, forward, param_jacobian
 from sobnat.optimizers import (
     ExperimentLog,
     OptimConfig,
@@ -165,7 +165,7 @@ class TestTrainStep:
         # amari_dense and sobolev_dense with the Gram forced to identity
         # must produce the same trajectory.  Points 1000 apart have kernel
         # values exp(-1000) (1 + 1000) == 0.0, so their Gram is exactly I.
-        def identity_gram(x, config):
+        def identity_gram(x, config, buffers):
             spread = 1000.0 * np.arange(x.shape[0]).reshape(-1, 1)
             g = gram(spread, KernelSpec(input_dim=1, jitter=0.0))
             assert np.array_equal(g.values, np.eye(x.shape[0]))
@@ -284,6 +284,89 @@ class TestTrainStep:
                 net, loss = train_step(net, x, y, cfg, state, lr=0.02)
                 assert loss <= prev + 1e-12
                 prev = loss
+
+
+def buffer_free_step(net, x, y, cfg, kfac_layers, lr):
+    """train_step's Sobolev and dense steps through the public calls, which
+    factor into fresh arrays."""
+    cache = forward(net, x)
+    grads = backward_loss(net, cache, y, cfg.loss, reduction="sum")
+    g = None
+    if cfg.variant.startswith("sobolev"):
+        spec = KernelSpec(input_dim=x.shape[1], input_scale=cfg.input_scale)
+        g = gram(x / cfg.input_scale, spec)
+    if cfg.variant.endswith("_dense"):
+        grad = np.concatenate([v.reshape(-1) for v in grads]) + cfg.weight_decay * net.params_vector()
+        direction = damped_natural_gradient(Tangents.of_network(net, cache), g, cfg.damping, grad)
+        return net.with_params_vector(net.params_vector() - lr * direction)
+    # K-FAC, refreshed on every step (kfac_update_period 1).
+    weights = []
+    for layer, (a, s), w, v in zip(kfac_layers, kfac.compute_factors(Tangents.of_network(net, cache), g),
+                                   net.weights, grads):
+        kfac.update_state(layer, a, s)
+        kfac.refresh_inverses(layer)
+        weights.append(w - lr * kfac.precondition(layer, v + cfg.weight_decay * w))
+    return MlpNetwork(net.layers, weights)
+
+
+class TestFactorBuffers:
+    """A run's Gram and P x P metric factors go to buffers its TrainState
+    keeps across steps, and the steps stay those of fresh arrays."""
+
+    @staticmethod
+    def run(monkeypatch, variant, dims, batches, loss=SOFTMAX_CE):
+        x, y = TWO_MOONS.train()
+        if loss == SQUARED:
+            y = np.tanh(x[:, :1])
+        cfg = OptimConfig(variant=variant, seed=5, loss=loss, kfac_update_period=1,
+                          record_walltime=False)
+        net = make_net(dims, "tanh", rngmod.stream(5, "init"))
+        state = TrainState.create(net, cfg)
+        reference, ref_layers = net, TrainState.create(net, cfg).kfac_layers
+        outs, factor = [], linalg.cholesky_factor
+
+        def recording(a, shift=0.0, out=None):
+            if out is not None:
+                outs[-1].append(out)
+            return factor(a, shift, out=out)
+
+        monkeypatch.setattr(linalg, "cholesky_factor", recording)
+        for k, b in enumerate(batches):
+            rows = np.arange(97 * k, 97 * k + b) % len(x)
+            xb, yb = x[rows], y[rows]
+            outs.append([])
+            net, _ = train_step(net, xb, yb, cfg, state, 0.01)
+            reference = buffer_free_step(reference, xb, yb, cfg, ref_layers, 0.01)
+            np.testing.assert_array_equal(net.params_vector(), reference.params_vector())
+            for got, want in zip(state.kfac_layers or [], ref_layers or []):
+                np.testing.assert_array_equal(got.a_factor, want.a_factor)
+                np.testing.assert_array_equal(got.s_factor, want.s_factor)
+        return outs
+
+    @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac", "amari_dense"])
+    def test_large_batch_steps_reuse_their_buffers(self, monkeypatch, variant):
+        # [2,16,16,2] at B = 500: P = 354 <= B*m = 1000, so a dense step
+        # factors the P x P metric too.
+        outs = self.run(monkeypatch, variant, [2, 16, 16, 2], [500] * 3)
+        orders = {"sobolev_dense": [500, 354], "sobolev_kfac": [500], "amari_dense": [354]}[variant]
+        assert [[len(o) for o in step] for step in outs] == [orders] * 3
+        for step in outs[1:]:
+            assert all(np.shares_memory(o, first) for o, first in zip(step, outs[0]))
+
+    @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
+    def test_batch_size_changes_remake_only_the_gram_buffer(self, monkeypatch, variant):
+        # B = 20 takes the kernel-space branch (P = 354 > 40), which
+        # factors no P x P metric, so the metric buffer outlives it.
+        outs = self.run(monkeypatch, variant, [2, 16, 16, 2], [500, 20, 500])
+        assert [len(o) for o in outs[1]] == [20]
+        assert not np.shares_memory(outs[2][0], outs[0][0])
+        if variant == "sobolev_dense":
+            assert np.shares_memory(outs[2][1], outs[0][1])
+
+    @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
+    def test_single_point_single_output(self, monkeypatch, variant):
+        outs = self.run(monkeypatch, variant, [2, 4, 1], [1] * 3, loss=SQUARED)
+        assert all(np.shares_memory(step[0], outs[0][0]) for step in outs)
 
 
 class TestTrain:
