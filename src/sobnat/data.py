@@ -134,10 +134,10 @@ def _parse_row(fields, line_no: int):
 def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: bool = False) -> Dataset:
     """Load a numeric CSV ('.'-decimal, LF or CRLF, optional single header).
 
-    schema "label_first": first column is an integer class label, the rest
-    are features.  schema "targets_last": the last target_dim columns are
-    float targets.  Malformed rows and nan/inf fields are rejected with
-    their line and column.
+    schema "label_first": first column is a class label, an integer in
+    [0, 2^63), the rest are features.  schema "targets_last": the last
+    target_dim columns are float targets.  Malformed rows, nan/inf fields
+    and out-of-range labels are rejected with their line and column.
     """
     if schema not in (LABEL_FIRST, TARGETS_LAST):
         raise ValueError(f"unknown schema {schema!r}")
@@ -168,8 +168,14 @@ def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: 
         raise ParseError(line_nos[row], int(col) + 1, f"non-finite value {float(arr[row, col])!r}")
     if schema == LABEL_FIRST:
         labels = arr[:, 0]
-        if not np.allclose(labels, np.round(labels)):
-            raise ParseError(1, 1, "labels must be integers under label_first")
+        # Negative labels, and labels past int64 that cast to negative ones,
+        # would index classes from the end.
+        bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= 2.0**63))
+        if bad.size:
+            row = bad[0]
+            raise ParseError(
+                line_nos[row], 1, f"label {float(labels[row])!r} is not a non-negative int64"
+            )
         return Dataset(features=arr[:, 1:], targets=labels.astype(np.int64))
     if target_dim >= arr.shape[1]:
         raise ParseError(1, arr.shape[1], "target_dim leaves no feature columns")

@@ -23,6 +23,7 @@ __all__ = [
     "MlpNetwork",
     "BatchCache",
     "forward",
+    "backward",
     "backward_loss",
     "output_jacobians",
     "Tangents",
@@ -35,30 +36,39 @@ ACTIVATIONS = ("identity", "tanh", "relu", "sigmoid")
 DENSE_BUDGET = 4_000_000
 
 
-def _act(name: str, s: np.ndarray) -> np.ndarray:
+def _act(name: str, s: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """phi(s), written into out when it is given."""
     if name == "identity":
-        return s
+        if out is None:
+            return s
+        np.copyto(out, s)
+        return out
     if name == "tanh":
-        return np.tanh(s)
+        return np.tanh(s, out=out)
     if name == "relu":
-        return np.maximum(s, 0.0)
+        return np.maximum(s, 0.0, out=out)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-s))
+        return np.divide(1.0, 1.0 + np.exp(-s), out=out)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _dact(name: str, s: np.ndarray) -> np.ndarray:
+def _times_dact(x: np.ndarray, net: "MlpNetwork", cache: "BatchCache", l: int) -> np.ndarray:
+    """x * dphi/ds of layer l, elementwise, read from the cached forward pass.
+
+    tanh and sigmoid derivatives come from the layer's own activation
+    a = phi(s_l), so no transcendental is evaluated twice.
+    """
+    name = net.layers[l].activation
     if name == "identity":
-        return np.ones_like(s)
-    if name == "tanh":
-        t = np.tanh(s)
-        return 1.0 - t * t
+        return x
     if name == "relu":
         # Subgradient at 0 is fixed to 0 for reproducible finite differences.
-        return (s > 0).astype(np.float64)
+        return x * (cache.pre_acts[l] > 0).astype(np.float64)
+    a = cache.activation(l)
+    if name == "tanh":
+        return x * (1.0 - a * a)
     if name == "sigmoid":
-        sig = 1.0 / (1.0 + np.exp(-s))
-        return sig * (1.0 - sig)
+        return x * (a * (1.0 - a))
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -146,26 +156,50 @@ class BatchCache:
     def batch_size(self) -> int:
         return self.inputs.shape[0]
 
+    def activation(self, l: int) -> np.ndarray:
+        """a_l = phi(s_l), layer l's output: a view of a_bars[l + 1], or outputs."""
+        return self.a_bars[l + 1][:, :-1] if l + 1 < len(self.a_bars) else self.outputs
 
-def _homogeneous(a: np.ndarray) -> np.ndarray:
-    return np.hstack([a, np.ones((a.shape[0], 1))])
+
+def _homogeneous(batch: int, width: int) -> np.ndarray:
+    """An empty (batch, width + 1) activation whose last column is ones."""
+    a_bar = np.empty((batch, width + 1))
+    a_bar[:, -1] = 1.0
+    return a_bar
 
 
 def forward(net: MlpNetwork, x) -> BatchCache:
+    """Each hidden activation is written straight into the next layer's a_bar."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != net.input_dim:
         raise DimensionMismatch(
             f"inputs have {x.shape[1]} columns, network expects {net.input_dim}"
         )
-    a = x
-    a_bars, pre_acts = [], []
-    for spec, w in zip(net.layers, net.weights):
-        a_bar = _homogeneous(a)
+    a_bar = _homogeneous(*x.shape)
+    a_bar[:, :-1] = x
+    a_bars, pre_acts = [a_bar], []
+    for spec, w in zip(net.layers[:-1], net.weights[:-1]):
         s = a_bar @ w.T
-        a_bars.append(a_bar)
         pre_acts.append(s)
-        a = _act(spec.activation, s)
-    return BatchCache(inputs=x, a_bars=a_bars, pre_acts=pre_acts, outputs=a)
+        a_bar = _homogeneous(*s.shape)
+        _act(spec.activation, s, out=a_bar[:, :-1])
+        a_bars.append(a_bar)
+    s = a_bar @ net.weights[-1].T
+    pre_acts.append(s)
+    outputs = _act(net.layers[-1].activation, s)
+    return BatchCache(inputs=x, a_bars=a_bars, pre_acts=pre_acts, outputs=outputs)
+
+
+def backward(net: MlpNetwork, cache: BatchCache, grad_z: np.ndarray) -> list:
+    """Per-layer gradient matrices V_l, shaped like Wbar_l, of the batch sum
+    of a loss whose per-sample gradient in the outputs is grad_z, (B, m)."""
+    grads = [None] * len(net.layers)
+    delta = _times_dact(grad_z, net, cache, len(net.layers) - 1)
+    for l in range(len(net.layers) - 1, -1, -1):
+        grads[l] = delta.T @ cache.a_bars[l]
+        if l > 0:
+            delta = _times_dact(delta @ net.weights[l][:, :-1], net, cache, l - 1)
+    return grads
 
 
 def backward_loss(net, cache, targets, loss: str, reduction: str = "mean"):
@@ -179,14 +213,7 @@ def backward_loss(net, cache, targets, loss: str, reduction: str = "mean"):
         grad_z = grad_z / cache.batch_size
     elif reduction != "sum":
         raise ValueError("reduction must be 'mean' or 'sum'")
-    grads = [None] * len(net.layers)
-    delta = grad_z * _dact(net.layers[-1].activation, cache.pre_acts[-1])
-    for l in range(len(net.layers) - 1, -1, -1):
-        grads[l] = delta.T @ cache.a_bars[l]
-        if l > 0:
-            w_nobias = net.weights[l][:, :-1]
-            delta = (delta @ w_nobias) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
-    return grads
+    return backward(net, cache, grad_z)
 
 
 def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
@@ -197,10 +224,11 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     the jacobians of :class:`Tangents`.
     """
     jacs = [None] * len(net.layers)
-    d = np.eye(net.output_dim)[:, None, :] * _dact(net.layers[-1].activation, cache.pre_acts[-1])
+    seed = np.repeat(np.eye(net.output_dim)[:, None, :], cache.batch_size, axis=1)
+    d = _times_dact(seed, net, cache, len(net.layers) - 1)
     jacs[-1] = d
     for l in range(len(net.layers) - 1, 0, -1):
-        d = (d @ net.weights[l][:, :-1]) * _dact(net.layers[l - 1].activation, cache.pre_acts[l - 1])
+        d = _times_dact(d @ net.weights[l][:, :-1], net, cache, l - 1)
         jacs[l - 1] = d
     return jacs
 

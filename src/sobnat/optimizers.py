@@ -153,16 +153,15 @@ def _batch_gram(x: np.ndarray, config: OptimConfig, buffers: linalg.FactorBuffer
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
     """One update; returns (new network, mean batch loss before the update)."""
     cache = network.forward(net, batch_x)
-    train_loss = losses.loss_value(cache.outputs, batch_y, config.loss)
+    train_loss, residuals = losses.loss_and_grad(cache.outputs, batch_y, config.loss)
 
     if config.variant == "ntk_surrogate":
-        residuals = losses.loss_grad_z(cache.outputs, batch_y, config.loss)
         coeffs = metric.ntk_surrogate_gradient(network.Tangents.of_network(net, cache), residuals)
         direction = coeffs + config.weight_decay * net.params_vector()
         state.step += 1
         return net.with_params_vector(net.params_vector() - lr * direction), train_loss
 
-    grads = network.backward_loss(net, cache, batch_y, config.loss, reduction="sum")
+    grads = network.backward(net, cache, residuals)
     if config.variant == "sgd":
         new_weights = [
             w - lr * (g + config.weight_decay * w) for w, g in zip(net.weights, grads)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import linalg, losses
 from .errors import DimensionMismatch, SingularProbeSet
 from .kernel import KernelSpec, kernel_matrix
 
@@ -171,23 +171,26 @@ def check_basis_orthonormality(basis, probes, rcond: float = 1e-10) -> np.ndarra
     return w.T @ w
 
 
-def projection_kernel(jac_x: np.ndarray, jac_xp: np.ndarray, gtilde_inverse: np.ndarray) -> np.ndarray:
+def projection_kernel(jac_x: np.ndarray, jac_xp: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """Projected reproducing kernel K_f(x, x') of the tangent space.
 
     jac_x, jac_xp hold the tangent basis values at the two points as (P, m)
-    arrays (row i = dphi/dtheta_i evaluated there); gtilde_inverse is the
-    inverse metric in the same inner product.  Returns the (m, m) matrix
+    arrays (row i = dphi/dtheta_i evaluated there); metric is the SPD metric
+    G~ in the same inner product.  Returns the (m, m) matrix
 
-        K_f(x, x')_{cd} = ginv^{ij} dphi^c/dtheta_i(x) dphi^d/dtheta_j(x').
+        K_f(x, x')_{cd} = (G~^-1)^{ij} dphi^c/dtheta_i(x) dphi^d/dtheta_j(x'),
+
+    solving with G~'s Cholesky factor rather than forming its inverse.
+    Raises NotPositiveDefinite when the metric is not SPD.
     """
     jac_x = np.atleast_2d(np.asarray(jac_x, dtype=np.float64))
     jac_xp = np.atleast_2d(np.asarray(jac_xp, dtype=np.float64))
-    ginv = np.atleast_2d(np.asarray(gtilde_inverse, dtype=np.float64))
-    p = ginv.shape[0]
-    if ginv.shape[0] != ginv.shape[1]:
-        raise DimensionMismatch("gtilde_inverse must be square")
+    g = np.atleast_2d(np.asarray(metric, dtype=np.float64))
+    p = g.shape[0]
+    if g.shape[0] != g.shape[1]:
+        raise DimensionMismatch("metric must be square")
     if jac_x.shape[0] != p or jac_xp.shape[0] != p:
         raise DimensionMismatch(
             f"tangent values have {jac_x.shape[0]}/{jac_xp.shape[0]} rows, metric is {p}x{p}"
         )
-    return jac_x.T @ ginv @ jac_xp
+    return jac_x.T @ linalg.solve_from_factor(linalg.cholesky_factor(g), jac_xp)

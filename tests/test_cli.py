@@ -258,6 +258,14 @@ class TestFuncgd:
         assert resid < 2.0
 
 
+def test_package_runs_as_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "sobnat", "--help"], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "train" in result.stdout
+
+
 class TestRiemannCmd:
     def test_demo_passes(self):
         result = run_cli("riemann", "--instances", "5", "--steps", "50")

@@ -79,6 +79,31 @@ class TestCsv:
             load_csv(path)
         assert (err.value.line, err.value.column) == (line, column)
 
+    def test_near_integer_label_is_rejected(self, tmp_path):
+        # 0.999999 would truncate to class 0.
+        path = tmp_path / "near.csv"
+        path.write_text("1,1.0\n0.999999,2.0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert (err.value.line, err.value.column) == (2, 1)
+
+    @pytest.mark.parametrize("label", ["-1", "1e20"])
+    def test_negative_label_is_rejected(self, tmp_path, label):
+        # -1, or 1e20 cast to int64, would index a class from the end.
+        path = tmp_path / "negative.csv"
+        path.write_text(f"0,1.0\n1,2.0\n{label},3.0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_label_error_names_first_offending_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label,f1\n0,1.0\n1.0,2.0\n\n2.5,3.0\n-2,4.0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, skip_header=True)
+        assert (err.value.line, err.value.column) == (5, 1)
+        assert "2.5" in str(err.value)
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0,1.0,2.0\n1,3.0\n")

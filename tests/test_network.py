@@ -38,6 +38,22 @@ def finite_diff_outputs(net, x, h=1e-5):
     return np.asarray(cols)
 
 
+HIDDEN = ["tanh", "sigmoid", "relu", "identity"]
+OUTPUT = ["identity", "tanh", "sigmoid"]
+SHAPES = [(5, 3), (1, 3), (5, 1)]  # (B, m): a batch of one, a single output
+
+
+def activation_case(hidden, output, batch, m, seed=5):
+    """A [2, 4, 3, m] net, inputs and their cache; relu layers stay clear of the kink."""
+    net = tiny_net([2, 4, 3, m], [hidden, hidden, output], seed=seed)
+    x = np.random.default_rng(seed + 1).normal(size=(batch, 2))
+    cache = forward(net, x)
+    for spec, s in zip(net.layers, cache.pre_acts):
+        if spec.activation == "relu":
+            assert np.min(np.abs(s)) > 1e-3
+    return net, x, cache
+
+
 class TestForward:
     def test_identity_affine(self):
         net = MlpNetwork([LayerSpec(1, 1, "identity")], [np.array([[2.0, 0.5]])])
@@ -98,13 +114,14 @@ class TestBackwardLoss:
         resid = w * x + b - y
         np.testing.assert_allclose(grad, [[resid * x, resid]])
 
+    @pytest.mark.parametrize("batch, m", SHAPES)
+    @pytest.mark.parametrize("output", OUTPUT)
+    @pytest.mark.parametrize("hidden", HIDDEN)
     @pytest.mark.parametrize("loss", [SQUARED, SOFTMAX_CE])
-    def test_matches_finite_differences(self, loss):
-        net = tiny_net([2, 4, 3], ["tanh", "identity"], seed=5)
+    def test_matches_finite_differences(self, loss, hidden, output, batch, m):
+        net, x, cache = activation_case(hidden, output, batch, m)
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(5, 2))
-        y = rng.normal(size=(5, 3)) if loss == SQUARED else rng.integers(0, 3, size=5)
-        cache = forward(net, x)
+        y = rng.normal(size=(batch, m)) if loss == SQUARED else rng.integers(0, m, size=batch)
         got = np.concatenate(
             [g.reshape(-1) for g in backward_loss(net, cache, y, loss, reduction="mean")]
         )
@@ -150,12 +167,14 @@ class TestOutputJacobians:
         np.testing.assert_allclose(jacs[0][0], np.full((2, 1), -1.9))
         np.testing.assert_allclose(jacs[1][0], np.ones((2, 1)))
 
-    def test_contraction_reproduces_param_jacobian(self):
+    @pytest.mark.parametrize("batch, m", SHAPES)
+    @pytest.mark.parametrize("output", OUTPUT)
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    def test_contraction_reproduces_param_jacobian(self, hidden, output, batch, m):
         # Ds contracted with ds/dtheta must equal dphi/dtheta from finite
         # differences: checked through param_jacobian, which performs exactly
         # that contraction.
-        net = tiny_net([2, 3, 2], ["sigmoid", "identity"], seed=8)
-        x = np.random.default_rng(3).normal(size=(4, 2))
+        net, x, _ = activation_case(hidden, output, batch, m, seed=8)
         j = param_jacobian(net, x)
         fd = finite_diff_outputs(net, x)
         scale = max(1.0, float(np.max(np.abs(fd))))

@@ -161,6 +161,22 @@ class TestTrainStep:
         new_net, _ = train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
         assert not np.array_equal(new_net.params_vector(), net.params_vector())
 
+    @pytest.mark.parametrize("variant", optimizers.VARIANTS)
+    def test_step_evaluates_the_loss_head_once(self, variant, monkeypatch):
+        # The loss and the residuals that seed backprop share one softmax.
+        calls, softmax = [], optimizers.losses.softmax
+
+        def counting(z):
+            calls.append(z.shape)
+            return softmax(z)
+
+        monkeypatch.setattr(optimizers.losses, "softmax", counting)
+        net = make_net([2, 3, 2], "tanh", np.random.default_rng(0))
+        x, y = TWO_MOONS.train()
+        cfg = OptimConfig(variant=variant, batch_size=8, seed=0, record_walltime=False)
+        train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
+        assert calls == [(8, 2)]
+
     def test_variant_coherence_identity_kernel(self, monkeypatch):
         # amari_dense and sobolev_dense with the Gram forced to identity
         # must produce the same trajectory.  Points 1000 apart have kernel
