@@ -34,16 +34,23 @@ def test_softmax_ten_classes_within_an_ulp(batch, ndim):
 
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("kind", [SQUARED, SOFTMAX_CE])
-def test_fused_loss_equals_loss_value_and_grad(kind, ndim):
+def test_loss_value_and_grad_match_explicit_expressions(kind, ndim):
+    # The explicit loss and dL/dz, on single samples as well as batches.
     rng = np.random.default_rng(1)
     z = logits(50, 3, ndim)
-    batch = 1 if ndim == 1 else 50
-    y = rng.normal(size=(batch, 3)) if kind == SQUARED else rng.integers(0, 3, size=batch)
+    zb = z.reshape(1, -1) if ndim == 1 else z
+    batch = zb.shape[0]
+    if kind == SQUARED:
+        y = rng.normal(size=(batch, 3))
+        loss, grad = 0.5 * np.mean(np.sum((zb - y) ** 2, axis=1)), zb - y
+    else:
+        y = rng.integers(0, 3, size=batch)
+        p = reference_softmax(zb)
+        loss, grad = -np.mean(np.log(p[np.arange(batch), y])), p - np.eye(3)[y]
     if ndim == 1:
         y = y[0]
-    loss, grad = loss_and_grad(z, y, kind)
-    assert loss == loss_value(z, y, kind)
-    np.testing.assert_array_equal(grad, loss_grad_z(z, y, kind))
+    assert loss_value(z, y, kind) == pytest.approx(loss, rel=1e-14)
+    np.testing.assert_allclose(loss_grad_z(z, y, kind), grad, rtol=0.0, atol=1e-15)
 
 
 def test_fused_loss_matches_definitions():

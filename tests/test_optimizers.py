@@ -151,10 +151,11 @@ class TestTrainStep:
 
     def test_ntk_surrogate_step_runs_no_backward_pass(self, monkeypatch):
         # J r already is the sum-loss gradient; a backprop pass would be waste.
+        # backward_loss runs through backward, so this one swap covers both.
         def no_backward(*args, **kwargs):
-            raise AssertionError("backward_loss called on an ntk_surrogate step")
+            raise AssertionError("backward pass run on an ntk_surrogate step")
 
-        monkeypatch.setattr(optimizers.network, "backward_loss", no_backward)
+        monkeypatch.setattr(optimizers.network, "backward", no_backward)
         net = make_net([2, 3, 2], "tanh", np.random.default_rng(0))
         x, y = TWO_MOONS.train()
         cfg = OptimConfig(variant="ntk_surrogate", batch_size=8, seed=0, record_walltime=False)
