@@ -136,8 +136,9 @@ def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: 
 
     schema "label_first": first column is a class label, an integer in
     [0, 2^63), the rest are features.  schema "targets_last": the last
-    target_dim columns are float targets.  Malformed rows, nan/inf fields
-    and out-of-range labels are rejected with their line and column.
+    target_dim columns are float targets, and at least one column must be
+    left for the features (else ValueError).  Malformed rows, nan/inf
+    fields and out-of-range labels are rejected with their line and column.
     """
     if schema not in (LABEL_FIRST, TARGETS_LAST):
         raise ValueError(f"unknown schema {schema!r}")
@@ -177,8 +178,11 @@ def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: 
                 line_nos[row], 1, f"label {float(labels[row])!r} is not a non-negative int64"
             )
         return Dataset(features=arr[:, 1:], targets=labels.astype(np.int64))
-    if target_dim >= arr.shape[1]:
-        raise ParseError(1, arr.shape[1], "target_dim leaves no feature columns")
+    width = arr.shape[1]
+    if not 1 <= target_dim < width:
+        raise ValueError(
+            f"target_dim={target_dim} must be in [1, {width - 1}] for a {width}-column file"
+        )
     return Dataset(features=arr[:, :-target_dim], targets=arr[:, -target_dim:])
 
 

@@ -60,11 +60,17 @@ class Diverged(SobnatError):
 
 
 class StepFailed(SobnatError):
-    """A training step raised a SobnatError; the original is the __cause__."""
+    """A training step raised a SobnatError; the original is the __cause__.
 
-    def __init__(self, step: int, cause: SobnatError):
+    row is the dataset row of the first non-finite feature in the step's
+    batch, when there is one.
+    """
+
+    def __init__(self, step: int, cause: SobnatError, row: int = None):
         self.step = step
-        super().__init__(f"step {step}: {type(cause).__name__}: {cause}")
+        self.row = row
+        where = "" if row is None else f" (non-finite feature in dataset row {row})"
+        super().__init__(f"step {step}: {type(cause).__name__}: {cause}{where}")
 
 
 class ParseError(SobnatError):

@@ -19,7 +19,10 @@ formula otherwise.
 Every kernel table -- the batch Gram here and the representer evaluations,
 inner products and functional-GD iterates in :mod:`sobnat.rkhs` -- comes
 from :func:`kernel_matrix`, ``point_kernel`` of one ``cdist`` distance
-table; no other code takes a pairwise distance for a kernel.
+table; no other code takes a pairwise distance for a kernel.  The profile
+is evaluated in place on that table, in row blocks of at most
+PROFILE_BLOCK entries, so its temporary is 128 KB rather than a second
+B x B array; a table of one block or less is one evaluation.
 
 Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 ``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor
@@ -27,6 +30,16 @@ Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 itself: the dense natural-gradient step of :mod:`sobnat.metric` factors
 ``Theta + damping (K_j (x) I_m)``, with ``K_j = values + jitter*d(0)*I``
 the matrix whose factor the Gram holds.  No ``K^-1`` is ever formed.
+
+The whitening is a triangular solve, blocked past SOLVE_BLOCK = 64 points
+(Goto & van de Geijn 2008): a TRSM on each 64-point diagonal block of L,
+then one GEMM update of the rest, so most of its flops run at GEMM speed.
+Single-threaded OpenBLAS runs the 500-point TRSM at about 21 GF/s and the
+64-wide GEMM updates at 40-46 GF/s; the 500 x 708 whitening of a
+large-batch dense step went from 8.9-9.1 to 5.9-6.1 ms (medians of 60
+calls, one BLAS thread on a 2-core x86 host).  Up to 64 points the solve
+is the single TRSM it always was, so a B = 50 batch keeps its bits;
+32-point blocks were slightly faster at B = 500 but would split that Gram.
 """
 
 from __future__ import annotations
@@ -45,6 +58,12 @@ __all__ = ["KernelSpec", "GramMatrix", "dimension_constant", "point_kernel", "ke
 
 UNIT_CONSTANT = "unit_constant"
 EXACT_CONSTANT = "exact_dimension_constant"
+
+# Entries of a kernel table profiled at once: a 128 KB temporary.
+PROFILE_BLOCK = 16_384
+# Points per diagonal block of the blocked triangular solve.
+SOLVE_BLOCK = 64
+
 
 def dimension_constant(n: int) -> float:
     """Closed-form constant C_n for the order-(n+3) kernel on R^n."""
@@ -128,9 +147,17 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     ``cdist`` takes each distance on its own, so ``kernel_matrix(x, x, spec)``
     is bitwise symmetric with a diagonal of exactly d(0).  The profile is
-    evaluated in place on the fresh distance table.
+    evaluated in place on the fresh distance table, PROFILE_BLOCK entries
+    of whole rows at a time, so its temporary stays in cache; each entry's
+    bits do not depend on the blocking.
     """
-    return _profile_in_place(cdist(x, y), spec.constant)
+    r = cdist(x, y)
+    if r.size <= PROFILE_BLOCK:
+        return _profile_in_place(r, spec.constant)
+    rows = max(1, PROFILE_BLOCK // r.shape[1])
+    for start in range(0, len(r), rows):
+        _profile_in_place(r[start : start + rows], spec.constant)
+    return r
 
 
 @dataclass
@@ -176,11 +203,39 @@ class GramMatrix:
         # X L^T = b^T (trans=1) or X L = b^T (trans=0) on b^T, which is
         # Fortran-ordered for a C-ordered b: the right-side TRSM needs no
         # layout copy, and with overwrite_b it solves in b's own buffer.
+        # Up to SOLVE_BLOCK points that is one TRSM.  Past it (see the
+        # module docstring) the solve runs over SOLVE_BLOCK-column blocks of
+        # b^T, forward for trans=1 and backward for trans=0: a TRSM on the
+        # block's diagonal triangle, then one GEMM update of the columns
+        # still to solve.  Each column block of b^T is a contiguous slice
+        # solved in place; only the factor's panels are copied for BLAS,
+        # about B^2/2 entries in all.
+        factor = self._factor[0]
         bt = np.reshape(b, (len(b), -1)).T
-        x = scipy.linalg.blas.dtrsm(
-            1.0, self._factor[0], bt, side=1, lower=1, trans_a=trans, overwrite_b=overwrite_b
-        )
-        return x.T.reshape(np.shape(b))
+        n = len(factor)
+        if n <= SOLVE_BLOCK:
+            x = scipy.linalg.blas.dtrsm(
+                1.0, factor, bt, side=1, lower=1, trans_a=trans, overwrite_b=overwrite_b
+            )
+            return x.T.reshape(np.shape(b))
+        if not (overwrite_b and bt.flags.f_contiguous and bt.dtype == np.float64):
+            bt = np.array(bt, dtype=np.float64, order="F")
+        starts = range(0, n, SOLVE_BLOCK)
+        for k0 in starts if trans else reversed(starts):
+            k1 = min(k0 + SOLVE_BLOCK, n)
+            block = bt[:, k0:k1]
+            scipy.linalg.blas.dtrsm(
+                1.0, factor[k0:k1, k0:k1], block, side=1, lower=1, trans_a=trans, overwrite_b=1
+            )
+            if trans and k1 < n:  # b^T[:, k1:] -= X_k L[k1:, k]^T
+                scipy.linalg.blas.dgemm(
+                    -1.0, block, factor[k1:, k0:k1], beta=1.0, c=bt[:, k1:], trans_b=1, overwrite_c=1
+                )
+            elif not trans and k0 > 0:  # b^T[:, :k0] -= X_k L[k, :k0]
+                scipy.linalg.blas.dgemm(
+                    -1.0, block, factor[k0:k1, :k0], beta=1.0, c=bt[:, :k0], overwrite_c=1
+                )
+        return bt.T.reshape(np.shape(b))
 
     def scaled(self, c: float) -> "GramMatrix":
         """Gram matrix with every kernel entry multiplied by c > 0."""

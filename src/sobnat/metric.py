@@ -69,8 +69,10 @@ A sobolev_dense train step at B = 50 takes 0.38 ms on the desk
 the P x P solve takes about 1.1 s); amari_dense takes 0.26 and 0.36 ms
 (medians of 2000 and 1000 steps, one BLAS thread on a 2-core x86 host).
 At B = 500 on the desk net (P <= B*m, the P x P branch) a sobolev_dense
-step takes 9.9 ms, against 11.7 ms with fresh factor copies (medians of
-40 steps).
+step takes 21.8-24.1 ms, against 23.7-26.9 ms with one unblocked TRSM for
+the whitening and a whole-table kernel profile (medians of 60 steps, five
+alternating runs each; the host's speed drifts, and the unblocked step
+once measured 9.9 ms on it).
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 

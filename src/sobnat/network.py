@@ -323,10 +323,11 @@ class Tangents:
         jt, row = np.empty((batch, m, self.num_params)), 0  # blocks written in place
         for a, d in zip(self.a_bars, self.jacobians):
             size = d.shape[2] * a.shape[1]
-            # (m, B, p_l) x (B, q_l) -> (b, c, p, q); splitting the contiguous
-            # last axis keeps the block a view of jt.
+            # (m, B, p_l) x (B, q_l) -> (b, c, p, q), an outer product in the
+            # last two axes; splitting the contiguous last axis keeps the
+            # block a view of jt.
             block = jt[:, :, row : row + size].reshape(batch, m, d.shape[2], a.shape[1])
-            np.einsum("cbp,bq->bcpq", d, a, out=block)
+            np.multiply(d.transpose(1, 0, 2)[:, :, :, None], a[:, None, None, :], out=block)
             row += size
         return jt.reshape(batch * m, -1).T
 

@@ -208,8 +208,9 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
     "shuffle" stream of the run seed, so identical seeds and configs give
     bitwise-identical trajectories across variants sharing an init.
     Raises Diverged at the first step whose batch loss, or else whose
-    update, is not finite, and StepFailed, naming the step and chained
-    from the original, for any other SobnatError a step raises.
+    update, is not finite, and StepFailed, naming the step (and the
+    dataset row of a non-finite feature in its batch) and chained from the
+    original, for any other SobnatError a step raises.
     """
     net = make_net(net_dims, activation, rng.stream(config.seed, "init"))
     state = TrainState.create(net, config)
@@ -232,7 +233,9 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
             try:
                 net, train_loss = train_step(net, x_train[idx], y_train[idx], config, state, lr)
             except SobnatError as exc:
-                raise StepFailed(step, exc) from exc
+                finite = np.isfinite(x_train[idx]).all(axis=1)
+                row = None if finite.all() else int(dataset.train_idx[idx[np.argmin(finite)]])
+                raise StepFailed(step, exc, row) from exc
             wall_ms = (time.perf_counter() - t0) * 1000.0 if config.record_walltime else 0.0
             if not np.isfinite(train_loss):
                 raise Diverged(step, train_loss)

@@ -129,6 +129,15 @@ class TestCsv:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.targets, ds.targets)
 
+    @pytest.mark.parametrize("target_dim", [0, -1, 3])
+    def test_target_dim_outside_the_columns_is_an_argument_error(self, tmp_path, target_dim):
+        # A well-formed 3-column file: 0 and -1 would split off every column
+        # or two of them, and 3 would leave no feature column.
+        path = tmp_path / "reg.csv"
+        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(ValueError, match=rf"^target_dim={target_dim} must be in \[1, 2\] for a 3-column file"):
+            load_csv(path, schema="targets_last", target_dim=target_dim)
+
 
 class TestNormalize:
     def test_train_statistics_applied_to_both_splits(self):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from sobnat.errors import DegenerateGram, DimensionMismatch, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
+    SOLVE_BLOCK,
     KernelSpec,
+    _profile_in_place,
     dimension_constant,
     gram,
     kernel_matrix,
@@ -195,3 +198,57 @@ def test_kernel_matrix_rows_do_not_depend_on_the_batch():
         assert np.array_equal(kernel_matrix(xs[i : i + 1], ys, spec)[0], table[i])
     expected = [[point_kernel(float(np.linalg.norm(x - y)), spec) for y in ys] for x in xs]
     np.testing.assert_allclose(table, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1, 20000), (3, 20000), (1, 50), (200, 200), (500, 500), (333, 70)])
+def test_kernel_matrix_in_row_blocks_is_the_whole_table_profile(shape):
+    # Below, at and above one PROFILE_BLOCK of entries (a single row wider
+    # than a block is one block), and 333 rows, not a multiple of the 234
+    # rows per block of a 70-column table: the same bits as one profile
+    # evaluation over the whole distance table.
+    rng = np.random.default_rng(shape[0])
+    spec = KernelSpec(input_dim=2)
+    x, y = rng.normal(size=(shape[0], 2)), rng.normal(size=(shape[1], 2))
+    assert np.array_equal(kernel_matrix(x, y, spec), _profile_in_place(cdist(x, y), spec.constant))
+
+
+class TestBlockedSolve:
+    @staticmethod
+    def batch_gram(batch, seed=0):
+        # Unscaled points keep K well conditioned, so a 1e-12 bound checks
+        # the order of the solve, not cond(K).
+        return gram(np.random.default_rng(seed).normal(size=(batch, 2)), KernelSpec(input_dim=2))
+
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, 500])
+    @pytest.mark.parametrize("columns", [1, 7, 300])
+    def test_both_directions_match_solve_triangular(self, batch, columns):
+        g = self.batch_gram(batch)
+        lower = g._factor[0]
+        b = np.random.default_rng(batch + columns).normal(size=(batch, columns))
+        for trans, solve in ((1, g.whiten), (0, g.whiten_adjoint)):
+            expected = scipy.linalg.solve_triangular(lower, b, lower=True, trans=1 - trans)
+            tol = 1e-12 * np.max(np.abs(expected))
+            before = b.copy()
+            got = solve(b)
+            assert np.array_equal(b, before) and not np.shares_memory(got, b)
+            assert np.max(np.abs(got - expected)) <= tol
+            # In place: the same values, written over b's own buffer.
+            over = b.copy()
+            in_place = g._triangular_solve(over, trans, overwrite_b=True)
+            assert np.shares_memory(in_place, over) and np.array_equal(over, got)
+
+    @pytest.mark.parametrize("batch", [1, 50, SOLVE_BLOCK])
+    def test_one_block_is_one_trsm(self, batch):
+        g = self.batch_gram(batch, seed=2)
+        b = np.random.default_rng(3).normal(size=(batch, 11))
+        for trans in (1, 0):
+            direct = scipy.linalg.blas.dtrsm(1.0, g._factor[0], b.T, side=1, lower=1, trans_a=trans).T
+            assert np.array_equal(g._triangular_solve(b, trans), direct)
+
+    def test_in_place_over_a_fortran_b_solves_in_a_copy(self):
+        # Only a C-ordered b can be solved in its own buffer; any other
+        # layout is solved in a copy, and the result is still the solve.
+        g = self.batch_gram(130, seed=4)
+        b = np.asfortranarray(np.random.default_rng(5).normal(size=(130, 9)))
+        expected = g.whiten(np.ascontiguousarray(b))
+        np.testing.assert_allclose(g._whiten_in_place(b), expected, rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sobnat import linalg
 from sobnat.errors import DimensionMismatch
@@ -7,6 +8,7 @@ from sobnat.kernel import KernelSpec, gram
 from sobnat.kfac import KfacLayerState, compute_factors, precondition, refresh_inverses, update_state
 from sobnat.metric import estimate_metric
 from sobnat.network import LayerSpec, MlpNetwork, Tangents, forward, param_jacobian
+from sobnat.optimizers import OptimConfig, TrainState, train_step
 
 
 def tangents_of(net, x):
@@ -94,6 +96,38 @@ class TestComputeFactors:
         ((a, s),) = compute_factors(Tangents.of_matrix(j, m), None)
         np.testing.assert_array_equal(a, [[1.0]])
         assert np.max(np.abs(s - estimate_metric(j, m, None).values)) <= 1e-14
+
+    def test_duplicate_points_match_the_cho_solve_oracle(self):
+        # 65 points each given twice: K is singular and K_j = K + jitter d(0) I
+        # has cond near 1.3e10.  B = 130 runs the blocked whitening.  A
+        # backward-stable solve with K_j is within cond(K_j) * eps of the
+        # exact factors, relative to their largest entry, and that is the
+        # tolerance: against a cho_solve on the same K_j, for the error, and
+        # below zero, for the smallest eigenvalue.
+        rng = np.random.default_rng(0)
+        net = MlpNetwork.create([2, 16, 16, 2], ["tanh", "tanh", "identity"], rng)
+        pts = rng.normal(size=(65, 2))
+        x = np.concatenate([pts, pts])
+        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        k_j = g.values + g.jitter * g.d0 * np.eye(130)
+        tol = np.linalg.cond(k_j) * np.finfo(np.float64).eps
+        assert 1e-7 < tol < 1e-4
+        oracle = scipy.linalg.cho_factor(k_j, lower=True)
+        tangents = tangents_of(net, x)
+        for (a, s), a_bar, ds in zip(compute_factors(tangents, g), tangents.a_bars, tangents.jacobians):
+            expected_a = a_bar.T @ scipy.linalg.cho_solve(oracle, a_bar) / 130
+            expected_s = sum(d.T @ scipy.linalg.cho_solve(oracle, d) for d in ds)
+            for got, expected in ((a, expected_a), (s, expected_s)):
+                scale = np.max(np.abs(expected))
+                assert np.array_equal(got, got.T)
+                assert np.min(np.linalg.eigvalsh(got)) >= -tol * scale
+                assert np.max(np.abs(got - expected)) <= tol * scale
+        # One sobolev_kfac step on the batch refreshes on these factors.
+        labels = np.tile(rng.integers(0, 2, size=65), 2)
+        config = OptimConfig(variant="sobolev_kfac", batch_size=130)
+        new_net, loss = train_step(net, x, labels, config, TrainState.create(net, config), 0.01)
+        assert np.isfinite(loss)
+        assert all(np.isfinite(w).all() for w in new_net.weights)
 
     def test_gram_batch_mismatch(self):
         net = linear_121(seed=5)

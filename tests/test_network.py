@@ -7,6 +7,7 @@ from sobnat.losses import SOFTMAX_CE, SQUARED, loss_value
 from sobnat.network import (
     LayerSpec,
     MlpNetwork,
+    Tangents,
     backward_loss,
     forward,
     output_jacobians,
@@ -204,6 +205,18 @@ class TestParamJacobian:
         fd = finite_diff_outputs(net, x)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(j - fd)) / scale <= 1e-5
+
+    @pytest.mark.parametrize("dims,batch", [([2, 16, 16, 2], 500), ([3, 4, 1], 7), ([2, 5, 3], 1)])
+    def test_tangents_matrix_is_the_einsum_outer_product(self, dims, batch):
+        # Each layer block of J^T is the outer product Ds_l (x) abar_{l-1}:
+        # a single multiply, bitwise equal to the einsum that spells it out.
+        net = tiny_net(dims, ["tanh"] * (len(dims) - 2) + ["identity"], seed=3)
+        x = np.random.default_rng(4).normal(size=(batch, dims[0]))
+        tangents = Tangents.of_network(net, forward(net, x))
+        blocks = [np.einsum("cbp,bq->bcpq", d, a).reshape(batch, net.output_dim, -1)
+                  for a, d in zip(tangents.a_bars, tangents.jacobians)]
+        expected = np.concatenate(blocks, axis=2).reshape(batch * net.output_dim, -1).T
+        assert np.array_equal(tangents.matrix(), expected)
 
     def test_too_large(self, monkeypatch):
         monkeypatch.setattr(network, "DENSE_BUDGET", 10)

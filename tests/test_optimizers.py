@@ -446,6 +446,23 @@ class TestTrain:
         assert info.value.step == 9
         assert isinstance(info.value.__cause__, cause)
 
+    @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
+    def test_numerical_failure_names_the_dataset_row(self, variant):
+        # The batch of step 9 holds training row 37 at some other batch row;
+        # the message maps it back through the shuffle to the dataset row,
+        # and through train_idx when the split is not the identity.
+        x, y = TWO_MOONS.train()
+        features = x[:200].copy()
+        features[37, 1] = np.nan
+        cfg = OptimConfig(variant=variant, epochs=1, batch_size=20, seed=4, record_walltime=False)
+        with pytest.raises(StepFailed, match=r"\(non-finite feature in dataset row 37\)$") as info:
+            train(cfg, Dataset(features, y[:200]), [2, 4, 2])
+        assert info.value.row == 37
+        padded = Dataset(np.vstack([np.zeros((5, 2)), features]), np.concatenate([y[:5], y[:200]]),
+                         train_idx=np.arange(5, 205))
+        with pytest.raises(StepFailed, match=r"dataset row 42\)$"):
+            train(cfg, padded, [2, 4, 2])
+
     def test_log_step_fields(self):
         cfg = OptimConfig(variant="sgd", epochs=1, batch_size=100, seed=2,
                           record_walltime=False)
