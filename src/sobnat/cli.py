@@ -26,6 +26,9 @@ from .optimizers import SCHEDULES, VARIANTS, ExperimentLog, OptimConfig, train
 
 STEP_HEADER = "step,epoch,lr,train_loss,wall_ms"
 EPOCH_HEADER = "epoch,train_acc,test_acc"
+# Boolean config-file values; any other word is a configuration error.
+TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
 
 # The OptimConfig fields a config file or flag may set; the loss follows the
 # dataset and the rest keep their OptimConfig defaults.
@@ -65,7 +68,10 @@ def _coerce(key: str, value, defaults: dict):
     if isinstance(value, str) and key in defaults and not isinstance(defaults[key], str):
         template = defaults[key]
         if isinstance(template, bool):
-            return value.lower() in ("1", "true", "yes", "on")
+            word = value.lower()
+            if word not in TRUE_WORDS + FALSE_WORDS:
+                raise ValueError(f"expected one of {', '.join(TRUE_WORDS + FALSE_WORDS)}, got {value!r}")
+            return word in TRUE_WORDS
         return type(template)(value)
     return value
 

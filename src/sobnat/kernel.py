@@ -28,18 +28,25 @@ Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 ``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor
 ``K = L L^T`` (:meth:`GramMatrix.whiten`), or by a system that carries K
 itself: the dense natural-gradient step of :mod:`sobnat.metric` factors
-``Theta + damping (K_j (x) I_m)``, with ``K_j = values + jitter*d(0)*I``
+``Theta + damping (I_m (x) K_j)``, with ``K_j = values + jitter*d(0)*I``
 the matrix whose factor the Gram holds.  No ``K^-1`` is ever formed.
 
-The whitening is a triangular solve, blocked past SOLVE_BLOCK = 64 points
-(Goto & van de Geijn 2008): a TRSM on each 64-point diagonal block of L,
-then one GEMM update of the rest, so most of its flops run at GEMM speed.
-Single-threaded OpenBLAS runs the 500-point TRSM at about 21 GF/s and the
-64-wide GEMM updates at 40-46 GF/s; the 500 x 708 whitening of a
-large-batch dense step went from 8.9-9.1 to 5.9-6.1 ms (medians of 60
-calls, one BLAS thread on a 2-core x86 host).  Up to 64 points the solve
-is the single TRSM it always was, so a B = 50 batch keeps its bits;
-32-point blocks were slightly faster at B = 500 but would split that Gram.
+The whitening is a triangular solve, blocked past SINGLE_TRSM_MAX = 192
+points (Goto & van de Geijn 2008): a TRSM on each SOLVE_BLOCK = 64-point
+diagonal block of L, then one GEMM update of the rest, so most of its
+flops run at GEMM speed.  Single-threaded OpenBLAS runs the 500-point TRSM
+at about 21 GF/s and the 64-wide GEMM updates at 40-46 GF/s; the
+500 x 708 whitening of a large-batch dense step went from 8.9-9.1 to
+5.9-6.1 ms (medians of 60 calls, one BLAS thread on a 2-core x86 host).
+Up to 192 points the solve is one TRSM: on few columns the blocks' BLAS
+dispatch and factor-panel copies cost more than their GEMM saves.  The
+single TRSM over the blocked one, summed over both directions, measured
+2.0x faster at 80 points and 1.4x at 128 for 1-2 columns (the (B, m)
+arrays of a kernel-space dense step) and even at 192, while from about
+96 points on 100 or more columns ran 0-60% faster blocked (same host,
+the best of three medians of 40 calls).  So B = 50 batches and B = 500
+batches keep the bits they always had; 32-point blocks were slightly
+faster at B = 500 but would split a B = 50 Gram.
 """
 
 from __future__ import annotations
@@ -63,6 +70,8 @@ EXACT_CONSTANT = "exact_dimension_constant"
 PROFILE_BLOCK = 16_384
 # Points per diagonal block of the blocked triangular solve.
 SOLVE_BLOCK = 64
+# Largest Gram whose triangular solve is one TRSM: the measured crossover.
+SINGLE_TRSM_MAX = 192
 
 
 def dimension_constant(n: int) -> float:
@@ -203,7 +212,7 @@ class GramMatrix:
         # X L^T = b^T (trans=1) or X L = b^T (trans=0) on b^T, which is
         # Fortran-ordered for a C-ordered b: the right-side TRSM needs no
         # layout copy, and with overwrite_b it solves in b's own buffer.
-        # Up to SOLVE_BLOCK points that is one TRSM.  Past it (see the
+        # Up to SINGLE_TRSM_MAX points that is one TRSM.  Past it (see the
         # module docstring) the solve runs over SOLVE_BLOCK-column blocks of
         # b^T, forward for trans=1 and backward for trans=0: a TRSM on the
         # block's diagonal triangle, then one GEMM update of the columns
@@ -213,7 +222,7 @@ class GramMatrix:
         factor = self._factor[0]
         bt = np.reshape(b, (len(b), -1)).T
         n = len(factor)
-        if n <= SOLVE_BLOCK:
+        if n <= SINGLE_TRSM_MAX:
             x = scipy.linalg.blas.dtrsm(
                 1.0, factor, bt, side=1, lower=1, trans_a=trans, overwrite_b=overwrite_b
             )
@@ -254,8 +263,9 @@ def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> Gram
     raises DegenerateGram before any factor is attempted.  The factor is of
     values + jitter*d(0)*I, the shift :func:`sobnat.linalg.cholesky_factor`
     adds to its copy, so values keeps the pure kernel; on failure the jitter
-    is escalated tenfold up to three times before DegenerateGram is raised
-    (duplicate points at excessive batch size).  With ``buffers`` every
+    is escalated tenfold up to three times before DegenerateGram, naming the
+    last jitter tried, is raised (duplicate points at excessive batch
+    size); a zero jitter fails at the first attempt.  With ``buffers`` every
     attempt factors into its "gram" array, and the returned Gram's factor
     is valid until the next Gram factored there; without, into a fresh one.
     """
@@ -273,12 +283,15 @@ def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> Gram
         raise DegenerateGram(f"point in row {int(np.argmin(finite))} is not finite")
     out = GramMatrix(points=pts, values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
     buffer = None if buffers is None else buffers.get("gram", len(pts))
-    for _ in range(4):  # initial attempt plus three escalations
+    for attempt in range(4):  # initial attempt plus three escalations
+        if attempt:
+            out.jitter *= 10.0
         try:
             out._factor = linalg.cholesky_factor(out.values, out.jitter * out.d0, out=buffer)
             return out
         except NotPositiveDefinite:
-            out.jitter *= 10.0
+            if out.jitter == 0.0:
+                break  # tenfold zero is zero: a retry would repeat this factor
     raise DegenerateGram(
         f"Gram of {pts.shape[0]} points not positive definite after jitter escalation "
         f"(final jitter {out.jitter:.3g})"

@@ -22,57 +22,66 @@ push-through (Woodbury) identity
     v = (g - J~ (damping I + J~^T J~)^-1 J~^T g) / damping,
 
 a B*m x B*m system that needs J only through products, so neither J nor
-any P x P array is formed.  With W = L^-1 (x) I_m the whitening,
-J~^T J~ = W Theta W^T, where Theta = J^T J is the empirical tangent
-kernel.  Theta is built layer by layer from the forward pass's factors
-(:meth:`sobnat.network.Tangents.ntk`),
+any P x P array is formed.  Kernel space is component-major: index (c, b)
+is c*B + b, the order in which :meth:`sobnat.network.Tangents` holds the
+output Jacobians, so no product below reorders a factor.  With
+W = I_m (x) L^-1 the whitening, J~^T J~ = W Theta W^T, where Theta = J^T J
+is the empirical tangent kernel.  Theta is built layer by layer from the
+forward pass's factors (:meth:`sobnat.network.Tangents.ntk`),
 
-    Theta = sum_l (Abar_l Abar_l^T) (x) 1_{m x m}  .*  Ds_l Ds_l^T,
+    Theta = sum_l (Ds_l Ds_l^T)  .*  1_{m x m} (x) (Abar_l Abar_l^T),
 
-and the whitening need not be applied to it.  W^T W = K_j^-1 (x) I_m,
-where K_j = K + jitter d(0) I is the matrix the Gram's factor L is of, so
-the identity is v = (g - J z) / damping with
+each layer's product taken in place, and the whitening need not be applied
+to it.  W^T W = I_m (x) K_j^-1, where K_j = K + jitter d(0) I is the
+matrix the Gram's factor L is of, so the identity is
+v = (g - J z) / damping with
 
-    S z = J^T g,    S = Theta + damping (K_j (x) I_m):
+    S z = J^T g,    S = Theta + damping (I_m (x) K_j):
 
 kernel ridge regression with the NTK in which the Sobolev Gram takes the
-place of the identity.  S is formed from Theta and K_j and factored once;
-J^T g and J z are per-layer products with Abar_l and Ds_l, and no
+place of the identity.  S is Theta with damping K_j added on its m
+contiguous diagonal B x B blocks, and is factored once; J^T g and J z are
+per-layer products with Abar_l and Ds_l on (m, B) arrays, and no
 triangular solve touches Theta.  The rounding of the formed Theta is not
 shaped like damping K_j, whose condition number is 1e9-1e10 on 50
 two-moons points at input scale 20, so on its own v_0 = (g - J z) / damping
 is 1.5e-9 to 2.1e-7 off the P x P oracle.  One step of iterative
 refinement in kernel space fixes that.  The residual of v_0 is
 
-    g - damping v_0 - J (K_j^-1 (x) I_m) J^T v_0 = J e,
-    e = z - (K_j^-1 (x) I_m) J^T v_0,
+    g - damping v_0 - J (I_m (x) K_j^-1) J^T v_0 = J e,
+    e = z - (I_m (x) K_j^-1) J^T v_0,
 
 so the correction is the same solve with J e as the gradient:
 z_2 = S^-1 J^T J e = S^-1 Theta e, and v = (g - J (z - e + z_2)) / damping.
 J^T v_0 must be taken by :meth:`~sobnat.network.Tangents.rmatvec` and
-K_j^-1 as whiten_adjoint(whiten(.)) on the (B, m) array: the algebraically
-equal (J^T g - Theta z) / damping makes e vanish identically, and the
-refinement would then correct nothing.  The refined step is within 1.8e-11
-of the oracle (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
-[2,64,64,2]).  A step makes two rmatvec and two matvec calls, factors S
-and whitens only (B, m) arrays; with K = I, S = Theta + damping I and the
-first v is the answer.  With P <= B*m, or with damping 0 (the exactness
-oracles), where the identity would divide by 0, the step factors the
-P x P metric that :func:`estimate_metric` builds, as natural_gradient
-does: one private build that whitens the fresh buffer of
+K_j^-1 as whiten_adjoint(whiten(.)) on its (B, m) transpose: the
+algebraically equal (J^T g - Theta z) / damping makes e vanish
+identically, and the refinement would then correct nothing.  The refined
+step is within 1.9e-11 of the oracle, relative to its largest entry
+(B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and [2,64,64,2]).  The
+solve makes two rmatvec and two matvec calls, factors S and whitens only
+(B, m) arrays; with K = I, S = Theta + damping I and the first v is the
+answer.  A dense train step adds one matvec, the gradient J r of
+:mod:`sobnat.optimizers`, so its one backprop sweep is the output
+Jacobians of its Tangents.  With P <= B*m, or with damping 0 (the
+exactness oracles), where the identity would divide by 0, the step
+factors the P x P metric that :func:`estimate_metric` builds, as
+natural_gradient does: one private build that whitens the fresh buffer of
 :meth:`~sobnat.network.Tangents.matrix` in place and returns J~ J~^T.  A
 scalar damping is passed as the diagonal shift of
 :func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand,
 and a training run has the factor taken in a buffer it keeps across steps.
-A sobolev_dense train step at B = 50 takes 0.38 ms on the desk
-[2,16,16,2] net (P = 354) and 0.52 ms on [2,64,64,2] (P = 4482, where
-the P x P solve takes about 1.1 s); amari_dense takes 0.26 and 0.36 ms
-(medians of 2000 and 1000 steps, one BLAS thread on a 2-core x86 host).
-At B = 500 on the desk net (P <= B*m, the P x P branch) a sobolev_dense
-step takes 21.8-24.1 ms, against 23.7-26.9 ms with one unblocked TRSM for
-the whitening and a whole-table kernel profile (medians of 60 steps, five
-alternating runs each; the host's speed drifts, and the unblocked step
-once measured 9.9 ms on it).
+Taking the gradient as J r and keeping kernel space in the factors' own
+order took a B = 50 train step on the desk [2,16,16,2] net (P = 354)
+from 0.96 to 0.86 ms for sobolev_dense and from 0.47 to 0.41 ms for
+amari_dense, and on [2,64,64,2] (P = 4482, where the P x P solve takes
+about 1.1 s) from 1.26 to 1.15 and from 0.84 to 0.75 ms.  These are
+medians of 2990 and 990 steps run alternately with the former (b, c)
+layout and backward pass in one process, one BLAS thread on a shared
+2-core x86 host whose speed drifts: it once ran the same sobolev_dense
+step in 0.38 ms.  At B = 500 on the desk net (P <= B*m, the P x P branch)
+a sobolev_dense step took about 17 ms either way; the P x P build and
+factor dominate it.
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 
@@ -181,18 +190,19 @@ def damped_natural_gradient(
 def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):
     """The P > B*m branch of :func:`damped_natural_gradient`; see the module docstring."""
     theta = tangents.ntk()
-    jg = tangents.rmatvec(grad)
+    jg = tangents.rmatvec(grad)  # (m, B), as every kernel-space array here
     if gram is None:
         z = linalg.solve_from_factor(linalg.cholesky_factor(theta, damping), jg.reshape(-1))
         return (grad - tangents.matvec(z.reshape(jg.shape))) / damping
-    # S = Theta + damping (K_j (x) I_m), K_j the matrix gram's factor is of.
+    # S = Theta + damping (I_m (x) K_j), K_j the matrix gram's factor is of:
+    # damping K_j on each of the m diagonal B x B blocks of S.
     shift = gram.values.copy()
     shift.flat[:: len(shift) + 1] += gram.jitter * gram.d0
     shift *= damping
     s = theta.copy()
-    blocks = s.reshape(jg.shape * 2)  # blocks[a, c, b, e] = S[(a, c), (b, e)]
-    for c in range(jg.shape[1]):
-        blocks[:, c, :, c] += shift
+    batch = len(shift)
+    for start in range(0, len(s), batch):
+        s[start : start + batch, start : start + batch] += shift
     factor = linalg.cholesky_factor(s)
 
     def solve(r):
@@ -202,7 +212,8 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, gr
     v = (grad - tangents.matvec(z)) / damping
     # v's residual is J e; J^T v must come from rmatvec, since the
     # algebraically equal (J^T g - Theta z) / damping makes e vanish.
-    e = z - gram.whiten_adjoint(gram.whiten(tangents.rmatvec(v)))
+    # The whitening runs on the (B, m) transposes.
+    e = z - gram.whiten_adjoint(gram.whiten(tangents.rmatvec(v).T)).T
     z_refined = solve(theta @ e.reshape(-1))
     return (grad - tangents.matvec(z - e + z_refined)) / damping
 
@@ -224,7 +235,7 @@ def project_empirical_gradient(
     tangents = Tangents.of_matrix(j, r.shape[1])
     if r.shape[0] != tangents.batch:
         raise DimensionMismatch(f"{r.shape[0]} residual rows for batch of {tangents.batch}")
-    return damped_natural_gradient(tangents, gram, damping, tangents.matvec(r))
+    return damped_natural_gradient(tangents, gram, damping, tangents.matvec(r.T))
 
 
 def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> np.ndarray:
@@ -233,13 +244,15 @@ def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> np
     Unlike the projection this applies no inverse metric; it agrees with
     :func:`project_empirical_gradient` exactly when the tangent Gram is the
     identity and disagrees otherwise (the surrogate is not a projection).
+    With residual_grads the (B, m) per-sample dL/dz, J r is the gradient of
+    the batch sum of the loss, which the dense train steps precondition.
     """
     r = np.atleast_2d(np.asarray(residual_grads, dtype=np.float64))
     if r.shape != (tangents.batch, tangents.output_dim):
         raise DimensionMismatch(
             f"residuals of shape {r.shape} for batch of {tangents.batch} with {tangents.output_dim} outputs"
         )
-    return tangents.matvec(r)
+    return tangents.matvec(r.T)
 
 
 def _gaussian_nodes(nodes_per_dim: int):

@@ -245,6 +245,14 @@ class Tangents:
     this is the one place they are held.  The products below touch only
     the factors, so no P x B*m array exists unless :meth:`matrix` is called
     (the structured tangent-kernel products of Novak et al. 2022).
+
+    Kernel space is component-major, the order jacobians are stored in:
+    :meth:`ntk` indexes its rows and columns (c, b) as c*B + b,
+    :meth:`rmatvec` returns and :meth:`matvec` takes (m, B) arrays, so
+    none of them reorders a factor.  A (B, m) array of per-sample output
+    gradients r enters :meth:`matvec` as its transpose, and J r is the
+    gradient of the batch sum of the loss.  :meth:`matrix` keeps the
+    sample-major columns (b, c) of :func:`param_jacobian`.
     """
 
     a_bars: list
@@ -281,35 +289,46 @@ class Tangents:
         return sum(d.shape[2] * a.shape[1] for a, d in zip(self.a_bars, self.jacobians))
 
     def ntk(self) -> np.ndarray:
-        """Empirical tangent kernel Theta = J^T J, a (B*m, B*m) array.
+        """Empirical tangent kernel Theta = J^T J, a (m*B, m*B) array.
 
-        Theta[(a, c), (b, e)] = sum_l (abar_l(x_a) . abar_l(x_b))
-        (Ds_l^(c)(x_a) . Ds_l^(e)(x_b)), so block (a, b) of Theta is the
-        m x m kernel Theta(x_a, x_b).  Each layer costs two small Gram
-        products; it is summed in (c, a, e, b) order, where the
-        elementwise product runs along b, and reordered once at the end.
+        Theta[(c, a), (e, b)] = sum_l (Ds_l^(c)(x_a) . Ds_l^(e)(x_b))
+        (abar_l(x_a) . abar_l(x_b)), in the component-major order of
+        jacobians: row c*B + a.  Block (c, e) is the B x B kernel of output
+        components c and e.  Each layer is one Gram product of the
+        jacobians' rows, multiplied in place by the activations' B x B Gram
+        along each block, and added into the first layer's product.
         """
         batch, m = self.batch, self.output_dim
-        theta = np.zeros((m, batch, m, batch))
+        theta = None
         for a, d in zip(self.a_bars, self.jacobians):
             rows = d.reshape(m * batch, -1)  # row c*B + b holds Ds_l^(c)(x_b)
-            theta += (rows @ rows.T).reshape(theta.shape) * (a @ a.T)[:, None, :]
-        return theta.transpose(1, 0, 3, 2).reshape(batch * m, batch * m)
+            layer = rows @ rows.T
+            blocks = layer.reshape(m, batch, m, batch)  # a view of layer
+            blocks *= (a @ a.T)[:, None, :]
+            if theta is None:
+                theta = layer
+            else:
+                theta += layer
+        return theta
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """J^T v for a length-P vector v, as a (B, m) array."""
-        out, row = 0.0, 0
+        """J^T v for a length-P vector v, as an (m, B) array: out[c, b] is column (b, c)."""
+        out, row = None, 0
         for a, d in zip(self.a_bars, self.jacobians):
             size = d.shape[2] * a.shape[1]
             u = a @ v[row : row + size].reshape(d.shape[2], a.shape[1]).T  # (B, p_l)
-            out = out + np.einsum("cbp,bp->bc", d, u)
+            layer = np.einsum("cbp,bp->cb", d, u)
+            if out is None:
+                out = layer
+            else:
+                out += layer
             row += size
         return out
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
-        """J z for a (B, m) array z, as a length-P vector."""
+        """J z for an (m, B) array z, as a length-P vector; z[c, b] weighs column (b, c)."""
         return np.concatenate(
-            [(np.einsum("cbp,bc->pb", d, z) @ a).reshape(-1) for a, d in zip(self.a_bars, self.jacobians)]
+            [(np.einsum("cbp,cb->pb", d, z) @ a).reshape(-1) for a, d in zip(self.a_bars, self.jacobians)]
         )
 
     def matrix(self) -> np.ndarray:

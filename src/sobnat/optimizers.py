@@ -5,8 +5,9 @@ Variants:
   ntk_surrogate  tangent-coefficient step J r (no metric inverse, no
                  backward pass); its trajectory coincides with sgd by
                  construction and exists as an independent code path
-  amari_dense    dense batch metric with K = I (Gauss-Newton), Tikhonov damped
-  sobolev_dense  dense batch metric with the Sobolev kernel Gram
+  amari_dense    dense batch metric with K = I (Gauss-Newton), Tikhonov damped;
+                 its gradient is J r too, with no backward pass
+  sobolev_dense  dense batch metric with the Sobolev kernel Gram, gradient J r
   amari_kfac     Kronecker-factored K = I metric, factored damping
   sobolev_kfac   Kronecker-factored kernel-weighted metric
 
@@ -16,13 +17,15 @@ the unnormalized batch metric estimate.  At desk scale this keeps the
 damping small relative to the metric, which is what makes the
 natural-gradient variants meaningfully faster than plain gradient steps.
 Kernel Grams for the sobolev variants are rebuilt every step on the batch
-inputs divided by the configured input scale.  Weight decay is added to the
-raw Euclidean gradient before any preconditioning.  Logged train_loss stays
-the per-sample mean for comparability across batch sizes.
+inputs divided by the configured input scale, with the kernel spec the
+run's TrainState holds.  Weight decay is added to the raw Euclidean
+gradient before any preconditioning.  Logged train_loss stays the
+per-sample mean for comparability across batch sizes.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -71,17 +74,19 @@ class OptimConfig:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
         # damping 0 is admitted for exactness oracles (Gauss-Newton on linear
-        # least squares); production runs keep the positive default.
-        if not self.lr > 0 or self.damping < 0:
-            raise ValueError("lr must be positive and damping non-negative")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        # least squares); production runs keep the positive default.  The
+        # comparisons are written so that nan fails them.
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("damping", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not self.input_scale > 0:
-            raise ValueError("input_scale must be positive")
+        if not 0 < self.input_scale < math.inf:
+            raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
 
 
 def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
@@ -110,21 +115,29 @@ class TrainState:
     mmap or from the top of its heap and hands back to the OS when it is
     freed, so a copy made per step page-faults in again on every step.
     They stay here for the run and are re-made only when B or P changes.
+    ``kernel_spec`` is the Sobolev variants' kernel, made once per run.
     """
 
     kfac_layers: list = None
     step: int = 0
     buffers: linalg.FactorBuffers = field(default_factory=linalg.FactorBuffers)
+    kernel_spec: KernelSpec = None
 
     @classmethod
     def create(cls, net: network.MlpNetwork, config: OptimConfig) -> "TrainState":
-        layers = None
+        layers = spec = None
         if config.variant.endswith("_kfac"):
             layers = [
                 kfac.KfacLayerState(decay=config.kfac_decay, damping=config.damping)
                 for _ in net.layers
             ]
-        return cls(kfac_layers=layers)
+        if config.variant.startswith("sobolev"):
+            spec = KernelSpec(
+                input_dim=net.input_dim,
+                constant_mode=config.kernel_constant_mode,
+                input_scale=config.input_scale,
+            )
+        return cls(kfac_layers=layers, kernel_spec=spec)
 
 
 @dataclass
@@ -141,25 +154,33 @@ def make_net(dims, activation: str, seed_rng) -> network.MlpNetwork:
     return network.MlpNetwork.create(dims, acts, seed_rng)
 
 
-def _batch_gram(x: np.ndarray, config: OptimConfig, buffers: linalg.FactorBuffers) -> GramMatrix:
-    spec = KernelSpec(
-        input_dim=x.shape[1],
-        constant_mode=config.kernel_constant_mode,
-        input_scale=config.input_scale,
-    )
-    return gram(x / config.input_scale, spec, buffers)
+def _batch_gram(x: np.ndarray, config: OptimConfig, state: TrainState) -> GramMatrix:
+    return gram(x / config.input_scale, state.kernel_spec, state.buffers)
 
 
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
-    """One update; returns (new network, mean batch loss before the update)."""
+    """One update; returns (new network, mean batch loss before the update).
+
+    The ntk_surrogate and dense steps take the sum-loss gradient as J r from
+    the step's :class:`~sobnat.network.Tangents`, so their one backprop
+    sweep is :func:`~sobnat.network.output_jacobians`; sgd and K-FAC run
+    :func:`~sobnat.network.backward`.
+    """
     cache = network.forward(net, batch_x)
     train_loss, residuals = losses.loss_and_grad(cache.outputs, batch_y, config.loss)
 
-    if config.variant == "ntk_surrogate":
-        coeffs = metric.ntk_surrogate_gradient(network.Tangents.of_network(net, cache), residuals)
-        direction = coeffs + config.weight_decay * net.params_vector()
+    if config.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
+        tangents = network.Tangents.of_network(net, cache)
+        params = net.params_vector()
+        direction = metric.ntk_surrogate_gradient(tangents, residuals)  # J r
+        direction += config.weight_decay * params
+        if config.variant != "ntk_surrogate":
+            gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config, state)
+            direction = metric.damped_natural_gradient(
+                tangents, gram_matrix, config.damping, direction, state.buffers
+            )
         state.step += 1
-        return net.with_params_vector(net.params_vector() - lr * direction), train_loss
+        return net.with_params_vector(params - lr * direction), train_loss
 
     grads = network.backward(net, cache, residuals)
     if config.variant == "sgd":
@@ -169,19 +190,9 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         state.step += 1
         return network.MlpNetwork(net.layers, new_weights), train_loss
 
-    if config.variant in ("amari_dense", "sobolev_dense"):
-        gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config, state.buffers)
-        grad_vec = np.concatenate([g.reshape(-1) for g in grads])
-        grad_vec += config.weight_decay * net.params_vector()
-        direction = metric.damped_natural_gradient(
-            network.Tangents.of_network(net, cache), gram_matrix, config.damping, grad_vec, state.buffers
-        )
-        state.step += 1
-        return net.with_params_vector(net.params_vector() - lr * direction), train_loss
-
     # K-FAC variants: refresh factors, inverses on the configured period.
     if state.step % config.kfac_update_period == 0:
-        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, config, state.buffers)
+        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, config, state)
         fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), gram_matrix)
         for layer_state, (a, s) in zip(state.kfac_layers, fresh):
             kfac.update_state(layer_state, a, s)

@@ -169,6 +169,12 @@ class TestConfigPrecedence:
             (None, ["--input-scale", "0"], "input_scale"),
             (None, ["--epochs", "-1"], "epochs"),
             (None, ["--test-fraction", "1.5"], "test_fraction"),
+            ("record_walltime=ture", [], "record_walltime"),
+            ("skip_header=maybe", [], "skip_header"),
+            (None, ["--variant", "sobolev_dense", "--damping", "nan"], "damping"),
+            (None, ["--weight-decay", "nan"], "weight_decay"),
+            (None, ["--lr", "inf"], "lr"),
+            ("damping=inf", [], "damping"),
         ],
     )
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, line, flags, key):
@@ -181,6 +187,14 @@ class TestConfigPrecedence:
         assert result.returncode == 2, result.stderr
         assert key in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("false", False), ("No", False), ("OFF", False),
+])
+def test_config_file_booleans(word, value):
+    assert cli._coerce("record_walltime", word, cli.TRAIN_DEFAULTS) is value
 
 
 class TestVerify:

@@ -4,9 +4,11 @@ import scipy.integrate
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from sobnat.errors import DegenerateGram, DimensionMismatch, UnsupportedOrder
+from sobnat import linalg
+from sobnat.errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
+    SINGLE_TRSM_MAX,
     SOLVE_BLOCK,
     KernelSpec,
     _profile_in_place,
@@ -91,6 +93,21 @@ class TestGram:
         spec = KernelSpec(input_dim=1, jitter=0.0)
         with pytest.raises(DegenerateGram):
             gram(np.array([[1.0], [1.0]]), spec)
+
+    @pytest.mark.parametrize("jitter, tried", [(1e-8, [1e-8, 1e-7, 1e-6, 1e-5]), (0.0, [0.0])])
+    def test_failed_escalation_names_the_last_jitter_tried(self, monkeypatch, jitter, tried):
+        # A factor that always fails: the error names the last shift tried,
+        # and a zero jitter, which tenfold stays zero, is tried only once.
+        shifts = []
+
+        def always_fails(a, shift=0.0, out=None):
+            shifts.append(shift)
+            raise NotPositiveDefinite("pivot in row 0 is not positive")
+
+        monkeypatch.setattr(linalg, "cholesky_factor", always_fails)
+        with pytest.raises(DegenerateGram, match=rf"\(final jitter {tried[-1]:.3g}\)$"):
+            gram(np.array([[0.0], [1.0]]), KernelSpec(input_dim=1, jitter=jitter))
+        np.testing.assert_allclose(shifts, tried, rtol=1e-12, atol=0)
 
     def test_duplicate_points_rescued_by_escalation(self):
         # Nearly identical points: the initial jitter fails but escalation
@@ -244,6 +261,21 @@ class TestBlockedSolve:
         for trans in (1, 0):
             direct = scipy.linalg.blas.dtrsm(1.0, g._factor[0], b.T, side=1, lower=1, trans_a=trans).T
             assert np.array_equal(g._triangular_solve(b, trans), direct)
+
+    @pytest.mark.parametrize("batch", [130, SINGLE_TRSM_MAX, SINGLE_TRSM_MAX + 1])
+    @pytest.mark.parametrize("columns", [2, 100])
+    def test_whitening_on_both_sides_of_the_crossover(self, batch, columns):
+        # One TRSM, bit for bit, up to SINGLE_TRSM_MAX points; blocked past
+        # it.  Either way both directions are the triangular solve.
+        g = self.batch_gram(batch, seed=6)
+        lower = g._factor[0]
+        b = np.random.default_rng(columns).normal(size=(batch, columns))
+        for trans, solve in ((1, g.whiten), (0, g.whiten_adjoint)):
+            expected = scipy.linalg.solve_triangular(lower, b, lower=True, trans=1 - trans)
+            got = solve(b)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            direct = scipy.linalg.blas.dtrsm(1.0, lower, b.T, side=1, lower=1, trans_a=trans).T
+            assert np.array_equal(got, direct) == (batch <= SINGLE_TRSM_MAX)
 
     def test_in_place_over_a_fortran_b_solves_in_a_copy(self):
         # Only a C-ordered b can be solved in its own buffer; any other

@@ -23,9 +23,14 @@ def jitterless_gram(points, dim):
     return gram(points, KernelSpec(input_dim=dim, jitter=0.0))
 
 
-def random_net(seed, dims=(2, 3, 2)):
-    return MlpNetwork.create(list(dims), ["tanh"] * (len(dims) - 2) + ["identity"],
+def random_net(seed, dims=(2, 3, 2), activation="tanh"):
+    return MlpNetwork.create(list(dims), [activation] * (len(dims) - 2) + ["identity"],
                              np.random.default_rng(seed))
+
+
+def component_major(batch, m):
+    """perm[c*B + b] = b*m + c: kernel space's (c, b) order in J's (b, c) columns."""
+    return np.arange(batch * m).reshape(batch, m).T.reshape(-1)
 
 
 class TestEstimateMetric:
@@ -278,15 +283,19 @@ class TestProjectEmpiricalGradient:
 
 
 class TestNtk:
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     @pytest.mark.parametrize("dims,batch", [((2, 3, 2), 7), ((2, 16, 16, 1), 5), ((3, 4, 5, 3), 1)])
-    def test_blocks_assemble_to_gram_of_columns(self, dims, batch):
-        # The layerwise Theta against J^T J; block (a, b) is Theta(x_a, x_b).
-        net = random_net(batch, dims=dims)
+    def test_blocks_assemble_to_gram_of_columns(self, dims, batch, activation):
+        # The layerwise Theta against J^T J with rows and columns in (c, b)
+        # order; block (c, e) is the kernel of output components c and e.
+        net = random_net(batch, dims=dims, activation=activation)
         x = np.random.default_rng(batch).normal(size=(batch, dims[0]))
-        j = param_jacobian(net, x)
-        big = j.T @ j
-        for tangents in (Tangents.of_network(net, forward(net, x)), Tangents.of_matrix(j, dims[-1])):
-            assert np.max(np.abs(tangents.ntk() - big)) <= 1e-14 * np.max(np.abs(big))
+        tangents = Tangents.of_network(net, forward(net, x))
+        j = tangents.matrix()
+        perm = component_major(batch, dims[-1])
+        big = (j.T @ j)[np.ix_(perm, perm)]
+        for t in (tangents, Tangents.of_matrix(j, dims[-1])):
+            assert np.max(np.abs(t.ntk() - big)) <= 1e-14 * np.max(np.abs(big))
 
     def test_layerwise_products_are_the_jacobian_products(self):
         rng = np.random.default_rng(8)
@@ -295,9 +304,22 @@ class TestNtk:
         j = param_jacobian(net, x)
         tangents = Tangents.of_network(net, forward(net, x))
         z, v = rng.normal(size=(6, 3)), rng.normal(size=net.num_params)
-        np.testing.assert_allclose(tangents.matvec(z), j @ z.reshape(-1), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(tangents.rmatvec(v), (j.T @ v).reshape(6, 3), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tangents.matvec(z.T), j @ z.reshape(-1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tangents.rmatvec(v), (j.T @ v).reshape(6, 3).T, rtol=0, atol=1e-14)
         assert np.array_equal(tangents.matrix(), j)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize("dims,batch", [((2, 3, 2), 7), ((2, 16, 16, 1), 5), ((3, 4, 5, 3), 1)])
+    def test_matvec_and_rmatvec_are_adjoint(self, dims, batch, activation):
+        # <J z, v> = <z, J^T v> for (m, B) arrays z, C-ordered or the
+        # transposed view of a (B, m) residual array.
+        rng = np.random.default_rng(batch)
+        net = random_net(batch + 1, dims=dims, activation=activation)
+        tangents = Tangents.of_network(net, forward(net, rng.normal(size=(batch, dims[0]))))
+        v = rng.normal(size=net.num_params)
+        for z in (rng.normal(size=(dims[-1], batch)), rng.normal(size=(batch, dims[-1])).T):
+            left, right = tangents.matvec(z) @ v, np.sum(z * tangents.rmatvec(v))
+            assert abs(left - right) <= 1e-13 * max(1.0, abs(left))
 
     def test_single_parameter(self):
         j = np.array([[0.7, -2.0]])  # one parameter, two scalar samples
@@ -309,7 +331,7 @@ class TestNtk:
         j = rng.normal(size=(6, 4 * 2))
         theta = Tangents.of_matrix(j, 2).ntk()
         for a in range(4):
-            block = theta[a * 2 : a * 2 + 2, a * 2 : a * 2 + 2]
+            block = theta[a::4, a::4]  # the m x m kernel Theta(x_a, x_a)
             assert np.min(np.linalg.eigvalsh(block)) >= -1e-12
 
     def test_surrogate_zero_residuals(self):

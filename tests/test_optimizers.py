@@ -162,6 +162,56 @@ class TestTrainStep:
         new_net, _ = train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
         assert not np.array_equal(new_net.params_vector(), net.params_vector())
 
+    @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense", "ntk_surrogate"])
+    def test_tangent_steps_run_one_backprop_sweep(self, variant, monkeypatch):
+        # The dense and ntk_surrogate steps take the gradient as J r from
+        # the step's own Tangents, so output_jacobians is their one backprop
+        # sweep, and they read the parameters once.
+        def no_backward(*args, **kwargs):
+            raise AssertionError(f"backward pass run on a {variant} step")
+
+        calls, jacobians, params = [], optimizers.network.output_jacobians, MlpNetwork.params_vector
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optimizers.network, "backward", no_backward)
+        monkeypatch.setattr(optimizers.network, "output_jacobians", counting("jacobians", jacobians))
+        net = make_net([2, 3, 2], "tanh", np.random.default_rng(0))
+        monkeypatch.setattr(MlpNetwork, "params_vector", counting("params", params))
+        x, y = TWO_MOONS.train()
+        cfg = OptimConfig(variant=variant, batch_size=8, seed=0, record_walltime=False)
+        new_net, _ = train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
+        assert sorted(calls) == ["jacobians", "params"]
+        assert not np.array_equal(params(new_net), params(net))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
+    @pytest.mark.parametrize("dims,loss", [([2, 5, 4, 2], SOFTMAX_CE), ([2, 6, 1], SQUARED), ([3, 4, 3], SQUARED)])
+    def test_dense_gradient_is_the_backward_gradient(self, variant, activation, dims, loss, monkeypatch):
+        # The gradient J r the dense step solves with is the concatenated
+        # backprop gradient of the sum loss, plus weight decay.
+        seen, solve = [], optimizers.metric.damped_natural_gradient
+
+        def recording(tangents, gram_matrix, damping, grad, buffers=None):
+            seen.append(grad.copy())
+            return solve(tangents, gram_matrix, damping, grad, buffers)
+
+        monkeypatch.setattr(optimizers.metric, "damped_natural_gradient", recording)
+        rng = np.random.default_rng(len(dims) + dims[-1])
+        net = make_net(dims, activation, rng)
+        x = rng.normal(size=(9, dims[0]))
+        y = rng.integers(0, dims[-1], size=9) if loss == SOFTMAX_CE else rng.normal(size=(9, dims[-1]))
+        cfg = quick_config(variant=variant, loss=loss, weight_decay=0.003)
+        train_step(net, x, y, cfg, TrainState.create(net, cfg), 0.01)
+        grads = backward_loss(net, forward(net, x), y, loss, reduction="sum")
+        expected = np.concatenate([g.reshape(-1) for g in grads]) + cfg.weight_decay * net.params_vector()
+        (got,) = seen
+        assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+
     @pytest.mark.parametrize("variant", optimizers.VARIANTS)
     def test_step_evaluates_the_loss_head_once(self, variant, monkeypatch):
         # The loss and the residuals that seed backprop share one softmax.
@@ -303,19 +353,28 @@ class TestTrainStep:
                 prev = loss
 
 
+@pytest.mark.parametrize("field", ["lr", "damping", "weight_decay", "input_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_values_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .* and finite"):
+        OptimConfig(**{field: value})
+
+
 def buffer_free_step(net, x, y, cfg, kfac_layers, lr):
     """train_step's Sobolev and dense steps through the public calls, which
-    factor into fresh arrays."""
+    factor into fresh arrays.  A dense step's gradient is J r, as the
+    step takes it."""
     cache = forward(net, x)
-    grads = backward_loss(net, cache, y, cfg.loss, reduction="sum")
     g = None
     if cfg.variant.startswith("sobolev"):
         spec = KernelSpec(input_dim=x.shape[1], input_scale=cfg.input_scale)
         g = gram(x / cfg.input_scale, spec)
     if cfg.variant.endswith("_dense"):
-        grad = np.concatenate([v.reshape(-1) for v in grads]) + cfg.weight_decay * net.params_vector()
-        direction = damped_natural_gradient(Tangents.of_network(net, cache), g, cfg.damping, grad)
+        tangents = Tangents.of_network(net, cache)
+        grad = tangents.matvec(loss_grad_z(cache.outputs, y, cfg.loss).T) + cfg.weight_decay * net.params_vector()
+        direction = damped_natural_gradient(tangents, g, cfg.damping, grad)
         return net.with_params_vector(net.params_vector() - lr * direction)
+    grads = backward_loss(net, cache, y, cfg.loss, reduction="sum")
     # K-FAC, refreshed on every step (kfac_update_period 1).
     weights = []
     for layer, (a, s), w, v in zip(kfac_layers, kfac.compute_factors(Tangents.of_network(net, cache), g),
