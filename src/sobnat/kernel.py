@@ -31,22 +31,26 @@ itself: the dense natural-gradient step of :mod:`sobnat.metric` factors
 ``Theta + damping (I_m (x) K_j)``, with ``K_j = values + jitter*d(0)*I``
 the matrix whose factor the Gram holds.  No ``K^-1`` is ever formed.
 
-The whitening is a triangular solve, blocked past SINGLE_TRSM_MAX = 192
-points (Goto & van de Geijn 2008): a TRSM on each SOLVE_BLOCK = 64-point
-diagonal block of L, then one GEMM update of the rest, so most of its
-flops run at GEMM speed.  Single-threaded OpenBLAS runs the 500-point TRSM
-at about 21 GF/s and the 64-wide GEMM updates at 40-46 GF/s; the
-500 x 708 whitening of a large-batch dense step went from 8.9-9.1 to
-5.9-6.1 ms (medians of 60 calls, one BLAS thread on a 2-core x86 host).
-Up to 192 points the solve is one TRSM: on few columns the blocks' BLAS
-dispatch and factor-panel copies cost more than their GEMM saves.  The
-single TRSM over the blocked one, summed over both directions, measured
-2.0x faster at 80 points and 1.4x at 128 for 1-2 columns (the (B, m)
-arrays of a kernel-space dense step) and even at 192, while from about
-96 points on 100 or more columns ran 0-60% faster blocked (same host,
-the best of three medians of 40 calls).  So B = 50 batches and B = 500
-batches keep the bits they always had; 32-point blocks were slightly
-faster at B = 500 but would split a B = 50 Gram.
+The whitening is a triangular solve, blocked past SOLVE_BLOCK = 64 points
+(Goto & van de Geijn 2008): a TRSM on each 64-point diagonal block of L,
+then one GEMM update of the rest, so most of its flops run at GEMM speed.
+Single-threaded OpenBLAS runs the 500-point TRSM at about 21 GF/s and the
+64-wide GEMM updates at 40-46 GF/s; the 500 x 708 whitening of a
+large-batch dense step went from 8.9-9.1 to 5.9-6.1 ms (medians of 60
+calls, one BLAS thread on a 2-core x86 host).  Up to 64 points the solve
+is one TRSM, so a B = 50 batch keeps its bits; 32-point blocks were
+slightly faster at B = 500 but would split that Gram.  A narrow solve, of
+at most SINGLE_TRSM_COLUMNS = 24 columns such as the (B, m) arrays of a
+kernel-space dense step, stays one TRSM up to SINGLE_TRSM_MAX = 192
+points: on few columns the blocks' BLAS dispatch and factor-panel copies
+cost more than their GEMM saves.  The single TRSM over the blocked one,
+summed over both directions, measured 0.36-0.58 at 65-80 points,
+0.66-0.85 at 128 (one reading of 1.05) and 0.75-0.96 at 192 for 1-24
+columns, while wide solves ran faster blocked from about 96 points on 96
+columns and from 192 points on 32 (same host, the best of three to five
+medians of 40 calls).  B = 500 stays blocked even for two columns (0.19
+against 0.29 ms), so B = 50 and B = 500 batches keep the bits they always
+had.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ EXACT_CONSTANT = "exact_dimension_constant"
 PROFILE_BLOCK = 16_384
 # Points per diagonal block of the blocked triangular solve.
 SOLVE_BLOCK = 64
-# Largest Gram whose triangular solve is one TRSM: the measured crossover.
+# Past SOLVE_BLOCK, a solve of at most SINGLE_TRSM_COLUMNS columns stays one
+# TRSM up to SINGLE_TRSM_MAX points: the measured crossover (module docstring).
 SINGLE_TRSM_MAX = 192
+SINGLE_TRSM_COLUMNS = 24
 
 
 def dimension_constant(n: int) -> float:
@@ -212,17 +218,18 @@ class GramMatrix:
         # X L^T = b^T (trans=1) or X L = b^T (trans=0) on b^T, which is
         # Fortran-ordered for a C-ordered b: the right-side TRSM needs no
         # layout copy, and with overwrite_b it solves in b's own buffer.
-        # Up to SINGLE_TRSM_MAX points that is one TRSM.  Past it (see the
-        # module docstring) the solve runs over SOLVE_BLOCK-column blocks of
-        # b^T, forward for trans=1 and backward for trans=0: a TRSM on the
-        # block's diagonal triangle, then one GEMM update of the columns
-        # still to solve.  Each column block of b^T is a contiguous slice
-        # solved in place; only the factor's panels are copied for BLAS,
+        # Up to SOLVE_BLOCK points that is one TRSM, and for at most
+        # SINGLE_TRSM_COLUMNS columns up to SINGLE_TRSM_MAX points.  Past
+        # that (see the module docstring) the solve runs over
+        # SOLVE_BLOCK-column blocks of b^T, forward for trans=1 and backward
+        # for trans=0: a TRSM on the block's diagonal triangle, then one GEMM
+        # update of the columns still to solve.  Each column block of b^T is
+        # a contiguous slice solved in place; only the factor's panels are copied for BLAS,
         # about B^2/2 entries in all.
         factor = self._factor[0]
         bt = np.reshape(b, (len(b), -1)).T
         n = len(factor)
-        if n <= SINGLE_TRSM_MAX:
+        if n <= SOLVE_BLOCK or (n <= SINGLE_TRSM_MAX and len(bt) <= SINGLE_TRSM_COLUMNS):
             x = scipy.linalg.blas.dtrsm(
                 1.0, factor, bt, side=1, lower=1, trans_a=trans, overwrite_b=overwrite_b
             )

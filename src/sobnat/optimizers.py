@@ -154,8 +154,8 @@ def make_net(dims, activation: str, seed_rng) -> network.MlpNetwork:
     return network.MlpNetwork.create(dims, acts, seed_rng)
 
 
-def _batch_gram(x: np.ndarray, config: OptimConfig, state: TrainState) -> GramMatrix:
-    return gram(x / config.input_scale, state.kernel_spec, state.buffers)
+def _batch_gram(x: np.ndarray, state: TrainState) -> GramMatrix:
+    return gram(x / state.kernel_spec.input_scale, state.kernel_spec, state.buffers)
 
 
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
@@ -175,7 +175,7 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
         direction = metric.ntk_surrogate_gradient(tangents, residuals)  # J r
         direction += config.weight_decay * params
         if config.variant != "ntk_surrogate":
-            gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, config, state)
+            gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, state)
             direction = metric.damped_natural_gradient(
                 tangents, gram_matrix, config.damping, direction, state.buffers
             )
@@ -192,7 +192,7 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
 
     # K-FAC variants: refresh factors, inverses on the configured period.
     if state.step % config.kfac_update_period == 0:
-        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, config, state)
+        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, state)
         fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), gram_matrix)
         for layer_state, (a, s) in zip(state.kfac_layers, fresh):
             kfac.update_state(layer_state, a, s)

@@ -8,6 +8,7 @@ from sobnat import linalg
 from sobnat.errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
+    SINGLE_TRSM_COLUMNS,
     SINGLE_TRSM_MAX,
     SOLVE_BLOCK,
     KernelSpec,
@@ -262,20 +263,33 @@ class TestBlockedSolve:
             direct = scipy.linalg.blas.dtrsm(1.0, g._factor[0], b.T, side=1, lower=1, trans_a=trans).T
             assert np.array_equal(g._triangular_solve(b, trans), direct)
 
-    @pytest.mark.parametrize("batch", [130, SINGLE_TRSM_MAX, SINGLE_TRSM_MAX + 1])
-    @pytest.mark.parametrize("columns", [2, 100])
-    def test_whitening_on_both_sides_of_the_crossover(self, batch, columns):
-        # One TRSM, bit for bit, up to SINGLE_TRSM_MAX points; blocked past
-        # it.  Either way both directions are the triangular solve.
+    @pytest.mark.parametrize("batch", [SOLVE_BLOCK + 1, 130, SINGLE_TRSM_MAX, SINGLE_TRSM_MAX + 1])
+    @pytest.mark.parametrize("columns", [2, SINGLE_TRSM_COLUMNS, SINGLE_TRSM_COLUMNS + 1, 100])
+    def test_whitening_on_both_sides_of_the_crossover(self, batch, columns, monkeypatch):
+        # One TRSM, bit for bit, for at most SINGLE_TRSM_COLUMNS columns up
+        # to SINGLE_TRSM_MAX points; one TRSM per SOLVE_BLOCK-point block
+        # otherwise.  Either way both directions are the triangular solve.
         g = self.batch_gram(batch, seed=6)
         lower = g._factor[0]
         b = np.random.default_rng(columns).normal(size=(batch, columns))
+        single = batch <= SINGLE_TRSM_MAX and columns <= SINGLE_TRSM_COLUMNS
+        trsm, calls = scipy.linalg.blas.dtrsm, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return trsm(*args, **kwargs)
+
         for trans, solve in ((1, g.whiten), (0, g.whiten_adjoint)):
             expected = scipy.linalg.solve_triangular(lower, b, lower=True, trans=1 - trans)
-            got = solve(b)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(scipy.linalg.blas, "dtrsm", counting)
+                got = solve(b)
+            assert len(calls) == (1 if single else -(-batch // SOLVE_BLOCK))
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-            direct = scipy.linalg.blas.dtrsm(1.0, lower, b.T, side=1, lower=1, trans_a=trans).T
-            assert np.array_equal(got, direct) == (batch <= SINGLE_TRSM_MAX)
+            if single:
+                direct = trsm(1.0, lower, b.T, side=1, lower=1, trans_a=trans).T
+                assert np.array_equal(got, direct)
 
     def test_in_place_over_a_fortran_b_solves_in_a_copy(self):
         # Only a C-ordered b can be solved in its own buffer; any other

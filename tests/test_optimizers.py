@@ -149,24 +149,12 @@ class TestTrainStep:
             nets["sgd"].params_vector(), nets["ntk_surrogate"].params_vector(), atol=1e-10
         )
 
-    def test_ntk_surrogate_step_runs_no_backward_pass(self, monkeypatch):
+    @pytest.mark.parametrize("variant", ["ntk_surrogate", "amari_dense", "sobolev_dense"])
+    def test_tangent_steps_run_no_backward_pass(self, variant, monkeypatch):
         # J r already is the sum-loss gradient; a backprop pass would be waste.
         # backward_loss runs through backward, so this one swap covers both.
-        def no_backward(*args, **kwargs):
-            raise AssertionError("backward pass run on an ntk_surrogate step")
-
-        monkeypatch.setattr(optimizers.network, "backward", no_backward)
-        net = make_net([2, 3, 2], "tanh", np.random.default_rng(0))
-        x, y = TWO_MOONS.train()
-        cfg = OptimConfig(variant="ntk_surrogate", batch_size=8, seed=0, record_walltime=False)
-        new_net, _ = train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
-        assert not np.array_equal(new_net.params_vector(), net.params_vector())
-
-    @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense", "ntk_surrogate"])
-    def test_tangent_steps_run_one_backprop_sweep(self, variant, monkeypatch):
-        # The dense and ntk_surrogate steps take the gradient as J r from
-        # the step's own Tangents, so output_jacobians is their one backprop
-        # sweep, and they read the parameters once.
+        # output_jacobians is the step's one backprop sweep, and the
+        # parameters are read once.
         def no_backward(*args, **kwargs):
             raise AssertionError(f"backward pass run on a {variant} step")
 
@@ -232,7 +220,7 @@ class TestTrainStep:
         # amari_dense and sobolev_dense with the Gram forced to identity
         # must produce the same trajectory.  Points 1000 apart have kernel
         # values exp(-1000) (1 + 1000) == 0.0, so their Gram is exactly I.
-        def identity_gram(x, config, buffers):
+        def identity_gram(x, state):
             spread = 1000.0 * np.arange(x.shape[0]).reshape(-1, 1)
             g = gram(spread, KernelSpec(input_dim=1, jitter=0.0))
             assert np.array_equal(g.values, np.eye(x.shape[0]))
