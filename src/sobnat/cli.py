@@ -12,6 +12,7 @@ failed verification, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -95,6 +96,46 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if flag_value is not None:
             merged[key] = flag_value
     return merged
+
+
+def _integer_from(low: int):
+    """argparse type: an integer of at least low."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a positive finite float; the comparison fails for nan."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _reparam(text: str):
+    """argparse type: None for "none", else the flatness command's 1-D warp.
+
+    Only invertible warps are admitted: scale:C with a finite C != 0 and
+    tanh:A with a finite A > -1.
+    """
+    if text == "none":
+        return None
+    kind, _, value = text.partition(":")
+    defaults = {"scale": 2.0, "tanh": 0.3}
+    if kind not in defaults:
+        raise argparse.ArgumentTypeError(f"unknown kind {kind!r} (use scale:C or tanh:A)")
+    c = float(value or defaults[kind])  # argparse reports a ValueError as "invalid _reparam value"
+    if kind == "scale" and math.isfinite(c) and c != 0:
+        return Reparam.scaling(c, 1)
+    if kind == "tanh" and -1 < c < math.inf:
+        return Reparam.tanh_warp(c)
+    raise argparse.ArgumentTypeError(f"{text} is not invertible (scale:C needs C != 0, tanh:A needs A > -1)")
 
 
 def _fmt(x: float) -> str:
@@ -188,15 +229,6 @@ def cmd_flatness(args, parser) -> int:
     dim = 1
     loss = lambda w: float(np.sum(w**2))
     sampler = GridSampler(resolution=args.resolution, half_width=args.half_width)
-    reparam = None
-    if args.reparam and args.reparam != "none":
-        kind, _, value = args.reparam.partition(":")
-        if kind == "scale":
-            reparam = Reparam.scaling(float(value or 2.0), dim)
-        elif kind == "tanh":
-            reparam = Reparam.tanh_warp(float(value or 0.3))
-        else:
-            parser.error(f"--reparam: unknown kind {kind!r} (use scale:C or tanh:A)")
 
     for source in ("pullback", "euclidean"):
         # Pullback of the linear model w |-> (x -> w x) under the standard
@@ -212,8 +244,8 @@ def cmd_flatness(args, parser) -> int:
         )
         result = epsilon_flatness(query)
         line = f"{source}: volume {result.volume:.6f} +- {result.stderr:.6f}"
-        if reparam is not None:
-            disc = invariance_check(query, reparam, result.volume)
+        if args.reparam is not None:
+            disc = invariance_check(query, args.reparam, result.volume)
             line += f" | reparam discrepancy {disc * 100:.2f}%"
         print(line)
     return 0
@@ -308,24 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flat = sub.add_parser("flatness", help="epsilon-flatness of a toy loss")
     p_flat.add_argument("--loss", default="quadratic")
-    p_flat.add_argument("--epsilon", type=float, default=0.04)
-    p_flat.add_argument("--resolution", type=int, default=801)
-    p_flat.add_argument("--half-width", dest="half_width", type=float, default=0.5)
-    p_flat.add_argument("--reparam", default=None, help="scale:C or tanh:A")
+    p_flat.add_argument("--epsilon", type=_positive_float, default=0.04)
+    p_flat.add_argument("--resolution", type=_integer_from(1), default=801)
+    p_flat.add_argument("--half-width", dest="half_width", type=_positive_float, default=0.5)
+    p_flat.add_argument("--reparam", type=_reparam, default=None, help="scale:C or tanh:A")
     p_flat.set_defaults(func=cmd_flatness)
 
     p_fgd = sub.add_parser("funcgd", help="functional GD demo, writes predicted-vs-true CSV")
-    p_fgd.add_argument("--count", type=int, default=40)
-    p_fgd.add_argument("--steps", type=int, default=400)
-    p_fgd.add_argument("--lr", type=float, default=0.5)
-    p_fgd.add_argument("--input-scale", dest="input_scale", type=float, default=1.0)
+    p_fgd.add_argument("--count", type=_integer_from(1), default=40)
+    p_fgd.add_argument("--steps", type=_integer_from(0), default=400)
+    p_fgd.add_argument("--lr", type=_positive_float, default=0.5)
+    p_fgd.add_argument("--input-scale", dest="input_scale", type=_positive_float, default=1.0)
     p_fgd.add_argument("--out", default="runs/funcgd.csv")
     p_fgd.set_defaults(func=cmd_funcgd)
 
     p_rm = sub.add_parser("riemann", help="primal/mirror descent guarantee demo")
-    p_rm.add_argument("--instances", type=int, default=20)
-    p_rm.add_argument("--steps", type=int, default=100)
-    p_rm.add_argument("--dim", type=int, default=3)
+    p_rm.add_argument("--instances", type=_integer_from(1), default=20)
+    p_rm.add_argument("--steps", type=_integer_from(1), default=100)
+    p_rm.add_argument("--dim", type=_integer_from(1), default=3)
     p_rm.add_argument("--seed", type=int, default=0)
     p_rm.set_defaults(func=cmd_riemann)
     return parser

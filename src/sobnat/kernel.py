@@ -31,26 +31,17 @@ itself: the dense natural-gradient step of :mod:`sobnat.metric` factors
 ``Theta + damping (I_m (x) K_j)``, with ``K_j = values + jitter*d(0)*I``
 the matrix whose factor the Gram holds.  No ``K^-1`` is ever formed.
 
-The whitening is a triangular solve, blocked past SOLVE_BLOCK = 64 points
+The whitening is a triangular solve, blocked by SOLVE_BLOCK = 64 points
 (Goto & van de Geijn 2008): a TRSM on each 64-point diagonal block of L,
 then one GEMM update of the rest, so most of its flops run at GEMM speed.
 Single-threaded OpenBLAS runs the 500-point TRSM at about 21 GF/s and the
 64-wide GEMM updates at 40-46 GF/s; the 500 x 708 whitening of a
 large-batch dense step went from 8.9-9.1 to 5.9-6.1 ms (medians of 60
 calls, one BLAS thread on a 2-core x86 host).  Up to 64 points the solve
-is one TRSM, so a B = 50 batch keeps its bits; 32-point blocks were
-slightly faster at B = 500 but would split that Gram.  A narrow solve, of
-at most SINGLE_TRSM_COLUMNS = 24 columns such as the (B, m) arrays of a
-kernel-space dense step, stays one TRSM up to SINGLE_TRSM_MAX = 192
-points: on few columns the blocks' BLAS dispatch and factor-panel copies
-cost more than their GEMM saves.  The single TRSM over the blocked one,
-summed over both directions, measured 0.36-0.58 at 65-80 points,
-0.66-0.85 at 128 (one reading of 1.05) and 0.75-0.96 at 192 for 1-24
-columns, while wide solves ran faster blocked from about 96 points on 96
-columns and from 192 points on 32 (same host, the best of three to five
-medians of 40 calls).  B = 500 stays blocked even for two columns (0.19
-against 0.29 ms), so B = 50 and B = 500 batches keep the bits they always
-had.
+is one TRSM on the whole factor, so a B = 50 batch keeps its bits;
+32-point blocks were slightly faster at B = 500 but would split that Gram.
+The one other solve with K_j, :meth:`GramMatrix.solve`, takes K_j^-1 b
+from the same factor in one LAPACK potrs.
 """
 
 from __future__ import annotations
@@ -74,10 +65,6 @@ EXACT_CONSTANT = "exact_dimension_constant"
 PROFILE_BLOCK = 16_384
 # Points per diagonal block of the blocked triangular solve.
 SOLVE_BLOCK = 64
-# Past SOLVE_BLOCK, a solve of at most SINGLE_TRSM_COLUMNS columns stays one
-# TRSM up to SINGLE_TRSM_MAX points: the measured crossover (module docstring).
-SINGLE_TRSM_MAX = 192
-SINGLE_TRSM_COLUMNS = 24
 
 
 def dimension_constant(n: int) -> float:
@@ -180,14 +167,12 @@ class GramMatrix:
     """Kernel Gram matrix over a batch of (already scaled) points.
 
     ``values`` holds the pure kernel evaluations (diagonal exactly d(0));
-    the cached Cholesky factor L is of values + jitter*d(0)*I, where
-    ``jitter`` is the effective value after any escalation.  whiten and
-    whiten_adjoint return new arrays; the dense metric and the K-FAC
-    factors whiten the arrays they have just built in place, through the
-    private _whiten_in_place.
+    the cached Cholesky factor L is of K_j = values + jitter*d(0)*I, where
+    ``jitter`` is the effective value after any escalation.  Its two solves
+    are whiten, L^-1 b, which the dense metric and the K-FAC factors run
+    in place on the arrays they have just built, and solve, K_j^-1 b.
     """
 
-    points: np.ndarray
     values: np.ndarray
     jitter: float
     spec: KernelSpec
@@ -202,63 +187,46 @@ class GramMatrix:
         """d(0) = C_n e^0 (1 + 0), which is C_n exactly."""
         return self.spec.constant
 
-    def whiten(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c."""
-        return self._triangular_solve(b, trans=1)
+    def whiten(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c.
 
-    def whiten_adjoint(self, w: np.ndarray) -> np.ndarray:
-        """L^-T w, the adjoint of whiten: whiten(b)^T w = b^T whiten_adjoint(w)."""
-        return self._triangular_solve(w, trans=0)
-
-    def _whiten_in_place(self, b: np.ndarray) -> np.ndarray:
-        """whiten(b), written over b when b is a C-ordered float64 array."""
-        return self._triangular_solve(b, trans=1, overwrite_b=True)
-
-    def _triangular_solve(self, b: np.ndarray, trans: int, overwrite_b: bool = False) -> np.ndarray:
-        # X L^T = b^T (trans=1) or X L = b^T (trans=0) on b^T, which is
-        # Fortran-ordered for a C-ordered b: the right-side TRSM needs no
-        # layout copy, and with overwrite_b it solves in b's own buffer.
-        # Up to SOLVE_BLOCK points that is one TRSM, and for at most
-        # SINGLE_TRSM_COLUMNS columns up to SINGLE_TRSM_MAX points.  Past
-        # that (see the module docstring) the solve runs over
-        # SOLVE_BLOCK-column blocks of b^T, forward for trans=1 and backward
-        # for trans=0: a TRSM on the block's diagonal triangle, then one GEMM
-        # update of the columns still to solve.  Each column block of b^T is
-        # a contiguous slice solved in place; only the factor's panels are copied for BLAS,
-        # about B^2/2 entries in all.
+        With overwrite_b a C-ordered float64 b is solved in its own buffer;
+        any other b is solved in a copy.
+        """
+        # X L^T = b^T on b^T, which is Fortran-ordered for a C-ordered b, so
+        # the right-side TRSM needs no layout copy.  The solve runs over
+        # SOLVE_BLOCK-column blocks of b^T: a TRSM on the block's diagonal
+        # triangle, then one GEMM update of the columns still to solve; up to
+        # SOLVE_BLOCK points that is one TRSM on the whole factor.  Each
+        # column block of b^T is a contiguous slice solved in place; only the
+        # factor's panels are copied for BLAS, about B^2/2 entries in all.
         factor = self._factor[0]
         bt = np.reshape(b, (len(b), -1)).T
-        n = len(factor)
-        if n <= SOLVE_BLOCK or (n <= SINGLE_TRSM_MAX and len(bt) <= SINGLE_TRSM_COLUMNS):
-            x = scipy.linalg.blas.dtrsm(
-                1.0, factor, bt, side=1, lower=1, trans_a=trans, overwrite_b=overwrite_b
-            )
-            return x.T.reshape(np.shape(b))
         if not (overwrite_b and bt.flags.f_contiguous and bt.dtype == np.float64):
             bt = np.array(bt, dtype=np.float64, order="F")
-        starts = range(0, n, SOLVE_BLOCK)
-        for k0 in starts if trans else reversed(starts):
+        n = len(factor)
+        for k0 in range(0, n, SOLVE_BLOCK):
             k1 = min(k0 + SOLVE_BLOCK, n)
             block = bt[:, k0:k1]
             scipy.linalg.blas.dtrsm(
-                1.0, factor[k0:k1, k0:k1], block, side=1, lower=1, trans_a=trans, overwrite_b=1
+                1.0, factor[k0:k1, k0:k1], block, side=1, lower=1, trans_a=1, overwrite_b=1
             )
-            if trans and k1 < n:  # b^T[:, k1:] -= X_k L[k1:, k]^T
+            if k1 < n:  # b^T[:, k1:] -= X_k L[k1:, k]^T
                 scipy.linalg.blas.dgemm(
                     -1.0, block, factor[k1:, k0:k1], beta=1.0, c=bt[:, k1:], trans_b=1, overwrite_c=1
                 )
-            elif not trans and k0 > 0:  # b^T[:, :k0] -= X_k L[k, :k0]
-                scipy.linalg.blas.dgemm(
-                    -1.0, block, factor[k0:k1, :k0], beta=1.0, c=bt[:, :k0], overwrite_c=1
-                )
         return bt.T.reshape(np.shape(b))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K_j^-1 b from the cached factor, as a new array of b's shape."""
+        return linalg.solve_from_factor(self._factor, b)
 
     def scaled(self, c: float) -> "GramMatrix":
         """Gram matrix with every kernel entry multiplied by c > 0."""
         if not c > 0:
             raise ValueError("scale must be positive")
         scaled_values = self.values * c
-        out = GramMatrix(self.points, scaled_values, self.jitter, self.spec)
+        out = GramMatrix(scaled_values, self.jitter, self.spec)
         out._factor = linalg.cholesky_factor(scaled_values, self.jitter * self.d0 * c)
         return out
 
@@ -288,7 +256,7 @@ def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> Gram
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise DegenerateGram(f"point in row {int(np.argmin(finite))} is not finite")
-    out = GramMatrix(points=pts, values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
+    out = GramMatrix(values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
     buffer = None if buffers is None else buffers.get("gram", len(pts))
     for attempt in range(4):  # initial attempt plus three escalations
         if attempt:

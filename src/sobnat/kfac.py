@@ -90,7 +90,7 @@ def compute_factors(tangents: Tangents, gram: GramMatrix = None) -> list:
     if gram is not None:
         if gram.size != batch:
             raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
-        stacked = gram._whiten_in_place(stacked)
+        stacked = gram.whiten(stacked, overwrite_b=True)
     factors, start = [], 0
     for a_bar, ds in layers:
         mid = start + a_bar.shape[1]

@@ -53,15 +53,16 @@ refinement in kernel space fixes that.  The residual of v_0 is
 
 so the correction is the same solve with J e as the gradient:
 z_2 = S^-1 J^T J e = S^-1 Theta e, and v = (g - J (z - e + z_2)) / damping.
-J^T v_0 must be taken by :meth:`~sobnat.network.Tangents.rmatvec` and
-K_j^-1 as whiten_adjoint(whiten(.)) on its (B, m) transpose: the
-algebraically equal (J^T g - Theta z) / damping makes e vanish
-identically, and the refinement would then correct nothing.  The refined
-step is within 1.9e-11 of the oracle, relative to its largest entry
-(B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and [2,64,64,2]).  The
-solve makes two rmatvec and two matvec calls, factors S and whitens only
-(B, m) arrays; with K = I, S = Theta + damping I and the first v is the
-answer.  A dense train step adds one matvec, the gradient J r of
+J^T v_0 must be taken by :meth:`~sobnat.network.Tangents.rmatvec`, and
+K_j^-1 is applied to its (B, m) transpose by :meth:`GramMatrix.solve`
+from the Gram's factor: the algebraically equal (J^T g - Theta z) /
+damping makes e vanish identically, and the refinement would then
+correct nothing.  The refined step is within 1.9e-11 of the oracle,
+relative to its largest entry (B = 50, seeds 0-39, [2,16,16,1],
+[2,16,16,2] and [2,64,64,2]).  The solve makes two rmatvec and two
+matvec calls, factors S and solves with K_j only on (B, m) arrays; with
+K = I, S = Theta + damping I and the first v is the answer.  A dense
+train step adds one matvec, the gradient J r of
 :mod:`sobnat.optimizers`, so its one backprop sweep is the output
 Jacobians of its Tangents.  With P <= B*m, or with damping 0 (the
 exactness oracles), where the identity would divide by 0, the step
@@ -71,17 +72,6 @@ natural_gradient does: one private build that whitens the fresh buffer of
 scalar damping is passed as the diagonal shift of
 :func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand,
 and a training run has the factor taken in a buffer it keeps across steps.
-Taking the gradient as J r and keeping kernel space in the factors' own
-order took a B = 50 train step on the desk [2,16,16,2] net (P = 354)
-from 0.96 to 0.86 ms for sobolev_dense and from 0.47 to 0.41 ms for
-amari_dense, and on [2,64,64,2] (P = 4482, where the P x P solve takes
-about 1.1 s) from 1.26 to 1.15 and from 0.84 to 0.75 ms.  These are
-medians of 2990 and 990 steps run alternately with the former (b, c)
-layout and backward pass in one process, one BLAS thread on a shared
-2-core x86 host whose speed drifts: it once ran the same sobolev_dense
-step in 0.38 ms.  At B = 500 on the desk net (P <= B*m, the P x P branch)
-a sobolev_dense step took about 17 ms either way; the P x P build and
-factor dominate it.
 :func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
 oracle the fast path is tested against.
 
@@ -133,7 +123,7 @@ def _metric_values(tangents: Tangents, gram: GramMatrix) -> np.ndarray:
     jt = tangents.matrix().T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
     if gram is not None:
         # Column block c of the (B, m*P) reshape is J_c^T; one solve whitens all m.
-        jt = gram._whiten_in_place(jt.reshape(tangents.batch, -1)).reshape(jt.shape)
+        jt = gram.whiten(jt.reshape(tangents.batch, -1), overwrite_b=True).reshape(jt.shape)
     return jt.T @ jt
 
 
@@ -212,8 +202,8 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, gr
     v = (grad - tangents.matvec(z)) / damping
     # v's residual is J e; J^T v must come from rmatvec, since the
     # algebraically equal (J^T g - Theta z) / damping makes e vanish.
-    # The whitening runs on the (B, m) transposes.
-    e = z - gram.whiten_adjoint(gram.whiten(tangents.rmatvec(v).T)).T
+    # K_j^-1 runs on the (B, m) transpose.
+    e = z - gram.solve(tangents.rmatvec(v).T).T
     z_refined = solve(theta @ e.reshape(-1))
     return (grad - tangents.matvec(z - e + z_refined)) / damping
 

@@ -87,6 +87,10 @@ class OptimConfig:
             raise ValueError("epochs must be non-negative")
         if not 0 < self.input_scale < math.inf:
             raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
+        if not 0 <= self.kfac_decay <= 1:
+            raise ValueError(f"kfac_decay must lie in [0, 1], got {self.kfac_decay}")
+        if self.kfac_update_period < 1:
+            raise ValueError(f"kfac_update_period must be at least 1, got {self.kfac_update_period}")
 
 
 def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:

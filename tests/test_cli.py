@@ -197,6 +197,30 @@ def test_config_file_booleans(word, value):
     assert cli._coerce("record_walltime", word, cli.TRAIN_DEFAULTS) is value
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["funcgd", "--count", "0"], "--count"),
+    (["funcgd", "--steps", "-1"], "--steps"),
+    (["funcgd", "--input-scale", "0"], "--input-scale"),
+    (["funcgd", "--lr", "nan"], "--lr"),
+    (["flatness", "--resolution", "0"], "--resolution"),
+    (["flatness", "--epsilon", "0"], "--epsilon"),
+    (["flatness", "--half-width", "0"], "--half-width"),
+    (["flatness", "--reparam", "scale:0"], "--reparam"),
+    (["flatness", "--reparam", "scale:abc"], "--reparam"),
+    (["flatness", "--reparam", "tanh:-1"], "--reparam"),
+    (["riemann", "--dim", "0"], "--dim"),
+    (["riemann", "--instances", "0"], "--instances"),
+    (["riemann", "--steps", "0"], "--steps"),
+])
+def test_bad_subcommand_value_exits_2_naming_its_flag(capsys, args, flag):
+    # Rejected by the flag's argparse type before the command runs: no
+    # traceback, and no vacuous success such as a rate held on 0 instances.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
 class TestVerify:
     def test_all_suites_pass(self):
         result = run_cli("verify")

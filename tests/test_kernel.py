@@ -8,8 +8,6 @@ from sobnat import linalg
 from sobnat.errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
-    SINGLE_TRSM_COLUMNS,
-    SINGLE_TRSM_MAX,
     SOLVE_BLOCK,
     KernelSpec,
     _profile_in_place,
@@ -237,59 +235,43 @@ class TestBlockedSolve:
         # the order of the solve, not cond(K).
         return gram(np.random.default_rng(seed).normal(size=(batch, 2)), KernelSpec(input_dim=2))
 
-    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, 500])
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, 192, 193, 500])
     @pytest.mark.parametrize("columns", [1, 7, 300])
-    def test_both_directions_match_solve_triangular(self, batch, columns):
+    def test_whiten_and_solve_match_scipy(self, batch, columns, monkeypatch):
+        # whiten is one TRSM per SOLVE_BLOCK-point block of the factor, and
+        # solve is K_j^-1 from the same factor; neither writes to b.
         g = self.batch_gram(batch)
         lower = g._factor[0]
         b = np.random.default_rng(batch + columns).normal(size=(batch, columns))
-        for trans, solve in ((1, g.whiten), (0, g.whiten_adjoint)):
-            expected = scipy.linalg.solve_triangular(lower, b, lower=True, trans=1 - trans)
-            tol = 1e-12 * np.max(np.abs(expected))
-            before = b.copy()
-            got = solve(b)
-            assert np.array_equal(b, before) and not np.shares_memory(got, b)
-            assert np.max(np.abs(got - expected)) <= tol
-            # In place: the same values, written over b's own buffer.
-            over = b.copy()
-            in_place = g._triangular_solve(over, trans, overwrite_b=True)
-            assert np.shares_memory(in_place, over) and np.array_equal(over, got)
-
-    @pytest.mark.parametrize("batch", [1, 50, SOLVE_BLOCK])
-    def test_one_block_is_one_trsm(self, batch):
-        g = self.batch_gram(batch, seed=2)
-        b = np.random.default_rng(3).normal(size=(batch, 11))
-        for trans in (1, 0):
-            direct = scipy.linalg.blas.dtrsm(1.0, g._factor[0], b.T, side=1, lower=1, trans_a=trans).T
-            assert np.array_equal(g._triangular_solve(b, trans), direct)
-
-    @pytest.mark.parametrize("batch", [SOLVE_BLOCK + 1, 130, SINGLE_TRSM_MAX, SINGLE_TRSM_MAX + 1])
-    @pytest.mark.parametrize("columns", [2, SINGLE_TRSM_COLUMNS, SINGLE_TRSM_COLUMNS + 1, 100])
-    def test_whitening_on_both_sides_of_the_crossover(self, batch, columns, monkeypatch):
-        # One TRSM, bit for bit, for at most SINGLE_TRSM_COLUMNS columns up
-        # to SINGLE_TRSM_MAX points; one TRSM per SOLVE_BLOCK-point block
-        # otherwise.  Either way both directions are the triangular solve.
-        g = self.batch_gram(batch, seed=6)
-        lower = g._factor[0]
-        b = np.random.default_rng(columns).normal(size=(batch, columns))
-        single = batch <= SINGLE_TRSM_MAX and columns <= SINGLE_TRSM_COLUMNS
+        before = b.copy()
         trsm, calls = scipy.linalg.blas.dtrsm, []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return trsm(*args, **kwargs)
 
-        for trans, solve in ((1, g.whiten), (0, g.whiten_adjoint)):
-            expected = scipy.linalg.solve_triangular(lower, b, lower=True, trans=1 - trans)
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(scipy.linalg.blas, "dtrsm", counting)
-                got = solve(b)
-            assert len(calls) == (1 if single else -(-batch // SOLVE_BLOCK))
-            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-            if single:
-                direct = trsm(1.0, lower, b.T, side=1, lower=1, trans_a=trans).T
-                assert np.array_equal(got, direct)
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg.blas, "dtrsm", counting)
+            got = g.whiten(b)
+        assert len(calls) == -(-batch // SOLVE_BLOCK)
+        expected = scipy.linalg.solve_triangular(lower, b, lower=True)
+        assert np.array_equal(b, before) and not np.shares_memory(got, b)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # In place: the same values, written over b's own buffer.
+        over = b.copy()
+        in_place = g.whiten(over, overwrite_b=True)
+        assert np.shares_memory(in_place, over) and np.array_equal(over, got)
+        expected = scipy.linalg.cho_solve((lower, True), b)
+        got = g.solve(b)
+        assert np.array_equal(b, before) and not np.shares_memory(got, b)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("batch", [1, 50, SOLVE_BLOCK])
+    def test_one_block_is_one_trsm(self, batch):
+        g = self.batch_gram(batch, seed=2)
+        b = np.random.default_rng(3).normal(size=(batch, 11))
+        direct = scipy.linalg.blas.dtrsm(1.0, g._factor[0], b.T, side=1, lower=1, trans_a=1).T
+        assert np.array_equal(g.whiten(b), direct)
 
     def test_in_place_over_a_fortran_b_solves_in_a_copy(self):
         # Only a C-ordered b can be solved in its own buffer; any other
@@ -297,4 +279,4 @@ class TestBlockedSolve:
         g = self.batch_gram(130, seed=4)
         b = np.asfortranarray(np.random.default_rng(5).normal(size=(130, 9)))
         expected = g.whiten(np.ascontiguousarray(b))
-        np.testing.assert_allclose(g._whiten_in_place(b), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.whiten(b, overwrite_b=True), expected, rtol=0, atol=1e-12)

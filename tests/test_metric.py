@@ -147,13 +147,14 @@ class TestDampedNaturalGradient:
         # itself: one B*m factor, and Gram solves on (B, m) arrays only.
         net, x, j, grad = self.instance(dims, 50, seed=3)
         g = gram(x / 20.0, KernelSpec(input_dim=2))
-        shapes, solve = [], GramMatrix._triangular_solve
+        shapes = []
+        for name in ("whiten", "solve"):
 
-        def recording(self, b, trans, overwrite_b=False):
-            shapes.append(np.shape(b))
-            return solve(self, b, trans, overwrite_b)
+            def recording(self, b, *args, _solve=getattr(GramMatrix, name), **kwargs):
+                shapes.append(np.shape(b))
+                return _solve(self, b, *args, **kwargs)
 
-        monkeypatch.setattr(GramMatrix, "_triangular_solve", recording)
+            monkeypatch.setattr(GramMatrix, name, recording)
         factor_orders.clear()
         damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, grad)
         assert factor_orders == [50 * dims[-1]]

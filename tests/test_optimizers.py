@@ -348,6 +348,15 @@ def test_config_rejects_non_finite_values_by_name(field, value):
         OptimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [("kfac_update_period", 0), ("kfac_update_period", -1),
+                                         ("kfac_decay", -0.1), ("kfac_decay", 1.5), ("kfac_decay", np.nan)])
+def test_config_rejects_out_of_range_kfac_fields_by_name(field, value):
+    # A period below 1 would divide by zero at step 0, and a decay outside
+    # [0, 1] would fail only when the K-FAC state is made.
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        OptimConfig(**{field: value})
+
+
 def buffer_free_step(net, x, y, cfg, kfac_layers, lr):
     """train_step's Sobolev and dense steps through the public calls, which
     factor into fresh arrays.  A dense step's gradient is J r, as the
