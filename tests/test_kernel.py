@@ -256,7 +256,7 @@ class TestBlockedSolve:
         assert len(calls) == -(-batch // SOLVE_BLOCK)
         expected = scipy.linalg.solve_triangular(lower, b, lower=True)
         assert np.array_equal(b, before) and not np.shares_memory(got, b)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
         # In place: the same values, written over b's own buffer.
         over = b.copy()
         in_place = g.whiten(over, overwrite_b=True)
