@@ -12,6 +12,7 @@ from .errors import (
     DegenerateGram,
     DimensionMismatch,
     Diverged,
+    EmptyRegion,
     InconsistentWidth,
     NotPositiveDefinite,
     ParseError,

@@ -1,12 +1,13 @@
 """Command-line front end: train, verify, flatness, funcgd, riemann.
 
-Configuration precedence is defaults < config file < flags.  The config file
-is a flat ``key=value`` format using the same names as the flags (dashes or
-underscores).  All randomness flows from the single --seed through named
-streams, so reruns with the same configuration are reproducible.
+Each ``key=value`` line of a train --config file is the flag it names
+(dashes or underscores), placed before the command line's flags; a boolean
+key is its switch or nothing.  So precedence is defaults < file < flags, and
+every value passes its flag's type.  All randomness flows from the single
+--seed through named streams, so same-configuration reruns are reproducible.
 
 Exit codes: 0 success, 1 numerical failure (the error type is printed) or
-failed verification, 2 configuration errors.
+failed verification, 2 configuration errors (the message names the flag or key).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ EPOCH_HEADER = "epoch,train_acc,test_acc"
 # Boolean config-file values; any other word is a configuration error.
 TRUE_WORDS = ("1", "true", "yes", "on")
 FALSE_WORDS = ("0", "false", "no", "off")
+# Config-file booleans: the value that turns the key into its switch, and the switch.
+SWITCHES = {"skip_header": (True, "--skip-header"), "record_walltime": (False, "--no-walltime")}
 
 # The OptimConfig fields a config file or flag may set; the loss follows the
 # dataset and the rest keep their OptimConfig defaults.
@@ -38,64 +41,47 @@ OPTIM_KEYS = (
     "batch_size", "epochs", "seed", "record_walltime",
 )
 
-TRAIN_DEFAULTS = {
-    "dataset": "two-moons",
-    **{key: getattr(OptimConfig, key) for key in OPTIM_KEYS},
-    "layers": "16,16",
-    "activation": "tanh",
-    "count": 1000,
-    "noise": 0.1,
-    "test_fraction": 0.25,
-    "out": "runs/latest",
-    "csv_schema": data.LABEL_FIRST,
-    "skip_header": False,
-}
 
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list:
+    """The flags that the --config file's lines name, in file order.  Each key
+    must be a train dest spelled in full, so argparse never prefix-matches one."""
+    keys = set(vars(args)) - {"command", "func", "config"}
+    try:
+        lines = Path(args.config).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
+    flags = []
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        key, eq, value = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
+        where = f"--config: {args.config}:{line_no}"
+        if not eq:
+            parser.error(f"{where}: expected key=value, got {line!r}")
+        if key not in keys:
+            parser.error(f"{where}: unknown key {key!r}")
+        if key not in SWITCHES:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+            continue
+        if value.lower() not in TRUE_WORDS + FALSE_WORDS:
+            words = ", ".join(TRUE_WORDS + FALSE_WORDS)
+            parser.error(f"{where}: {key}: expected one of {words}, got {value!r}")
+        when, switch = SWITCHES[key]
+        if (value.lower() in TRUE_WORDS) == when:
+            flags.append(switch)
+    return flags
 
 
-def _coerce(key: str, value, defaults: dict):
-    if isinstance(value, str) and key in defaults and not isinstance(defaults[key], str):
-        template = defaults[key]
-        if isinstance(template, bool):
-            word = value.lower()
-            if word not in TRUE_WORDS + FALSE_WORDS:
-                raise ValueError(f"expected one of {', '.join(TRUE_WORDS + FALSE_WORDS)}, got {value!r}")
-            return word in TRUE_WORDS
-        return type(template)(value)
-    return value
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    merged = dict(TRAIN_DEFAULTS)
-    if args.config:
-        try:
-            file_values = _read_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"--config: {exc}")
-        for key, value in file_values.items():
-            if key not in merged:
-                parser.error(f"--config: unknown key {key!r}")
-            try:
-                merged[key] = _coerce(key, value, TRAIN_DEFAULTS)
-            except ValueError as exc:
-                parser.error(f"--config: {key}: {exc}")
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
+def parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse argv; for train, a --config file's flags go right after the
+    subcommand, so defaults < file < flags by argparse's last-wins rule."""
+    args = parser.parse_args(argv)
+    if args.command != "train" or not args.config:
+        return args
+    at = argv.index("train") + 1
+    return parser.parse_args(argv[:at] + _config_flags(args, parser) + argv[at:])
 
 
 def _integer_from(low: int):
@@ -110,12 +96,31 @@ def _integer_from(low: int):
     return integer
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a positive finite float; the comparison fails for nan."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+def _float_where(holds, wanted: str):
+    """argparse type: a float for which holds(value) is true; each test below
+    is a chained comparison, which nan fails."""
+
+    def number(text: str) -> float:
+        value = float(text)  # argparse reports a ValueError as "invalid number value"
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    return number
+
+
+_positive_float = _float_where(lambda v: 0 < v < math.inf, "positive and finite")
+_noise = _float_where(lambda v: 0 <= v < math.inf, "non-negative and finite")
+_fraction = _float_where(lambda v: 0 <= v < 1, "in [0, 1)")
+
+
+def _widths(text: str) -> list:
+    """argparse type: comma-separated hidden-layer widths, each at least 1;
+    an empty value means no hidden layer."""
+    widths = [int(w) for w in text.split(",") if w.strip()]
+    if min(widths, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"each width must be at least 1, got {text}")
+    return widths
 
 
 def _reparam(text: str):
@@ -155,46 +160,36 @@ def write_logs(log: ExperimentLog, out_dir: str) -> None:
             fh.write(f"{epoch},{_fmt(train_acc)},{_fmt(test_acc)}\n")
 
 
-def _load_dataset(cfg: dict, parser) -> data.Dataset:
-    name = cfg["dataset"]
+def _load_dataset(args, parser) -> data.Dataset:
+    name = args.dataset
     if name == "two-moons":
-        ds = data.gen_two_moons(cfg["count"], cfg["noise"], cfg["seed"])
+        ds = data.gen_two_moons(args.count, args.noise, args.seed)
     elif name.startswith("csv:"):
         path = name[4:]
         if not path:
             parser.error("--dataset: csv requires a path, e.g. --dataset csv:/path/file.csv")
         if not Path(path).exists():
             parser.error(f"--dataset: file not found: {path}")
-        ds = data.load_csv(path, schema=cfg["csv_schema"], skip_header=cfg["skip_header"])
+        ds = data.load_csv(path, schema=args.csv_schema, skip_header=args.skip_header)
     else:
         parser.error(f"--dataset: unknown dataset {name!r} (use two-moons or csv:PATH)")
-    ds = data.train_test_split(ds, cfg["test_fraction"], cfg["seed"])
+    ds = data.train_test_split(ds, args.test_fraction, args.seed)
     return data.normalize(ds)
 
 
 def cmd_train(args, parser) -> int:
-    cfg = _merge_config(args, parser)
-    try:
-        hidden = [int(h) for h in cfg["layers"].split(",") if h.strip()]
-    except ValueError as exc:
-        parser.error(f"--layers: {exc}")
-    # OptimConfig admits epochs=0 for library callers; a run from here must train.
-    if cfg["epochs"] < 1:
-        parser.error(f"epochs must be at least 1, got {cfg['epochs']}")
-    if not 0 <= cfg["test_fraction"] < 1:
-        parser.error(f"test_fraction must be in [0, 1), got {cfg['test_fraction']}")
-    dataset = _load_dataset(cfg, parser)
+    dataset = _load_dataset(args, parser)
     out_dim = dataset.num_classes if dataset.classification else dataset.targets.shape[1]
-    dims = [dataset.input_dim] + hidden + [out_dim]
+    dims = [dataset.input_dim] + args.layers + [out_dim]
     loss = losses.SOFTMAX_CE if dataset.classification else losses.SQUARED
     try:
-        config = OptimConfig(loss=loss, **{key: cfg[key] for key in OPTIM_KEYS})
+        config = OptimConfig(loss=loss, **{key: getattr(args, key) for key in OPTIM_KEYS})
     except ValueError as exc:
         parser.error(str(exc))
     t0 = time.perf_counter()
-    log, _net = train(config, dataset, dims, activation=cfg["activation"])
+    log, _net = train(config, dataset, dims, activation=args.activation)
     elapsed = time.perf_counter() - t0
-    write_logs(log, cfg["out"])
+    write_logs(log, args.out)
     final_loss = log.steps[-1][3] if log.steps else float("nan")
     final_train = log.epochs[-1][1] if log.epochs else float("nan")
     final_test = log.epochs[-1][2] if log.epochs else float("nan")
@@ -203,7 +198,7 @@ def cmd_train(args, parser) -> int:
         f"final_train_loss={final_loss:.6f} train_acc={final_train:.4f} "
         f"test_acc={final_test:.4f} elapsed_s={elapsed:.2f}"
     )
-    print(f"logs written to {cfg['out']}/log_steps.csv and {cfg['out']}/log_epochs.csv")
+    print(f"logs written to {args.out}/log_steps.csv and {args.out}/log_epochs.csv")
     return 0
 
 
@@ -307,29 +302,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run a training experiment and write CSV logs")
-    p_train.add_argument("--config", default=None, help="key=value config file")
-    p_train.add_argument("--dataset", default=None, help="two-moons or csv:PATH")
-    p_train.add_argument("--variant", default=None, choices=VARIANTS)
-    p_train.add_argument("--lr", type=float, default=None)
-    p_train.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p_train.add_argument("--damping", type=float, default=None)
-    p_train.add_argument("--input-scale", dest="input_scale", type=float, default=None)
-    p_train.add_argument("--schedule", default=None, choices=SCHEDULES)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--layers", default=None, help="hidden sizes, e.g. 16,16")
-    p_train.add_argument("--activation", default=None, choices=network.ACTIVATIONS)
-    p_train.add_argument("--count", type=int, default=None, help="two-moons sample count")
-    p_train.add_argument("--noise", type=float, default=None, help="two-moons noise")
-    p_train.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    p_train.add_argument("--out", default=None, help="output directory for CSV logs")
-    p_train.add_argument("--csv-schema", dest="csv_schema", default=None,
+    p_train.add_argument("--config", default=None,
+                         help="key=value file; each line is the flag it names, placed before the flags")
+    p_train.add_argument("--dataset", default="two-moons", help="two-moons or csv:PATH")
+    p_train.add_argument("--variant", default=OptimConfig.variant, choices=VARIANTS)
+    p_train.add_argument("--lr", type=float, default=OptimConfig.lr)
+    p_train.add_argument("--weight-decay", type=float, default=OptimConfig.weight_decay)
+    p_train.add_argument("--damping", type=float, default=OptimConfig.damping)
+    p_train.add_argument("--input-scale", type=float, default=OptimConfig.input_scale)
+    p_train.add_argument("--schedule", default=OptimConfig.schedule, choices=SCHEDULES)
+    p_train.add_argument("--batch-size", type=int, default=OptimConfig.batch_size)
+    # OptimConfig admits epochs=0 for library callers; a run from here must train.
+    p_train.add_argument("--epochs", type=_integer_from(1), default=OptimConfig.epochs)
+    p_train.add_argument("--seed", type=_integer_from(0), default=OptimConfig.seed)
+    p_train.add_argument("--layers", type=_widths, default="16,16", help="hidden sizes, e.g. 16,16")
+    p_train.add_argument("--activation", default="tanh", choices=network.ACTIVATIONS)
+    p_train.add_argument("--count", type=_integer_from(2), default=1000, help="two-moons sample count")
+    p_train.add_argument("--noise", type=_noise, default=0.1, help="two-moons noise")
+    p_train.add_argument("--test-fraction", type=_fraction, default=0.25)
+    p_train.add_argument("--out", default="runs/latest", help="output directory for CSV logs")
+    p_train.add_argument("--csv-schema", default=data.LABEL_FIRST,
                          choices=(data.LABEL_FIRST, data.TARGETS_LAST))
-    p_train.add_argument("--skip-header", dest="skip_header", action="store_const",
-                         const=True, default=None)
-    p_train.add_argument("--no-walltime", dest="record_walltime", action="store_const",
-                         const=False, default=None,
+    p_train.add_argument("--skip-header", action="store_true")
+    p_train.add_argument("--no-walltime", dest="record_walltime", action="store_false",
                          help="write wall_ms as 0 for byte-reproducible logs")
     p_train.set_defaults(func=cmd_train)
 
@@ -358,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--instances", type=_integer_from(1), default=20)
     p_rm.add_argument("--steps", type=_integer_from(1), default=100)
     p_rm.add_argument("--dim", type=_integer_from(1), default=3)
-    p_rm.add_argument("--seed", type=int, default=0)
+    p_rm.add_argument("--seed", type=_integer_from(0), default=0)
     p_rm.set_defaults(func=cmd_riemann)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args, parser)
     except SobnatError as exc:

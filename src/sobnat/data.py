@@ -1,7 +1,8 @@
-"""Dataset generation, CSV ingestion, normalization, and input scaling."""
+"""Dataset generation, CSV ingestion, splitting and normalization."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,7 +14,6 @@ __all__ = [
     "gen_two_moons",
     "train_test_split",
     "normalize",
-    "scale_inputs",
     "load_csv",
     "write_csv",
 ]
@@ -30,7 +30,6 @@ class Dataset:
     test_idx: np.ndarray = None
     feature_mean: np.ndarray = None
     feature_std: np.ndarray = None
-    scale_applied: float = 1.0
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -65,8 +64,8 @@ def gen_two_moons(count: int, noise: float, seed: int) -> Dataset:
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < math.inf:  # nan fails the comparison
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     n_upper = count // 2
     n_lower = count - n_upper
     t_upper = np.linspace(0.0, np.pi, n_upper)
@@ -105,19 +104,6 @@ def normalize(ds: Dataset) -> Dataset:
         feature_mean=mean,
         feature_std=std,
     )
-
-
-def scale_inputs(ds: Dataset, factor: float) -> Dataset:
-    """Divide features by the down-scaling factor (default pipeline value 20).
-
-    The applied scale is recorded exactly once; rescaling an already scaled
-    dataset is a caller bug and raises.
-    """
-    if not factor > 0:
-        raise ValueError("scale factor must be positive")
-    if ds.scale_applied != 1.0:
-        raise ValueError(f"dataset already scaled by {ds.scale_applied}")
-    return replace(ds, features=ds.features / factor, scale_applied=float(factor))
 
 
 def _parse_row(fields, line_no: int):

@@ -37,6 +37,10 @@ class UnboundedRegion(SobnatError):
     """Flatness region touches the bounding box; epsilon is too large."""
 
 
+class EmptyRegion(SobnatError):
+    """No grid cell or sample lies in the flatness band; the sampling is too coarse."""
+
+
 class RateViolation(SobnatError):
     """Convergence-rate bound failed at some step."""
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.ndimage
 import scipy.optimize
 
-from .errors import UnboundedRegion
+from .errors import EmptyRegion, UnboundedRegion
 
 __all__ = [
     "GridSampler",
@@ -122,7 +122,11 @@ def _grid_flatness(query: FlatnessQuery) -> FlatnessResult:
     component = np.isin(labels, seeds[seeds > 0])
 
     idxs = np.argwhere(component)
-    if idxs.size and (np.any(idxs == 0) or np.any(idxs == res - 1)):
+    if not idxs.size:
+        raise EmptyRegion(
+            f"no cell of the resolution-{res} grid next to the minimum lies in the band; refine the grid"
+        )
+    if np.any(idxs == 0) or np.any(idxs == res - 1):
         raise UnboundedRegion("flatness region touches the bounding box; reduce epsilon")
 
     surface = component & ~scipy.ndimage.binary_erosion(component, border_value=0)
@@ -148,6 +152,8 @@ def _mc_flatness(query: FlatnessQuery) -> FlatnessResult:
     near_edge = np.any(np.abs(points - query.minimum) > 0.98 * hw, axis=1)
     if np.any(inside & near_edge):
         raise UnboundedRegion("flatness region reaches the bounding box; reduce epsilon")
+    if not inside.any():
+        raise EmptyRegion(f"none of the {query.sampler.count} samples lies in the band; use more samples")
     contrib = np.zeros(points.shape[0])
     contrib[inside] = _sqrt_dets(query, points[inside])
     volume = box_vol * float(np.mean(contrib))

@@ -63,7 +63,6 @@ class OptimConfig:
     epochs: int = 10
     seed: int = 0
     loss: str = losses.SOFTMAX_CE
-    kernel_constant_mode: str = "unit_constant"
     kfac_decay: float = 0.95
     kfac_update_period: int = 10
     record_walltime: bool = True
@@ -136,11 +135,7 @@ class TrainState:
                 for _ in net.layers
             ]
         if config.variant.startswith("sobolev"):
-            spec = KernelSpec(
-                input_dim=net.input_dim,
-                constant_mode=config.kernel_constant_mode,
-                input_scale=config.input_scale,
-            )
+            spec = KernelSpec(input_dim=net.input_dim, input_scale=config.input_scale)
         return cls(kfac_layers=layers, kernel_spec=spec)
 
 

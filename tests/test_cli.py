@@ -168,13 +168,22 @@ class TestConfigPrecedence:
             (None, ["--layers", "16,x"], "layers"),
             (None, ["--input-scale", "0"], "input_scale"),
             (None, ["--epochs", "-1"], "epochs"),
-            (None, ["--test-fraction", "1.5"], "test_fraction"),
+            (None, ["--test-fraction", "1.5"], "--test-fraction"),
             ("record_walltime=ture", [], "record_walltime"),
             ("skip_header=maybe", [], "skip_header"),
             (None, ["--variant", "sobolev_dense", "--damping", "nan"], "damping"),
             (None, ["--weight-decay", "nan"], "weight_decay"),
             (None, ["--lr", "inf"], "lr"),
             ("damping=inf", [], "damping"),
+            (None, ["--count", "1"], "--count"),
+            (None, ["--noise", "nan"], "--noise"),
+            (None, ["--noise", "-1"], "--noise"),
+            (None, ["--layers", "0"], "--layers"),
+            (None, ["--seed", "-1"], "--seed"),
+            ("activation=bogus", [], "--activation"),
+            ("csv_schema=bogus", [], "--csv-schema"),
+            ("lay=4", [], "'lay'"),
+            ("config=x.cfg", [], "'config'"),
         ],
     )
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, line, flags, key):
@@ -193,8 +202,12 @@ class TestConfigPrecedence:
     ("1", True), ("true", True), ("Yes", True), ("ON", True),
     ("0", False), ("false", False), ("No", False), ("OFF", False),
 ])
-def test_config_file_booleans(word, value):
-    assert cli._coerce("record_walltime", word, cli.TRAIN_DEFAULTS) is value
+def test_config_file_booleans(tmp_path, word, value):
+    # skip_header is true through its switch, record_walltime false through --no-walltime.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"skip-header={word}\nrecord_walltime={word}\n")
+    args = cli.parse_args(cli.build_parser(), ["train", "--config", str(cfg)])
+    assert args.skip_header is value and args.record_walltime is value
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -211,6 +224,7 @@ def test_config_file_booleans(word, value):
     (["riemann", "--dim", "0"], "--dim"),
     (["riemann", "--instances", "0"], "--instances"),
     (["riemann", "--steps", "0"], "--steps"),
+    (["riemann", "--seed", "-1"], "--seed"),
 ])
 def test_bad_subcommand_value_exits_2_naming_its_flag(capsys, args, flag):
     # Rejected by the flag's argparse type before the command runs: no
@@ -277,6 +291,12 @@ class TestFlatness:
         eucl = [l for l in lines if l.startswith("euclidean")][0]
         assert float(pull.split("discrepancy")[1].rstrip("%")) <= 2.0
         assert float(eucl.split("discrepancy")[1].rstrip("%")) >= 25.0
+
+    def test_empty_band_exits_1(self):
+        # No cell centre of a 2-cell grid lies in the band, so there is no volume to report.
+        result = run_cli("flatness", "--resolution", "2")
+        assert result.returncode == 1
+        assert "EmptyRegion" in result.stderr and "resolution-2" in result.stderr
 
     def test_epsilon_too_large_exits_1(self):
         result = run_cli("flatness", "--epsilon", "5.0", "--half-width", "0.5")

@@ -6,12 +6,10 @@ from sobnat.data import (
     gen_two_moons,
     load_csv,
     normalize,
-    scale_inputs,
     train_test_split,
     write_csv,
 )
 from sobnat.errors import InconsistentWidth, ParseError
-from sobnat.kernel import KernelSpec, gram
 
 
 class TestTwoMoons:
@@ -38,6 +36,12 @@ class TestTwoMoons:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             gen_two_moons(1, 0.0, 0)
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
+    def test_noise_outside_zero_to_infinity_rejected(self, noise):
+        # nan fails both noise < 0 and noise > 0, so it must not pass as no noise.
+        with pytest.raises(ValueError, match="noise"):
+            gen_two_moons(10, noise, 3)
 
 
 class TestCsv:
@@ -159,36 +163,3 @@ class TestNormalize:
         assert normed.feature_std[0] == 1.0
         np.testing.assert_allclose(normed.features[:, 0], 0.0)
 
-
-class TestScaleInputs:
-    def test_factor_one_is_identity(self):
-        ds = gen_two_moons(50, 0.05, seed=2)
-        scaled = scale_inputs(ds, 1.0)
-        np.testing.assert_array_equal(scaled.features, ds.features)
-        assert scaled.scale_applied == 1.0
-
-    def test_rescaling_rejected(self):
-        ds = scale_inputs(gen_two_moons(50, 0.05, seed=2), 20.0)
-        with pytest.raises(ValueError):
-            scale_inputs(ds, 2.0)
-
-    def test_factor_twenty_makes_gram_nontrivial(self):
-        # Normalized two-moons at scale 20 collapse to tiny distances, so the
-        # Gram acquires large off-diagonal mass instead of reducing to the
-        # identity.
-        ds = normalize(gen_two_moons(64, 0.1, seed=3))
-        spec = KernelSpec(input_dim=2)
-        scaled = scale_inputs(ds, 20.0)
-        g = gram(scaled.features[:16], spec)
-        off = g.values - np.diag(np.diag(g.values))
-        assert np.max(np.abs(off)) / g.d0 > 0.5
-        # Unscaled, the same batch is much closer to a diagonal Gram.
-        g_raw = gram(ds.features[:16], spec)
-        off_raw = g_raw.values - np.diag(np.diag(g_raw.values))
-        assert np.max(np.abs(off_raw)) < np.max(np.abs(off))
-
-    def test_huge_factor_collapses_to_all_ones(self):
-        ds = normalize(gen_two_moons(32, 0.1, seed=4))
-        scaled = scale_inputs(ds, 1e9)
-        g = gram(scaled.features[:8], KernelSpec(input_dim=2))
-        np.testing.assert_allclose(g.values, g.d0 * np.ones((8, 8)), atol=1e-6)

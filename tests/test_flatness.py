@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sobnat import flatness
-from sobnat.errors import UnboundedRegion
+from sobnat.errors import EmptyRegion, UnboundedRegion
 from sobnat.flatness import (
     FlatnessQuery,
     GridSampler,
@@ -89,6 +89,16 @@ class TestEpsilonFlatness:
                     epsilon=1.0, sampler=MonteCarloSampler(count=20_000, seed=1, half_width=0.5)
                 )
             )
+
+    @pytest.mark.parametrize("sampler, named", [
+        (GridSampler(resolution=2, half_width=0.5), "resolution-2 grid"),
+        (MonteCarloSampler(count=10, seed=0, half_width=0.5), "10 samples"),
+    ])
+    def test_empty_band_raises(self, sampler, named):
+        # The band (0, 1e-6) is 2e-3 wide: neither cell centre at +-0.25 nor
+        # any of 10 samples falls inside it, so there is no volume to report.
+        with pytest.raises(EmptyRegion, match=named):
+            epsilon_flatness(quadratic_query(epsilon=1e-6, sampler=sampler))
 
     def test_rejects_non_minimum(self):
         query = FlatnessQuery(

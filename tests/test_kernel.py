@@ -5,6 +5,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from sobnat import linalg
+from sobnat.data import gen_two_moons, normalize
 from sobnat.errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
@@ -201,6 +202,25 @@ class TestGram:
         lower = np.linalg.cholesky(g.values + g.jitter * g.d0 * np.eye(7))
         for arr in (b[:, 1], np.asfortranarray(b)):
             np.testing.assert_allclose(lower @ g.whiten(arr), arr, rtol=1e-12, atol=1e-14)
+
+    def test_factor_twenty_makes_gram_nontrivial(self):
+        # Normalized two-moons divided by 20 collapse to tiny distances, so
+        # the Gram acquires large off-diagonal mass instead of reducing to
+        # the identity.
+        x = normalize(gen_two_moons(64, 0.1, seed=3)).features[:16]
+        spec = KernelSpec(input_dim=2)
+        g = gram(x / 20.0, spec)
+        off = g.values - np.diag(np.diag(g.values))
+        assert np.max(np.abs(off)) / g.d0 > 0.5
+        # Unscaled, the same batch is much closer to a diagonal Gram.
+        g_raw = gram(x, spec)
+        off_raw = g_raw.values - np.diag(np.diag(g_raw.values))
+        assert np.max(np.abs(off_raw)) < np.max(np.abs(off))
+
+    def test_huge_factor_collapses_to_all_ones(self):
+        x = normalize(gen_two_moons(32, 0.1, seed=4)).features[:8]
+        g = gram(x / 1e9, KernelSpec(input_dim=2))
+        np.testing.assert_allclose(g.values, g.d0 * np.ones((8, 8)), atol=1e-6)
 
 
 def test_kernel_matrix_rows_do_not_depend_on_the_batch():
