@@ -17,7 +17,8 @@ learning rate absorbs, and unit scaling keeps Gram matrices well conditioned.
 formula otherwise.
 
 Every kernel table -- the batch Gram here and the representer evaluations,
-inner products and functional-GD iterates in :mod:`sobnat.rkhs` -- comes
+inner products and functional-GD rows of the data points in
+:mod:`sobnat.rkhs` -- comes
 from :func:`kernel_matrix`, ``point_kernel`` of one ``cdist`` distance
 table; no other code takes a pairwise distance for a kernel.  The profile
 is evaluated in place on that table, in row blocks of at most
@@ -113,10 +114,10 @@ class KernelSpec:
             )
         if self.constant_mode not in (UNIT_CONSTANT, EXACT_CONSTANT):
             raise ValueError(f"unknown constant_mode {self.constant_mode!r}")
-        if not self.input_scale > 0:
-            raise ValueError("input_scale must be positive")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
+        if not 0 < self.input_scale < math.inf:
+            raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be non-negative and finite, got {self.jitter}")
 
     @property
     def constant(self) -> float:

@@ -7,7 +7,12 @@ one coefficient vector per center, evaluating to
     f(x) = sum_t d(|x - x_t|) * coeffs[t].
 
 Functional gradient descent keeps iterates in this class exactly: each step
-appends the visited point as a new center.  Every kernel value comes from
+appends the visited point as a new center.  Since every center is one of the
+n data points, f_{t-1}(x_t) = K[i_t] W exactly, where K is the data points'
+kernel table and W[i] the sum of the coefficients appended at point i; the
+step reads K's rows from a cache filled in blocks, so a run costs
+O(steps * visits * n) kernel evaluations rather than one table against all
+earlier centers per step.  Every kernel value comes from
 :func:`sobnat.kernel.kernel_matrix`.
 """
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import linalg, losses
 from .errors import DimensionMismatch, SingularProbeSet
-from .kernel import KernelSpec, kernel_matrix
+from .kernel import PROFILE_BLOCK, KernelSpec, kernel_matrix
 
 __all__ = [
     "KernelExpansion",
@@ -68,15 +73,19 @@ class KernelExpansion:
 
 def evaluate(f: KernelExpansion, x) -> np.ndarray:
     """Evaluate the expansion at a single point; returns an m-vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != f.spec.input_dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[1]}, expected {f.spec.input_dim}")
-    return evaluate_batch(f, x)[0]
+    return evaluate_batch(f, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
 def evaluate_batch(f: KernelExpansion, xs) -> np.ndarray:
-    """Evaluate the expansion at each row of xs; returns an (N, m) array."""
+    """Evaluate the expansion at each row of xs; returns an (N, m) array.
+
+    Raises DimensionMismatch when the rows are not of width spec.input_dim.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if xs.shape[1] != f.spec.input_dim:
+        raise DimensionMismatch(
+            f"points have dimension {xs.shape[1]}, spec.input_dim is {f.spec.input_dim}"
+        )
     return kernel_matrix(xs, f.centers, f.spec) @ f.coeffs
 
 
@@ -98,6 +107,17 @@ def functional_gd(
     ``mode`` is "cyclic" (one data point per step, cycling through the set,
     the form stated for a stream of samples) or "full_batch" (every step
     touches all points at once).  ``lr`` is a float or a callable step -> eta.
+    ``xs`` holds n points of width spec.input_dim and ``ys`` one target row
+    (or class label) per point; malformed input raises DimensionMismatch, a
+    negative step count ValueError.
+
+    The centers are the visited data points, so with W[i] the sum of the
+    coefficients appended so far at point i, f_{t-1}(x_t) = K[i_t] W for
+    K = kernel_matrix(xs, xs, spec).  Each step takes its iterate values
+    from cached rows of K: blocks of at most PROFILE_BLOCK entries (all n
+    rows in full-batch mode), re-taken only when a visit leaves them, and in
+    the first pass only against the points they can have seen.  A run costs
+    O(steps * visits * n) kernel evaluations, not O(steps^2 * visits^2).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.asarray(ys, dtype=np.float64)
@@ -109,18 +129,40 @@ def functional_gd(
         output_dim = int(np.max(ys)) + 1 if ys.size else 1
     if mode not in ("cyclic", "full_batch"):
         raise ValueError(f"unknown mode {mode!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    n = xs.shape[0]
+    if xs.shape[1] != spec.input_dim:
+        raise DimensionMismatch(
+            f"points have dimension {xs.shape[1]}, spec.input_dim is {spec.input_dim}"
+        )
+    if ys.shape[0] != n:
+        raise DimensionMismatch(f"{n} points but {ys.shape[0]} targets")
+    if n == 0 and steps > 0:
+        raise DimensionMismatch(f"{steps} steps over an empty set of points")
 
     eta = lr if callable(lr) else (lambda t: lr)
-    visits = 1 if mode == "cyclic" else xs.shape[0]
-    centers = np.empty((steps * visits, xs.shape[1]))
+    visits = 1 if mode == "cyclic" else n
+    block = n if mode == "full_batch" else max(1, PROFILE_BLOCK // max(n, 1))
+    # The visits continue cyclically through the points, step after step.
+    centers = xs[np.arange(steps * visits) % n]
     coeffs = np.empty((steps * visits, output_dim))
+    w = np.zeros((min(n, steps * visits), output_dim))  # over the points the run visits
+    table, first, last, seen = None, 0, 0, w  # table = K[first:last, :len(seen)]
     for t in range(steps):
-        done = t * visits  # the visits continue cyclically after the centers so far
-        start = done % xs.shape[0]
-        x, y = xs[start : start + visits], ys[start : start + visits]
-        z = kernel_matrix(x, centers[:done], spec) @ coeffs[:done]
-        centers[done : done + visits] = x
-        coeffs[done : done + visits] = -eta(t) * losses.loss_grad_z(z, y, loss)
+        done = t * visits
+        start = done % n
+        stop = start + visits
+        if not first <= start < last:
+            first = start - start % block
+            last = min(len(w), first + block)
+            # In the first pass no point from last on has a coefficient yet.
+            seen = w[:last] if done < n else w
+            table = kernel_matrix(xs[first:last], xs[: len(seen)], spec)
+        z = table[start - first : stop - first] @ seen
+        step = -eta(t) * losses.loss_grad_z(z, ys[start:stop], loss)
+        coeffs[done : done + visits] = step
+        w[start:stop] += step
     return KernelExpansion(spec, centers, coeffs)
 
 

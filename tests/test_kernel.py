@@ -75,6 +75,22 @@ class TestPointKernel:
         with pytest.raises(UnsupportedOrder):
             KernelSpec(input_dim=2, sobolev_order=4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("input_scale", 0.0),
+            ("input_scale", -1.0),
+            ("input_scale", np.inf),
+            ("input_scale", np.nan),
+            ("jitter", -1e-8),
+            ("jitter", np.inf),
+            ("jitter", np.nan),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            KernelSpec(input_dim=1, **{field: value})
+
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             point_kernel(-0.1, SPEC_1D)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sobnat.errors import SingularProbeSet
-from sobnat.kernel import EXACT_CONSTANT, KernelSpec, gram, point_kernel
-from sobnat.losses import SQUARED
+from sobnat import rkhs
+from sobnat.errors import DimensionMismatch, SingularProbeSet
+from sobnat.kernel import EXACT_CONSTANT, PROFILE_BLOCK, KernelSpec, gram, point_kernel
+from sobnat.losses import SOFTMAX_CE, SQUARED, loss_grad_z
 from sobnat.rkhs import (
     KernelExpansion,
     check_basis_orthonormality,
@@ -50,6 +51,11 @@ class TestEvaluate:
         assert batch.shape == (8, 2)
         for i in range(8):
             np.testing.assert_allclose(batch[i], evaluate(f, xs[i]), rtol=0, atol=1e-14)
+        # Both name a width mismatch rather than failing inside cdist.
+        with pytest.raises(DimensionMismatch, match="dimension 3, spec.input_dim is 2"):
+            evaluate(f, np.ones(3))
+        with pytest.raises(DimensionMismatch, match="dimension 1, spec.input_dim is 2"):
+            evaluate_batch(f, np.ones((3, 1)))
 
 
 class TestFunctionalGD:
@@ -101,6 +107,84 @@ class TestFunctionalGD:
         assert f.coeffs.shape == (12, 2)
         # The first step starts from f_0 = 0: coefficients -eta * (0 - y).
         np.testing.assert_array_equal(f.coeffs[:4], 0.1 * ys)
+
+    @pytest.mark.parametrize(
+        "n_xs, width, n_ys, steps, error, match",
+        [
+            (40, 1, 30, 100, DimensionMismatch, "40 points but 30 targets"),
+            (40, 1, 30, 10, DimensionMismatch, "40 points but 30 targets"),
+            (40, 1, 50, 10, DimensionMismatch, "40 points but 50 targets"),
+            (40, 2, 40, 10, DimensionMismatch, "dimension 2, spec.input_dim is 1"),
+            (0, 1, 0, 3, DimensionMismatch, "3 steps over an empty set"),
+            (40, 1, 40, -1, ValueError, "steps must be non-negative, got -1"),
+        ],
+    )
+    def test_malformed_input_rejected_before_any_step(self, n_xs, width, n_ys, steps, error, match):
+        xs, ys = np.zeros((n_xs, width)), np.zeros(n_ys)
+        with pytest.raises(error, match=match):
+            functional_gd(xs, ys, SQUARED, steps, 0.1, UNIT_1D)
+
+    @pytest.mark.parametrize("steps", [5, 13, 130])  # steps < n, = n and >> n
+    @pytest.mark.parametrize(
+        "loss, m, mode, lr",
+        [
+            (SQUARED, 1, "cyclic", 0.3),
+            (SQUARED, 2, "cyclic", lambda t: 0.5 / (1.0 + 0.1 * t)),
+            (SOFTMAX_CE, 3, "cyclic", 0.4),
+            (SQUARED, 1, "full_batch", lambda t: 0.05 / (1.0 + t)),
+            (SQUARED, 2, "full_batch", 0.02),
+            (SOFTMAX_CE, 3, "full_batch", 0.05),
+        ],
+    )
+    def test_each_step_is_the_recursion_on_the_expansion_so_far(self, loss, m, mode, lr, steps):
+        # c_t = -eta_t dL/dz(f_{t-1}(x_t), y_t), with f_{t-1} evaluated from
+        # its own centers rather than from the cached rows of the data points.
+        rng = np.random.default_rng(11)
+        n, spec = 13, KernelSpec(input_dim=2)
+        xs = rng.normal(size=(n, 2))
+        ys = rng.integers(0, m, size=n) if loss == SOFTMAX_CE else rng.normal(size=(n, m))
+        f = functional_gd(xs, ys, loss, steps, lr, spec, mode=mode)
+        eta = lr if callable(lr) else (lambda t: lr)
+        visits = 1 if mode == "cyclic" else n
+        for t in range(steps):
+            done, start = t * visits, (t * visits) % n
+            before = KernelExpansion(spec, f.centers[:done], f.coeffs[:done])
+            z = evaluate_batch(before, xs[start : start + visits])
+            want = -eta(t) * loss_grad_z(z, ys[start : start + visits], loss)
+            got = f.coeffs[done : done + visits]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @staticmethod
+    def _record_tables(monkeypatch):
+        shapes, kernel_matrix = [], rkhs.kernel_matrix
+
+        def recording(x, y, spec):
+            shapes.append((len(x), len(y)))
+            return kernel_matrix(x, y, spec)
+
+        monkeypatch.setattr(rkhs, "kernel_matrix", recording)
+        return shapes
+
+    def test_benchmark_inputs_take_one_table(self, monkeypatch):
+        # 40 points, 800 cyclic steps: one 40 x 40 table, not one row per step.
+        shapes = self._record_tables(monkeypatch)
+        xs = np.linspace(-2.0, 2.0, 40).reshape(-1, 1)
+        functional_gd(xs, np.sin(2.0 * xs), SQUARED, 800, 0.5, UNIT_1D)
+        assert shapes == [(40, 40)]
+
+    def test_no_table_exceeds_a_profile_block(self, monkeypatch):
+        shapes = self._record_tables(monkeypatch)
+        xs = np.linspace(-2.0, 2.0, 300).reshape(-1, 1)
+        functional_gd(xs, np.sin(2.0 * xs), SQUARED, 1000, 0.5, UNIT_1D)
+        assert shapes and max(rows * cols for rows, cols in shapes) <= PROFILE_BLOCK
+
+    def test_first_pass_takes_only_the_points_seen(self, monkeypatch):
+        # A step against every center so far takes sum_t t entries; all n
+        # columns on every step would take 50 * 5000.
+        shapes = self._record_tables(monkeypatch)
+        xs = np.linspace(-2.0, 2.0, 5000).reshape(-1, 1)
+        functional_gd(xs, np.sin(2.0 * xs), SQUARED, 50, 0.5, UNIT_1D)
+        assert sum(rows * cols for rows, cols in shapes) <= 2 * sum(range(50))
 
 
 class TestRkhsInner:
