@@ -177,7 +177,7 @@ class GramMatrix:
     values: np.ndarray
     jitter: float
     spec: KernelSpec
-    _factor: tuple = field(repr=False, default=None)
+    _factor: np.ndarray = field(repr=False, default=None)
 
     @property
     def size(self) -> int:
@@ -201,7 +201,7 @@ class GramMatrix:
         # SOLVE_BLOCK points that is one TRSM on the whole factor.  Each
         # column block of b^T is a contiguous slice solved in place; only the
         # factor's panels are copied for BLAS, about B^2/2 entries in all.
-        factor = self._factor[0]
+        factor = self._factor
         bt = np.reshape(b, (len(b), -1)).T
         if not (overwrite_b and bt.flags.f_contiguous and bt.dtype == np.float64):
             bt = np.array(bt, dtype=np.float64, order="F")
@@ -235,8 +235,9 @@ class GramMatrix:
 def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> GramMatrix:
     """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|).
 
-    Points must already be divided by spec.input_scale; a non-finite point
-    raises DegenerateGram before any factor is attempted.  The factor is of
+    Points are rows (a 1-D array is one point) already divided by
+    spec.input_scale; a non-finite point raises DegenerateGram before any
+    factor is attempted.  The factor is of
     values + jitter*d(0)*I, the shift :func:`sobnat.linalg.cholesky_factor`
     adds to its copy, so values keeps the pure kernel; on failure the jitter
     is escalated tenfold up to three times before DegenerateGram, naming the
@@ -245,9 +246,7 @@ def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> Gram
     attempt factors into its "gram" array, and the returned Gram's factor
     is valid until the next Gram factored there; without, into a fresh one.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
         raise DimensionMismatch("need at least one point")
     if pts.shape[1] != spec.input_dim:

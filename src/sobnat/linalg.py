@@ -53,8 +53,11 @@ class FactorBuffers:
         return array
 
 
-def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None):
+def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None) -> np.ndarray:
     """Lower-triangular Cholesky factor of the SPD matrix a + shift*I, no pivoting.
+
+    Returns one array whose lower triangle is L; its strict upper triangle
+    is not cleared.
 
     The factor is taken in place in one plain C-ordered copy of a, or in
     ``out`` (a C-ordered float64 array of a's shape that does not overlap
@@ -88,15 +91,15 @@ def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None):
     finite = np.isfinite(np.diagonal(c))
     if not finite.all():
         raise NotPositiveDefinite(f"non-finite pivot in row {int(np.argmin(finite))}")
-    return c, True
+    return c
 
 
-def solve_from_factor(factor, b: np.ndarray) -> np.ndarray:
+def solve_from_factor(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b from a's :func:`cholesky_factor`; x has the shape of b."""
     b = np.asarray(b, dtype=np.float64)
     # LAPACK potrs directly: the same call cho_solve makes, without its
     # per-call argument handling, which dominates at the sizes solved here.
-    x, info = scipy.linalg.lapack.dpotrs(factor[0], b.reshape(b.shape[0], -1), lower=1)
+    x, info = scipy.linalg.lapack.dpotrs(factor, b.reshape(b.shape[0], -1), lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x.reshape(b.shape)

@@ -79,14 +79,22 @@ def evaluate(f: KernelExpansion, x) -> np.ndarray:
 def evaluate_batch(f: KernelExpansion, xs) -> np.ndarray:
     """Evaluate the expansion at each row of xs; returns an (N, m) array.
 
-    Raises DimensionMismatch when the rows are not of width spec.input_dim.
+    The result is filled in row blocks whose kernel table against the
+    centers holds at most max(PROFILE_BLOCK, T) entries, so memory does not
+    grow as N * T.  Raises DimensionMismatch when the rows are not of width
+    spec.input_dim.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[1] != f.spec.input_dim:
         raise DimensionMismatch(
             f"points have dimension {xs.shape[1]}, spec.input_dim is {f.spec.input_dim}"
         )
-    return kernel_matrix(xs, f.centers, f.spec) @ f.coeffs
+    out = np.empty((len(xs), f.output_dim))
+    rows = max(1, PROFILE_BLOCK // max(len(f.centers), 1))
+    for start in range(0, len(xs), rows):
+        block = xs[start : start + rows]
+        out[start : start + rows] = kernel_matrix(block, f.centers, f.spec) @ f.coeffs
+    return out
 
 
 def functional_gd(
@@ -109,7 +117,8 @@ def functional_gd(
     touches all points at once).  ``lr`` is a float or a callable step -> eta.
     ``xs`` holds n points of width spec.input_dim and ``ys`` one target row
     (or class label) per point; malformed input raises DimensionMismatch, a
-    negative step count ValueError.
+    negative step count or a class label that is not a non-negative integer
+    ValueError.
 
     The centers are the visited data points, so with W[i] the sum of the
     coefficients appended so far at point i, f_{t-1}(x_t) = K[i_t] W for
@@ -126,6 +135,12 @@ def functional_gd(
             ys = ys.reshape(-1, 1)
         output_dim = ys.shape[1]
     else:  # class labels
+        bad = np.flatnonzero(~(np.isfinite(ys) & (ys >= 0) & (np.floor(ys) == ys)))
+        if bad.size:
+            row = np.unravel_index(bad[0], ys.shape)[0]
+            raise ValueError(
+                f"class label {ys.flat[bad[0]]:g} in row {row} is not a non-negative integer"
+            )
         output_dim = int(np.max(ys)) + 1 if ys.size else 1
     if mode not in ("cyclic", "full_batch"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -197,6 +197,12 @@ class TestGram:
         with pytest.raises(DimensionMismatch):
             gram(np.ones((3, 2)), SPEC_1D)
 
+    def test_one_dimensional_array_is_one_point(self):
+        # As in rkhs.evaluate_batch and network.forward, a 1-D array is one
+        # point, here of width 5, not five points of width 1.
+        with pytest.raises(DimensionMismatch, match="dimension 5, spec.input_dim is 1"):
+            gram(np.linspace(0.0, 1.0, 5), SPEC_1D)
+
     def test_scaled(self):
         rng = np.random.default_rng(1)
         g = gram(rng.normal(size=(4, 1)), SPEC_1D)
@@ -277,7 +283,7 @@ class TestBlockedSolve:
         # whiten is one TRSM per SOLVE_BLOCK-point block of the factor, and
         # solve is K_j^-1 from the same factor; neither writes to b.
         g = self.batch_gram(batch)
-        lower = g._factor[0]
+        lower = g._factor
         b = np.random.default_rng(batch + columns).normal(size=(batch, columns))
         before = b.copy()
         trsm, calls = scipy.linalg.blas.dtrsm, []
@@ -306,7 +312,7 @@ class TestBlockedSolve:
     def test_one_block_is_one_trsm(self, batch):
         g = self.batch_gram(batch, seed=2)
         b = np.random.default_rng(3).normal(size=(batch, 11))
-        direct = scipy.linalg.blas.dtrsm(1.0, g._factor[0], b.T, side=1, lower=1, trans_a=1).T
+        direct = scipy.linalg.blas.dtrsm(1.0, g._factor, b.T, side=1, lower=1, trans_a=1).T
         assert np.array_equal(g.whiten(b), direct)
 
     def test_in_place_over_a_fortran_b_solves_in_a_copy(self):

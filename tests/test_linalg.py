@@ -107,8 +107,7 @@ class TestCholeskyFactor:
             shifted[np.diag_indices(n)] += s
             expected, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=0)
             assert info == 0
-            got, lower = cholesky_factor(a, s)
-            assert lower
+            got = cholesky_factor(a, s)
             np.testing.assert_array_equal(np.tril(got), np.tril(expected))
             np.testing.assert_array_equal(a, before)
 
@@ -122,7 +121,7 @@ class TestCholeskyFactor:
         with pytest.raises(NotPositiveDefinite, match=f"row {info - 1} "):
             cholesky_factor(a, 0.5)
         # A shift large enough makes the same matrix positive definite.
-        assert np.all(np.diagonal(cholesky_factor(a, 1e3)[0]) > 0)
+        assert np.all(np.diagonal(cholesky_factor(a, 1e3)) > 0)
 
     def test_factors_in_one_copy(self):
         a = self.gram_of(np.random.default_rng(1), 500)
@@ -133,7 +132,7 @@ class TestCholeskyFactor:
         finally:
             tracemalloc.stop()
         # One 500 x 500 array plus small bookkeeping; no second, transposed copy.
-        assert factor[0].nbytes <= peak <= a.nbytes + 65536
+        assert factor.nbytes <= peak <= a.nbytes + 65536
 
 
     @pytest.mark.parametrize("n", [1, 17, 500])
@@ -144,9 +143,9 @@ class TestCholeskyFactor:
         before = a.copy()
         buf = np.full((n, n), np.nan)
         for s in (0.0, 0.03):
-            got, lower = cholesky_factor(a, s, out=buf)
-            assert lower and np.shares_memory(got, buf)
-            np.testing.assert_array_equal(got, cholesky_factor(a, s)[0])
+            got = cholesky_factor(a, s, out=buf)
+            assert np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got, cholesky_factor(a, s))
             np.testing.assert_array_equal(a, before)
 
     def test_out_of_another_shape_or_layout_is_refused(self):

@@ -57,6 +57,26 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch, match="dimension 1, spec.input_dim is 2"):
             evaluate_batch(f, np.ones((3, 1)))
 
+    @pytest.mark.parametrize("n_centers", [3, 700, PROFILE_BLOCK + 5])
+    def test_batch_tables_are_row_blocks_of_bounded_size(self, monkeypatch, n_centers):
+        # Each kernel table holds at most max(PROFILE_BLOCK, T) entries, the
+        # blocks cover every row once, and the values match one whole table.
+        rng = np.random.default_rng(n_centers)
+        f = KernelExpansion(UNIT_1D, rng.normal(size=(n_centers, 1)), rng.normal(size=(n_centers, 2)))
+        xs = rng.normal(size=(100, 1))
+        whole = rkhs.kernel_matrix(xs, f.centers, f.spec) @ f.coeffs
+        shapes, table = [], rkhs.kernel_matrix
+
+        def recording(x, y, spec):
+            shapes.append((len(x), len(y)))
+            return table(x, y, spec)
+
+        monkeypatch.setattr(rkhs, "kernel_matrix", recording)
+        got = evaluate_batch(f, xs)
+        assert sum(rows for rows, _ in shapes) == len(xs)
+        assert all(rows * t <= max(PROFILE_BLOCK, n_centers) for rows, t in shapes)
+        assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
+
 
 class TestFunctionalGD:
     def test_zero_steps(self):
@@ -109,20 +129,28 @@ class TestFunctionalGD:
         np.testing.assert_array_equal(f.coeffs[:4], 0.1 * ys)
 
     @pytest.mark.parametrize(
-        "n_xs, width, n_ys, steps, error, match",
+        "n_xs, width, n_ys, steps, label, error, match",
         [
-            (40, 1, 30, 100, DimensionMismatch, "40 points but 30 targets"),
-            (40, 1, 30, 10, DimensionMismatch, "40 points but 30 targets"),
-            (40, 1, 50, 10, DimensionMismatch, "40 points but 50 targets"),
-            (40, 2, 40, 10, DimensionMismatch, "dimension 2, spec.input_dim is 1"),
-            (0, 1, 0, 3, DimensionMismatch, "3 steps over an empty set"),
-            (40, 1, 40, -1, ValueError, "steps must be non-negative, got -1"),
+            (40, 1, 30, 100, None, DimensionMismatch, "40 points but 30 targets"),
+            (40, 1, 30, 10, None, DimensionMismatch, "40 points but 30 targets"),
+            (40, 1, 50, 10, None, DimensionMismatch, "40 points but 50 targets"),
+            (40, 2, 40, 10, None, DimensionMismatch, "dimension 2, spec.input_dim is 1"),
+            (0, 1, 0, 3, None, DimensionMismatch, "3 steps over an empty set"),
+            (40, 1, 40, -1, None, ValueError, "steps must be non-negative, got -1"),
+            # A softmax-CE label must be a class index: -1 would pick the
+            # last class and 1.5 be truncated to 1.
+            (3, 1, 3, 6, -1.0, ValueError, "label -1 in row 1 is not a non-negative integer"),
+            (3, 1, 3, 6, 1.5, ValueError, "label 1.5 in row 1 is not a non-negative integer"),
+            (3, 1, 3, 6, np.nan, ValueError, "label nan in row 1 is not a non-negative integer"),
         ],
     )
-    def test_malformed_input_rejected_before_any_step(self, n_xs, width, n_ys, steps, error, match):
+    def test_malformed_input_rejected_before_any_step(self, n_xs, width, n_ys, steps, label, error, match):
         xs, ys = np.zeros((n_xs, width)), np.zeros(n_ys)
+        loss = SQUARED
+        if label is not None:
+            ys[1], loss = label, SOFTMAX_CE
         with pytest.raises(error, match=match):
-            functional_gd(xs, ys, SQUARED, steps, 0.1, UNIT_1D)
+            functional_gd(xs, ys, loss, steps, 0.1, UNIT_1D)
 
     @pytest.mark.parametrize("steps", [5, 13, 130])  # steps < n, = n and >> n
     @pytest.mark.parametrize(
