@@ -168,9 +168,10 @@ def _load_dataset(args, parser) -> data.Dataset:
         path = name[4:]
         if not path:
             parser.error("--dataset: csv requires a path, e.g. --dataset csv:/path/file.csv")
-        if not Path(path).exists():
-            parser.error(f"--dataset: file not found: {path}")
-        ds = data.load_csv(path, schema=args.csv_schema, skip_header=args.skip_header)
+        try:
+            ds = data.load_csv(path, schema=args.csv_schema, skip_header=args.skip_header)
+        except OSError as exc:  # missing, a directory, no permission
+            parser.error(f"--dataset: cannot read {path}: {exc.strerror or exc}")
     else:
         parser.error(f"--dataset: unknown dataset {name!r} (use two-moons or csv:PATH)")
     ds = data.train_test_split(ds, args.test_fraction, args.seed)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InconsistentWidth, ParseError
+from .errors import InconsistentWidth, ParseError, SobnatError
 
 __all__ = [
     "Dataset",
@@ -106,70 +108,119 @@ def normalize(ds: Dataset) -> Dataset:
     )
 
 
-def _parse_row(fields, line_no: int):
-    row = []
-    for col, text in enumerate(fields):
-        text = text.strip()
-        try:
-            row.append(float(text))
-        except ValueError:
-            raise ParseError(line_no, col + 1, f"cannot parse {text!r} as a number") from None
-    return row
-
-
 def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: bool = False) -> Dataset:
-    """Load a numeric CSV ('.'-decimal, LF or CRLF, optional single header).
+    """Load a numeric CSV, skipping its first line when skip_header is set.
 
+    Grammar: UTF-8 text with an optional byte-order mark; LF, CRLF or CR
+    line ends; blank lines are skipped.  Every other line holds the same
+    number (at least two) of comma-separated fields, each an ASCII
+    '.'-decimal float with optional whitespace around it: no quotes, no
+    digit separators such as '1_000', no non-ASCII digits.
     schema "label_first": first column is a class label, an integer in
     [0, 2^63), the rest are features.  schema "targets_last": the last
     target_dim columns are float targets, and at least one column must be
-    left for the features (else ValueError).  Malformed rows, nan/inf
-    fields and out-of-range labels are rejected with their line and column.
+    left for the features (else ValueError).  Malformed rows, undecodable
+    bytes, nan/inf fields and out-of-range labels are rejected with their
+    line and column.
     """
     if schema not in (LABEL_FIRST, TARGETS_LAST):
         raise ValueError(f"unknown schema {schema!r}")
-    rows, line_nos = [], []
-    width = None
-    with open(path, "r", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if skip_header and line_no == 1:
-                continue
-            stripped = raw.rstrip("\r\n")
-            if stripped == "":
-                continue
-            fields = stripped.split(",")
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise ParseError(line_no, 1, "need at least two columns")
-            elif len(fields) != width:
-                raise InconsistentWidth(line_no, width, len(fields))
-            rows.append(_parse_row(fields, line_no))
-            line_nos.append(line_no)
-    if not rows:
-        raise ParseError(0, 0, "no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        row, col = bad[0]
-        raise ParseError(line_nos[row], int(col) + 1, f"non-finite value {float(arr[row, col])!r}")
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
+            # A file without data rows is named by _located_fault, not warned of.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                             skiprows=1 if skip_header else 0)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise _located_fault(path, schema, skip_header, str(exc)) from None
+    if arr.shape[1] < 2:
+        raise _located_fault(path, schema, skip_header, "fewer than two columns")
+    fault = _value_fault(arr, schema)
+    if fault is not None:
+        raise _located_fault(path, schema, skip_header, fault[2])
     if schema == LABEL_FIRST:
-        labels = arr[:, 0]
-        # Negative labels, and labels past int64 that cast to negative ones,
-        # would index classes from the end.
-        bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= 2.0**63))
-        if bad.size:
-            row = bad[0]
-            raise ParseError(
-                line_nos[row], 1, f"label {float(labels[row])!r} is not a non-negative int64"
-            )
-        return Dataset(features=arr[:, 1:], targets=labels.astype(np.int64))
+        return Dataset(features=arr[:, 1:], targets=arr[:, 0].astype(np.int64))
     width = arr.shape[1]
     if not 1 <= target_dim < width:
         raise ValueError(
             f"target_dim={target_dim} must be in [1, {width - 1}] for a {width}-column file"
         )
     return Dataset(features=arr[:, :-target_dim], targets=arr[:, -target_dim:])
+
+
+def _value_fault(arr: np.ndarray, schema: str):
+    """(row, column, message) of the first non-finite value or, failing that,
+    of the first label that is not a non-negative int64; None if neither."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        return row, int(col) + 1, f"non-finite value {float(arr[row, col])!r}"
+    if schema == LABEL_FIRST:
+        labels = arr[:, 0]
+        # Negative labels, and labels past int64 that cast to negative ones,
+        # would index classes from the end.
+        bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= 2.0**63))
+        if bad.size:
+            return bad[0], 1, f"label {float(labels[bad[0]])!r} is not a non-negative int64"
+    return None
+
+
+# Bytes that are not UTF-8 decode to these under errors="surrogateescape".
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _located_fault(path, schema: str, skip_header: bool, reason: str) -> SobnatError:
+    """The error for a file that load_csv rejected for reason: its first
+    fault in file order, a ParseError or InconsistentWidth with the line and
+    column, or a ParseError carrying reason should the scan find none.
+
+    The scan runs row by row in Python, so load_csv calls it only once it
+    has rejected the file.
+    """
+    rows, line_nos = [], []
+    width = None
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            bad = _UNDECODABLE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return ParseError(line_no, line.count(",", 0, bad.start()) + 1,
+                                  f"byte {byte:#04x} is not UTF-8")
+            if (skip_header and line_no == 1) or line == "":
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+                if width < 2:
+                    return ParseError(line_no, 1, "need at least two columns")
+            elif len(fields) != width:
+                return InconsistentWidth(line_no, width, len(fields))
+            row = [_number(text) for text in fields]
+            if None in row:
+                col = row.index(None)
+                return ParseError(line_no, col + 1, f"cannot parse {fields[col].strip()!r} as a number")
+            rows.append(row)
+            line_nos.append(line_no)
+    if not rows:
+        return ParseError(0, 0, "no data rows")
+    fault = _value_fault(np.asarray(rows), schema)
+    if fault is not None:
+        row, col, message = fault
+        return ParseError(line_nos[row], col, message)
+    return ParseError(0, 0, f"rejected, with no fault found row by row: {reason}")
+
+
+def _number(text: str):
+    """The float an ASCII '.'-decimal field reads as, else None.  float()
+    alone also reads '1_000' and non-ASCII digits, which loadtxt rejects."""
+    text = text.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return None
 
 
 def write_csv(ds: Dataset, path, schema: str = LABEL_FIRST) -> None:

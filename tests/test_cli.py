@@ -68,6 +68,19 @@ class TestTrain:
         assert result.returncode == 2
         assert "--dataset" in result.stderr
 
+    def test_directory_as_csv_exits_2(self, tmp_path):
+        result = run_cli("train", "--dataset", f"csv:{tmp_path}")
+        assert result.returncode == 2
+        assert "--dataset" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_undecodable_csv_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"0,1.0,2.0\n\xff,2.0,3.0\n")
+        result = run_cli("train", "--dataset", f"csv:{path}")
+        assert result.returncode == 1
+        assert result.stderr == "error: ParseError: line 2, column 1: byte 0xff is not UTF-8\n"
+
     def test_unknown_variant_exits_2(self):
         result = run_cli("train", "--variant", "bogus")
         assert result.returncode == 2
