@@ -45,7 +45,7 @@ OPTIM_KEYS = (
 def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list:
     """The flags that the --config file's lines name, in file order.  Each key
     must be a train dest spelled in full, so argparse never prefix-matches one."""
-    keys = set(vars(args)) - {"command", "func", "config"}
+    keys = set(vars(args)) - {"command", "func", "parser", "config"}
     try:
         lines = Path(args.config).read_text().splitlines()
     except (OSError, ValueError) as exc:
@@ -76,12 +76,13 @@ def _config_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     """Parse argv; for train, a --config file's flags go right after the
-    subcommand, so defaults < file < flags by argparse's last-wins rule."""
+    subcommand, so defaults < file < flags by argparse's last-wins rule.
+    args.parser is the subcommand's own parser, which reports its errors."""
     args = parser.parse_args(argv)
     if args.command != "train" or not args.config:
         return args
     at = argv.index("train") + 1
-    return parser.parse_args(argv[:at] + _config_flags(args, parser) + argv[at:])
+    return parser.parse_args(argv[:at] + _config_flags(args, args.parser) + argv[at:])
 
 
 def _integer_from(low: int):
@@ -276,17 +277,15 @@ def cmd_riemann(args, parser) -> int:
         g = np.diag(gen.uniform(0.5, 3.0, size=args.dim)) if i % 2 else None
         problem = riemann.RiemannProblem.quadratic(h, g)
         x0 = gen.normal(size=args.dim) * 2.0
-        x = x0
-        for _ in range(args.steps):
-            nxt = riemann.grad_step(problem, x)
-            if not problem.f(x) - problem.f(nxt) >= riemann.prog(problem, x) - verify.DECREASE_SLACK:
-                violations += 1
-            x = nxt
-        if verify.mirror_grad_gap(problem, x0) != 0.0:
-            violations += 1
         try:
-            riemann.verify_rate(problem, x0, args.steps)
+            xs = riemann.verify_rate(problem, x0, args.steps).iterates
         except riemann.RateViolation:
+            violations += 1
+            xs = riemann.descend(problem, x0, args.steps)
+        values, progs = problem.f(xs), riemann.prog(problem, xs[:-1])
+        # not (decrease >= ...), so that a NaN decrease is a violation
+        violations += np.count_nonzero(~(values[:-1] - values[1:] >= progs - verify.DECREASE_SLACK))
+        if verify.mirror_grad_gap(problem, x0) != 0.0:
             violations += 1
     if violations:
         print(f"riemann demo: {violations} violations over {args.instances} instances")
@@ -327,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--skip-header", action="store_true")
     p_train.add_argument("--no-walltime", dest="record_walltime", action="store_false",
                          help="write wall_ms as 0 for byte-reproducible logs")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, parser=p_train)
 
     p_verify = sub.add_parser("verify", help="run the oracle/property suites")
     p_verify.add_argument("--suite", action="append", default=None,
                           help="restrict to a suite (repeatable); default all")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     p_flat = sub.add_parser("flatness", help="epsilon-flatness of a toy loss")
     p_flat.add_argument("--loss", default="quadratic")
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flat.add_argument("--resolution", type=_integer_from(1), default=801)
     p_flat.add_argument("--half-width", dest="half_width", type=_positive_float, default=0.5)
     p_flat.add_argument("--reparam", type=_reparam, default=None, help="scale:C or tanh:A")
-    p_flat.set_defaults(func=cmd_flatness)
+    p_flat.set_defaults(func=cmd_flatness, parser=p_flat)
 
     p_fgd = sub.add_parser("funcgd", help="functional GD demo, writes predicted-vs-true CSV")
     p_fgd.add_argument("--count", type=_integer_from(1), default=40)
@@ -348,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fgd.add_argument("--lr", type=_positive_float, default=0.5)
     p_fgd.add_argument("--input-scale", dest="input_scale", type=_positive_float, default=1.0)
     p_fgd.add_argument("--out", default="runs/funcgd.csv")
-    p_fgd.set_defaults(func=cmd_funcgd)
+    p_fgd.set_defaults(func=cmd_funcgd, parser=p_fgd)
 
     p_rm = sub.add_parser("riemann", help="primal/mirror descent guarantee demo")
     p_rm.add_argument("--instances", type=_integer_from(1), default=20)
     p_rm.add_argument("--steps", type=_integer_from(1), default=100)
     p_rm.add_argument("--dim", type=_integer_from(1), default=3)
     p_rm.add_argument("--seed", type=_integer_from(0), default=0)
-    p_rm.set_defaults(func=cmd_riemann)
+    p_rm.set_defaults(func=cmd_riemann, parser=p_rm)
     return parser
 
 
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except SobnatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ with per-step decrease f(x_k) - f(x_{k+1}) >= Prog(x_k) and the convex rate
 f(x_T) <= 2 L C R^2 / T, R the g-radius of the initial sublevel set.  Mirror
 descent with the generator 0.5 |.|^2_g and step alpha is the same map with
 1/alpha in place of 1/CL.
+
+A descent runs once, as the stack of its iterates x_0..x_T (:func:`descend`);
+f, Prog and the rate bound are then taken over the whole stack in a few
+array operations, and :func:`grad_step` stays the only step.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "grad_step",
     "prog",
     "mirror_step",
+    "descend",
     "verify_rate",
     "RateReport",
     "check_compatibility",
@@ -50,8 +55,11 @@ class RiemannProblem:
     def dim(self) -> int:
         return len(self.hessian)
 
-    def f(self, x) -> float:
-        return 0.5 * float(x @ self.hessian @ x)
+    def f(self, x):
+        """f at one point (a float), or at each row of a stack (an array)."""
+        x = np.asarray(x, dtype=np.float64)
+        value = 0.5 * np.einsum("...i,ij,...j->...", x, self.hessian, x)
+        return value if x.ndim == 2 else float(value)
 
     def grad(self, x) -> np.ndarray:
         return self.hessian @ x
@@ -85,12 +93,15 @@ def grad_step(problem: RiemannProblem, x) -> np.ndarray:
     return x - (1.0 / cl) * _natural_grad(problem, x)
 
 
-def prog(problem: RiemannProblem, x) -> float:
-    """Guaranteed per-step decrease (1/2CL) |grad^g f|^2_g."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+def prog(problem: RiemannProblem, x):
+    """Guaranteed per-step decrease (1/2CL) |grad^g f|^2_g at one point (a
+    float), or at each row of a stack (an array, from one solve)."""
+    x = np.asarray(x, dtype=np.float64)
     cl = problem.compat_C * problem.lipschitz_L
-    g = problem.grad(x)
-    return float(g @ _natural_grad(problem, x)) / (2.0 * cl)
+    grads = problem.grad(x.reshape(-1, problem.dim).T)  # one column per point
+    nat = linalg.solve_from_factor(problem.metric_factor, grads)
+    value = np.einsum("ik,ik->k", grads, nat) / (2.0 * cl)
+    return value if x.ndim == 2 else float(value[0])
 
 
 def mirror_step(problem: RiemannProblem, x, alpha: float) -> np.ndarray:
@@ -105,46 +116,52 @@ def mirror_step(problem: RiemannProblem, x, alpha: float) -> np.ndarray:
     return x - (1.0 / alpha) * _natural_grad(problem, x)
 
 
+def descend(problem: RiemannProblem, x0, steps: int) -> np.ndarray:
+    """The (steps+1, d) iterates x_0..x_T of the primal descent from x0,
+    each row the grad_step of the row before."""
+    xs = np.empty((steps + 1, problem.dim))
+    xs[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
+    for k in range(steps):
+        xs[k + 1] = grad_step(problem, xs[k])
+    return xs
+
+
 @dataclass
 class RateReport:
     steps: int
-    gaps: np.ndarray
-    bounds: np.ndarray
+    gaps: np.ndarray  # f(x_T) - f* for T = 1..steps
+    bounds: np.ndarray  # 2 L C R^2 / T
     radius: float
+    iterates: np.ndarray  # x_0..x_T, one row each
 
 
-def _sublevel_radius(problem: RiemannProblem, x0: np.ndarray) -> float:
-    """g-radius of the sublevel set {f <= f(x0)} around the minimizer 0.
+def _sublevel_radius(problem: RiemannProblem, f0: float) -> float:
+    """g-radius of the sublevel set {f <= f0} around the minimizer 0.
 
-    The set is the ellipsoid x^T H x <= 2 f(x0), on which x^T g x peaks at
-    2 f(x0) times the largest eigenvalue of g u = lam H u.
+    The set is the ellipsoid x^T H x <= 2 f0, on which x^T g x peaks at
+    2 f0 times the largest eigenvalue of g u = lam H u.
     """
-    v = problem.f(x0)
-    if v <= 0:
+    if f0 <= 0:
         return 0.0
     lam = scipy.linalg.eigh(problem.metric, problem.hessian, eigvals_only=True)
-    return float(np.sqrt(2.0 * v * np.max(lam)))
+    return float(np.sqrt(2.0 * f0 * np.max(lam)))
 
 
 def verify_rate(problem: RiemannProblem, x0, steps: int) -> RateReport:
-    """Run Grad steps and assert f(x_T) - f* <= 2 L C R^2 / T for every prefix.
+    """Descend from x0 and assert f(x_T) - f* <= 2 L C R^2 / T for every prefix.
 
     Raises RateViolation at the first offending step.
     """
-    x = np.asarray(x0, dtype=np.float64).reshape(-1)
-    radius = _sublevel_radius(problem, x)
-    coeff = 2.0 * problem.lipschitz_L * problem.compat_C * radius**2
-    slack = 1e-12 * max(1.0, abs(problem.f(x)))
-    gaps, bounds = [], []
-    for k in range(1, steps + 1):
-        x = grad_step(problem, x)
-        gap = problem.f(x)
-        bound = coeff / k
-        gaps.append(gap)
-        bounds.append(bound)
-        if gap > bound + slack:
-            raise RateViolation(k, gap, bound)
-    return RateReport(steps=steps, gaps=np.asarray(gaps), bounds=np.asarray(bounds), radius=radius)
+    iterates = descend(problem, x0, steps)
+    values = problem.f(iterates)
+    f0, gaps = float(values[0]), values[1:]
+    radius = _sublevel_radius(problem, f0)
+    bounds = 2.0 * problem.lipschitz_L * problem.compat_C * radius**2 / np.arange(1, steps + 1)
+    over = np.flatnonzero(gaps > bounds + 1e-12 * max(1.0, abs(f0)))
+    if over.size:
+        k = over[0]
+        raise RateViolation(int(k) + 1, float(gaps[k]), float(bounds[k]))
+    return RateReport(steps=steps, gaps=gaps, bounds=bounds, radius=radius, iterates=iterates)
 
 
 def check_compatibility(problem: RiemannProblem, rng, n_pairs: int = 200, span: float = 2.0):

@@ -1,18 +1,67 @@
-"""The benchmark's tracer hooks resolve against the package and undo cleanly.
+"""The benchmark's calls into the package resolve, and its tracer hooks
+resolve and undo cleanly.
 
 bench/tracer.py wraps the functions it names in TRACED, by module, wherever
-the package binds them.  A rename in the package breaks the benchmark's
-per-layer run; this test names the broken hook instead.
+the package binds them, and the benchmark's operations call the package by
+``module.attr``.  A rename in the package breaks the benchmark; these tests
+name the broken call or hook instead.
 """
 
+import ast
+import dataclasses
 import importlib
 import sys
 import types
 from pathlib import Path
 
-from sobnat import verify
+from sobnat import riemann, verify
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
+CALLERS = ("toolkit.py", "checks.py", "training.py", "workloads.py")
+
+
+def sobnat_references(path: Path) -> set:
+    """Every dotted name ``module.attr[.attr...]`` in path's source whose root
+    is a module the file imports from sobnat."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules = {
+        alias.asname or alias.name: f"sobnat.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "sobnat"
+        for alias in node.names
+    }
+    refs = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            refs.add((modules[node.id], tuple(chain)))
+    return refs
+
+
+def unresolved(module_name: str, chain: tuple) -> str | None:
+    """The first prefix of module_name.chain that does not resolve, or None."""
+    obj = importlib.import_module(module_name)
+    for at, attr in enumerate(chain):
+        if not hasattr(obj, attr):
+            return ".".join((module_name,) + chain[: at + 1])
+        obj = getattr(obj, attr)
+    return None
+
+
+def test_every_bench_call_into_sobnat_resolves():
+    refs = {ref for name in CALLERS for ref in sobnat_references(BENCH_DIR / name)}
+    assert ("sobnat.riemann", ("verify_rate",)) in refs
+    broken = sorted(filter(None, (unresolved(module, chain) for module, chain in refs)))
+    assert not broken, f"the benchmark calls names sobnat lacks: {broken}"
+
+
+def test_rate_report_has_the_fields_the_bench_reads():
+    fields = {f.name for f in dataclasses.fields(riemann.RateReport)}
+    assert {"gaps", "radius"} <= fields
 
 
 def load_tracer() -> types.ModuleType:

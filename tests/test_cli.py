@@ -4,9 +4,11 @@ import sys
 from unittest.mock import Mock
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sobnat import cli, verify
 from sobnat.kernel import KernelSpec
+from sobnat.riemann import RiemannProblem, grad_step, prog
 
 STEP_HEADER = ["step", "epoch", "lr", "train_loss", "wall_ms"]
 EPOCH_HEADER = ["epoch", "train_acc", "test_acc"]
@@ -248,6 +250,18 @@ def test_bad_subcommand_value_exits_2_naming_its_flag(capsys, args, flag):
     assert f"argument {flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, command", [
+    (["train", "--dataset", "csv:{tmp}"], "train"),
+    (["flatness", "--loss", "bogus"], "flatness"),
+    (["verify", "--suite", "nope"], "verify"),
+])
+def test_command_error_prints_its_own_usage(tmp_path, capsys, args, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in args])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: sobnat {command} [-h]")
+
+
 class TestVerify:
     def test_all_suites_pass(self):
         result = run_cli("verify")
@@ -337,11 +351,59 @@ def test_package_runs_as_module():
     assert "train" in result.stdout
 
 
+def reference_violations(instances, steps, seed, dim=3):
+    """The demo's violations, counted step by step: a decrease short of Prog
+    (NaN included), a mirror/grad gap, and a broken rate bound per instance.
+    Returns (count, number of NaN decreases)."""
+    gen = np.random.default_rng(seed)
+    count = nans = 0
+    for i in range(instances):
+        m = gen.normal(size=(dim, dim))
+        g = np.diag(gen.uniform(0.5, 3.0, size=dim)) if i % 2 else None
+        problem = RiemannProblem.quadratic(m @ m.T + 0.5 * np.eye(dim), g)
+        x0 = gen.normal(size=dim) * 2.0
+        f = lambda x: 0.5 * float(x @ problem.hessian @ x)
+        lam = np.max(scipy.linalg.eigh(problem.metric, problem.hessian, eigvals_only=True))
+        coeff = 2.0 * problem.lipschitz_L * problem.compat_C * 2.0 * f(x0) * lam
+        x, rate_broken = x0, False
+        for k in range(1, steps + 1):
+            nxt = grad_step(problem, x)
+            decrease = f(x) - f(nxt)
+            nans += bool(np.isnan(decrease))
+            count += not decrease >= prog(problem, x) - verify.DECREASE_SLACK
+            rate_broken |= f(nxt) > coeff / k + 1e-12 * max(1.0, f(x0))
+            x = nxt
+        count += rate_broken
+        count += verify.mirror_grad_gap(problem, x0) != 0.0
+    return count, nans
+
+
 class TestRiemannCmd:
     def test_demo_passes(self):
         result = run_cli("riemann", "--instances", "5", "--steps", "50")
         assert result.returncode == 0, result.stdout
         assert "held on all" in result.stdout
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shrink, steps, diverges", [(0.4, 30, False), (1e-3, 150, True)])
+    def test_shrunk_lipschitz_constant_fails_with_the_reference_count(
+        self, monkeypatch, capsys, shrink, steps, diverges
+    ):
+        # An L below the certified one breaks decrease >= Prog and the rate.
+        # At 1e-3 the iterates overflow, and their NaN decreases count too.
+        quadratic = RiemannProblem.quadratic.__func__
+
+        def shrunk(cls, h, g=None):
+            problem = quadratic(cls, h, g)
+            problem.lipschitz_L *= shrink
+            return problem
+
+        monkeypatch.setattr(RiemannProblem, "quadratic", classmethod(shrunk))
+        expected, nans = reference_violations(4, steps, seed=5)
+        assert (nans > 0) == diverges and expected > 0
+        assert cli.main(["riemann", "--instances", "4", "--steps", str(steps), "--seed", "5"]) == 1
+        out = capsys.readouterr().out
+        assert out == f"riemann demo: {expected} violations over 4 instances\n"
 
 
 class TestThreadCap:

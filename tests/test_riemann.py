@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from sobnat.errors import RateViolation
@@ -7,6 +8,7 @@ from sobnat.riemann import (
     RiemannProblem,
     bregman_quadratic,
     check_compatibility,
+    descend,
     grad_step,
     mirror_step,
     prog,
@@ -135,6 +137,51 @@ class TestMirrorStep:
             mirror_step(problem, np.ones(2), 0.0)
 
 
+def reference_rate_violation(problem, x0, steps):
+    """Step by step, from first principles: the first (T, gap, bound) with
+    f(x_T) above 2 L C R^2 / T, or None."""
+    f = lambda x: 0.5 * float(x @ problem.hessian @ x)
+    f0 = f(x0)
+    lam = scipy.linalg.eigh(problem.metric, problem.hessian, eigvals_only=True)
+    coeff = 2.0 * problem.lipschitz_L * problem.compat_C * 2.0 * f0 * float(np.max(lam))
+    x = x0
+    for k in range(1, steps + 1):
+        x = grad_step(problem, x)
+        if f(x) > coeff / k + 1e-12 * max(1.0, f0):
+            return k, f(x), coeff / k
+    return None
+
+
+class TestDescend:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    def test_rows_are_repeated_grad_steps(self, dim, with_metric):
+        rng = np.random.default_rng(10 + dim)
+        problem = random_quadratic(rng, dim=dim, with_metric=with_metric)
+        x = rng.normal(size=dim) * 2.0
+        xs = descend(problem, x, 40)
+        assert xs.shape == (41, dim)
+        assert np.array_equal(xs[0], x)
+        for row in xs[1:]:
+            x = grad_step(problem, x)
+            assert np.array_equal(row, x)
+
+    def test_f_and_prog_over_a_stack_match_each_point(self):
+        rng = np.random.default_rng(11)
+        problem = random_quadratic(rng, with_metric=True)
+        xs = descend(problem, rng.normal(size=3), 20)
+        np.testing.assert_allclose(problem.f(xs), [problem.f(x) for x in xs], rtol=1e-13)
+        np.testing.assert_allclose(prog(problem, xs), [prog(problem, x) for x in xs], rtol=1e-13)
+        assert isinstance(problem.f(xs[0]), float) and isinstance(prog(problem, xs[0]), float)
+
+    def test_report_carries_the_iterates(self):
+        rng = np.random.default_rng(12)
+        problem = random_quadratic(rng, with_metric=True)
+        x0 = rng.normal(size=3)
+        report = verify_rate(problem, x0, 30)
+        assert np.array_equal(report.iterates, descend(problem, x0, 30))
+
+
 class TestVerifyRate:
     def test_euclidean_quadratics_from_random_starts(self):
         rng = np.random.default_rng(4)
@@ -163,6 +210,24 @@ class TestVerifyRate:
         problem.lipschitz_L = 0.05 * problem.lipschitz_L
         with pytest.raises(RateViolation):
             verify_rate(problem, np.array([3.0, 2.0]), 200)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    def test_violation_at_the_reference_step(self, dim, with_metric):
+        # The first offending prefix, its gap and its bound are those of a
+        # step-by-step loop.
+        rng = np.random.default_rng(20 + dim)
+        problem = random_quadratic(rng, dim=dim, with_metric=with_metric)
+        problem.lipschitz_L = 0.4 * problem.lipschitz_L  # first violations at T = 1..7
+        x0 = rng.normal(size=dim) * 3.0
+        expected = reference_rate_violation(problem, x0, 200)
+        assert expected is not None
+        with pytest.raises(RateViolation) as exc:
+            verify_rate(problem, x0, 200)
+        step, gap, bound = expected
+        assert exc.value.step == step
+        assert exc.value.gap == pytest.approx(gap, rel=1e-12)
+        assert exc.value.bound == pytest.approx(bound, rel=1e-12)
 
 
 class TestCompatibility:
