@@ -209,7 +209,7 @@ def cmd_verify(args, parser) -> int:
     try:
         results, ok = verify.run_suites(names)
     except KeyError as exc:
-        parser.error(str(exc))
+        parser.error(exc.args[0])  # str(exc) would quote the message
     for suite, check, passed, detail in results:
         print(f"[{'PASS' if passed else 'FAIL'}] {suite}:{check} ({detail})")
     if not ok:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
-import scipy.optimize
 
 from .errors import EmptyRegion, UnboundedRegion
 
@@ -74,6 +72,16 @@ class FlatnessResult:
     samples_in_region: int
 
 
+def _float_array(a, ndim: int) -> np.ndarray:
+    """a as a float64 vector (ndim 1, flattened) or matrix (ndim 2, via
+    atleast_2d).  A float64 ndarray of that rank is returned as it is: these
+    conversions run once per grid point, and most values need none."""
+    if type(a) is np.ndarray and a.ndim == ndim and a.dtype == np.float64:
+        return a
+    a = np.asarray(a, dtype=np.float64)
+    return a.reshape(-1) if ndim == 1 else np.atleast_2d(a)
+
+
 def _sqrt_dets(query: FlatnessQuery, points: np.ndarray) -> np.ndarray:
     """Volume-form density sqrt(det g(w)) at each row w of points."""
     if query.metric is None or len(points) == 0:
@@ -83,7 +91,7 @@ def _sqrt_dets(query: FlatnessQuery, points: np.ndarray) -> np.ndarray:
     dets = np.empty(len(points))
     for start in range(0, len(points), DET_CHUNK):
         chunk = points[start : start + DET_CHUNK]
-        mats = [np.atleast_2d(np.asarray(query.metric(w), dtype=np.float64)) for w in chunk]
+        mats = [_float_array(query.metric(w), 2) for w in chunk]
         dets[start : start + len(chunk)] = np.linalg.det(np.stack(mats))
     negative = dets < -1e-12
     if negative.any():
@@ -98,6 +106,8 @@ def _half_widths(query: FlatnessQuery) -> np.ndarray:
 
 
 def _grid_flatness(query: FlatnessQuery) -> FlatnessResult:
+    from scipy.ndimage import binary_erosion, label
+
     dim = query.minimum.shape[0]
     res = query.sampler.resolution
     hw = _half_widths(query)
@@ -117,7 +127,7 @@ def _grid_flatness(query: FlatnessQuery) -> FlatnessResult:
 
     # The face-connected band components that reach the 3^dim cells around w0's cell.
     w0_cell = [int(np.clip((query.minimum[d] - lo[d]) // cell[d], 0, res - 1)) for d in range(dim)]
-    labels, _ = scipy.ndimage.label(band)
+    labels, _ = label(band)
     seeds = np.unique(labels[tuple(slice(max(c - 1, 0), c + 2) for c in w0_cell)])
     component = np.isin(labels, seeds[seeds > 0])
 
@@ -129,7 +139,7 @@ def _grid_flatness(query: FlatnessQuery) -> FlatnessResult:
     if np.any(idxs == 0) or np.any(idxs == res - 1):
         raise UnboundedRegion("flatness region touches the bounding box; reduce epsilon")
 
-    surface = component & ~scipy.ndimage.binary_erosion(component, border_value=0)
+    surface = component & ~binary_erosion(component, border_value=0)
     points = np.stack([axes[d][idxs[:, d]] for d in range(dim)], axis=1)
     masses = (_sqrt_dets(query, points) * cell_vol).tolist()
     volume = sum(masses, 0.0)
@@ -199,6 +209,7 @@ class Reparam:
     @classmethod
     def tanh_warp(cls, amplitude: float = 0.3, rate: float = 1.0) -> "Reparam":
         """One-dimensional warp w = u + amplitude * tanh(rate * u)."""
+        from scipy.optimize import brentq
 
         def fwd(u):
             u = np.asarray(u, float).reshape(-1)
@@ -211,7 +222,7 @@ class Reparam:
         def inv(w):
             w0 = float(np.asarray(w, float).reshape(-1)[0])
             lo, hi = w0 - abs(amplitude) - 1.0, w0 + abs(amplitude) + 1.0
-            root = scipy.optimize.brentq(lambda u: u + amplitude * np.tanh(rate * u) - w0, lo, hi)
+            root = brentq(lambda u: u + amplitude * np.tanh(rate * u) - w0, lo, hi)
             return np.array([root])
 
         return cls(fwd, jac, inv)
@@ -236,17 +247,15 @@ def invariance_check(query: FlatnessQuery, reparam: Reparam, base_volume: float 
     u_halfwidth = np.maximum(np.abs(u_hi - u0), np.abs(u_lo - u0))
 
     def warped_loss(u):
-        return query.loss(np.asarray(reparam.forward(u), dtype=np.float64).reshape(-1))
+        return query.loss(_float_array(reparam.forward(u), 1))
 
     warped_metric = None
     if query.metric is not None:
 
         def warped_metric(u):
-            u = np.asarray(u, dtype=np.float64).reshape(-1)
-            dj = np.atleast_2d(np.asarray(reparam.jacobian(u), dtype=np.float64))
-            g = np.atleast_2d(
-                np.asarray(query.metric(np.asarray(reparam.forward(u), float).reshape(-1)), float)
-            )
+            u = _float_array(u, 1)
+            dj = _float_array(reparam.jacobian(u), 2)
+            g = _float_array(query.metric(_float_array(reparam.forward(u), 1)), 2)
             return dj.T @ g @ dj
 
     if isinstance(query.sampler, GridSampler):

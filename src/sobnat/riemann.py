@@ -15,7 +15,11 @@ descent with the generator 0.5 |.|^2_g and step alpha is the same map with
 
 A descent runs once, as the stack of its iterates x_0..x_T (:func:`descend`);
 f, Prog and the rate bound are then taken over the whole stack in a few
-array operations, and :func:`grad_step` stays the only step.
+array operations.  :func:`grad_step`, :func:`mirror_step` and
+:func:`descend` share one private step, a solve with the metric's Cholesky
+factor (no step matrix or inverse is formed); a descent handles its
+arguments once, not on every row, and each of its rows is the grad_step of
+the row before, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,15 +86,20 @@ class RiemannProblem:
         )
 
 
-def _natural_grad(problem: RiemannProblem, x: np.ndarray) -> np.ndarray:
-    return linalg.solve_from_factor(problem.metric_factor, problem.grad(x))
+def _step(problem: RiemannProblem, x: np.ndarray, rate: float) -> np.ndarray:
+    """x - rate g^-1 grad f(x) for a float64 vector x, with no argument
+    handling: LAPACK potrs on the metric factor, as solve_from_factor calls
+    it, since this step runs once per row of a descent."""
+    nat, info = scipy.linalg.lapack.dpotrs(problem.metric_factor, problem.hessian @ x, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x - rate * nat
 
 
 def grad_step(problem: RiemannProblem, x) -> np.ndarray:
     """One primal step x - (1/CL) g^-1 grad f."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    cl = problem.compat_C * problem.lipschitz_L
-    return x - (1.0 / cl) * _natural_grad(problem, x)
+    return _step(problem, x, 1.0 / (problem.compat_C * problem.lipschitz_L))
 
 
 def prog(problem: RiemannProblem, x):
@@ -113,16 +122,18 @@ def mirror_step(problem: RiemannProblem, x, alpha: float) -> np.ndarray:
     if not alpha > 0:
         raise ValueError("step parameter alpha must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return x - (1.0 / alpha) * _natural_grad(problem, x)
+    return _step(problem, x, 1.0 / alpha)
 
 
 def descend(problem: RiemannProblem, x0, steps: int) -> np.ndarray:
     """The (steps+1, d) iterates x_0..x_T of the primal descent from x0,
-    each row the grad_step of the row before."""
+    each row the grad_step of the row before, bit for bit; the arguments
+    are handled once, not per row."""
     xs = np.empty((steps + 1, problem.dim))
-    xs[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
+    x = xs[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
+    rate = 1.0 / (problem.compat_C * problem.lipschitz_L)
     for k in range(steps):
-        xs[k + 1] = grad_step(problem, xs[k])
+        x = xs[k + 1] = _step(problem, x, rate)
     return xs
 
 

@@ -196,6 +196,9 @@ def rkhs_inner(f: KernelExpansion, g: KernelExpansion) -> float:
 def _basis_matrix(basis, probes) -> np.ndarray:
     """Stack basis values at probes into M[(probe, comp), i] = b_i(p)."""
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
+    if callable(basis):  # a feature map: row i of basis(p) holds b_i(p)
+        rows = [np.asarray(basis(p), dtype=np.float64) for p in probes]
+        return np.vstack([r.reshape(len(r), -1).T for r in rows])
     columns = []
     for b in basis:
         vals = np.asarray([np.atleast_1d(np.asarray(b(p), dtype=np.float64)) for p in probes])
@@ -212,6 +215,9 @@ def check_basis_orthonormality(basis, probes, rcond: float = 1e-10) -> np.ndarra
     the probe set; the probes only need to expose linear independence.
 
     Raises SingularProbeSet when they do not.
+
+    basis is a sequence of functions b_i, or one feature map x -> array
+    whose row i holds b_i(x), which evaluates every b_i at a probe at once.
     """
     m = _basis_matrix(basis, probes)  # (mP, D)
     dim = m.shape[1]

@@ -46,7 +46,8 @@ def report_suite(num, suite):
 
 
 def test_criterion_01_kernel_oracle():
-    """Closed-form kernel vs adaptive-quadrature Fourier inversion."""
+    """Closed-form kernel vs its Fourier inversion by QUADPACK's
+    Fourier-weight quadrature (QAWF) on [0, inf)."""
     report_suite(1, "kernel")
 
 

@@ -295,6 +295,9 @@ class TestVerify:
     def test_suite_filter_unknown(self):
         result = run_cli("verify", "--suite", "nope")
         assert result.returncode == 2
+        assert result.stderr.splitlines()[-1] == (
+            f"sobnat verify: error: unknown suite 'nope'; choose from {sorted(verify.SUITES)}"
+        )
 
     def test_selected_suites(self):
         result = run_cli("verify", "--suite", "exactness", "--suite", "riemann")
@@ -349,6 +352,15 @@ def test_package_runs_as_module():
     )
     assert result.returncode == 0, result.stderr
     assert "train" in result.stdout
+
+
+def test_cli_import_defers_scipy_modules_of_single_commands():
+    # ndimage and optimize serve flatness only, integrate the kernel oracle only.
+    deferred = ("scipy.integrate", "scipy.ndimage", "scipy.optimize")
+    code = f"import sys, sobnat.cli; print([m for m in {deferred} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def reference_violations(instances, steps, seed, dim=3):

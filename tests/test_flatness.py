@@ -200,3 +200,110 @@ class TestInvarianceCheck:
         for w in (-0.4, 0.0, 0.7):
             u = warp.inverse(np.array([w]))
             np.testing.assert_allclose(warp.forward(u), [w], atol=1e-10)
+
+
+def converting_sqrt_dets(query, points):
+    """_sqrt_dets with every metric value passed through asarray and atleast_2d."""
+    if query.metric is None or len(points) == 0:
+        return np.ones(len(points))
+    dets = np.empty(len(points))
+    for start in range(0, len(points), flatness.DET_CHUNK):
+        chunk = points[start : start + flatness.DET_CHUNK]
+        mats = [np.atleast_2d(np.asarray(query.metric(w), dtype=np.float64)) for w in chunk]
+        dets[start : start + len(chunk)] = np.linalg.det(np.stack(mats))
+    return np.sqrt(np.maximum(dets, 0.0))
+
+
+def converting_warped_query(query, reparam):
+    """invariance_check's warped query, with closures that convert every value."""
+    w0 = query.minimum
+    u0 = np.asarray(reparam.inverse(w0), dtype=np.float64).reshape(-1)
+    hw = flatness._half_widths(query)
+    u_hi = np.asarray(reparam.inverse(w0 + hw), dtype=np.float64).reshape(-1)
+    u_lo = np.asarray(reparam.inverse(w0 - hw), dtype=np.float64).reshape(-1)
+    u_halfwidth = np.maximum(np.abs(u_hi - u0), np.abs(u_lo - u0))
+
+    def warped_loss(u):
+        return query.loss(np.asarray(reparam.forward(u), dtype=np.float64).reshape(-1))
+
+    def warped_metric(u):
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
+        dj = np.atleast_2d(np.asarray(reparam.jacobian(u), dtype=np.float64))
+        g = np.atleast_2d(
+            np.asarray(query.metric(np.asarray(reparam.forward(u), float).reshape(-1)), float)
+        )
+        return dj.T @ g @ dj
+
+    if isinstance(query.sampler, GridSampler):
+        sampler = GridSampler(query.sampler.resolution, u_halfwidth)
+    else:
+        sampler = MonteCarloSampler(query.sampler.count, query.sampler.seed, u_halfwidth)
+    return FlatnessQuery(warped_loss, u0, query.epsilon, warped_metric, query.metric_source, sampler)
+
+
+def mc_query_2d():
+    return FlatnessQuery(
+        loss=lambda w: float(w @ np.array([[1.0, 0.3], [0.3, 2.0]]) @ w),
+        minimum=np.zeros(2),
+        epsilon=0.04,
+        metric=lambda w: np.array([[1.0 + w[0] ** 2, 0.2 * w[1]], [0.2 * w[1], 2.0]]),
+        metric_source="rkhs_projected",
+        sampler=MonteCarloSampler(count=4000, seed=3, half_width=0.4),
+    )
+
+
+# The tanh case's metric returns nested lists, which still need converting.
+INVARIANCE_CASES = {
+    "scaling": (lambda: quadratic_query(metric=lambda w: np.array([[1.0 + w[0] ** 2]])),
+                lambda: Reparam.scaling(2.0, 1)),
+    "tanh_warp": (lambda: quadratic_query(metric=lambda w: [[1.0 + float(w[0]) ** 2]]),
+                  lambda: Reparam.tanh_warp(0.3, 1.0)),
+    "monte_carlo": (mc_query_2d, lambda: Reparam.scaling(2.0, 2)),
+}
+
+
+def record_flatness(monkeypatch):
+    """The results of every epsilon_flatness call from here on, in order."""
+    results, volume = [], flatness.epsilon_flatness
+
+    def recording(q):
+        results.append(volume(q))
+        return results[-1]
+
+    monkeypatch.setattr(flatness, "epsilon_flatness", recording)
+    return results
+
+
+class TestInvarianceVolumes:
+    @pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+    def test_volumes_are_those_of_converting_closures(self, monkeypatch, case):
+        make_query, make_reparam = INVARIANCE_CASES[case]
+        query, reparam = make_query(), make_reparam()
+        monkeypatch.setattr(flatness, "_sqrt_dets", converting_sqrt_dets)
+        expected = [
+            epsilon_flatness(query).volume,
+            epsilon_flatness(converting_warped_query(query, reparam)).volume,
+        ]
+        monkeypatch.undo()
+        results = record_flatness(monkeypatch)
+        disc = invariance_check(query, reparam)
+        assert [r.volume for r in results] == expected
+        assert disc == abs(expected[0] - expected[1]) / abs(expected[0])
+
+    @pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+    def test_metric_is_called_once_per_region_point(self, monkeypatch, case):
+        make_query, make_reparam = INVARIANCE_CASES[case]
+        query = make_query()
+        metric, calls = query.metric, []
+
+        def counting(w):
+            calls.append(w)
+            return metric(w)
+
+        query.metric = counting
+        base = epsilon_flatness(query)
+        assert len(calls) == base.samples_in_region
+        results = record_flatness(monkeypatch)
+        del calls[:]
+        invariance_check(query, make_reparam(), base.volume)
+        assert len(results) == 1 and len(calls) == results[0].samples_in_region

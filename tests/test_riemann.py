@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from sobnat import linalg
 from sobnat.errors import RateViolation
 from sobnat.riemann import (
     RiemannProblem,
@@ -162,7 +163,11 @@ class TestDescend:
         xs = descend(problem, x, 40)
         assert xs.shape == (41, dim)
         assert np.array_equal(xs[0], x)
+        rate = 1.0 / (problem.compat_C * problem.lipschitz_L)
         for row in xs[1:]:
+            # The step as solve_from_factor takes it, with all its argument handling.
+            nat = linalg.solve_from_factor(problem.metric_factor, problem.hessian @ x)
+            assert np.array_equal(row, x - rate * nat)
             x = grad_step(problem, x)
             assert np.array_equal(row, x)
 
