@@ -17,7 +17,6 @@ __all__ = [
     "train_test_split",
     "normalize",
     "load_csv",
-    "write_csv",
 ]
 
 LABEL_FIRST = "label_first"
@@ -222,16 +221,3 @@ def _number(text: str):
             pass
     return None
 
-
-def write_csv(ds: Dataset, path, schema: str = LABEL_FIRST) -> None:
-    """Inverse of load_csv for the same schema."""
-    with open(path, "w", newline="\n") as fh:
-        for i in range(ds.features.shape[0]):
-            feats = [repr(float(v)) for v in ds.features[i]]
-            if schema == LABEL_FIRST:
-                fh.write(",".join([str(int(ds.targets[i]))] + feats) + "\n")
-            elif schema == TARGETS_LAST:
-                tgt = np.atleast_1d(ds.targets[i])
-                fh.write(",".join(feats + [repr(float(v)) for v in tgt]) + "\n")
-            else:
-                raise ValueError(f"unknown schema {schema!r}")

@@ -196,11 +196,6 @@ class Reparam:
     inverse: callable
 
     @classmethod
-    def identity(cls, dim: int) -> "Reparam":
-        eye = np.eye(dim)
-        return cls(lambda u: np.asarray(u, float), lambda u: eye, lambda w: np.asarray(w, float))
-
-    @classmethod
     def scaling(cls, c: float, dim: int) -> "Reparam":
         """w = c * u, the w -> c w coordinate stretch."""
         eye = c * np.eye(dim)

@@ -16,9 +16,8 @@ learning rate absorbs, and unit scaling keeps Gram matrices well conditioned.
 (n-1)! / (pi^((n+1)/2) * 2^(n+4)) for odd n >= 3, and the even-n product
 formula otherwise.
 
-Every kernel table -- the batch Gram here and the representer evaluations,
-inner products and functional-GD rows of the data points in
-:mod:`sobnat.rkhs` -- comes
+Every kernel table -- the batch Gram here and the representer evaluations
+and functional-GD rows of the data points in :mod:`sobnat.rkhs` -- comes
 from :func:`kernel_matrix`, ``point_kernel`` of one ``cdist`` distance
 table; no other code takes a pairwise distance for a kernel.  The profile
 is evaluated in place on that table, in row blocks of at most

@@ -95,7 +95,6 @@ __all__ = [
     "estimate_metric",
     "natural_gradient",
     "damped_natural_gradient",
-    "project_empirical_gradient",
     "ntk_surrogate_gradient",
     "exact_pullback_quadrature",
 ]
@@ -208,32 +207,12 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, gr
     return (grad - tangents.matvec(z - e + z_refined)) / damping
 
 
-def project_empirical_gradient(
-    j: np.ndarray,
-    gram: GramMatrix,
-    residual_grads: np.ndarray,
-    damping: float = 0.0,
-) -> np.ndarray:
-    """Tangent coefficients of the projected empirical-loss gradient.
-
-    residual_grads holds the per-sample loss gradients dL/dz as a (B, m)
-    array.  The coefficients solve (g + damping I) c = J r with the same
-    metric estimate as :func:`estimate_metric`; they equal the natural
-    gradient of the pulled-back sum loss.
-    """
-    r = np.atleast_2d(np.asarray(residual_grads, dtype=np.float64))
-    tangents = Tangents.of_matrix(j, r.shape[1])
-    if r.shape[0] != tangents.batch:
-        raise DimensionMismatch(f"{r.shape[0]} residual rows for batch of {tangents.batch}")
-    return damped_natural_gradient(tangents, gram, damping, tangents.matvec(r.T))
-
-
 def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> np.ndarray:
     """Tangent coefficients of the metric-free surrogate, J r.
 
-    Unlike the projection this applies no inverse metric; it agrees with
-    :func:`project_empirical_gradient` exactly when the tangent Gram is the
-    identity and disagrees otherwise (the surrogate is not a projection).
+    Unlike the projection, :func:`damped_natural_gradient` of J r, this
+    applies no inverse metric; the two agree exactly when the metric estimate
+    is the identity and disagree otherwise (the surrogate is not a projection).
     With residual_grads the (B, m) per-sample dL/dz, J r is the gradient of
     the batch sum of the loss, which the dense train steps precondition.
     """

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kfac, linalg, losses, metric, network, rng
 from .data import Dataset
-from .errors import Diverged, SobnatError, StepFailed
+from .errors import DimensionMismatch, Diverged, SobnatError, StepFailed
 from .kernel import GramMatrix, KernelSpec, gram
 
 __all__ = [
@@ -217,12 +217,23 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
     Weight init draws from the "init" stream and batch order from the
     "shuffle" stream of the run seed, so identical seeds and configs give
     bitwise-identical trajectories across variants sharing an init.
-    Raises Diverged at the first step whose batch loss, or else whose
-    update, is not finite, and StepFailed, naming the step (and the
-    dataset row of a non-finite feature in its batch) and chained from the
-    original, for any other SobnatError a step raises.
+    Under the softmax loss every class label must be an integer in
+    [0, net output width); before any step, DimensionMismatch names the
+    first dataset row whose label is not.  Raises Diverged at the first
+    step whose batch loss, or else whose update, is not finite, and
+    StepFailed, naming the step (and the dataset row of a non-finite
+    feature in its batch) and chained from the original, for any other
+    SobnatError a step raises.
     """
     net = make_net(net_dims, activation, rng.stream(config.seed, "init"))
+    if config.loss == losses.SOFTMAX_CE:
+        labels = np.asarray(dataset.targets, dtype=np.float64)
+        bad = np.flatnonzero(~((labels >= 0) & (labels < net.output_dim) & (np.floor(labels) == labels)))
+        if bad.size:
+            raise DimensionMismatch(
+                f"class label {labels[bad[0]]:g} in dataset row {bad[0]} is not an integer "
+                f"in [0, {net.output_dim}), the net's output width"
+            )
     state = TrainState.create(net, config)
     log = ExperimentLog(config=dict(vars(config)), seed=config.seed)
 

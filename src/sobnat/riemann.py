@@ -40,8 +40,6 @@ __all__ = [
     "descend",
     "verify_rate",
     "RateReport",
-    "check_compatibility",
-    "bregman_quadratic",
 ]
 
 
@@ -174,35 +172,3 @@ def verify_rate(problem: RiemannProblem, x0, steps: int) -> RateReport:
         raise RateViolation(int(k) + 1, float(gaps[k]), float(bounds[k]))
     return RateReport(steps=steps, gaps=gaps, bounds=bounds, radius=radius, iterates=iterates)
 
-
-def check_compatibility(problem: RiemannProblem, rng, n_pairs: int = 200, span: float = 2.0):
-    """Sampled verification of the E-compatibility and Lipschitz constants.
-
-    Pairs are drawn from the cube of half-width span around the minimizer.
-    Returns (max_compat_ratio, max_lipschitz_ratio); both must be <= 1 for
-    the certified constants to be valid on the sampled pairs.
-    """
-    max_compat, max_lip = 0.0, 0.0
-    for _ in range(n_pairs):
-        x = rng.uniform(-span, span, size=problem.dim)
-        y = rng.uniform(-span, span, size=problem.dim)
-        d = x - y
-        norm_e = np.linalg.norm(d)
-        if norm_e < 1e-12:
-            continue
-        norm_g = np.sqrt(d @ problem.metric @ d)
-        max_compat = max(max_compat, norm_e / (np.sqrt(problem.compat_C) * norm_g))
-        grad_diff = np.linalg.norm(problem.grad(x) - problem.grad(y))
-        max_lip = max(max_lip, grad_diff / (problem.lipschitz_L * norm_e))
-    return max_compat, max_lip
-
-
-def bregman_quadratic(g_a: np.ndarray, x, y) -> float:
-    """Bregman divergence of w(z) = 0.5 |z|^2_{g(a)} evaluated from the
-    definition w(y) - <grad w(x), y - x> - w(x); equals 0.5 |x - y|^2_{g(a)}."""
-    g_a = np.atleast_2d(np.asarray(g_a, dtype=np.float64))
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    w = lambda z: 0.5 * float(z @ g_a @ z)
-    grad_w = g_a @ x
-    return w(y) - float(grad_w @ (y - x)) - w(x)

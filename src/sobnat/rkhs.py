@@ -1,5 +1,5 @@
-"""RKHS function arithmetic: kernel expansions, functional gradient descent,
-inner products, projected kernels, and the basis-orthonormality check.
+"""RKHS function arithmetic: kernel expansions and their batch evaluation,
+functional gradient descent, and the basis-orthonormality check.
 
 Functions are stored in representer form only -- a list of centers x_t with
 one coefficient vector per center, evaluating to
@@ -22,18 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, losses
+from . import losses
 from .errors import DimensionMismatch, SingularProbeSet
 from .kernel import PROFILE_BLOCK, KernelSpec, kernel_matrix
 
 __all__ = [
     "KernelExpansion",
-    "evaluate",
     "evaluate_batch",
     "functional_gd",
-    "rkhs_inner",
     "check_basis_orthonormality",
-    "projection_kernel",
 ]
 
 
@@ -63,17 +60,6 @@ class KernelExpansion:
     def output_dim(self) -> int:
         return self.coeffs.shape[1]
 
-    @classmethod
-    def zero(cls, spec: KernelSpec, output_dim: int) -> "KernelExpansion":
-        return cls(spec, np.zeros((0, spec.input_dim)), np.zeros((0, output_dim)))
-
-    def __call__(self, x) -> np.ndarray:
-        return evaluate(self, x)
-
-
-def evaluate(f: KernelExpansion, x) -> np.ndarray:
-    """Evaluate the expansion at a single point; returns an m-vector."""
-    return evaluate_batch(f, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
 def evaluate_batch(f: KernelExpansion, xs) -> np.ndarray:
@@ -181,18 +167,6 @@ def functional_gd(
     return KernelExpansion(spec, centers, coeffs)
 
 
-def rkhs_inner(f: KernelExpansion, g: KernelExpansion) -> float:
-    """RKHS inner product, summed over output components.
-
-    <f, g> = sum_{a,b} d(|x_a - x'_b|) (c_a . c'_b) by the reproducing
-    property applied to both expansions.
-    """
-    if f.output_dim != g.output_dim:
-        raise DimensionMismatch("expansions have different output dimensions")
-    k = kernel_matrix(f.centers, g.centers, f.spec)
-    return float(np.sum(k * (f.coeffs @ g.coeffs.T)))
-
-
 def _basis_matrix(basis, probes) -> np.ndarray:
     """Stack basis values at probes into M[(probe, comp), i] = b_i(p)."""
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
@@ -233,27 +207,3 @@ def check_basis_orthonormality(basis, probes, rcond: float = 1e-10) -> np.ndarra
     w = (u.T @ m) / sing[:, None]
     return w.T @ w
 
-
-def projection_kernel(jac_x: np.ndarray, jac_xp: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Projected reproducing kernel K_f(x, x') of the tangent space.
-
-    jac_x, jac_xp hold the tangent basis values at the two points as (P, m)
-    arrays (row i = dphi/dtheta_i evaluated there); metric is the SPD metric
-    G~ in the same inner product.  Returns the (m, m) matrix
-
-        K_f(x, x')_{cd} = (G~^-1)^{ij} dphi^c/dtheta_i(x) dphi^d/dtheta_j(x'),
-
-    solving with G~'s Cholesky factor rather than forming its inverse.
-    Raises NotPositiveDefinite when the metric is not SPD.
-    """
-    jac_x = np.atleast_2d(np.asarray(jac_x, dtype=np.float64))
-    jac_xp = np.atleast_2d(np.asarray(jac_xp, dtype=np.float64))
-    g = np.atleast_2d(np.asarray(metric, dtype=np.float64))
-    p = g.shape[0]
-    if g.shape[0] != g.shape[1]:
-        raise DimensionMismatch("metric must be square")
-    if jac_x.shape[0] != p or jac_xp.shape[0] != p:
-        raise DimensionMismatch(
-            f"tangent values have {jac_x.shape[0]}/{jac_xp.shape[0]} rows, metric is {p}x{p}"
-        )
-    return jac_x.T @ linalg.solve_from_factor(linalg.cholesky_factor(g), jac_xp)

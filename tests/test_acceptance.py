@@ -27,8 +27,8 @@ from sobnat.data import gen_two_moons, normalize, train_test_split
 from sobnat.flatness import Reparam, epsilon_flatness, invariance_check
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
-from sobnat.metric import estimate_metric, natural_gradient, project_empirical_gradient
-from sobnat.network import MlpNetwork, backward_loss, forward, param_jacobian
+from sobnat.metric import damped_natural_gradient, estimate_metric, natural_gradient
+from sobnat.network import MlpNetwork, Tangents, backward_loss, forward, param_jacobian
 from sobnat.optimizers import OptimConfig, train
 from sobnat.riemann import RiemannProblem, verify_rate
 from sobnat.rkhs import check_basis_orthonormality
@@ -92,7 +92,8 @@ def test_criterion_04_two_path_agreement():
         resid = loss_grad_z(cache.outputs, y, SQUARED)
         g = gram(x / 20.0, KernelSpec(input_dim=2, jitter=0.0))
         j = param_jacobian(net, x)
-        path1 = project_empirical_gradient(j, g, resid, damping=1e-3)
+        tangents = Tangents.of_matrix(j, 1)
+        path1 = damped_natural_gradient(tangents, g, 1e-3, tangents.matvec(resid.T))
         grads = backward_loss(net, cache, y, SQUARED, reduction="sum")
         est = estimate_metric(j, 1, g, damping=1e-3)
         path2 = natural_gradient(est, np.concatenate([v.reshape(-1) for v in grads]))

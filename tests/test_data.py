@@ -11,9 +11,20 @@ from sobnat.data import (
     load_csv,
     normalize,
     train_test_split,
-    write_csv,
 )
 from sobnat.errors import InconsistentWidth, ParseError
+
+
+def write_csv(ds, path, schema):
+    """Write ds in the layout load_csv reads back under schema, each float as
+    its repr so the round trip is exact."""
+    with open(path, "w", newline="\n") as fh:
+        for features, target in zip(ds.features, ds.targets):
+            feats = [repr(float(v)) for v in features]
+            if schema == "label_first":
+                fh.write(",".join([str(int(target))] + feats) + "\n")
+            else:
+                fh.write(",".join(feats + [repr(float(v)) for v in np.atleast_1d(target)]) + "\n")
 
 
 class TestTwoMoons:

@@ -112,6 +112,24 @@ class TestEpsilonFlatness:
         with pytest.raises(ValueError):
             epsilon_flatness(query)
 
+    @pytest.mark.parametrize("sampler", [
+        GridSampler(resolution=101, half_width=0.5),
+        MonteCarloSampler(count=1000, seed=0, half_width=0.5),
+    ])
+    def test_deeper_well_in_the_box_is_rejected(self, sampler):
+        # 0 is a local minimum, but the well at 0.4 dips to about -1.84: a
+        # declared minimum that is not the lowest point in its box is named.
+        query = FlatnessQuery(
+            loss=lambda w: float(w[0] ** 2 - 2.0 * np.exp(-(((w[0] - 0.4) / 0.05) ** 2))),
+            minimum=np.zeros(1),
+            epsilon=0.04,
+            metric=UNIT_METRIC,
+            metric_source="rkhs_projected",
+            sampler=sampler,
+        )
+        with pytest.raises(ValueError, match="a sampled point is lower than the declared minimum"):
+            epsilon_flatness(query)
+
     def test_metric_determinant_must_be_nonnegative(self):
         query = quadratic_query(metric=lambda w: -np.eye(1))
         with pytest.raises(ValueError):
@@ -157,7 +175,8 @@ class TestEpsilonFlatness:
 
 class TestInvarianceCheck:
     def test_identity_reparam_zero_discrepancy(self):
-        disc = invariance_check(quadratic_query(), Reparam.identity(1))
+        same = lambda u: np.asarray(u, float)
+        disc = invariance_check(quadratic_query(), Reparam(same, lambda u: np.eye(1), same))
         assert disc <= 1e-12
 
     def test_scaling_preserves_pullback_flatness(self):

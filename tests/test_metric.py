@@ -14,7 +14,6 @@ from sobnat.metric import (
     exact_pullback_quadrature,
     natural_gradient,
     ntk_surrogate_gradient,
-    project_empirical_gradient,
 )
 from sobnat.network import LayerSpec, MlpNetwork, Tangents, backward_loss, forward, param_jacobian
 
@@ -218,12 +217,16 @@ class TestDampedNaturalGradient:
 
 
 class TestProjectEmpiricalGradient:
+    """The projected empirical-loss gradient: the damped natural gradient of
+    J r for the (B, m) residuals r."""
+
     def test_zero_residuals(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(4, 1))
         g = jitterless_gram(pts, 1)
         j = rng.normal(size=(3, 4))
-        out = project_empirical_gradient(j, g, np.zeros((4, 1)))
+        tangents = Tangents.of_matrix(j, 1)
+        out = damped_natural_gradient(tangents, g, 0.0, tangents.matvec(np.zeros((1, 4))))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_single_parameter_linear_model(self):
@@ -235,7 +238,8 @@ class TestProjectEmpiricalGradient:
         j = xs.reshape(1, -1)
         resid = (theta * xs - ys).reshape(-1, 1)
         gtilde = float(xs @ np.linalg.solve(g.values, xs))
-        got = project_empirical_gradient(j, g, resid)
+        tangents = Tangents.of_matrix(j, 1)
+        got = damped_natural_gradient(tangents, g, 0.0, tangents.matvec(resid.T))
         expected = float(xs @ resid[:, 0]) / gtilde
         np.testing.assert_allclose(got, [expected], atol=1e-12)
 
@@ -251,7 +255,8 @@ class TestProjectEmpiricalGradient:
             resid = loss_grad_z(cache.outputs, y, SQUARED)
             g = jitterless_gram(x / 20.0, 2)
             j = param_jacobian(net, x)
-            path1 = project_empirical_gradient(j, g, resid, damping=1e-3)
+            tangents = Tangents.of_matrix(j, 1)
+            path1 = damped_natural_gradient(tangents, g, 1e-3, tangents.matvec(resid.T))
             grads = backward_loss(net, cache, y, SQUARED, reduction="sum")
             grad_vec = np.concatenate([v.reshape(-1) for v in grads])
             est = estimate_metric(j, 1, g, damping=1e-3)
@@ -268,7 +273,8 @@ class TestProjectEmpiricalGradient:
         resid = rng.normal(size=(8, 2))
         g = jitterless_gram(x / 5.0, 1)
         j = param_jacobian(net, x)
-        got = project_empirical_gradient(j, g, resid)
+        tangents = Tangents.of_matrix(j, 2)
+        got = damped_natural_gradient(tangents, g, 0.0, tangents.matvec(resid.T))
 
         chol = np.linalg.cholesky(g.values)
         j3 = j.reshape(net.num_params, 8, 2)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from sobnat import kfac, linalg, optimizers
 from sobnat import rng as rngmod
 from sobnat.data import Dataset, gen_two_moons, normalize, train_test_split
-from sobnat.errors import DegenerateGram, Diverged, NotPositiveDefinite, StepFailed
+from sobnat.errors import DegenerateGram, DimensionMismatch, Diverged, NotPositiveDefinite, StepFailed
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SOFTMAX_CE, SQUARED, loss_grad_z
 from sobnat.metric import damped_natural_gradient, estimate_metric
@@ -518,6 +519,32 @@ class TestTrain:
                          train_idx=np.arange(5, 205))
         with pytest.raises(StepFailed, match=r"dataset row 42\)$"):
             train(cfg, padded, [2, 4, 2])
+
+    @pytest.mark.parametrize("variant", ["sgd", "sobolev_dense"])
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_class_label_outside_the_outputs_is_named_before_any_step(self, monkeypatch, variant, label):
+        # 2 indexed past a 2-wide softmax at step 0; -1 trained toward the
+        # last class.  Both are named by their first dataset row, and no
+        # step runs.
+        x, y = TWO_MOONS.train()
+        labels = y[:80].copy()
+        labels[[23, 61]] = label
+        padded = Dataset(np.vstack([np.zeros((5, 2)), x[:80]]), np.concatenate([y[:5], labels]),
+                         train_idx=np.arange(5, 85))
+        steps = []
+        monkeypatch.setattr(optimizers, "train_step", lambda *a: steps.append(a))
+        cfg = OptimConfig(variant=variant, epochs=1, batch_size=8, seed=4, record_walltime=False)
+        with pytest.raises(DimensionMismatch, match=rf"^class label {label} in dataset row 28 "):
+            train(cfg, padded, [2, 8, 2])
+        assert steps == []
+
+    @pytest.mark.parametrize("variant", ["sgd", "sobolev_dense"])
+    def test_integral_float_labels_train_as_their_integers(self, variant):
+        cfg = OptimConfig(variant=variant, epochs=1, batch_size=50, seed=4, record_walltime=False)
+        log_int, _ = train(cfg, TWO_MOONS, [2, 8, 2])
+        as_floats = replace(TWO_MOONS, targets=TWO_MOONS.targets.astype(np.float64))
+        log_float, _ = train(cfg, as_floats, [2, 8, 2])
+        assert log_int.steps == log_float.steps and log_int.epochs == log_float.epochs
 
     def test_log_step_fields(self):
         cfg = OptimConfig(variant="sgd", epochs=1, batch_size=100, seed=2,

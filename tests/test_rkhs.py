@@ -3,16 +3,13 @@ import pytest
 
 from sobnat import rkhs
 from sobnat.errors import DimensionMismatch, SingularProbeSet
-from sobnat.kernel import EXACT_CONSTANT, PROFILE_BLOCK, KernelSpec, gram, point_kernel
+from sobnat.kernel import EXACT_CONSTANT, PROFILE_BLOCK, KernelSpec, point_kernel
 from sobnat.losses import SOFTMAX_CE, SQUARED, loss_grad_z
 from sobnat.rkhs import (
     KernelExpansion,
     check_basis_orthonormality,
-    evaluate,
     evaluate_batch,
     functional_gd,
-    projection_kernel,
-    rkhs_inner,
 )
 
 EXACT_1D = KernelSpec(input_dim=1, constant_mode=EXACT_CONSTANT)
@@ -21,13 +18,13 @@ UNIT_1D = KernelSpec(input_dim=1)
 
 class TestEvaluate:
     def test_empty_expansion_is_zero(self):
-        f = KernelExpansion.zero(UNIT_1D, output_dim=3)
-        np.testing.assert_array_equal(evaluate(f, [0.7]), np.zeros(3))
+        f = KernelExpansion(UNIT_1D, np.zeros((0, 1)), np.zeros((0, 3)))
+        np.testing.assert_array_equal(evaluate_batch(f, [0.7]), np.zeros((1, 3)))
 
     def test_single_center_at_itself(self):
         v = np.array([2.0, -1.0])
         f = KernelExpansion(EXACT_1D, np.array([[0.4]]), v.reshape(1, -1))
-        np.testing.assert_allclose(evaluate(f, [0.4]), v / 4.0)
+        np.testing.assert_allclose(evaluate_batch(f, [0.4]), [v / 4.0])
 
     def test_two_centers_hand_sum(self):
         centers = np.array([[0.0], [1.5]])
@@ -38,10 +35,10 @@ class TestEvaluate:
         for t in range(2):
             r = abs(centers[t, 0] - x[0])
             expected += np.exp(-r) * (1 + r) / 4.0 * coeffs[t, 0]
-        np.testing.assert_allclose(evaluate(f, x), [expected])
+        np.testing.assert_allclose(evaluate_batch(f, x), [[expected]])
 
     def test_batch_rows_match_single_point_evaluation(self):
-        # Both take their kernel row from kernel_matrix; they differ only in
+        # Both take their kernel rows from kernel_matrix; they differ only in
         # BLAS rounding the matrix-matrix and the vector-matrix product.
         rng = np.random.default_rng(3)
         spec = KernelSpec(input_dim=2)
@@ -50,10 +47,11 @@ class TestEvaluate:
         batch = evaluate_batch(f, xs)
         assert batch.shape == (8, 2)
         for i in range(8):
-            np.testing.assert_allclose(batch[i], evaluate(f, xs[i]), rtol=0, atol=1e-14)
-        # Both name a width mismatch rather than failing inside cdist.
+            np.testing.assert_allclose(batch[i], evaluate_batch(f, xs[i])[0], rtol=0, atol=1e-14)
+        # A point or a batch of the wrong width is named rather than failing
+        # inside cdist.
         with pytest.raises(DimensionMismatch, match="dimension 3, spec.input_dim is 2"):
-            evaluate(f, np.ones(3))
+            evaluate_batch(f, np.ones(3))
         with pytest.raises(DimensionMismatch, match="dimension 1, spec.input_dim is 2"):
             evaluate_batch(f, np.ones((3, 1)))
 
@@ -82,7 +80,7 @@ class TestFunctionalGD:
     def test_zero_steps(self):
         f = functional_gd(np.array([[0.0]]), np.array([1.0]), SQUARED, 0, 0.1, UNIT_1D)
         assert f.centers.shape[0] == 0
-        np.testing.assert_array_equal(evaluate(f, [0.0]), [0.0])
+        np.testing.assert_array_equal(evaluate_batch(f, [0.0]), [[0.0]])
 
     def test_single_step_squared_loss(self):
         # From f0 = 0 the loss gradient at (x1, y1) is -y1, so one step gives
@@ -92,7 +90,7 @@ class TestFunctionalGD:
         for x in (-1.0, 0.5, 2.0):
             r = abs(x - x1)
             np.testing.assert_allclose(
-                evaluate(f, [x]), [eta * np.exp(-r) * (1 + r) / 4.0 * y1]
+                evaluate_batch(f, [x]), [[eta * np.exp(-r) * (1 + r) / 4.0 * y1]]
             )
 
     def test_centers_are_visited_points(self):
@@ -215,42 +213,6 @@ class TestFunctionalGD:
         assert sum(rows * cols for rows, cols in shapes) <= 2 * sum(range(50))
 
 
-class TestRkhsInner:
-    def test_inner_with_zero(self):
-        f = KernelExpansion(UNIT_1D, np.array([[1.0]]), np.array([[2.0]]))
-        zero = KernelExpansion.zero(UNIT_1D, output_dim=1)
-        assert rkhs_inner(f, zero) == 0.0
-
-    def test_single_center_norm(self):
-        f = KernelExpansion(EXACT_1D, np.array([[0.0]]), np.array([[1.0]]))
-        assert rkhs_inner(f, f) == pytest.approx(0.25)
-
-    def test_symmetry_and_bilinearity(self):
-        rng = np.random.default_rng(0)
-        f = KernelExpansion(UNIT_1D, rng.normal(size=(3, 1)), rng.normal(size=(3, 2)))
-        g = KernelExpansion(UNIT_1D, rng.normal(size=(4, 1)), rng.normal(size=(4, 2)))
-        assert rkhs_inner(f, g) == pytest.approx(rkhs_inner(g, f))
-        g2 = KernelExpansion(UNIT_1D, g.centers, 2.5 * g.coeffs)
-        assert rkhs_inner(f, g2) == pytest.approx(2.5 * rkhs_inner(f, g))
-
-    def test_reproducing_property(self):
-        # <d(|x - .|) e_j, f> = f_j(x) for random expansions.
-        rng = np.random.default_rng(1)
-        f = KernelExpansion(UNIT_1D, rng.normal(size=(4, 1)), rng.normal(size=(4, 3)))
-        for _ in range(5):
-            x = rng.normal(size=1)
-            j = rng.integers(0, 3)
-            coeff = np.zeros((1, 3))
-            coeff[0, j] = 1.0
-            rep = KernelExpansion(UNIT_1D, x.reshape(1, 1), coeff)
-            assert rkhs_inner(rep, f) == pytest.approx(evaluate(f, x)[j], abs=1e-12)
-
-    def test_positive_norm_for_distinct_centers(self):
-        rng = np.random.default_rng(2)
-        f = KernelExpansion(UNIT_1D, np.array([[0.0], [1.0], [2.5]]), rng.normal(size=(3, 1)))
-        assert rkhs_inner(f, f) > 0
-
-
 class TestBasisOrthonormality:
     def test_single_constant_function(self):
         basis = [lambda x: np.array([3.7])]
@@ -287,44 +249,6 @@ class TestBasisOrthonormality:
         dependent = [lambda x: np.array([x[0]]), lambda x: np.array([2.0 * x[0]])]
         with pytest.raises(SingularProbeSet):
             check_basis_orthonormality(dependent, np.array([[-1.0], [0.0], [1.0]]))
-
-
-class TestProjectionKernel:
-    def test_rank_one(self):
-        # One parameter, scalar output: K_f(x, x') = dphi(x) dphi(x') / |dphi|^2.
-        jac_x = np.array([[1.4]])
-        jac_xp = np.array([[-0.3]])
-        np.testing.assert_allclose(
-            projection_kernel(jac_x, jac_xp, np.array([[2.0]])), [[1.4 * -0.3 / 2.0]]
-        )
-
-    def test_identity_metric_gives_ntk_form(self):
-        rng = np.random.default_rng(5)
-        jac_x = rng.normal(size=(4, 2))
-        jac_xp = rng.normal(size=(4, 2))
-        got = projection_kernel(jac_x, jac_xp, np.eye(4))
-        expected = sum(np.outer(jac_x[i], jac_xp[i]) for i in range(4))
-        np.testing.assert_allclose(got, expected, atol=1e-14)
-
-    def test_kernel_machine_reproduces_gram(self):
-        rng = np.random.default_rng(6)
-        spec = KernelSpec(input_dim=1, jitter=0.0)
-        pts = rng.normal(size=(5, 1))
-        g = gram(pts, spec)
-        k = g.values
-        for i in range(5):
-            for j in range(5):
-                got = projection_kernel(k[:, i : i + 1], k[:, j : j + 1], k)
-                np.testing.assert_allclose(got, [[k[i, j]]], atol=1e-10)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        jac_x = rng.normal(size=(3, 2))
-        jac_xp = rng.normal(size=(3, 2))
-        metric = np.eye(3) / 0.7
-        a = projection_kernel(jac_x, jac_xp, metric)
-        b = projection_kernel(jac_xp, jac_x, metric)
-        np.testing.assert_allclose(a, b.T, atol=1e-14)
 
 
 def test_point_kernel_radial_symmetry():
