@@ -10,9 +10,13 @@ Functional gradient descent keeps iterates in this class exactly: each step
 appends the visited point as a new center.  Since every center is one of the
 n data points, f_{t-1}(x_t) = K[i_t] W exactly, where K is the data points'
 kernel table and W[i] the sum of the coefficients appended at point i; the
-step reads K's rows from a cache filled in blocks, so a run costs
+run reads K's rows from a cache filled in blocks, so it costs
 O(steps * visits * n) kernel evaluations rather than one table against all
-earlier centers per step.  Every kernel value comes from
+earlier centers per step.  Under the squared loss a cyclic run takes all the
+visits up to the end of a cached block at once: dL/dz is affine, so their
+coefficients solve one unit-lower-triangular system -- a Gauss-Seidel sweep
+on K W = y -- that the step-by-step recursion would solve by forward
+substitution.  Every kernel value comes from
 :func:`sobnat.kernel.kernel_matrix`.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import losses
 from .errors import DimensionMismatch, SingularProbeSet
@@ -103,22 +108,38 @@ def functional_gd(
     touches all points at once).  ``lr`` is a float or a callable step -> eta.
     ``xs`` holds n points of width spec.input_dim and ``ys`` one target row
     (or class label) per point; malformed input raises DimensionMismatch, a
-    negative step count or a class label that is not a non-negative integer
-    ValueError.
+    negative step count, a class label that is not a non-negative integer,
+    a non-finite point, squared-loss target or ``lr``, or a callable ``lr``
+    returning a non-finite eta (named by step) ValueError.
 
     The centers are the visited data points, so with W[i] the sum of the
     coefficients appended so far at point i, f_{t-1}(x_t) = K[i_t] W for
-    K = kernel_matrix(xs, xs, spec).  Each step takes its iterate values
-    from cached rows of K: blocks of at most PROFILE_BLOCK entries (all n
-    rows in full-batch mode), re-taken only when a visit leaves them, and in
-    the first pass only against the points they can have seen.  A run costs
+    K = kernel_matrix(xs, xs, spec).  The iterate values come from cached
+    rows of K: blocks of at most PROFILE_BLOCK entries (all n rows in
+    full-batch mode), re-taken only when a visit leaves them, and in the
+    first pass only against the points they can have seen.  A run costs
     O(steps * visits * n) kernel evaluations, not O(steps^2 * visits^2).
+
+    The run advances a segment at a time.  Under the squared loss in cyclic
+    mode a segment runs from the current step to the end of the cached block
+    or of the run; its s <= n visits are distinct points i_1..i_s, and since
+    dL/dz = z - y is affine its coefficients c solve, exactly,
+
+        c_k = -eta_k (K[i_k] W - y_k) - eta_k sum_{j<k} K[i_k, i_j] c_j,
+
+    with W as it was before the segment: (I + diag(eta) L) c = -diag(eta)
+    (K[i] W - y) for L the strict lower triangle of K[i, i].  That is one
+    product with the block's rows and one unit-lower-triangular solve per
+    segment -- a Gauss-Seidel sweep on K W = y -- instead of one step per
+    visit; only the rounding differs from the step-by-step recursion.  Under
+    softmax cross-entropy, and in full-batch mode, a segment is one step.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.asarray(ys, dtype=np.float64)
     if loss == losses.SQUARED:
         if ys.ndim == 1:
             ys = ys.reshape(-1, 1)
+        _reject_non_finite_row(ys, "target")
         output_dim = ys.shape[1]
     else:  # class labels
         bad = np.flatnonzero(~(np.isfinite(ys) & (ys >= 0) & (np.floor(ys) == ys)))
@@ -128,6 +149,9 @@ def functional_gd(
                 f"class label {ys.flat[bad[0]]:g} in row {row} is not a non-negative integer"
             )
         output_dim = int(np.max(ys)) + 1 if ys.size else 1
+    _reject_non_finite_row(xs, "point")
+    if not callable(lr) and not np.isfinite(lr):
+        raise ValueError(f"lr {lr} is not finite")
     if mode not in ("cyclic", "full_batch"):
         raise ValueError(f"unknown mode {mode!r}")
     if steps < 0:
@@ -142,29 +166,54 @@ def functional_gd(
     if n == 0 and steps > 0:
         raise DimensionMismatch(f"{steps} steps over an empty set of points")
 
-    eta = lr if callable(lr) else (lambda t: lr)
     visits = 1 if mode == "cyclic" else n
     block = n if mode == "full_batch" else max(1, PROFILE_BLOCK // max(n, 1))
+    sweep = mode == "cyclic" and loss == losses.SQUARED  # segments span the block
     # The visits continue cyclically through the points, step after step.
     centers = xs[np.arange(steps * visits) % n]
     coeffs = np.empty((steps * visits, output_dim))
     w = np.zeros((min(n, steps * visits), output_dim))  # over the points the run visits
     table, first, last, seen = None, 0, 0, w  # table = K[first:last, :len(seen)]
-    for t in range(steps):
+    t = 0
+    while t < steps:
         done = t * visits
         start = done % n
-        stop = start + visits
         if not first <= start < last:
             first = start - start % block
             last = min(len(w), first + block)
             # In the first pass no point from last on has a coefficient yet.
             seen = w[:last] if done < n else w
             table = kernel_matrix(xs[first:last], xs[: len(seen)], spec)
-        z = table[start - first : stop - first] @ seen
-        step = -eta(t) * losses.loss_grad_z(z, ys[start:stop], loss)
-        coeffs[done : done + visits] = step
+        length = min(last - start, steps - t) if sweep else 1  # steps in the segment
+        stop = start + length * visits
+        eta = lr  # a constant, or one step size per row of the segment
+        if callable(lr):
+            eta = np.array([[lr(s)] for s in range(t, t + length)], dtype=np.float64)
+            if not np.isfinite(eta).all():
+                k = int(np.argmin(np.isfinite(eta)))
+                raise ValueError(f"lr returned {eta[k, 0]} at step {t + k}, not a finite step size")
+        rows = table[start - first : stop - first]
+        step = -eta * losses.loss_grad_z(rows @ seen, ys[start:stop], loss)
+        if length > 1:  # (I + diag(eta) L) c = step, L the segment's strict lower triangle
+            coupling = eta * rows[:, start:stop]
+            # The transpose is Fortran-ordered: its upper triangle, solved
+            # transposed, is the lower triangle of coupling, with no copy.
+            step, info = scipy.linalg.lapack.dtrtrs(
+                coupling.T, step, lower=0, trans=1, unitdiag=1, overwrite_b=1
+            )
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of trtrs")
+        coeffs[done : done + length * visits] = step
         w[start:stop] += step
+        t += length
     return KernelExpansion(spec, centers, coeffs)
+
+
+def _reject_non_finite_row(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row of a with a NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"{what} in row {np.unravel_index(bad[0], a.shape)[0]} is not finite")
 
 
 def _basis_matrix(basis, probes) -> np.ndarray:

@@ -1,15 +1,16 @@
-"""The benchmark's calls into the package resolve, and its tracer hooks
-resolve and undo cleanly.
+"""The benchmark's calls into the package resolve and bind, and its tracer
+hooks resolve and undo cleanly.
 
 bench/tracer.py wraps the functions it names in TRACED, by module, wherever
 the package binds them, and the benchmark's operations call the package by
-``module.attr``.  A rename in the package breaks the benchmark; these tests
-name the broken call or hook instead.
+``module.attr``.  A rename in the package, or a changed parameter list,
+breaks the benchmark; these tests name the broken call or hook instead.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -18,12 +19,13 @@ from sobnat import riemann, verify
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 TRACER_PATH = BENCH_DIR / "tracer.py"
-CALLERS = ("toolkit.py", "checks.py", "training.py", "workloads.py")
+BENCH_FILES = sorted(BENCH_DIR.glob("*.py"))
 
 
-def sobnat_references(path: Path) -> set:
-    """Every dotted name ``module.attr[.attr...]`` in path's source whose root
-    is a module the file imports from sobnat."""
+def sobnat_names(path: Path):
+    """path's syntax tree, and a map from each of its nodes that is a dotted
+    name ``module.attr[.attr...]``, rooted at a module the file imports from
+    sobnat, to (module, (attr, ...))."""
     tree = ast.parse(path.read_text(), str(path))
     modules = {
         alias.asname or alias.name: f"sobnat.{alias.name}"
@@ -31,32 +33,64 @@ def sobnat_references(path: Path) -> set:
         if isinstance(node, ast.ImportFrom) and node.module == "sobnat"
         for alias in node.names
     }
-    refs = set()
+    names = {}
     for node in ast.walk(tree):
-        chain = []
-        while isinstance(node, ast.Attribute):
-            chain.insert(0, node.attr)
-            node = node.value
-        if chain and isinstance(node, ast.Name) and node.id in modules:
-            refs.add((modules[node.id], tuple(chain)))
-    return refs
+        chain, value = [], node
+        while isinstance(value, ast.Attribute):
+            chain.insert(0, value.attr)
+            value = value.value
+        if chain and isinstance(value, ast.Name) and value.id in modules:
+            names[node] = (modules[value.id], tuple(chain))
+    return tree, names
 
 
-def unresolved(module_name: str, chain: tuple) -> str | None:
-    """The first prefix of module_name.chain that does not resolve, or None."""
+def resolve(module_name: str, chain: tuple):
+    """(module_name.chain, None), or (None, the first prefix that does not resolve)."""
     obj = importlib.import_module(module_name)
     for at, attr in enumerate(chain):
         if not hasattr(obj, attr):
-            return ".".join((module_name,) + chain[: at + 1])
+            return None, ".".join((module_name,) + chain[: at + 1])
         obj = getattr(obj, attr)
+    return obj, None
+
+
+def unbound(path: Path, call: ast.Call, module_name: str, chain: tuple) -> str | None:
+    """Why the call's positional count and keyword names do not bind to the
+    signature of the sobnat function or class it calls, or None."""
+    target, _ = resolve(module_name, chain)
+    if not (getattr(target, "__module__", None) or "").startswith("sobnat"):
+        return None  # not sobnat code, such as a method of a dict the package holds
+    positional = [None for arg in call.args if not isinstance(arg, ast.Starred)]
+    keywords = {kw.arg: None for kw in call.keywords if kw.arg is not None}
+    # With *args or **kwargs in the call, only what it names can be checked.
+    unpacks = len(positional) < len(call.args) or len(keywords) < len(call.keywords)
+    signature = inspect.signature(target)
+    try:
+        (signature.bind_partial if unpacks else signature.bind)(*positional, **keywords)
+    except TypeError as exc:
+        return f"{path.name}:{call.lineno} {'.'.join((module_name,) + chain)}: {exc}"
     return None
 
 
 def test_every_bench_call_into_sobnat_resolves():
-    refs = {ref for name in CALLERS for ref in sobnat_references(BENCH_DIR / name)}
+    refs = {ref for path in BENCH_FILES for ref in sobnat_names(path)[1].values()}
     assert ("sobnat.riemann", ("verify_rate",)) in refs
-    broken = sorted(filter(None, (unresolved(module, chain) for module, chain in refs)))
+    broken = sorted(filter(None, (resolve(module, chain)[1] for module, chain in refs)))
     assert not broken, f"the benchmark calls names sobnat lacks: {broken}"
+
+
+def test_every_bench_call_into_sobnat_binds():
+    calls = []
+    for path in BENCH_FILES:
+        tree, names = sobnat_names(path)
+        calls += [
+            (path, node, *names[node.func])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.func in names
+        ]
+    assert ("sobnat.rkhs", ("functional_gd",)) in {(module, chain) for *_, module, chain in calls}
+    broken = sorted(filter(None, (unbound(*call) for call in calls)))
+    assert not broken, f"the benchmark's calls into sobnat no longer bind: {broken}"
 
 
 def test_rate_report_has_the_fields_the_bench_reads():

@@ -345,6 +345,25 @@ class TestFuncgd:
         resid = float(result.stdout.split("training residual")[1].split()[0])
         assert resid < 2.0
 
+    def test_predictions_are_the_cyclic_recursion(self, tmp_path):
+        # f_t = f_{t-1} - lr k(., x_i) (f_{t-1}(x_i) - y_i), i = t mod n,
+        # tracked at the training points with the unit-constant kernel
+        # e^-r (1 + r) of the default input scale 1.
+        out = tmp_path / "fgd.csv"
+        result = run_cli("funcgd", "--count", "40", "--steps", "800", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        _, rows = read_csv(out)
+        got = np.array([float(r[2]) for r in rows])
+        xs = np.linspace(-2.0, 2.0, 40)
+        ys = np.sin(2.0 * xs)
+        r = np.abs(xs[:, None] - xs[None, :])
+        k = np.exp(-r) * (1.0 + r)
+        want = np.zeros(40)
+        for t in range(800):
+            i = t % 40
+            want += k[:, i] * (-0.5 * (want[i] - ys[i]))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
 
 def test_package_runs_as_module():
     result = subprocess.run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sobnat import rkhs
 from sobnat.errors import DimensionMismatch, SingularProbeSet
@@ -76,6 +77,38 @@ class TestEvaluate:
         assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
+def per_visit_coeffs(xs, ys, loss, steps, lr, spec, mode):
+    """Functional GD's coefficients computed one step at a time, reading the
+    iterate values from the same cached kernel-table blocks as
+    functional_gd, so a step that takes the same arithmetic gives the same
+    bits."""
+    ys = np.asarray(ys, dtype=np.float64)
+    if loss == SQUARED and ys.ndim == 1:
+        ys = ys.reshape(-1, 1)
+    output_dim = ys.shape[1] if loss == SQUARED else int(np.max(ys)) + 1
+    eta = lr if callable(lr) else (lambda t: lr)
+    n = len(xs)
+    visits = 1 if mode == "cyclic" else n
+    block = n if mode == "full_batch" else max(1, PROFILE_BLOCK // n)
+    coeffs = np.empty((steps * visits, output_dim))
+    w = np.zeros((min(n, steps * visits), output_dim))
+    table, first, last, seen = None, 0, 0, w
+    for t in range(steps):
+        done = t * visits
+        start = done % n
+        stop = start + visits
+        if not first <= start < last:
+            first = start - start % block
+            last = min(len(w), first + block)
+            seen = w[:last] if done < n else w
+            table = rkhs.kernel_matrix(xs[first:last], xs[: len(seen)], spec)
+        z = table[start - first : stop - first] @ seen
+        step = -eta(t) * loss_grad_z(z, ys[start:stop], loss)
+        coeffs[done : done + visits] = step
+        w[start:stop] += step
+    return coeffs
+
+
 class TestFunctionalGD:
     def test_zero_steps(self):
         f = functional_gd(np.array([[0.0]]), np.array([1.0]), SQUARED, 0, 0.1, UNIT_1D)
@@ -150,6 +183,54 @@ class TestFunctionalGD:
         with pytest.raises(error, match=match):
             functional_gd(xs, ys, loss, steps, 0.1, UNIT_1D)
 
+    @pytest.mark.parametrize(
+        "loss, point, target, lr, match",
+        [
+            (SQUARED, np.nan, 0.0, 0.1, "point in row 2 is not finite"),
+            (SQUARED, -np.inf, 0.0, 0.1, "point in row 2 is not finite"),
+            (SOFTMAX_CE, np.inf, 0.0, 0.1, "point in row 2 is not finite"),
+            (SQUARED, 0.0, np.nan, 0.1, "target in row 2 is not finite"),
+            (SQUARED, 0.0, np.inf, 0.1, "target in row 2 is not finite"),
+            (SQUARED, 0.0, 0.0, np.nan, "lr nan is not finite"),
+            (SQUARED, 0.0, 0.0, np.inf, "lr inf is not finite"),
+            (SOFTMAX_CE, 0.0, 0.0, np.nan, "lr nan is not finite"),
+        ],
+    )
+    def test_non_finite_input_rejected_before_any_step(self, monkeypatch, loss, point, target, lr, match):
+        # Unchecked, each of these gives NaN coefficients without an error.
+        shapes = self._record_tables(monkeypatch)
+        xs = np.zeros((5, 2))
+        xs[2, 1] = point
+        ys = np.zeros((5, 2)) if loss == SQUARED else np.zeros(5)
+        if loss == SQUARED:
+            ys[2, 1] = target
+        with pytest.raises(ValueError, match=match):
+            functional_gd(xs, ys, loss, 10, lr, KernelSpec(input_dim=2))
+        assert shapes == []
+
+    @pytest.mark.parametrize("mode", ["cyclic", "full_batch"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_callable_lr_non_finite_names_the_step(self, mode, bad):
+        xs = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+        lr = lambda t: bad if t == 7 else 0.1
+        with pytest.raises(ValueError, match=f"lr returned {bad} at step 7"):
+            functional_gd(xs, np.sin(xs), SQUARED, 10, lr, UNIT_1D, mode=mode)
+
+    @staticmethod
+    def _assert_recursion(f, xs, ys, loss, steps, lr, mode):
+        # c_t = -eta_t dL/dz(f_{t-1}(x_t), y_t), with f_{t-1} evaluated from
+        # its own centers rather than from the cached rows of the data points.
+        eta = lr if callable(lr) else (lambda t: lr)
+        n = len(xs)
+        visits = 1 if mode == "cyclic" else n
+        for t in range(steps):
+            done, start = t * visits, (t * visits) % n
+            before = KernelExpansion(f.spec, f.centers[:done], f.coeffs[:done])
+            z = evaluate_batch(before, xs[start : start + visits])
+            want = -eta(t) * loss_grad_z(z, ys[start : start + visits], loss)
+            got = f.coeffs[done : done + visits]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+
     @pytest.mark.parametrize("steps", [5, 13, 130])  # steps < n, = n and >> n
     @pytest.mark.parametrize(
         "loss, m, mode, lr",
@@ -163,22 +244,53 @@ class TestFunctionalGD:
         ],
     )
     def test_each_step_is_the_recursion_on_the_expansion_so_far(self, loss, m, mode, lr, steps):
-        # c_t = -eta_t dL/dz(f_{t-1}(x_t), y_t), with f_{t-1} evaluated from
-        # its own centers rather than from the cached rows of the data points.
         rng = np.random.default_rng(11)
         n, spec = 13, KernelSpec(input_dim=2)
         xs = rng.normal(size=(n, 2))
         ys = rng.integers(0, m, size=n) if loss == SOFTMAX_CE else rng.normal(size=(n, m))
         f = functional_gd(xs, ys, loss, steps, lr, spec, mode=mode)
-        eta = lr if callable(lr) else (lambda t: lr)
-        visits = 1 if mode == "cyclic" else n
-        for t in range(steps):
-            done, start = t * visits, (t * visits) % n
-            before = KernelExpansion(spec, f.centers[:done], f.coeffs[:done])
-            z = evaluate_batch(before, xs[start : start + visits])
-            want = -eta(t) * loss_grad_z(z, ys[start : start + visits], loss)
-            got = f.coeffs[done : done + visits]
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        self._assert_recursion(f, xs, ys, loss, steps, lr, mode)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("lr", [0.3, lambda t: 0.5 / (1.0 + 0.01 * t)])
+    def test_multi_block_run_is_the_recursion(self, m, lr):
+        # 300 points take 54-row table blocks: segments end at block edges,
+        # the first pass sees a growing set of points, and the second pass
+        # stops part way through its third block.
+        rng = np.random.default_rng(12)
+        n, steps, spec = 300, 450, KernelSpec(input_dim=2)
+        assert PROFILE_BLOCK // n == 54
+        xs, ys = rng.normal(size=(n, 2)), rng.normal(size=(n, m))
+        f = functional_gd(xs, ys, SQUARED, steps, lr, spec)
+        self._assert_recursion(f, xs, ys, SQUARED, steps, lr, "cyclic")
+
+    def test_benchmark_inputs_take_one_solve_per_pass(self, monkeypatch):
+        # 40 points in one 40-row block, 800 steps: 20 passes of 40 visits.
+        solves = self._record_solves(monkeypatch)
+        xs = np.linspace(-2.0, 2.0, 40).reshape(-1, 1)
+        functional_gd(xs, np.sin(2.0 * xs), SQUARED, 800, 0.5, UNIT_1D)
+        assert solves == [40] * 20
+
+    @pytest.mark.parametrize(
+        "loss, mode, lr",
+        [
+            (SOFTMAX_CE, "cyclic", 0.4),
+            (SOFTMAX_CE, "cyclic", lambda t: 0.5 / (1.0 + 0.1 * t)),
+            (SOFTMAX_CE, "full_batch", 0.05),
+            (SQUARED, "full_batch", lambda t: 0.05 / (1.0 + t)),
+            (SQUARED, "full_batch", 1),
+        ],
+    )
+    @pytest.mark.parametrize("n, steps", [(13, 30), (300, 450)])
+    def test_step_at_a_time_paths_are_bitwise_the_per_visit_loop(self, loss, mode, lr, n, steps):
+        rng = np.random.default_rng(n)
+        spec = KernelSpec(input_dim=2)
+        xs = rng.normal(size=(n, 2))
+        ys = rng.integers(0, 3, size=n) if loss == SOFTMAX_CE else rng.normal(size=(n, 2))
+        if mode == "full_batch":
+            steps = 4
+        f = functional_gd(xs, ys, loss, steps, lr, spec, mode=mode)
+        assert np.array_equal(f.coeffs, per_visit_coeffs(xs, ys, loss, steps, lr, spec, mode))
 
     @staticmethod
     def _record_tables(monkeypatch):
@@ -191,6 +303,17 @@ class TestFunctionalGD:
         monkeypatch.setattr(rkhs, "kernel_matrix", recording)
         return shapes
 
+    @staticmethod
+    def _record_solves(monkeypatch):
+        orders, dtrtrs = [], scipy.linalg.lapack.dtrtrs
+
+        def recording(a, b, **kwargs):
+            orders.append(len(a))
+            return dtrtrs(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", recording)
+        return orders
+
     def test_benchmark_inputs_take_one_table(self, monkeypatch):
         # 40 points, 800 cyclic steps: one 40 x 40 table, not one row per step.
         shapes = self._record_tables(monkeypatch)
@@ -200,9 +323,11 @@ class TestFunctionalGD:
 
     def test_no_table_exceeds_a_profile_block(self, monkeypatch):
         shapes = self._record_tables(monkeypatch)
+        solves = self._record_solves(monkeypatch)
         xs = np.linspace(-2.0, 2.0, 300).reshape(-1, 1)
         functional_gd(xs, np.sin(2.0 * xs), SQUARED, 1000, 0.5, UNIT_1D)
         assert shapes and max(rows * cols for rows, cols in shapes) <= PROFILE_BLOCK
+        assert solves and max(solves) ** 2 <= PROFILE_BLOCK
 
     def test_first_pass_takes_only_the_points_seen(self, monkeypatch):
         # A step against every center so far takes sum_t t entries; all n
