@@ -33,17 +33,35 @@ BAND_FLOOR = 1e-12  # relaxation of the strict lower bound F > F(w0)
 DET_CHUNK = 4096  # region points per stacked determinant
 
 
+def _check_half_width(half_width) -> None:
+    """Raise ValueError unless every half_width entry is positive and finite."""
+    hw = np.asarray(half_width, dtype=np.float64)
+    if not np.all(np.isfinite(hw) & (hw > 0)):
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+
+
 @dataclass(frozen=True)
 class GridSampler:
     resolution: int = 201
-    half_width: float = 1.0
+    half_width: float = 1.0  # a float, or one entry per dimension
+
+    def __post_init__(self):
+        if not self.resolution >= 1:
+            raise ValueError(f"resolution must be at least 1, got {self.resolution}")
+        _check_half_width(self.half_width)
 
 
 @dataclass(frozen=True)
 class MonteCarloSampler:
     count: int = 100_000
     seed: int = 0
-    half_width: float = 1.0
+    half_width: float = 1.0  # a float, or one entry per dimension
+
+    def __post_init__(self):
+        # The standard error takes the samples' spread with ddof=1.
+        if not self.count >= 2:
+            raise ValueError(f"count must be at least 2, got {self.count}")
+        _check_half_width(self.half_width)
 
 
 @dataclass

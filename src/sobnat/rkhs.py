@@ -6,17 +6,19 @@ one coefficient vector per center, evaluating to
 
     f(x) = sum_t d(|x - x_t|) * coeffs[t].
 
-Functional gradient descent keeps iterates in this class exactly: each step
-appends the visited point as a new center.  Since every center is one of the
-n data points, f_{t-1}(x_t) = K[i_t] W exactly, where K is the data points'
-kernel table and W[i] the sum of the coefficients appended at point i; the
-run reads K's rows from a cache filled in blocks, so it costs
-O(steps * visits * n) kernel evaluations rather than one table against all
-earlier centers per step.  Under the squared loss a cyclic run takes all the
-visits up to the end of a cached block at once: dL/dz is affine, so their
-coefficients solve one unit-lower-triangular system -- a Gauss-Seidel sweep
-on K W = y -- that the step-by-step recursion would solve by forward
-substitution.  Every kernel value comes from
+Functional gradient descent keeps iterates in this class exactly.  By the
+representer theorem they lie in the span of the kernel at the n data
+points, so the iterate is stored on those points: center i is data point i
+and W[i] the sum, in visit order, of the coefficients -eta_t dL/dz its
+visits contribute.  Then f_{t-1}(x_t) = K[i_t] W for K the data points'
+kernel table; the run reads K's rows from a cache filled in blocks, so it
+costs O(steps * visits * n) kernel evaluations rather than one table
+against all earlier centers per step, and the result evaluates against at
+most n centers, not one per visit.  Under the squared loss a cyclic run
+takes all the visits up to the end of a cached block at once: dL/dz is
+affine, so their coefficients solve one unit-lower-triangular system -- a
+Gauss-Seidel sweep on K W = y -- that the step-by-step recursion would
+solve by forward substitution.  Every kernel value comes from
 :func:`sobnat.kernel.kernel_matrix`.
 """
 
@@ -99,26 +101,31 @@ def functional_gd(
 ) -> KernelExpansion:
     """Gradient descent in the RKHS starting from f_0 = 0.
 
-    Each step evaluates the loss gradient at the current iterate and appends
-    the visited point(s) as centers with coefficient -eta_t * dL/dz, so after
-    T steps f_T(x) = -sum_t eta_t d(|x_t - x|) dL/dz(f_{t-1}(x_t), y_t).
+    Each step evaluates the loss gradient at the current iterate and adds
+    -eta_t * dL/dz to the visited point(s)' coefficients, so after T steps
+    f_T(x) = -sum_t eta_t d(|x_t - x|) dL/dz(f_{t-1}(x_t), y_t).  The result
+    has one center per visited point -- a copy of xs[:k], k = min(n, steps
+    * visits), in visit order -- whose coefficient W[i] sums its visits'
+    coefficients in visit order.
 
-    ``mode`` is "cyclic" (one data point per step, cycling through the set,
-    the form stated for a stream of samples) or "full_batch" (every step
-    touches all points at once).  ``lr`` is a float or a callable step -> eta.
-    ``xs`` holds n points of width spec.input_dim and ``ys`` one target row
-    (or class label) per point; malformed input raises DimensionMismatch, a
-    negative step count, a class label that is not a non-negative integer,
-    a non-finite point, squared-loss target or ``lr``, or a callable ``lr``
-    returning a non-finite eta (named by step) ValueError.
+    ``loss`` is losses.SQUARED or losses.SOFTMAX_CE.  ``mode`` is "cyclic"
+    (one data point per step, cycling through the set, the form stated for
+    a stream of samples) or "full_batch" (every step touches all points at
+    once).  ``lr`` is a float or a callable step -> eta.  ``xs`` holds n
+    points of width spec.input_dim and ``ys`` one target row (or class
+    label) per point; malformed input raises DimensionMismatch, and an
+    unknown loss name (checked first), a negative step count, a class label
+    that is not a non-negative integer, a non-finite point, squared-loss
+    target or ``lr``, or a callable ``lr`` returning a non-finite eta (named
+    by step) ValueError.
 
-    The centers are the visited data points, so with W[i] the sum of the
-    coefficients appended so far at point i, f_{t-1}(x_t) = K[i_t] W for
-    K = kernel_matrix(xs, xs, spec).  The iterate values come from cached
-    rows of K: blocks of at most PROFILE_BLOCK entries (all n rows in
-    full-batch mode), re-taken only when a visit leaves them, and in the
-    first pass only against the points they can have seen.  A run costs
-    O(steps * visits * n) kernel evaluations, not O(steps^2 * visits^2).
+    With W[i] the sum of the coefficients added so far at point i,
+    f_{t-1}(x_t) = K[i_t] W for K = kernel_matrix(xs, xs, spec).  The
+    iterate values come from cached rows of K: blocks of at most
+    PROFILE_BLOCK entries (all n rows in full-batch mode), re-taken only
+    when a visit leaves them, and in the first pass only against the points
+    they can have seen.  A run costs O(steps * visits * n) kernel
+    evaluations, not O(steps^2 * visits^2).
 
     The run advances a segment at a time.  Under the squared loss in cyclic
     mode a segment runs from the current step to the end of the cached block
@@ -134,6 +141,9 @@ def functional_gd(
     visit; only the rounding differs from the step-by-step recursion.  Under
     softmax cross-entropy, and in full-batch mode, a segment is one step.
     """
+    kinds = [losses.SQUARED, losses.SOFTMAX_CE]
+    if loss not in kinds:
+        raise ValueError(f"unknown loss {loss!r}; choose from {kinds}")
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.asarray(ys, dtype=np.float64)
     if loss == losses.SQUARED:
@@ -170,8 +180,6 @@ def functional_gd(
     block = n if mode == "full_batch" else max(1, PROFILE_BLOCK // max(n, 1))
     sweep = mode == "cyclic" and loss == losses.SQUARED  # segments span the block
     # The visits continue cyclically through the points, step after step.
-    centers = xs[np.arange(steps * visits) % n]
-    coeffs = np.empty((steps * visits, output_dim))
     w = np.zeros((min(n, steps * visits), output_dim))  # over the points the run visits
     table, first, last, seen = None, 0, 0, w  # table = K[first:last, :len(seen)]
     t = 0
@@ -203,10 +211,9 @@ def functional_gd(
             )
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of trtrs")
-        coeffs[done : done + length * visits] = step
         w[start:stop] += step
         t += length
-    return KernelExpansion(spec, centers, coeffs)
+    return KernelExpansion(spec, xs[: len(w)].copy(), w)
 
 
 def _reject_non_finite_row(a: np.ndarray, what: str) -> None:

@@ -100,6 +100,23 @@ class TestEpsilonFlatness:
         with pytest.raises(EmptyRegion, match=named):
             epsilon_flatness(quadratic_query(epsilon=1e-6, sampler=sampler))
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: GridSampler(resolution=0), "resolution"),
+        (lambda: GridSampler(resolution=-3), "resolution"),
+        (lambda: GridSampler(half_width=0.0), "half_width"),
+        (lambda: GridSampler(half_width=np.array([0.5, -0.5])), "half_width"),
+        (lambda: GridSampler(half_width=np.inf), "half_width"),
+        (lambda: MonteCarloSampler(count=0), "count"),
+        (lambda: MonteCarloSampler(count=1), "count"),  # no ddof=1 spread of one sample
+        (lambda: MonteCarloSampler(half_width=-0.5), "half_width"),
+        (lambda: MonteCarloSampler(half_width=np.array([0.5, np.nan])), "half_width"),
+    ])
+    def test_malformed_sampler_rejected_when_built(self, make, field):
+        # Unchecked, each fails only inside epsilon_flatness, with a numpy
+        # message that names no field (or, for count=1, a NaN stderr).
+        with pytest.raises(ValueError, match=field):
+            make()
+
     def test_rejects_non_minimum(self):
         query = FlatnessQuery(
             loss=lambda w: float(w[0]),  # no minimum at 0

@@ -78,10 +78,10 @@ class TestEvaluate:
 
 
 def per_visit_coeffs(xs, ys, loss, steps, lr, spec, mode):
-    """Functional GD's coefficients computed one step at a time, reading the
-    iterate values from the same cached kernel-table blocks as
-    functional_gd, so a step that takes the same arithmetic gives the same
-    bits."""
+    """Functional GD's coefficients computed one step at a time, one row per
+    visit, reading the iterate values from the same cached kernel-table
+    blocks as functional_gd, so a step that takes the same arithmetic gives
+    the same bits."""
     ys = np.asarray(ys, dtype=np.float64)
     if loss == SQUARED and ys.ndim == 1:
         ys = ys.reshape(-1, 1)
@@ -109,6 +109,14 @@ def per_visit_coeffs(xs, ys, loss, steps, lr, spec, mode):
     return coeffs
 
 
+def per_point_sums(coeffs, n):
+    """Per-visit coefficients of a run over n points summed per point, each
+    point's in visit order: the coefficients of functional GD's result."""
+    sums = np.zeros((min(n, len(coeffs)), coeffs.shape[1]))
+    np.add.at(sums, np.arange(len(coeffs)) % n, coeffs)
+    return sums
+
+
 class TestFunctionalGD:
     def test_zero_steps(self):
         f = functional_gd(np.array([[0.0]]), np.array([1.0]), SQUARED, 0, 0.1, UNIT_1D)
@@ -126,13 +134,24 @@ class TestFunctionalGD:
                 evaluate_batch(f, [x]), [[eta * np.exp(-r) * (1 + r) / 4.0 * y1]]
             )
 
-    def test_centers_are_visited_points(self):
+    @pytest.mark.parametrize("steps, visited", [(3, 3), (5, 5), (12, 5)])
+    def test_centers_are_visited_points(self, steps, visited):
+        # One center per visited point, in first-visit order: the first
+        # steps points while a pass is not complete, all n after.
         xs = np.linspace(0.0, 4.0, 5).reshape(-1, 1)
         ys = np.sin(xs[:, 0])
-        f = functional_gd(xs, ys, SQUARED, 12, 0.1, UNIT_1D)
-        assert f.centers.shape[0] == 12
-        np.testing.assert_array_equal(f.centers[:5], xs)
-        np.testing.assert_array_equal(f.centers[5:10], xs)
+        f = functional_gd(xs, ys, SQUARED, steps, 0.1, UNIT_1D)
+        np.testing.assert_array_equal(f.centers, xs[:visited])
+        assert f.coeffs.shape == (visited, 1)
+
+    @pytest.mark.parametrize("steps", [3, 12])
+    def test_centers_are_a_copy_of_the_points(self, steps):
+        xs = np.linspace(0.0, 4.0, 5).reshape(-1, 1)
+        f = functional_gd(xs, np.sin(xs), SQUARED, steps, 0.1, UNIT_1D)
+        probes = np.linspace(-1.0, 5.0, 7).reshape(-1, 1)
+        before = evaluate_batch(f, probes)
+        xs += 1.0
+        np.testing.assert_array_equal(evaluate_batch(f, probes), before)
 
     def test_residual_nonincreasing_across_passes(self):
         xs = np.linspace(0.0, 4.0, 5).reshape(-1, 1)
@@ -148,16 +167,19 @@ class TestFunctionalGD:
         xs = np.array([[0.0], [1.0]])
         ys = np.array([1.0, -1.0])
         f = functional_gd(xs, ys, SQUARED, 3, 0.1, UNIT_1D, mode="full_batch")
-        assert f.centers.shape[0] == 6  # every step appends the whole batch
+        # Every step visits the whole batch; each point is one center.
+        np.testing.assert_array_equal(f.centers, xs)
 
     def test_full_batch_centers_in_visit_order_2d(self):
         rng = np.random.default_rng(5)
         xs, ys = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-        f = functional_gd(xs, ys, SQUARED, 3, 0.1, KernelSpec(input_dim=2), mode="full_batch")
-        assert np.array_equal(f.centers, np.tile(xs, (3, 1)))
-        assert f.coeffs.shape == (12, 2)
+        spec = KernelSpec(input_dim=2)
+        f = functional_gd(xs, ys, SQUARED, 3, 0.1, spec, mode="full_batch")
+        assert np.array_equal(f.centers, xs)
+        assert f.coeffs.shape == (4, 2)
         # The first step starts from f_0 = 0: coefficients -eta * (0 - y).
-        np.testing.assert_array_equal(f.coeffs[:4], 0.1 * ys)
+        first = functional_gd(xs, ys, SQUARED, 1, 0.1, spec, mode="full_batch")
+        np.testing.assert_array_equal(first.coeffs, 0.1 * ys)
 
     @pytest.mark.parametrize(
         "n_xs, width, n_ys, steps, label, error, match",
@@ -182,6 +204,22 @@ class TestFunctionalGD:
             ys[1], loss = label, SOFTMAX_CE
         with pytest.raises(error, match=match):
             functional_gd(xs, ys, loss, steps, 0.1, UNIT_1D)
+
+    @pytest.mark.parametrize(
+        "ys, steps",
+        [
+            (np.sin(np.linspace(0.0, 4.0, 5)), 10),  # read as class labels, not integral
+            (np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 10),  # valid class labels
+            (np.array([np.nan, 1.0, 2.0]), -1),  # and every other check would fail
+        ],
+    )
+    def test_unknown_loss_rejected_first(self, monkeypatch, ys, steps):
+        shapes = self._record_tables(monkeypatch)
+        xs = np.linspace(0.0, 4.0, 5).reshape(-1, 1)
+        match = r"unknown loss 'squared_loss'; choose from \['squared', 'softmax_ce'\]"
+        with pytest.raises(ValueError, match=match):
+            functional_gd(xs, ys, "squared_loss", steps, 0.1, UNIT_1D)
+        assert shapes == []
 
     @pytest.mark.parametrize(
         "loss, point, target, lr, match",
@@ -218,18 +256,24 @@ class TestFunctionalGD:
 
     @staticmethod
     def _assert_recursion(f, xs, ys, loss, steps, lr, mode):
-        # c_t = -eta_t dL/dz(f_{t-1}(x_t), y_t), with f_{t-1} evaluated from
-        # its own centers rather than from the cached rows of the data points.
+        # c_t = -eta_t dL/dz(f_{t-1}(x_t), y_t), with f_{t-1} the reference's
+        # own expansion so far, one center per visit, rather than cached rows
+        # of the data points; f's coefficient at each point is its c_t summed.
         eta = lr if callable(lr) else (lambda t: lr)
         n = len(xs)
         visits = 1 if mode == "cyclic" else n
+        output_dim = np.reshape(ys, (n, -1)).shape[1] if loss == SQUARED else int(np.max(ys)) + 1
+        centers = xs[np.arange(steps * visits) % n]
+        coeffs = np.empty((steps * visits, output_dim))
         for t in range(steps):
             done, start = t * visits, (t * visits) % n
-            before = KernelExpansion(f.spec, f.centers[:done], f.coeffs[:done])
+            before = KernelExpansion(f.spec, centers[:done], coeffs[:done])
             z = evaluate_batch(before, xs[start : start + visits])
-            want = -eta(t) * loss_grad_z(z, ys[start : start + visits], loss)
-            got = f.coeffs[done : done + visits]
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+            coeffs[done : done + visits] = -eta(t) * loss_grad_z(z, ys[start : start + visits], loss)
+        want = per_point_sums(coeffs, n)
+        np.testing.assert_array_equal(f.centers, xs[: len(want)])
+        assert f.coeffs.shape == want.shape
+        assert np.max(np.abs(f.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("steps", [5, 13, 130])  # steps < n, = n and >> n
     @pytest.mark.parametrize(
@@ -290,7 +334,8 @@ class TestFunctionalGD:
         if mode == "full_batch":
             steps = 4
         f = functional_gd(xs, ys, loss, steps, lr, spec, mode=mode)
-        assert np.array_equal(f.coeffs, per_visit_coeffs(xs, ys, loss, steps, lr, spec, mode))
+        want = per_point_sums(per_visit_coeffs(xs, ys, loss, steps, lr, spec, mode), n)
+        assert np.array_equal(f.coeffs, want)
 
     @staticmethod
     def _record_tables(monkeypatch):
@@ -319,6 +364,15 @@ class TestFunctionalGD:
         shapes = self._record_tables(monkeypatch)
         xs = np.linspace(-2.0, 2.0, 40).reshape(-1, 1)
         functional_gd(xs, np.sin(2.0 * xs), SQUARED, 800, 0.5, UNIT_1D)
+        assert shapes == [(40, 40)]
+
+    def test_benchmark_predictions_take_one_table(self, monkeypatch):
+        # The 800 visits' coefficients sit on the 40 points: predictions at
+        # those points are one 40 x 40 table, not tables against 800 centers.
+        xs = np.linspace(-2.0, 2.0, 40).reshape(-1, 1)
+        f = functional_gd(xs, np.sin(2.0 * xs), SQUARED, 800, 0.5, UNIT_1D)
+        shapes = self._record_tables(monkeypatch)
+        evaluate_batch(f, xs)
         assert shapes == [(40, 40)]
 
     def test_no_table_exceeds_a_profile_block(self, monkeypatch):
