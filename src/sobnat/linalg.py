@@ -27,12 +27,12 @@ __all__ = [
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    m = np.ascontiguousarray(a, dtype=np.float64)
+    if m.ndim == 2:
+        return m
     if m.ndim == 1:
-        m = m.reshape(-1, 1)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    return m
+        return m.reshape(-1, 1)
+    raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
 
 
 class FactorBuffers:
@@ -88,7 +88,7 @@ def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None) -
     c, info = scipy.linalg.lapack.dpotrf(c.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(f"pivot in row {info - 1} is not positive")
-    finite = np.isfinite(np.diagonal(c))
+    finite = np.isfinite(c.diagonal())
     if not finite.all():
         raise NotPositiveDefinite(f"non-finite pivot in row {int(np.argmin(finite))}")
     return c
@@ -125,15 +125,13 @@ def kron_precondition(a_inv: np.ndarray, s_inv: np.ndarray, v: np.ndarray) -> np
 
     Equivalent to reshaping (a_inv kron s_inv) applied to vec(v) for
     symmetric factors, with v of shape (d_out, d_in), s_inv (d_out, d_out),
-    a_inv (d_in, d_in).
+    a_inv (d_in, d_in).  The product is two GEMMs; C-ordered float64
+    arguments, such as K-FAC's cached inverses, are used without a copy.
     """
-    a_inv = as_matrix(a_inv)
-    s_inv = as_matrix(s_inv)
-    v = as_matrix(v)
-    if s_inv.shape[0] != s_inv.shape[1] or a_inv.shape[0] != a_inv.shape[1]:
+    a_inv, s_inv, v = as_matrix(a_inv), as_matrix(s_inv), as_matrix(v)
+    (d_out, s_cols), (d_in, a_cols) = s_inv.shape, a_inv.shape
+    if d_out != s_cols or d_in != a_cols:
         raise DimensionMismatch("factors must be square")
-    if v.shape != (s_inv.shape[0], a_inv.shape[0]):
-        raise DimensionMismatch(
-            f"v has shape {v.shape}, expected ({s_inv.shape[0]}, {a_inv.shape[0]})"
-        )
+    if v.shape != (d_out, d_in):
+        raise DimensionMismatch(f"v has shape {v.shape}, expected ({d_out}, {d_in})")
     return s_inv @ v @ a_inv

@@ -12,7 +12,9 @@ array runs one inner loop per row.  At B = 500, m = 2 (numpy 2.4, x86) the
 row max takes 63 us against 1.1 us by columns and the row sum 17 us
 against 1.3 us.  For m < 8 the columns add in numpy's own order, so the
 softmax is bitwise the same; for m >= 8 numpy sums pairwise and the two
-differ in the last bit.
+differ in the last bit.  The batch mean is taken as ``sum / size``, which is
+bitwise ``np.mean`` (the same pairwise reduction, then one division) without
+the 3 us of its Python wrapper on every train step.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ def loss_and_grad(z, y, kind: str):
     """(mean per-sample loss over the batch, per-sample gradient dL/dz)."""
     grad, picked = _grad(z, y, kind)
     if picked is None:
-        return float(0.5 * np.mean(np.sum(grad**2, axis=1))), grad
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300)))), grad
+        per_sample = np.sum(grad**2, axis=1)
+        return float(0.5 * (per_sample.sum() / per_sample.size)), grad
+    log_p = np.log(np.maximum(picked, 1e-300))
+    return float(-(log_p.sum() / log_p.size)), grad
 
 
 def loss_value(z, y, kind: str) -> float:

@@ -5,6 +5,8 @@ bench/tracer.py wraps the functions it names in TRACED, by module, wherever
 the package binds them, and the benchmark's operations call the package by
 ``module.attr``.  A rename in the package, or a changed parameter list,
 breaks the benchmark; these tests name the broken call or hook instead.
+A restructured step can also leave a traced name uncalled, so that its
+per-layer rows silently read 0; the K-FAC rows are checked for that.
 """
 
 import ast
@@ -15,7 +17,11 @@ import sys
 import types
 from pathlib import Path
 
-from sobnat import riemann, verify
+import numpy as np
+import pytest
+
+from sobnat import optimizers, riemann, verify
+from sobnat.data import gen_two_moons, normalize, train_test_split
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 TRACER_PATH = BENCH_DIR / "tracer.py"
@@ -140,3 +146,31 @@ def test_every_traced_name_resolves_and_is_restored():
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert all(verify.SUITES[name] is fn for name, fn in suites.items())
+
+
+@pytest.mark.parametrize("variant", ["amari_kfac", "sobolev_kfac"])
+def test_kfac_trace_rows_record_calls(variant):
+    # One refresh step and one plain step, each its own trace scope.
+    tracer_module = load_tracer()
+    ds = normalize(train_test_split(gen_two_moons(200, 0.1, seed=4), 0.25, seed=4))
+    x, y = ds.train()
+    cfg = optimizers.OptimConfig(variant=variant, batch_size=50, seed=4, record_walltime=False)
+    net = optimizers.make_net([2, 16, 16, 2], "tanh", np.random.default_rng(4))
+    state = optimizers.TrainState.create(net, cfg)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for scope, rows in (("refresh", slice(0, 50)), ("plain", slice(50, 100))):
+            tracer.begin(scope)
+            net, _ = optimizers.train_step(net, x[rows], y[rows], cfg, state, 0.01)
+    finally:
+        tracer.uninstall()
+    calls = {(scope, name): n for (scope, name), n in tracer.calls.items()}
+    silent = [
+        f"kfac.{fname}"
+        for fname in tracer_module.TRACED["kfac"]
+        if not calls.get(("refresh", f"kfac.{fname}")) and not calls.get(("plain", f"kfac.{fname}"))
+    ]
+    assert not silent, f"traced K-FAC names with no call in a refresh and a plain step: {silent}"
+    assert calls.get(("refresh", "linalg.cholesky_factor"), 0) >= 2 * len(net.layers)
+    assert calls.get(("plain", "linalg.cholesky_factor"), 0) == 0

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sobnat import linalg
-from sobnat.errors import DimensionMismatch
+from sobnat import linalg, verify
+from sobnat.data import gen_two_moons, normalize, train_test_split
+from sobnat.errors import DimensionMismatch, NotPositiveDefinite
 from sobnat.kernel import KernelSpec, gram
 from sobnat.kfac import KfacLayerState, compute_factors, precondition, refresh_inverses, update_state
 from sobnat.metric import estimate_metric
 from sobnat.network import LayerSpec, MlpNetwork, Tangents, forward, param_jacobian
-from sobnat.optimizers import OptimConfig, TrainState, train_step
+from sobnat.optimizers import OptimConfig, TrainState, make_net, train_step
 
 
 def tangents_of(net, x):
@@ -170,6 +173,31 @@ class TestUpdateState:
         np.testing.assert_allclose(state.a_factor, a0)
         np.testing.assert_allclose(state.s_factor, s0)
 
+    def test_first_update_copies_the_callers_arrays(self):
+        a0, s0 = self._fresh(0)
+        state = update_state(KfacLayerState(), a0, s0)
+        assert not np.shares_memory(state.a_factor, a0)
+        assert not np.shares_memory(state.s_factor, s0)
+        np.testing.assert_array_equal(state.a_factor, a0)
+        np.testing.assert_array_equal(state.s_factor, s0)
+
+    def test_fold_is_in_place_bitwise_and_leaves_fresh_untouched(self):
+        state = KfacLayerState(decay=0.95)
+        a0, s0 = self._fresh(0)
+        update_state(state, a0, s0)
+        running_a, running_s = state.a_factor, state.s_factor
+        for seed in (1, 2, 3):
+            fresh_a, fresh_s = self._fresh(seed)
+            kept_a, kept_s = fresh_a.copy(), fresh_s.copy()
+            want_a = state.decay * state.a_factor + (1.0 - state.decay) * fresh_a
+            want_s = state.decay * state.s_factor + (1.0 - state.decay) * fresh_s
+            update_state(state, fresh_a, fresh_s)
+            assert state.a_factor is running_a and state.s_factor is running_s
+            np.testing.assert_array_equal(state.a_factor, want_a)
+            np.testing.assert_array_equal(state.s_factor, want_s)
+            np.testing.assert_array_equal(fresh_a, kept_a)
+            np.testing.assert_array_equal(fresh_s, kept_s)
+
     def test_factors_stay_symmetric_psd(self):
         state = KfacLayerState(decay=0.9)
         for seed in range(10):
@@ -245,3 +273,88 @@ class TestPrecondition:
         update_state(state, 2.0 * np.eye(2), np.eye(2))
         v = np.ones((2, 2))
         np.testing.assert_allclose(precondition(state, v), v / 2.0)
+
+
+class TestRefreshInverses:
+    @staticmethod
+    def state(seed=0, damping=0.03):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(4, 6))
+        a = m @ m.T
+        m = rng.normal(size=(3, 6))
+        return update_state(KfacLayerState(damping=damping), a, m @ m.T)
+
+    def test_inverses_are_c_ordered_float64(self):
+        state = self.state()
+        refresh_inverses(state)
+        for inv in (state._a_inv, state._s_inv):
+            assert inv.dtype == np.float64 and inv.flags.c_contiguous
+
+    def test_precondition_is_the_oracle_product_bit_for_bit(self):
+        # The verify kfac oracle checks linalg.kron_precondition; K-FAC's
+        # product must be that one, on inverses formed as the potrs solve of
+        # the identity, whose C-ordered copy changes no bit.
+        state = self.state(1)
+        v = np.random.default_rng(2).normal(size=(3, 4))
+        a, s = state.a_factor, state.s_factor
+        pi = math.sqrt((np.trace(s) / 3) / (np.trace(a) / 4))
+        sq = math.sqrt(state.damping)
+        a_inv = linalg.solve_from_factor(linalg.cholesky_factor(a, sq / pi), np.eye(4))
+        s_inv = linalg.solve_from_factor(linalg.cholesky_factor(s, sq * pi), np.eye(3))
+        np.testing.assert_array_equal(precondition(state, v), linalg.kron_precondition(a_inv, s_inv, v))
+        assert verify.kron_precondition_error(a_inv, s_inv, v) <= verify.KRON_PRECONDITION_TOL
+
+    @pytest.mark.parametrize("name, order", [("A", 4), ("S", 3)])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+    def test_non_finite_factor_raises_without_damping_escalation(self, factor_orders, name, order, where):
+        state = self.state()
+        factor = state.a_factor if name == "A" else state.s_factor
+        factor[where] = factor[where[::-1]] = np.nan
+        with pytest.raises(NotPositiveDefinite, match=f"factor {name} of order {order} is not finite"):
+            refresh_inverses(state)
+        # One factorization of each factor tried, none repeated.
+        assert factor_orders == ([4] if name == "A" else [4, 3])
+        assert state.damping == 0.03 and state._a_inv is None and state._s_inv is None
+
+    def test_failed_escalation_names_the_factor_and_last_damping(self):
+        state = update_state(KfacLayerState(damping=1e-6), np.eye(2), -np.eye(3))
+        with pytest.raises(NotPositiveDefinite, match=r"factor S of order 3 .*\(last damping 0\.001\)$"):
+            refresh_inverses(state)
+
+
+class TestPlainStep:
+    """A K-FAC step between refreshes is the two GEMMs of each layer on the
+    cached inverses: no factorization, no solve and no copy of an inverse."""
+
+    @pytest.mark.parametrize("variant", ["amari_kfac", "sobolev_kfac"])
+    def test_plain_step_factors_solves_and_copies_nothing(self, monkeypatch, variant):
+        calls = []
+        for name in ("cholesky_factor", "solve_from_factor"):
+            original = getattr(linalg, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(linalg, name, counted)
+        coerced, as_matrix = [], linalg.as_matrix
+
+        def watched(a):
+            out = as_matrix(a)
+            coerced.append(out is a)
+            return out
+
+        monkeypatch.setattr(linalg, "as_matrix", watched)
+        ds = normalize(train_test_split(gen_two_moons(200, 0.1, seed=3), 0.25, seed=3))
+        x, y = ds.train()
+        cfg = OptimConfig(variant=variant, batch_size=50, seed=3, record_walltime=False)
+        net = make_net([2, 16, 16, 2], "tanh", np.random.default_rng(3))
+        state = TrainState.create(net, cfg)
+        net, _ = train_step(net, x[:50], y[:50], cfg, state, 0.01)  # step 0 refreshes
+        assert calls.count("cholesky_factor") >= 6 and calls.count("solve_from_factor") >= 6
+        calls.clear()
+        coerced.clear()
+        train_step(net, x[50:100], y[50:100], cfg, state, 0.01)
+        assert calls == []
+        # a_inv, s_inv and the gradient of each of the three layers, all used as they are.
+        assert coerced == [True] * 9

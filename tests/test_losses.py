@@ -66,6 +66,22 @@ def test_fused_loss_matches_definitions():
     np.testing.assert_array_equal(grad, z - y)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 50, 500, 1001])
+@pytest.mark.parametrize("kind", [SQUARED, SOFTMAX_CE])
+def test_mean_is_numpy_mean_bit_for_bit(kind, batch):
+    # loss_and_grad takes the mean as sum / size, which is np.mean's own
+    # reduction and division without its wrapper.
+    rng = np.random.default_rng(batch)
+    z = logits(batch, 3, 2)
+    if kind == SQUARED:
+        y = rng.normal(size=(batch, 3))
+        expected = 0.5 * np.mean(np.sum((z - y) ** 2, axis=1))
+    else:
+        y = rng.integers(0, 3, size=batch)
+        expected = -np.mean(np.log(np.maximum(softmax(z)[np.arange(batch), y], 1e-300)))
+    assert loss_and_grad(z, y, kind)[0] == expected
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         loss_and_grad(np.zeros((2, 2)), np.zeros(2), "hinge")
