@@ -8,13 +8,16 @@ the inverse Fourier transform of (1 + |xi|^2)^(-(n+3)/2).  Only this order is
 supported; other orders have different closed forms and are rejected rather
 than silently approximated.
 
-The dimension constant C_n is exposed in two modes.  ``unit_constant``
+The dimension constant C_n = d(0) is exposed in two modes.  ``unit_constant``
 (the default) sets C_n = 1: the constant only rescales the metric, which the
 learning rate absorbs, and unit scaling keeps Gram matrices well conditioned.
-``exact_dimension_constant`` evaluates the residue-calculus constants:
-1/4 for n = 1 (the one-dimensional contour integral is self-contained),
-(n-1)! / (pi^((n+1)/2) * 2^(n+4)) for odd n >= 3, and the even-n product
-formula otherwise.
+``exact_dimension_constant`` takes the inverse Fourier transform's value at
+r = 0 under the (2 pi)^-n convention, the Matern normalization
+
+    C_n = Gamma(nu) / ((4 pi)^(n/2) Gamma(nu + n/2)),    nu = 3/2
+
+(Rasmussen & Williams 2006, sec. 4.2): 1/4, 1/(6 pi) and 1/(32 pi) for
+n = 1, 2 and 3.
 
 Every kernel table -- the batch Gram here and the representer evaluations
 and functional-GD rows of the data points in :mod:`sobnat.rkhs` -- comes
@@ -68,22 +71,15 @@ SOLVE_BLOCK = 64
 
 
 def dimension_constant(n: int) -> float:
-    """Closed-form constant C_n for the order-(n+3) kernel on R^n."""
+    """C_n of the order-(n+3) kernel on R^n, the module docstring's closed form.
+
+    Gamma(3/2) = sqrt(pi)/2 is cancelled against (4 pi)^(n/2) by hand, which
+    leaves 1 / (2^(n+1) pi^((n-1)/2) Gamma((n+3)/2)).  For odd n that is a
+    power of two, a whole power of pi and a factorial, so C_1 is exactly 1/4.
+    """
     if n < 1:
         raise ValueError("input dimension must be >= 1")
-    if n == 1:
-        # One-dimensional residue formula at A = s/2 = 2: binom(2,1) / 2^3.
-        return 0.25
-    if n % 2 == 1:
-        return math.factorial(n - 1) / (math.pi ** ((n + 1) / 2.0) * 2.0 ** (n + 4))
-    # Even n: product over b = 1..n/2-1 of ((n+3)/2 - b), times (n-1)!,
-    # divided by pi^(n/2+1) 6! (2n-2)!, with the 2^(n/2+5) (3!)^2 prefactor.
-    prod = 1.0
-    for b in range(1, n // 2):
-        prod *= (n + 3) / 2.0 - b
-    num = 2.0 ** (n // 2 + 5) * 36.0 * prod * math.factorial(n - 1)
-    den = math.pi ** (n // 2 + 1) * 720.0 * math.factorial(2 * n - 2)
-    return num / den
+    return 1.0 / (2.0 ** (n + 1) * math.pi ** ((n - 1) / 2) * math.gamma((n + 3) / 2))
 
 
 @dataclass(frozen=True)

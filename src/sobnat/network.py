@@ -127,15 +127,20 @@ class MlpNetwork:
     def params_vector(self) -> np.ndarray:
         return np.concatenate([w.reshape(-1) for w in self.weights])
 
-    def with_params_vector(self, vec: np.ndarray) -> "MlpNetwork":
-        vec = np.asarray(vec, dtype=np.float64)
+    def split_vector(self, vec: np.ndarray) -> list:
+        """Per-layer views of a length-P vector laid out as :meth:`params_vector`,
+        each shaped like Wbar_l: the layers in order, each row-major."""
         if vec.shape[0] != self.num_params:
             raise DimensionMismatch("parameter vector has wrong length")
-        weights, k = [], 0
+        views, k = [], 0
         for w in self.weights:
-            weights.append(vec[k : k + w.size].reshape(w.shape).copy())
+            views.append(vec[k : k + w.size].reshape(w.shape))
             k += w.size
-        return MlpNetwork(self.layers, weights)
+        return views
+
+    def with_params_vector(self, vec: np.ndarray) -> "MlpNetwork":
+        vec = np.asarray(vec, dtype=np.float64)
+        return MlpNetwork(self.layers, [v.copy() for v in self.split_vector(vec)])
 
 
 @dataclass

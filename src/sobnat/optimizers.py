@@ -1,26 +1,27 @@
 """Training-step orchestration for the gradient variants.
 
-Variants:
-  sgd            plain Euclidean step on the batch-mean loss
-  ntk_surrogate  tangent-coefficient step J r (no metric inverse, no
-                 backward pass); its trajectory coincides with sgd by
-                 construction and exists as an independent code path
-  amari_dense    dense batch metric with K = I (Gauss-Newton), Tikhonov damped;
-                 its gradient is J r too, with no backward pass
-  sobolev_dense  dense batch metric with the Sobolev kernel Gram, gradient J r
-  amari_kfac     Kronecker-factored K = I metric, factored damping
-  sobolev_kfac   Kronecker-factored kernel-weighted metric
+Every variant takes one update, w_l - lr * Delta_l, with a direction
+Delta_l shaped like each layer's Wbar_l.  With g = grad L + weight_decay * w
+the gradient of the batch's summed loss plus weight decay, J the parameter
+Jacobian on the batch and r = dL/dz:
 
-The batch objective is the empirical sum of per-sample losses, so every
-variant steps on the sum-loss gradient and the dense variants pair it with
-the unnormalized batch metric estimate.  At desk scale this keeps the
-damping small relative to the metric, which is what makes the
-natural-gradient variants meaningfully faster than plain gradient steps.
-Kernel Grams for the sobolev variants are rebuilt every step on the batch
-inputs divided by the configured input scale, with the kernel spec the
-run's TrainState holds.  Weight decay is added to the raw Euclidean
-gradient before any preconditioning.  Logged train_loss stays the
-per-sample mean for comparability across batch sizes.
+  sgd            Delta = g, by backprop
+  ntk_surrogate  Delta = g, taken as J r + weight_decay * theta from the
+                 step's tangents with no backward pass: an independent path
+                 to sgd's trajectory
+  amari_dense    Delta = (damping I + J J^T)^-1 g, g taken as J r too
+  sobolev_dense  Delta = (damping I + J (I_m (x) K^-1) J^T)^-1 g
+  amari_kfac     Delta = S^-1 g A^-1 per layer, damping split by trace
+  sobolev_kfac   the same with kernel-weighted factors
+
+K is the batch's Sobolev Gram, rebuilt every step on the batch inputs
+divided by the input scale.  TrainState holds a kernel only for the sobolev
+variants, and a step without one takes K = I (Gauss-Newton).  The dense and
+ntk_surrogate directions are per-layer views of one length-P vector.  At
+desk scale the summed loss keeps the damping small relative to the
+unnormalized metric estimate, which is what makes the natural-gradient
+variants meaningfully faster than plain gradient steps.  Logged train_loss
+stays the per-sample mean for comparability across batch sizes.
 """
 
 from __future__ import annotations
@@ -153,12 +154,15 @@ def make_net(dims, activation: str, seed_rng) -> network.MlpNetwork:
     return network.MlpNetwork.create(dims, acts, seed_rng)
 
 
-def _batch_gram(x: np.ndarray, state: TrainState) -> GramMatrix:
+def _batch_gram(x: np.ndarray, state: TrainState) -> GramMatrix | None:
+    """The batch's Sobolev Gram, or None (K = I) when the run holds no kernel."""
+    if state.kernel_spec is None:
+        return None
     return gram(x / state.kernel_spec.input_scale, state.kernel_spec, state.buffers)
 
 
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
-    """One update; returns (new network, mean batch loss before the update).
+    """One update w_l - lr * Delta_l; returns (new network, mean batch loss before it).
 
     The ntk_surrogate and dense steps take the sum-loss gradient as J r from
     the step's :class:`~sobnat.network.Tangents`, so their one backprop
@@ -170,38 +174,25 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
 
     if config.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
         tangents = network.Tangents.of_network(net, cache)
-        params = net.params_vector()
         direction = metric.ntk_surrogate_gradient(tangents, residuals)  # J r
-        direction += config.weight_decay * params
+        direction += config.weight_decay * net.params_vector()
         if config.variant != "ntk_surrogate":
-            gram_matrix = None if config.variant == "amari_dense" else _batch_gram(batch_x, state)
             direction = metric.damped_natural_gradient(
-                tangents, gram_matrix, config.damping, direction, state.buffers
+                tangents, _batch_gram(batch_x, state), config.damping, direction, state.buffers
             )
-        state.step += 1
-        return net.with_params_vector(params - lr * direction), train_loss
-
-    grads = network.backward(net, cache, residuals)
-    if config.variant == "sgd":
-        new_weights = [
-            w - lr * (g + config.weight_decay * w) for w, g in zip(net.weights, grads)
-        ]
-        state.step += 1
-        return network.MlpNetwork(net.layers, new_weights), train_loss
-
-    # K-FAC variants: refresh factors, inverses on the configured period.
-    if state.step % config.kfac_update_period == 0:
-        gram_matrix = None if config.variant == "amari_kfac" else _batch_gram(batch_x, state)
-        fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), gram_matrix)
-        for layer_state, (a, s) in zip(state.kfac_layers, fresh):
-            kfac.update_state(layer_state, a, s)
-            kfac.refresh_inverses(layer_state)
-    new_weights = []
-    for w, g, layer_state in zip(net.weights, grads, state.kfac_layers):
-        update = kfac.precondition(layer_state, g + config.weight_decay * w)
-        new_weights.append(w - lr * update)
+        deltas = net.split_vector(direction)
+    else:
+        grads = network.backward(net, cache, residuals)
+        deltas = [g + config.weight_decay * w for w, g in zip(net.weights, grads)]
+    if state.kfac_layers is not None:
+        if state.step % config.kfac_update_period == 0:
+            fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), _batch_gram(batch_x, state))
+            for layer_state, (a, s) in zip(state.kfac_layers, fresh):
+                kfac.update_state(layer_state, a, s)
+                kfac.refresh_inverses(layer_state)
+        deltas = [kfac.precondition(layer_state, d) for layer_state, d in zip(state.kfac_layers, deltas)]
     state.step += 1
-    return network.MlpNetwork(net.layers, new_weights), train_loss
+    return network.MlpNetwork(net.layers, [w - lr * d for w, d in zip(net.weights, deltas)]), train_loss
 
 
 def _accuracy(net, x, y) -> float:

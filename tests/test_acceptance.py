@@ -228,17 +228,25 @@ def test_criterion_10_desk_training_amari_vs_sgd():
 def test_criterion_10_desk_training_sobolev_scale20():
     """Faithful run of the kernel-weighted variant at input scale 20.
 
-    EXPECTED FAIL (spec defect at desk scale): standardized 2-D inputs
-    divided by 20 have pairwise distances ~0.1, so the batch Gram's spectrum
-    spans [~1e-8 (the jitter floor), ~B]; its inverse inflates the
-    kernel-weighted metric by 1e3-1e7 in data directions and the resulting
-    steps are too small at the pinned learning rate.  Measured across every
-    admissible formulation (dense and factored metric, E_K normalizations,
-    batch sizes 4-100, Gram scales 1-20): the variant first reaches mean
-    batch loss 0.1 around step ~1000 and plateaus near 0.075 by step 3000,
-    never below 0.05 within 500 steps.  The high-dimensional benchmarks the
-    scale-20 default was tuned for put scaled distances near 2-4, a
-    well-conditioned regime desk-scale data cannot reproduce.
+    EXPECTED FAIL.  In the pinned 600-step run the lowest batch loss is
+    0.1207 (step 321): the loss never reaches 0.1, the last 50 losses
+    average 0.258 and the test accuracy is 0.872.  On the same data
+    amari_kfac first reaches 0.1 at step 40 and sgd at step 50.
+
+    The steps are not too small: the step-0 update is 5.1x as long as
+    amari_kfac's (0.381 against 0.075).  They point into too few functions.
+    Standardized 2-D inputs divided by 20 lie a median 0.09 apart, in the
+    flat limit of the profile e^-r (1 + r), where the batch Gram has
+    numerical rank 3 (eigenvalues at or above 1e-4 of the largest; 19 at
+    scale 2, 48 at scale 0.5).  Its top three eigenvectors span the constant
+    and the two linear functions of the inputs.  Each step changes the
+    outputs on the batch almost only in those three directions (3e-5 to
+    5e-4 of the change lies outside them), while 0.21 of the loss residual
+    lies outside them at step 0 and 0.92-0.97 from step 100 on, so the run
+    stalls.  A 3000-step run with the same schedule shape first reaches 0.1
+    at step 1010 and ends at a last-50 mean of 0.236.  The rank is that of
+    step 0's batch; the shares were measured at steps 0, 100, 300 and 590
+    with numpy.linalg.eigh of each step's batch Gram.
     """
     sob_005, sob_01, sob_acc = desk_run("sobolev_kfac")
     _, sgd_01, _ = desk_run("sgd")

@@ -148,8 +148,26 @@ def test_every_traced_name_resolves_and_is_restored():
     assert all(verify.SUITES[name] is fn for name, fn in suites.items())
 
 
-@pytest.mark.parametrize("variant", ["amari_kfac", "sobolev_kfac"])
-def test_kfac_trace_rows_record_calls(variant):
+# The traced stages each variant's refresh and plain step call: a stage
+# the step still runs must keep recording calls, not read 0 in the tables.
+STEP_STAGES = {
+    "sgd": ("network.forward",),
+    "ntk_surrogate": ("network.forward", "network.output_jacobians", "metric.ntk_surrogate_gradient"),
+    "amari_dense": ("network.forward", "network.output_jacobians", "metric.ntk_surrogate_gradient",
+                    "linalg.cholesky_factor", "linalg.solve_from_factor"),
+    "sobolev_dense": ("network.forward", "network.output_jacobians", "metric.ntk_surrogate_gradient",
+                      "kernel.gram", "linalg.cholesky_factor", "linalg.solve_from_factor"),
+    "amari_kfac": ("network.forward", "network.output_jacobians", "kfac.compute_factors",
+                   "kfac.update_state", "kfac.refresh_inverses", "kfac.precondition",
+                   "linalg.cholesky_factor", "linalg.solve_from_factor"),
+    "sobolev_kfac": ("network.forward", "network.output_jacobians", "kernel.gram", "kfac.compute_factors",
+                     "kfac.update_state", "kfac.refresh_inverses", "kfac.precondition",
+                     "linalg.cholesky_factor", "linalg.solve_from_factor"),
+}
+
+
+@pytest.mark.parametrize("variant", optimizers.VARIANTS)
+def test_step_trace_rows_record_calls(variant):
     # One refresh step and one plain step, each its own trace scope.
     tracer_module = load_tracer()
     ds = normalize(train_test_split(gen_two_moons(200, 0.1, seed=4), 0.25, seed=4))
@@ -166,11 +184,14 @@ def test_kfac_trace_rows_record_calls(variant):
     finally:
         tracer.uninstall()
     calls = {(scope, name): n for (scope, name), n in tracer.calls.items()}
+    traced = {f"{module}.{fname}" for module, names in tracer_module.TRACED.items() for fname in names}
+    assert set(STEP_STAGES[variant]) <= traced
     silent = [
-        f"kfac.{fname}"
-        for fname in tracer_module.TRACED["kfac"]
-        if not calls.get(("refresh", f"kfac.{fname}")) and not calls.get(("plain", f"kfac.{fname}"))
+        name for name in STEP_STAGES[variant]
+        if not calls.get(("refresh", name)) and not calls.get(("plain", name))
     ]
-    assert not silent, f"traced K-FAC names with no call in a refresh and a plain step: {silent}"
-    assert calls.get(("refresh", "linalg.cholesky_factor"), 0) >= 2 * len(net.layers)
-    assert calls.get(("plain", "linalg.cholesky_factor"), 0) == 0
+    assert not silent, f"traced {variant} stages with no call in a refresh and a plain step: {silent}"
+    if variant.endswith("_kfac"):
+        assert {name for name in traced if name.startswith("kfac.")} <= set(STEP_STAGES[variant])
+        assert calls.get(("refresh", "linalg.cholesky_factor"), 0) >= 2 * len(net.layers)
+        assert calls.get(("plain", "linalg.cholesky_factor"), 0) == 0

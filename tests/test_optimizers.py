@@ -11,7 +11,7 @@ from sobnat.errors import DegenerateGram, DimensionMismatch, Diverged, NotPositi
 from sobnat.kernel import KernelSpec, gram
 from sobnat.losses import SOFTMAX_CE, SQUARED, loss_grad_z
 from sobnat.metric import damped_natural_gradient, estimate_metric
-from sobnat.network import LayerSpec, MlpNetwork, Tangents, backward_loss, forward, param_jacobian
+from sobnat.network import LayerSpec, MlpNetwork, Tangents, backward, backward_loss, forward, param_jacobian
 from sobnat.optimizers import (
     ExperimentLog,
     OptimConfig,
@@ -221,7 +221,12 @@ class TestTrainStep:
         # amari_dense and sobolev_dense with the Gram forced to identity
         # must produce the same trajectory.  Points 1000 apart have kernel
         # values exp(-1000) (1 + 1000) == 0.0, so their Gram is exactly I.
+        # amari_dense keeps its own K = I path: a run without a kernel gets None.
+        batch_gram = optimizers._batch_gram
+
         def identity_gram(x, state):
+            if state.kernel_spec is None:
+                return batch_gram(x, state)
             spread = 1000.0 * np.arange(x.shape[0]).reshape(-1, 1)
             g = gram(spread, KernelSpec(input_dim=1, jitter=0.0))
             assert np.array_equal(g.values, np.eye(x.shape[0]))
@@ -358,29 +363,50 @@ def test_config_rejects_out_of_range_kfac_fields_by_name(field, value):
         OptimConfig(**{field: value})
 
 
-def buffer_free_step(net, x, y, cfg, kfac_layers, lr):
-    """train_step's Sobolev and dense steps through the public calls, which
-    factor into fresh arrays.  A dense step's gradient is J r, as the
-    step takes it."""
+def reference_step(net, x, y, cfg, kfac_layers, lr, refresh=True):
+    """train_step through the public calls, which factor into fresh arrays:
+    each layer becomes w_l - lr * Delta_l, with the variant's Delta_l built
+    here.  A dense or ntk_surrogate step's gradient is J r, as the step
+    takes it; a K-FAC step refreshes kfac_layers first when refresh is set."""
     cache = forward(net, x)
+    resid = loss_grad_z(cache.outputs, y, cfg.loss)
     g = None
     if cfg.variant.startswith("sobolev"):
         spec = KernelSpec(input_dim=x.shape[1], input_scale=cfg.input_scale)
         g = gram(x / cfg.input_scale, spec)
-    if cfg.variant.endswith("_dense"):
+    if cfg.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
         tangents = Tangents.of_network(net, cache)
-        grad = tangents.matvec(loss_grad_z(cache.outputs, y, cfg.loss).T) + cfg.weight_decay * net.params_vector()
-        direction = damped_natural_gradient(tangents, g, cfg.damping, grad)
-        return net.with_params_vector(net.params_vector() - lr * direction)
-    grads = backward_loss(net, cache, y, cfg.loss, reduction="sum")
-    # K-FAC, refreshed on every step (kfac_update_period 1).
-    weights = []
-    for layer, (a, s), w, v in zip(kfac_layers, kfac.compute_factors(Tangents.of_network(net, cache), g),
-                                   net.weights, grads):
-        kfac.update_state(layer, a, s)
-        kfac.refresh_inverses(layer)
-        weights.append(w - lr * kfac.precondition(layer, v + cfg.weight_decay * w))
-    return MlpNetwork(net.layers, weights)
+        direction = tangents.matvec(resid.T) + cfg.weight_decay * net.params_vector()
+        if cfg.variant != "ntk_surrogate":
+            direction = damped_natural_gradient(tangents, g, cfg.damping, direction)
+        parts = np.split(direction, np.cumsum([w.size for w in net.weights])[:-1])
+        deltas = [part.reshape(w.shape) for part, w in zip(parts, net.weights)]
+    else:
+        deltas = [v + cfg.weight_decay * w for w, v in zip(net.weights, backward(net, cache, resid))]
+    if cfg.variant.endswith("_kfac"):
+        if refresh:
+            for layer, (a, s) in zip(kfac_layers, kfac.compute_factors(Tangents.of_network(net, cache), g)):
+                kfac.update_state(layer, a, s)
+                kfac.refresh_inverses(layer)
+        deltas = [kfac.precondition(layer, d) for layer, d in zip(kfac_layers, deltas)]
+    return MlpNetwork(net.layers, [w - lr * d for w, d in zip(net.weights, deltas)])
+
+
+@pytest.mark.parametrize("variant", optimizers.VARIANTS)
+def test_every_variant_steps_w_minus_lr_delta(variant):
+    # Step 0 refreshes the K-FAC factors and step 1 is a plain K-FAC step
+    # (period 10); every variant's new layers are bitwise w_l - lr * Delta_l.
+    x, y = TWO_MOONS.train()
+    cfg = OptimConfig(variant=variant, batch_size=50, seed=6, record_walltime=False)
+    net = reference = make_net([2, 16, 16, 2], "tanh", rngmod.stream(6, "init"))
+    state, ref_layers = TrainState.create(net, cfg), TrainState.create(net, cfg).kfac_layers
+    for step, lr in enumerate((0.01, 0.005)):
+        rows = slice(50 * step, 50 * step + 50)
+        before, (net, _) = net, train_step(net, x[rows], y[rows], cfg, state, lr)
+        reference = reference_step(reference, x[rows], y[rows], cfg, ref_layers, lr, refresh=step == 0)
+        for got, want, old in zip(net.weights, reference.weights, before.weights):
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(got, old)
 
 
 class TestFactorBuffers:
@@ -410,7 +436,7 @@ class TestFactorBuffers:
             xb, yb = x[rows], y[rows]
             outs.append([])
             net, _ = train_step(net, xb, yb, cfg, state, 0.01)
-            reference = buffer_free_step(reference, xb, yb, cfg, ref_layers, 0.01)
+            reference = reference_step(reference, xb, yb, cfg, ref_layers, 0.01)
             np.testing.assert_array_equal(net.params_vector(), reference.params_vector())
             for got, want in zip(state.kfac_layers or [], ref_layers or []):
                 np.testing.assert_array_equal(got.a_factor, want.a_factor)
