@@ -16,58 +16,73 @@ exact and equals the Gram matrix itself.
 
 The metric has rank at most B*m, so the damped natural gradient
 (damping I + J~ J~^T) v = g is solved by :func:`damped_natural_gradient` in
-whichever space is smaller.  With P > B*m and damping > 0 it uses the
-push-through (Woodbury) identity
+whichever space is smaller.  Its gradient is that of a train step's summed
+loss plus weight decay, g = J r + decay theta, given as the (B, m)
+per-sample residuals r = dL/dz and the parameters theta.  With P > B*m and
+damping > 0 it uses the push-through (Woodbury) identity
 
     v = (g - J~ (damping I + J~^T J~)^-1 J~^T g) / damping,
 
 a B*m x B*m system that needs J only through products, so neither J nor
 any P x P array is formed.  Kernel space is component-major: index (c, b)
 is c*B + b, the order in which :meth:`sobnat.network.Tangents` holds the
-output Jacobians, so no product below reorders a factor.  With
-W = I_m (x) L^-1 the whitening, J~^T J~ = W Theta W^T, where Theta = J^T J
-is the empirical tangent kernel.  Theta is built layer by layer from the
-forward pass's factors (:meth:`sobnat.network.Tangents.ntk`),
+output Jacobians, so no product below reorders a factor, and r enters as
+its (m, B) transpose.  With W = I_m (x) L^-1 the whitening,
+J~^T J~ = W Theta W^T, where Theta = J^T J is the empirical tangent
+kernel.  Theta is built layer by layer from the forward pass's factors
+(:meth:`sobnat.network.Tangents.ntk`),
 
     Theta = sum_l (Ds_l Ds_l^T)  .*  1_{m x m} (x) (Abar_l Abar_l^T),
 
 each layer's product taken in place, and the whitening need not be applied
 to it.  W^T W = I_m (x) K_j^-1, where K_j = K + jitter d(0) I is the
-matrix the Gram's factor L is of, so the identity is
-v = (g - J z) / damping with
+matrix the Gram's factor L is of, so the identity is v = (g - J z) /
+damping with S z = J^T g and
 
-    S z = J^T g,    S = Theta + damping (I_m (x) K_j):
+    S = Theta + damping (I_m (x) K_j):
 
 kernel ridge regression with the NTK in which the Sobolev Gram takes the
-place of the identity.  S is Theta with damping K_j added on its m
-contiguous diagonal B x B blocks, and is factored once; J^T g and J z are
-per-layer products with Abar_l and Ds_l on (m, B) arrays, and no
+place of the identity.  g is never formed: J^T J r = Theta r = S r -
+damping (I_m (x) K_j) r, so the J r in g cancels against part of J z,
+and with c = decay / damping
+
+    v = c theta + J y,    S y = (I_m (x) K_j) r - c J^T theta.
+
+J^T theta[c, b] = sum_l Ds_l^(c)(x_b) . s_l(x_b) is read from the forward
+pass's pre-activations s_l = Abar_l Wbar_l^T
+(:meth:`~sobnat.network.Tangents.rmatvec_params`), so with K = I the
+step is one J product.  S is Theta with damping K_j added on its m
+contiguous diagonal B x B blocks, and is factored once; J y is a
+per-layer product with Abar_l and Ds_l on an (m, B) array, and no
 triangular solve touches Theta.  The rounding of the formed Theta is not
 shaped like damping K_j, whose condition number is 1e9-1e10 on 50
-two-moons points at input scale 20, so on its own v_0 = (g - J z) / damping
-is 1.5e-9 to 2.1e-7 off the P x P oracle.  One step of iterative
-refinement in kernel space fixes that.  The residual of v_0 is
+two-moons points at input scale 20, so on its own v_0 = c theta + J y is
+up to 1.6e-7 off the P x P oracle.  One step of iterative refinement in
+kernel space fixes that.  The residual of v_0 is
 
     g - damping v_0 - J (I_m (x) K_j^-1) J^T v_0 = J e,
-    e = z - (I_m (x) K_j^-1) J^T v_0,
+    e = r - damping y - (I_m (x) K_j^-1) J^T v_0,
 
-so the correction is the same solve with J e as the gradient:
-z_2 = S^-1 J^T J e = S^-1 Theta e, and v = (g - J (z - e + z_2)) / damping.
+and the same identity with e for r and no decay corrects y by
+S^-1 (I_m (x) K_j) e before v = c theta + J y is taken again.
 J^T v_0 must be taken by :meth:`~sobnat.network.Tangents.rmatvec`, and
 K_j^-1 is applied to its (B, m) transpose by :meth:`GramMatrix.solve`
-from the Gram's factor: the algebraically equal (J^T g - Theta z) /
-damping makes e vanish identically, and the refinement would then
-correct nothing.  The refined step is within 1.9e-11 of the oracle,
-relative to its largest entry (B = 50, seeds 0-39, [2,16,16,1],
-[2,16,16,2] and [2,64,64,2]).  The solve makes two rmatvec and two
-matvec calls, factors S and solves with K_j only on (B, m) arrays; with
-K = I, S = Theta + damping I and the first v is the answer.  A dense
-train step adds one matvec, the gradient J r of
-:mod:`sobnat.optimizers`, so its one backprop sweep is the output
+from the Gram's factor: the algebraically equal
+K_j^-1 (c J^T theta + Theta y) makes e vanish identically, and the
+refinement would then correct nothing.  The refined step is within
+2.2e-11 of the oracle, and the K = I step within 3.2e-12, relative to
+its largest entry (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
+[2,64,64,2], input scales 20, 2 and 0.5, decay 0 and 0.003).  The
+Sobolev solve makes two matvec calls and one rmatvec, factors S and
+solves with K_j only on (B, m) arrays; with K = I, S = Theta + damping I,
+the first v is the answer, and the solve makes one matvec.  (The
+Tangents of a dense J hold no pre-activations and take J^T theta by one
+rmatvec more.)  A dense train step runs no other J product, so its one backprop sweep is the output
 Jacobians of its Tangents.  With P <= B*m, or with damping 0 (the
-exactness oracles), where the identity would divide by 0, the step
-factors the P x P metric that :func:`estimate_metric` builds, as
-natural_gradient does: one private build that whitens the fresh buffer of
+exactness oracles), where the identity would divide by 0, the step forms
+g = J r, adds decay theta to it, and factors the P x P metric that
+:func:`estimate_metric` builds, as natural_gradient does: one private
+build that whitens the fresh buffer of
 :meth:`~sobnat.network.Tangents.matrix` in place and returns J~ J~^T.  A
 scalar damping is passed as the diagonal shift of
 :func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand,
@@ -151,77 +166,108 @@ def damped_natural_gradient(
     tangents: Tangents,
     gram: GramMatrix,
     damping: float,
-    grad: np.ndarray,
+    residuals: np.ndarray,
+    decay: float = 0.0,
+    params: np.ndarray = None,
     buffers: linalg.FactorBuffers = None,
 ) -> np.ndarray:
-    """Solve (damping I + J~ J~^T) v = grad with one factor in the smaller space.
+    """Solve (damping I + J~ J~^T) v = J r + decay * params with one factor in the smaller space.
 
     J~ is the whitened Jacobian of :func:`estimate_metric` (gram=None: K = I),
     given as the :class:`~sobnat.network.Tangents` of a network or of a
-    dense J.  With P > B*m and damping > 0 the B*m x B*m system of the
-    module docstring is factored and J is never formed; otherwise the
-    P x P metric is, and the result equals natural_gradient(estimate_metric(...)).
-    With ``buffers`` that P x P metric is factored into its "metric" array.
+    dense J, r the (B, m) per-sample residuals dL/dz and params the
+    parameters the tangents were taken at (needed only with decay), so the
+    right side is the gradient of a train step's summed loss plus weight
+    decay.  With P > B*m and damping > 0 the B*m x B*m system of the
+    module docstring is solved from r and J^T params, and neither J nor
+    J r is formed; otherwise J r + decay * params and the P x P metric are,
+    and the result equals natural_gradient(estimate_metric(...)) of that
+    gradient.  With ``buffers`` that P x P metric is factored into its
+    "metric" array.
     """
     p, n = tangents.num_params, tangents.batch * tangents.output_dim
-    grad = np.asarray(grad, dtype=np.float64).reshape(-1)
-    if grad.shape[0] != p:
-        raise DimensionMismatch(f"gradient has length {grad.shape[0]}, metric is {p}")
+    r = _residuals(tangents, residuals)
+    if params is not None:
+        params = np.asarray(params, dtype=np.float64).reshape(-1)
+        if params.shape[0] != p:
+            raise DimensionMismatch(f"params have length {params.shape[0]}, metric is {p}")
+    elif decay != 0:
+        raise ValueError("weight decay needs the params it decays")
     if gram is not None and gram.size != tangents.batch:
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     if damping > 0 and p > n:
-        return _kernel_space_solve(tangents, gram, damping, grad)
+        return _kernel_space_solve(tangents, gram, damping, r, decay, params)
+    grad = tangents.matvec(r.T)
+    if params is not None:
+        grad += decay * params
     out = None if buffers is None else buffers.get("metric", p)
     factor = linalg.cholesky_factor(_metric_values(tangents, gram), damping, out=out)
     return linalg.solve_from_factor(factor, grad)
 
 
-def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, grad: np.ndarray):
+def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, r, decay: float, params):
     """The P > B*m branch of :func:`damped_natural_gradient`; see the module docstring."""
+    c = decay / damping
     theta = tangents.ntk()
-    jg = tangents.rmatvec(grad)  # (m, B), as every kernel-space array here
+
+    def step(y):  # v = c theta + J y
+        v = tangents.matvec(y)
+        if c:
+            v += c * params
+        return v
+
     if gram is None:
-        z = linalg.solve_from_factor(linalg.cholesky_factor(theta, damping), jg.reshape(-1))
-        return (grad - tangents.matvec(z.reshape(jg.shape))) / damping
-    # S = Theta + damping (I_m (x) K_j), K_j the matrix gram's factor is of:
-    # damping K_j on each of the m diagonal B x B blocks of S.
-    shift = gram.values.copy()
-    shift.flat[:: len(shift) + 1] += gram.jitter * gram.d0
-    shift *= damping
-    s = theta.copy()
-    batch = len(shift)
-    for start in range(0, len(s), batch):
-        s[start : start + batch, start : start + batch] += shift
-    factor = linalg.cholesky_factor(s)
+        rhs = r.T
+    else:
+        # K_j, the matrix gram's factor is of, and S = Theta + damping
+        # (I_m (x) K_j) with damping K_j on each of the m diagonal B x B
+        # blocks; Theta is not needed again, so S is built in its array.
+        kj = gram.values.copy()
+        kj.flat[:: len(kj) + 1] += gram.jitter * gram.d0
+        shift = damping * kj
+        batch = len(kj)
+        for start in range(0, len(theta), batch):
+            theta[start : start + batch, start : start + batch] += shift
+        rhs = (kj @ r).T
+    if c:
+        rhs = rhs - c * tangents.rmatvec_params(params)
+    factor = linalg.cholesky_factor(theta, damping if gram is None else 0.0)
 
-    def solve(r):
-        return linalg.solve_from_factor(factor, r.reshape(-1)).reshape(jg.shape)
+    def solve(b):
+        return linalg.solve_from_factor(factor, b.reshape(-1)).reshape(b.shape)
 
-    z = solve(jg)
-    v = (grad - tangents.matvec(z)) / damping
-    # v's residual is J e; J^T v must come from rmatvec, since the
-    # algebraically equal (J^T g - Theta z) / damping makes e vanish.
+    y = solve(rhs)
+    if gram is None:
+        return step(y)
+    # v_0's residual is J e; J^T v_0 must come from rmatvec, since the
+    # algebraically equal K_j^-1 (c J^T theta + Theta y) makes e vanish.
     # K_j^-1 runs on the (B, m) transpose.
-    e = z - gram.solve(tangents.rmatvec(v).T).T
-    z_refined = solve(theta @ e.reshape(-1))
-    return (grad - tangents.matvec(z - e + z_refined)) / damping
+    e = r.T - damping * y - gram.solve(tangents.rmatvec(step(y)).T).T
+    y += solve((kj @ e.T).T)
+    return step(y)
 
 
 def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> np.ndarray:
     """Tangent coefficients of the metric-free surrogate, J r.
 
-    Unlike the projection, :func:`damped_natural_gradient` of J r, this
-    applies no inverse metric; the two agree exactly when the metric estimate
-    is the identity and disagree otherwise (the surrogate is not a projection).
-    With residual_grads the (B, m) per-sample dL/dz, J r is the gradient of
-    the batch sum of the loss, which the dense train steps precondition.
+    Unlike the projection, :func:`damped_natural_gradient` of the same
+    residuals, this applies no inverse metric; the two agree exactly when the
+    metric estimate is the identity and disagree otherwise (the surrogate is
+    not a projection).  With residual_grads the (B, m) per-sample dL/dz,
+    J r is the gradient of the batch sum of the loss, the ntk_surrogate
+    step's direction.
     """
-    r = np.atleast_2d(np.asarray(residual_grads, dtype=np.float64))
+    return tangents.matvec(_residuals(tangents, residual_grads).T)
+
+
+def _residuals(tangents: Tangents, residuals) -> np.ndarray:
+    """The (B, m) per-sample residuals as float64, or DimensionMismatch."""
+    r = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
     if r.shape != (tangents.batch, tangents.output_dim):
         raise DimensionMismatch(
             f"residuals of shape {r.shape} for batch of {tangents.batch} with {tangents.output_dim} outputs"
         )
-    return tangents.matvec(r.T)
+    return r
 
 
 def _gaussian_nodes(nodes_per_dim: int):

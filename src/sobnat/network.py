@@ -258,15 +258,19 @@ class Tangents:
     gradients r enters :meth:`matvec` as its transpose, and J r is the
     gradient of the batch sum of the loss.  :meth:`matrix` keeps the
     sample-major columns (b, c) of :func:`param_jacobian`.
+
+    pre_acts are the forward pass's s_l = Abar_l Wbar_l^T, from which
+    :meth:`rmatvec_params` reads J^T theta; a dense J has none.
     """
 
     a_bars: list
     jacobians: list
+    pre_acts: list = None
 
     @classmethod
     def of_network(cls, net: MlpNetwork, cache: BatchCache) -> "Tangents":
         """Tangents of net on the cached batch (runs :func:`output_jacobians`)."""
-        return cls(cache.a_bars, output_jacobians(net, cache))
+        return cls(cache.a_bars, output_jacobians(net, cache), cache.pre_acts)
 
     @classmethod
     def of_matrix(cls, j: np.ndarray, output_dim: int) -> "Tangents":
@@ -274,6 +278,8 @@ class Tangents:
         j = np.asarray(j, dtype=np.float64)
         if j.ndim != 2:
             raise DimensionMismatch("jacobian must be a (P, B*m) matrix")
+        if output_dim < 1:
+            raise DimensionMismatch(f"output_dim must be at least 1, got {output_dim}")
         if j.shape[1] % output_dim != 0:
             raise DimensionMismatch(
                 f"jacobian has {j.shape[1]} columns, not a multiple of output_dim={output_dim}"
@@ -318,16 +324,34 @@ class Tangents:
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """J^T v for a length-P vector v, as an (m, B) array: out[c, b] is column (b, c)."""
-        out, row = None, 0
+        us, row = [], 0
         for a, d in zip(self.a_bars, self.jacobians):
             size = d.shape[2] * a.shape[1]
-            u = a @ v[row : row + size].reshape(d.shape[2], a.shape[1]).T  # (B, p_l)
+            us.append(a @ v[row : row + size].reshape(d.shape[2], a.shape[1]).T)  # (B, p_l)
+            row += size
+        return self._contract(us)
+
+    def rmatvec_params(self, params: np.ndarray) -> np.ndarray:
+        """J^T theta for the parameters theta the tangents were taken at.
+
+        Column (b, c) of layer l contracted with Wbar_l is
+        Ds_l^(c)(x_b) . s_l(x_b), so held pre-activations stand in for the
+        products of :meth:`rmatvec`, which are the same GEMMs: the result is
+        rmatvec(params) bit for bit.  A dense J, which has none, runs rmatvec.
+        """
+        if self.pre_acts is None:
+            return self.rmatvec(params)
+        return self._contract(self.pre_acts)
+
+    def _contract(self, us: list) -> np.ndarray:
+        """sum_l out[c, b] = Ds_l^(c)(x_b) . us[l][b], an (m, B) array."""
+        out = None
+        for d, u in zip(self.jacobians, us):
             layer = np.einsum("cbp,bp->cb", d, u)
             if out is None:
                 out = layer
             else:
                 out += layer
-            row += size
         return out
 
     def matvec(self, z: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ Jacobian on the batch and r = dL/dz:
   ntk_surrogate  Delta = g, taken as J r + weight_decay * theta from the
                  step's tangents with no backward pass: an independent path
                  to sgd's trajectory
-  amari_dense    Delta = (damping I + J J^T)^-1 g, g taken as J r too
-  sobolev_dense  Delta = (damping I + J (I_m (x) K^-1) J^T)^-1 g
+  amari_dense    Delta = (damping I + J J^T)^-1 g, solved from r and theta
+                 with no backward pass; where P > B*m it is
+                 (weight_decay / damping) theta + J y, y a kernel-space
+                 solve, and neither g nor J r is formed (sobnat.metric)
+  sobolev_dense  Delta = (damping I + J (I_m (x) K^-1) J^T)^-1 g, the same way
   amari_kfac     Delta = S^-1 g A^-1 per layer, damping split by trace
   sobolev_kfac   the same with kernel-weighted factors
 
@@ -164,21 +167,24 @@ def _batch_gram(x: np.ndarray, state: TrainState) -> GramMatrix | None:
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
     """One update w_l - lr * Delta_l; returns (new network, mean batch loss before it).
 
-    The ntk_surrogate and dense steps take the sum-loss gradient as J r from
-    the step's :class:`~sobnat.network.Tangents`, so their one backprop
-    sweep is :func:`~sobnat.network.output_jacobians`; sgd and K-FAC run
-    :func:`~sobnat.network.backward`.
+    The ntk_surrogate and dense steps take the sum-loss gradient from the
+    residuals and the step's :class:`~sobnat.network.Tangents` (the dense
+    ones inside :func:`~sobnat.metric.damped_natural_gradient`), so their
+    one backprop sweep is :func:`~sobnat.network.output_jacobians`; sgd and
+    K-FAC run :func:`~sobnat.network.backward`.
     """
     cache = network.forward(net, batch_x)
     train_loss, residuals = losses.loss_and_grad(cache.outputs, batch_y, config.loss)
 
     if config.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
         tangents = network.Tangents.of_network(net, cache)
-        direction = metric.ntk_surrogate_gradient(tangents, residuals)  # J r
-        direction += config.weight_decay * net.params_vector()
-        if config.variant != "ntk_surrogate":
+        if config.variant == "ntk_surrogate":
+            direction = metric.ntk_surrogate_gradient(tangents, residuals)  # J r
+            direction += config.weight_decay * net.params_vector()
+        else:
             direction = metric.damped_natural_gradient(
-                tangents, _batch_gram(batch_x, state), config.damping, direction, state.buffers
+                tangents, _batch_gram(batch_x, state), config.damping,
+                residuals, config.weight_decay, net.params_vector(), state.buffers,
             )
         deltas = net.split_vector(direction)
     else:

@@ -92,8 +92,7 @@ def test_criterion_04_two_path_agreement():
         resid = loss_grad_z(cache.outputs, y, SQUARED)
         g = gram(x / 20.0, KernelSpec(input_dim=2, jitter=0.0))
         j = param_jacobian(net, x)
-        tangents = Tangents.of_matrix(j, 1)
-        path1 = damped_natural_gradient(tangents, g, 1e-3, tangents.matvec(resid.T))
+        path1 = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 1e-3, resid)
         grads = backward_loss(net, cache, y, SQUARED, reduction="sum")
         est = estimate_metric(j, 1, g, damping=1e-3)
         path2 = natural_gradient(est, np.concatenate([v.reshape(-1) for v in grads]))

@@ -153,9 +153,9 @@ def test_every_traced_name_resolves_and_is_restored():
 STEP_STAGES = {
     "sgd": ("network.forward",),
     "ntk_surrogate": ("network.forward", "network.output_jacobians", "metric.ntk_surrogate_gradient"),
-    "amari_dense": ("network.forward", "network.output_jacobians", "metric.ntk_surrogate_gradient",
+    "amari_dense": ("network.forward", "network.output_jacobians",
                     "linalg.cholesky_factor", "linalg.solve_from_factor"),
-    "sobolev_dense": ("network.forward", "network.output_jacobians", "metric.ntk_surrogate_gradient",
+    "sobolev_dense": ("network.forward", "network.output_jacobians",
                       "kernel.gram", "linalg.cholesky_factor", "linalg.solve_from_factor"),
     "amari_kfac": ("network.forward", "network.output_jacobians", "kfac.compute_factors",
                    "kfac.update_state", "kfac.refresh_inverses", "kfac.precondition",

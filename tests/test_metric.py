@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sobnat import linalg
 from sobnat.errors import BudgetExceeded, DimensionMismatch, NotPositiveDefinite
 from sobnat.kernel import GramMatrix, KernelSpec, gram
 from sobnat.losses import SQUARED, loss_grad_z
@@ -83,6 +84,13 @@ class TestEstimateMetric:
         with pytest.raises(DimensionMismatch):
             estimate_metric(np.ones((2, 8)), 2, g)
 
+    def test_output_width_below_one(self):
+        # Not a modulo by zero or a negative reshape: the width is named.
+        with pytest.raises(DimensionMismatch, match="output_dim must be at least 1, got 0"):
+            estimate_metric(np.ones((3, 4)), 0)
+        with pytest.raises(DimensionMismatch, match="output_dim must be at least 1, got -2"):
+            Tangents.of_matrix(np.ones((3, 4)), -2)
+
 
 class TestNaturalGradient:
     def test_identity_metric(self):
@@ -108,26 +116,29 @@ class TestNaturalGradient:
 
 
 class TestDampedNaturalGradient:
-    def instance(self, dims, batch, seed, copies=1):
+    def instance(self, dims, batch, seed, copies=1, decay=0.003):
         # copies > 1 repeats each of batch / copies points that many times.
+        # grad = J r + decay * theta is the right side the oracle solves with.
         rng = np.random.default_rng(seed)
         net = random_net(seed, dims=dims)
         x = np.tile(rng.normal(size=(batch // copies, dims[0])), (copies, 1))
         j = param_jacobian(net, x)
         resid = rng.normal(size=(batch, dims[-1]))
-        grad = j @ resid.reshape(-1) + 0.003 * net.params_vector()
-        return net, x, j, grad
+        grad = j @ resid.reshape(-1) + decay * net.params_vector()
+        return net, x, j, resid, grad
 
     @pytest.mark.parametrize("dims,batch,copies", [((2, 16, 16, 1), 1, 1), ((2, 16, 16, 1), 50, 1),
                                                    ((2, 16, 16, 2), 1, 1), ((2, 16, 16, 2), 50, 1),
                                                    ((2, 16, 16, 2), 50, 2)])
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
     @pytest.mark.parametrize("source", ["matrix", "layers"])
-    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, copies, kernel, source):
+    @pytest.mark.parametrize("decay", [0.0, 0.003])
+    def test_kernel_space_solve_matches_metric_oracle(self, factor_orders, dims, batch, copies, kernel, source,
+                                                      decay):
         # P > B*m: the kernel-space solve, from a dense J or from the
         # network's layer factors, against the P x P oracle; copies = 2
         # gives the Gram of duplicate points, singular but for its jitter.
-        net, x, j, grad = self.instance(dims, batch, seed=batch + dims[-1], copies=copies)
+        net, x, j, resid, grad = self.instance(dims, batch, seed=batch + dims[-1], copies=copies, decay=decay)
         assert net.num_params > batch * net.output_dim
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         oracle = natural_gradient(estimate_metric(j, net.output_dim, g, damping=0.03), grad)
@@ -136,15 +147,52 @@ class TestDampedNaturalGradient:
         else:
             tangents = Tangents.of_network(net, forward(net, x))
         factor_orders.clear()
-        got = damped_natural_gradient(tangents, g, 0.03, grad)
+        got = damped_natural_gradient(tangents, g, 0.03, resid, decay, net.params_vector())
         assert factor_orders == [batch * net.output_dim]
         assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("dims,seeds,scales", [((2, 16, 16, 1), range(4), (20.0, 2.0, 0.5)),
+                                                   ((2, 16, 16, 2), range(4), (20.0, 2.0, 0.5)),
+                                                   ((2, 64, 64, 2), range(1), (20.0,))])
+    def test_kernel_space_solve_over_input_scales(self, dims, seeds, scales):
+        # B = 50 at the input scales of the runs, both kernels and both
+        # decays: at scale 20 K_j has condition number 1e9-1e10, and the
+        # Sobolev step is within the threshold only after its refinement.
+        for seed in seeds:
+            net, x, j, resid, _ = self.instance(dims, 50, seed=seed)
+            tangents, params = Tangents.of_network(net, forward(net, x)), net.params_vector()
+            kernels = [None] + [gram(x / scale, KernelSpec(input_dim=2)) for scale in scales]
+            for g in kernels:
+                factor = linalg.cholesky_factor(estimate_metric(j, dims[-1], g).values, 0.03)
+                for decay in (0.0, 0.003):
+                    oracle = linalg.solve_from_factor(factor, j @ resid.reshape(-1) + decay * params)
+                    got = damped_natural_gradient(tangents, g, 0.03, resid, decay, params)
+                    assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    def test_kernel_space_solve_product_counts(self, monkeypatch, kernel):
+        # J^T theta comes from the forward pass's pre-activations: K = I
+        # takes one J product, and the Sobolev refinement one J and one J^T more.
+        net, x, j, resid, _ = self.instance((2, 16, 16, 2), 50, seed=3)
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
+        calls = []
+        for name in ("matvec", "rmatvec"):
+
+            def counting(self, z, _name=name, _product=getattr(Tangents, name)):
+                calls.append(_name)
+                return _product(self, z)
+
+            monkeypatch.setattr(Tangents, name, counting)
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003,
+                                net.params_vector())
+        expected = {"identity": ["matvec"], "sobolev": ["matvec", "matvec", "rmatvec"]}[kernel]
+        assert sorted(calls) == expected
 
     @pytest.mark.parametrize("dims", [(2, 16, 16, 1), (2, 16, 16, 2)])
     def test_sobolev_kernel_space_solve_whitens_only_kernel_space_vectors(self, monkeypatch, factor_orders, dims):
         # The Sobolev P > B*m solve factors Theta + damping (K_j (x) I_m)
         # itself: one B*m factor, and Gram solves on (B, m) arrays only.
-        net, x, j, grad = self.instance(dims, 50, seed=3)
+        net, x, j, resid, grad = self.instance(dims, 50, seed=3)
         g = gram(x / 20.0, KernelSpec(input_dim=2))
         shapes = []
         for name in ("whiten", "solve"):
@@ -155,7 +203,7 @@ class TestDampedNaturalGradient:
 
             monkeypatch.setattr(GramMatrix, name, recording)
         factor_orders.clear()
-        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, grad)
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003, net.params_vector())
         assert factor_orders == [50 * dims[-1]]
         assert shapes and set(shapes) == {(50, dims[-1])}
 
@@ -163,11 +211,14 @@ class TestDampedNaturalGradient:
     def test_parameter_space_solve_is_the_oracle(self, kernel):
         # P = 17 <= B*m = 100 factors the P x P metric, bit for bit, from a
         # dense J or from the network's layer factors.
-        net, x, j, grad = self.instance((2, 3, 2), 50, seed=13)
+        net, x, j, resid, _ = self.instance((2, 3, 2), 50, seed=13)
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
-        oracle = natural_gradient(estimate_metric(j, 2, g, damping=0.03), grad)
         for tangents in (Tangents.of_matrix(j, 2), Tangents.of_network(net, forward(net, x))):
-            assert np.array_equal(damped_natural_gradient(tangents, g, 0.03, grad), oracle)
+            grad = tangents.matvec(resid.T)
+            grad += 0.003 * net.params_vector()
+            oracle = natural_gradient(estimate_metric(j, 2, g, damping=0.03), grad)
+            got = damped_natural_gradient(tangents, g, 0.03, resid, 0.003, net.params_vector())
+            assert np.array_equal(got, oracle)
 
     def test_parameter_space_solve_whitens_j_in_its_own_buffer(self):
         # A large_batch-shaped Sobolev step, [2,16,16,2] at B = 500 (P = 354
@@ -178,42 +229,71 @@ class TestDampedNaturalGradient:
         x = rng.normal(size=(500, 2))
         g = gram(x / 20.0, KernelSpec(input_dim=2))
         tangents = Tangents.of_network(net, forward(net, x))
-        grad = rng.normal(size=net.num_params)
+        resid, params = rng.normal(size=(500, 2)), net.params_vector()
         j_bytes = net.num_params * 500 * 2 * 8
         tracemalloc.start()
         try:
-            got = damped_natural_gradient(tangents, g, 0.03, grad)
+            got = damped_natural_gradient(tangents, g, 0.03, resid, 0.003, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert j_bytes <= peak < 2 * j_bytes
+        grad = tangents.matvec(resid.T)  # J r + decay * theta, formed as a train step forms it
+        grad += 0.003 * params
         oracle = natural_gradient(estimate_metric(tangents.matrix(), 2, g, damping=0.03), grad)
         assert np.array_equal(got, oracle)
+
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    @pytest.mark.parametrize("decay", [0.0, 0.003])
+    def test_large_batch_solve_is_the_oracle_of_the_formed_gradient(self, kernel, decay):
+        # [2,16,16,2] at B = 500 (P = 354 <= B*m = 1000) forms g = J r, adds
+        # decay * theta, and is the P x P oracle of that g bit for bit.
+        rng = np.random.default_rng(6)
+        net = random_net(6, dims=(2, 16, 16, 2))
+        x = rng.normal(size=(500, 2))
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
+        tangents = Tangents.of_network(net, forward(net, x))
+        resid, params = rng.normal(size=(500, 2)), net.params_vector()
+        grad = tangents.matvec(resid.T)
+        grad += decay * params
+        oracle = natural_gradient(estimate_metric(tangents.matrix(), 2, g, damping=0.03), grad)
+        assert np.array_equal(damped_natural_gradient(tangents, g, 0.03, resid, decay, params), oracle)
 
     def test_zero_damping_is_the_oracle(self, factor_orders):
         # Damping 0 always solves in parameter space, as the exactness
         # oracles need: P = 9 <= B*m = 12 gives the oracle bit for bit ...
-        net, x, j, grad = self.instance((2, 2, 1), 12, seed=15)
+        net, x, j, resid, _ = self.instance((2, 2, 1), 12, seed=15)
         g = gram(x / 20.0, KernelSpec(input_dim=2))
+        tangents = Tangents.of_matrix(j, 1)
+        grad = tangents.matvec(resid.T)
+        grad += 0.003 * net.params_vector()
         for k in (None, g):
             oracle = natural_gradient(estimate_metric(j, 1, k), grad)
-            assert np.array_equal(damped_natural_gradient(Tangents.of_matrix(j, 1), k, 0.0, grad), oracle)
+            got = damped_natural_gradient(tangents, k, 0.0, resid, 0.003, net.params_vector())
+            assert np.array_equal(got, oracle)
         # ... and P = 13 > B*m = 12 factors the 13 x 13 metric of rank <= 12,
         # whose last pivot is 0 up to a rounding error of either sign.
-        net, x, j, grad = self.instance((2, 3, 1), 12, seed=14)
+        net, x, j, resid, _ = self.instance((2, 3, 1), 12, seed=14)
         factor_orders.clear()
         with contextlib.suppress(NotPositiveDefinite):
-            damped_natural_gradient(Tangents.of_matrix(j, 1), None, 0.0, grad)
+            damped_natural_gradient(Tangents.of_matrix(j, 1), None, 0.0, resid, 0.003, net.params_vector())
         assert factor_orders == [13]
 
-    def test_gradient_length_mismatch(self):
+    @pytest.mark.parametrize("resid_shape,params_len", [((2, 1), 3), ((4,), 3), ((2, 2), 4), ((2, 2), 2)])
+    def test_residual_and_params_shape_mismatch(self, resid_shape, params_len):
+        # B = 2, m = 2 and P = 3: r must be (2, 2) and theta of length 3.
         with pytest.raises(DimensionMismatch):
-            damped_natural_gradient(Tangents.of_matrix(np.ones((3, 4)), 2), None, 0.1, np.ones(4))
+            damped_natural_gradient(Tangents.of_matrix(np.ones((3, 4)), 2), None, 0.1,
+                                    np.ones(resid_shape), 0.003, np.ones(params_len))
+
+    def test_decay_needs_the_params(self):
+        with pytest.raises(ValueError, match="weight decay needs the params"):
+            damped_natural_gradient(Tangents.of_matrix(np.ones((3, 4)), 2), None, 0.1, np.ones((2, 2)), 0.003)
 
     def test_gram_size_mismatch(self):
         g = jitterless_gram(np.arange(3.0).reshape(-1, 1), 1)
         with pytest.raises(DimensionMismatch):
-            damped_natural_gradient(Tangents.of_matrix(np.ones((9, 4)), 2), g, 0.1, np.ones(9))
+            damped_natural_gradient(Tangents.of_matrix(np.ones((9, 4)), 2), g, 0.1, np.ones((2, 2)))
 
 
 class TestProjectEmpiricalGradient:
@@ -225,8 +305,7 @@ class TestProjectEmpiricalGradient:
         pts = rng.normal(size=(4, 1))
         g = jitterless_gram(pts, 1)
         j = rng.normal(size=(3, 4))
-        tangents = Tangents.of_matrix(j, 1)
-        out = damped_natural_gradient(tangents, g, 0.0, tangents.matvec(np.zeros((1, 4))))
+        out = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 0.0, np.zeros((4, 1)))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_single_parameter_linear_model(self):
@@ -238,8 +317,7 @@ class TestProjectEmpiricalGradient:
         j = xs.reshape(1, -1)
         resid = (theta * xs - ys).reshape(-1, 1)
         gtilde = float(xs @ np.linalg.solve(g.values, xs))
-        tangents = Tangents.of_matrix(j, 1)
-        got = damped_natural_gradient(tangents, g, 0.0, tangents.matvec(resid.T))
+        got = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 0.0, resid)
         expected = float(xs @ resid[:, 0]) / gtilde
         np.testing.assert_allclose(got, [expected], atol=1e-12)
 
@@ -255,8 +333,7 @@ class TestProjectEmpiricalGradient:
             resid = loss_grad_z(cache.outputs, y, SQUARED)
             g = jitterless_gram(x / 20.0, 2)
             j = param_jacobian(net, x)
-            tangents = Tangents.of_matrix(j, 1)
-            path1 = damped_natural_gradient(tangents, g, 1e-3, tangents.matvec(resid.T))
+            path1 = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 1e-3, resid)
             grads = backward_loss(net, cache, y, SQUARED, reduction="sum")
             grad_vec = np.concatenate([v.reshape(-1) for v in grads])
             est = estimate_metric(j, 1, g, damping=1e-3)
@@ -273,8 +350,7 @@ class TestProjectEmpiricalGradient:
         resid = rng.normal(size=(8, 2))
         g = jitterless_gram(x / 5.0, 1)
         j = param_jacobian(net, x)
-        tangents = Tangents.of_matrix(j, 2)
-        got = damped_natural_gradient(tangents, g, 0.0, tangents.matvec(resid.T))
+        got = damped_natural_gradient(Tangents.of_matrix(j, 2), g, 0.0, resid)
 
         chol = np.linalg.cholesky(g.values)
         j3 = j.reshape(net.num_params, 8, 2)
@@ -290,6 +366,19 @@ class TestProjectEmpiricalGradient:
 
 
 class TestNtk:
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize("dims,batch", [((2, 3, 2), 7), ((2, 16, 16, 2), 50), ((3, 4, 5, 3), 1)])
+    def test_params_product_reads_the_pre_activations(self, dims, batch, activation):
+        # J^T theta from the forward pass's s_l is rmatvec(theta) bit for
+        # bit; a dense J, which has no pre-activations, runs rmatvec.
+        net = random_net(batch, dims=dims, activation=activation)
+        x = np.random.default_rng(batch).normal(size=(batch, dims[0]))
+        tangents, params = Tangents.of_network(net, forward(net, x)), net.params_vector()
+        assert tangents.pre_acts is not None
+        assert np.array_equal(tangents.rmatvec_params(params), tangents.rmatvec(params))
+        dense = Tangents.of_matrix(tangents.matrix(), dims[-1])
+        assert np.array_equal(dense.rmatvec_params(params), dense.rmatvec(params))
+
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     @pytest.mark.parametrize("dims,batch", [((2, 3, 2), 7), ((2, 16, 16, 1), 5), ((3, 4, 5, 3), 1)])
     def test_blocks_assemble_to_gram_of_columns(self, dims, batch, activation):

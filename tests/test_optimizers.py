@@ -181,13 +181,14 @@ class TestTrainStep:
     @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
     @pytest.mark.parametrize("dims,loss", [([2, 5, 4, 2], SOFTMAX_CE), ([2, 6, 1], SQUARED), ([3, 4, 3], SQUARED)])
     def test_dense_gradient_is_the_backward_gradient(self, variant, activation, dims, loss, monkeypatch):
-        # The gradient J r the dense step solves with is the concatenated
-        # backprop gradient of the sum loss, plus weight decay.
+        # The gradient J r + decay * theta the dense step solves with,
+        # rebuilt from the residuals, decay and parameters it passes, is the
+        # concatenated backprop gradient of the sum loss, plus weight decay.
         seen, solve = [], optimizers.metric.damped_natural_gradient
 
-        def recording(tangents, gram_matrix, damping, grad, buffers=None):
-            seen.append(grad.copy())
-            return solve(tangents, gram_matrix, damping, grad, buffers)
+        def recording(tangents, gram_matrix, damping, residuals, decay, params, buffers=None):
+            seen.append(tangents.matvec(residuals.T) + decay * params)
+            return solve(tangents, gram_matrix, damping, residuals, decay, params, buffers)
 
         monkeypatch.setattr(optimizers.metric, "damped_natural_gradient", recording)
         rng = np.random.default_rng(len(dims) + dims[-1])
@@ -366,8 +367,9 @@ def test_config_rejects_out_of_range_kfac_fields_by_name(field, value):
 def reference_step(net, x, y, cfg, kfac_layers, lr, refresh=True):
     """train_step through the public calls, which factor into fresh arrays:
     each layer becomes w_l - lr * Delta_l, with the variant's Delta_l built
-    here.  A dense or ntk_surrogate step's gradient is J r, as the step
-    takes it; a K-FAC step refreshes kfac_layers first when refresh is set."""
+    here.  An ntk_surrogate step's gradient is J r, as the step takes it,
+    and a dense step solves from the residuals r; a K-FAC step refreshes
+    kfac_layers first when refresh is set."""
     cache = forward(net, x)
     resid = loss_grad_z(cache.outputs, y, cfg.loss)
     g = None
@@ -376,9 +378,11 @@ def reference_step(net, x, y, cfg, kfac_layers, lr, refresh=True):
         g = gram(x / cfg.input_scale, spec)
     if cfg.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
         tangents = Tangents.of_network(net, cache)
-        direction = tangents.matvec(resid.T) + cfg.weight_decay * net.params_vector()
-        if cfg.variant != "ntk_surrogate":
-            direction = damped_natural_gradient(tangents, g, cfg.damping, direction)
+        if cfg.variant == "ntk_surrogate":
+            direction = tangents.matvec(resid.T) + cfg.weight_decay * net.params_vector()
+        else:
+            direction = damped_natural_gradient(tangents, g, cfg.damping, resid, cfg.weight_decay,
+                                                net.params_vector())
         parts = np.split(direction, np.cumsum([w.size for w in net.weights])[:-1])
         deltas = [part.reshape(w.shape) for part, w in zip(parts, net.weights)]
     else:
