@@ -18,7 +18,10 @@ then reproduces the corresponding block of the unnormalized metric estimate
 exactly.  Factors are tracked as moving averages; damping is split across
 the factors with the trace-balancing pi heuristic.
 
-The damped factor inverses are the package's one explicit inverse: each is
+A refresh is one state transition: :func:`update_state` folds the fresh
+factors in and forms their damped inverses (:func:`refresh_inverses`), and
+:func:`precondition` is the product S^-1 V A^-1 on the inverses the last
+update formed.  These are the package's one explicit inverse: each is
 formed from its Cholesky factor once per refresh, as LAPACK potrs of the
 identity, and reused for ``kfac_update_period`` steps.  potrs returns it
 Fortran-ordered; the refresh stores one C-ordered copy, so a plain step
@@ -36,7 +39,7 @@ the preconditioning product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,43 +48,37 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 from .kernel import GramMatrix
 from .network import Tangents
 
-__all__ = ["KfacLayerState", "compute_factors", "update_state", "precondition"]
+__all__ = ["KfacLayerState", "compute_factors", "update_state", "refresh_inverses", "precondition"]
 
 
 @dataclass
 class KfacLayerState:
-    """Running Kronecker factors for one layer.
+    """Running Kronecker factors for one layer and their damped inverses.
 
     a_factor is (d_in+1) x (d_in+1), s_factor d_out x d_out; both start
     unset and adopt a copy of the first batch's, then follow
     new = decay * old + (1 - decay) * fresh, folded into the same arrays.
-    The C-ordered inverse caches are filled by refresh_inverses and dropped
-    whenever the factors change.  damping is
-    the value the inverses were last formed with: refresh_inverses raises
-    it tenfold while a damped factor is indefinite and keeps the raised
-    value for the next refresh.
+    a_inv and s_inv are the C-ordered damped inverses of the current
+    factors: every successful :func:`update_state` forms them, and they
+    are unset before the first update and after a refresh that raised.
+    damping is the value the inverses were last formed with:
+    refresh_inverses raises it tenfold while a damped factor is indefinite
+    and keeps the raised value for the next refresh.
     """
 
     decay: float = 0.95
     damping: float = 0.03
     a_factor: np.ndarray = None
     s_factor: np.ndarray = None
-    _a_inv: np.ndarray = field(default=None, repr=False)
-    _s_inv: np.ndarray = field(default=None, repr=False)
+    a_inv: np.ndarray = None
+    s_inv: np.ndarray = None
 
     def __post_init__(self):
+        # Written so that nan fails the comparisons.
         if not 0.0 <= self.decay <= 1.0:
             raise ValueError("decay must lie in [0, 1]")
-        if self.damping < 0:
-            raise ValueError("damping must be non-negative")
-
-    @property
-    def initialized(self) -> bool:
-        return self.a_factor is not None
-
-    def invalidate(self):
-        self._a_inv = None
-        self._s_inv = None
+        if not 0 <= self.damping < math.inf:
+            raise ValueError(f"damping must be non-negative and finite, got {self.damping}")
 
 
 def compute_factors(tangents: Tangents, gram: GramMatrix = None) -> list:
@@ -116,14 +113,16 @@ def compute_factors(tangents: Tangents, gram: GramMatrix = None) -> list:
 
 
 def update_state(state: KfacLayerState, fresh_a: np.ndarray, fresh_s: np.ndarray) -> KfacLayerState:
-    """Fold a fresh factor pair into the running averages in place.
+    """Fold a fresh factor pair into the running averages in place, then
+    form their damped inverses by :func:`refresh_inverses`.
 
     The first pair is copied.  Later pairs are folded into the running
     arrays themselves, ``a *= decay; a += (1 - decay) * fresh``, which gives
     the bits of ``decay * a + (1 - decay) * fresh``; the caller's arrays are
-    never written.
+    never written.  A refresh that raises leaves the folded factors and no
+    inverses.
     """
-    if not state.initialized:
+    if state.a_factor is None:
         state.a_factor = np.array(fresh_a, dtype=np.float64)
         state.s_factor = np.array(fresh_s, dtype=np.float64)
     else:
@@ -134,7 +133,7 @@ def update_state(state: KfacLayerState, fresh_a: np.ndarray, fresh_s: np.ndarray
         state.a_factor += keep * fresh_a
         state.s_factor *= state.decay
         state.s_factor += keep * fresh_s
-    state.invalidate()
+    refresh_inverses(state)
     return state
 
 
@@ -159,8 +158,10 @@ def refresh_inverses(state: KfacLayerState) -> None:
     A non-finite entry in the triangle that cholesky_factor reads (every
     entry, for the symmetric factors update_state keeps) fails the first
     factorization, and the factor then raises NotPositiveDefinite at once,
-    naming it, since no damping can mend it.
+    naming it, since no damping can mend it.  The old inverses are cleared
+    first, so a refresh that raises leaves none.
     """
+    state.a_inv = state.s_inv = None
     a, s = state.a_factor, state.s_factor
     ta, ts = a.trace() / len(a), s.trace() / len(s)
     pi = math.sqrt(ts / ta) if ta > 0 and ts > 0 else 1.0
@@ -180,7 +181,7 @@ def refresh_inverses(state: KfacLayerState) -> None:
                     f"K-FAC factor {name} of order {len(factor)} is not finite"
                 ) from None
             continue
-        state._a_inv, state._s_inv, state.damping = a_inv, s_inv, lam
+        state.a_inv, state.s_inv, state.damping = a_inv, s_inv, lam
         return
     raise NotPositiveDefinite(
         f"K-FAC factor {name} of order {len(factor)} stayed indefinite after damping "
@@ -192,12 +193,15 @@ def precondition(state: KfacLayerState, v: np.ndarray) -> np.ndarray:
     """Apply the damped factored inverse to a gradient matrix V.
 
     Returns (S + pi sqrt(lam) I)^-1 V (A + sqrt(lam)/pi I)^-1, the factored
-    solve of the damped layer block, as :func:`linalg.kron_precondition` of
-    the cached inverses (refreshed first if the factors changed).  With
-    identity factors and zero damping this is the identity map.
+    solve of the damped layer block: s_inv @ v @ a_inv, two GEMMs on the
+    inverses the last :func:`update_state` formed, equal to (A^-1 (x) S^-1)
+    applied to the column-stacked vec(V).  With identity factors and zero
+    damping this is the identity map.  Raises ValueError when the state
+    holds no inverses, and DimensionMismatch when V is not d_out x (d_in+1).
     """
-    if not state.initialized:
-        raise ValueError("state has no factors yet")
-    if state._a_inv is None or state._s_inv is None:
-        refresh_inverses(state)
-    return linalg.kron_precondition(state._a_inv, state._s_inv, v)
+    if state.a_inv is None:
+        raise ValueError("state holds no inverses: it was never updated, or its last refresh raised")
+    shape = (len(state.s_inv), len(state.a_inv))
+    if np.shape(v) != shape:
+        raise DimensionMismatch(f"v has shape {np.shape(v)}, expected {shape}")
+    return state.s_inv @ v @ state.a_inv

@@ -1,8 +1,8 @@
 """Dense double-precision linear algebra shared by every module.
 
 Matrices are plain numpy float64 arrays in C (row-major) order; this module
-only adds the SPD solve and the Kronecker-factored preconditioning product
-that the metric and K-FAC paths need, with the package's error types.
+only adds the SPD factor and solves that the metric and K-FAC paths need,
+with the package's error types.
 Jitter and damping enter as the diagonal shift of :func:`cholesky_factor`,
 which factors in a single copy of its argument, fresh or in a caller's
 buffer (:class:`FactorBuffers`).
@@ -15,24 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-__all__ = [
-    "as_matrix",
-    "FactorBuffers",
-    "cholesky_factor",
-    "cholesky_solve",
-    "solve_from_factor",
-    "kron_precondition",
-]
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim == 2:
-        return m
-    if m.ndim == 1:
-        return m.reshape(-1, 1)
-    raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
+__all__ = ["FactorBuffers", "cholesky_factor", "cholesky_solve", "solve_from_factor"]
 
 
 class FactorBuffers:
@@ -111,27 +94,9 @@ def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b may be a vector or a matrix of right-hand sides; the result has the
     same shape as b.
     """
-    a = as_matrix(a)
+    a = np.asarray(a, dtype=np.float64)
     b_arr = np.asarray(b, dtype=np.float64)
-    if b_arr.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has {b_arr.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[1]}"
-        )
+    if b_arr.shape[:1] != a.shape[:1]:
+        raise DimensionMismatch(f"rhs has shape {b_arr.shape}, matrix {a.shape}")
     return solve_from_factor(cholesky_factor(a), b_arr)
 
-
-def kron_precondition(a_inv: np.ndarray, s_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the Kronecker-factored inverse: returns s_inv @ v @ a_inv.
-
-    Equivalent to reshaping (a_inv kron s_inv) applied to vec(v) for
-    symmetric factors, with v of shape (d_out, d_in), s_inv (d_out, d_out),
-    a_inv (d_in, d_in).  The product is two GEMMs; C-ordered float64
-    arguments, such as K-FAC's cached inverses, are used without a copy.
-    """
-    a_inv, s_inv, v = as_matrix(a_inv), as_matrix(s_inv), as_matrix(v)
-    (d_out, s_cols), (d_in, a_cols) = s_inv.shape, a_inv.shape
-    if d_out != s_cols or d_in != a_cols:
-        raise DimensionMismatch("factors must be square")
-    if v.shape != (d_out, d_in):
-        raise DimensionMismatch(f"v has shape {v.shape}, expected ({d_out}, {d_in})")
-    return s_inv @ v @ a_inv

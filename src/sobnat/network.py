@@ -138,10 +138,6 @@ class MlpNetwork:
             k += w.size
         return views
 
-    def with_params_vector(self, vec: np.ndarray) -> "MlpNetwork":
-        vec = np.asarray(vec, dtype=np.float64)
-        return MlpNetwork(self.layers, [v.copy() for v in self.split_vector(vec)])
-
 
 @dataclass
 class BatchCache:

@@ -195,7 +195,6 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
             fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), _batch_gram(batch_x, state))
             for layer_state, (a, s) in zip(state.kfac_layers, fresh):
                 kfac.update_state(layer_state, a, s)
-                kfac.refresh_inverses(layer_state)
         deltas = [kfac.precondition(layer_state, d) for layer_state, d in zip(state.kfac_layers, deltas)]
     state.step += 1
     return network.MlpNetwork(net.layers, [w - lr * d for w, d in zip(net.weights, deltas)]), train_loss

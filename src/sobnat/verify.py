@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kfac, kernel, linalg, losses, metric, network, rkhs, riemann
+from . import kfac, kernel, losses, metric, network, rkhs, riemann
 from .flatness import FlatnessQuery, GridSampler, Reparam, epsilon_flatness, invariance_check
 
 __all__ = [
@@ -128,9 +128,11 @@ def kron_block_error(net, x) -> float:
 
 
 def kron_precondition_error(a_inv, s_inv, v) -> float:
-    """Gap between kron_precondition and the explicit (S^-1 (x) A^-1) vec(V)."""
+    """Gap between kfac.precondition on the inverses a_inv, s_inv and the
+    explicit (S^-1 (x) A^-1) vec(V)."""
     direct = (np.kron(s_inv, a_inv) @ v.reshape(-1)).reshape(v.shape)
-    return float(np.max(np.abs(direct - linalg.kron_precondition(a_inv, s_inv, v))))
+    got = kfac.precondition(kfac.KfacLayerState(a_inv=a_inv, s_inv=s_inv), v)
+    return float(np.max(np.abs(direct - got)))
 
 
 def quadratic_band_query(metric_fn=None) -> FlatnessQuery:

@@ -18,6 +18,10 @@ def tangents_of(net, x):
     return Tangents.of_network(net, forward(net, x))
 
 
+def symmetrize(m):
+    return 0.5 * (m + m.T)
+
+
 def linear_121(w1=None, w2=None, seed=0):
     if w1 is None:
         return MlpNetwork.create([1, 2, 1], ["identity", "identity"], np.random.default_rng(seed))
@@ -208,6 +212,33 @@ class TestUpdateState:
                 assert np.min(np.linalg.eigvalsh(f)) >= -1e-10
 
 
+class TestLayerState:
+    @pytest.mark.parametrize("damping", [math.nan, math.inf, -1.0])
+    def test_rejects_damping_that_is_negative_or_not_finite(self, damping):
+        with pytest.raises(ValueError, match=f"damping must be non-negative and finite, got {damping}"):
+            KfacLayerState(damping=damping)
+
+
+class TestNoStaleInverses:
+    """A state holds the inverses of its current factors or none, and
+    precondition raises ValueError on none."""
+
+    def test_never_updated_state_has_no_inverses(self):
+        state = KfacLayerState()
+        assert state.a_inv is None and state.s_inv is None
+        with pytest.raises(ValueError, match="no inverses"):
+            precondition(state, np.ones((2, 2)))
+
+    def test_failed_refresh_leaves_no_inverses(self):
+        state = update_state(KfacLayerState(decay=0.0, damping=1e-6), np.eye(2), np.eye(3))
+        assert state.a_inv is not None and state.s_inv is not None
+        with pytest.raises(NotPositiveDefinite, match="factor S of order 3"):
+            update_state(state, np.eye(2), -np.eye(3))
+        assert state.a_inv is None and state.s_inv is None
+        with pytest.raises(ValueError, match="no inverses"):
+            precondition(state, np.ones((3, 2)))
+
+
 class TestPrecondition:
     def test_identity_factors_zero_damping(self):
         state = KfacLayerState(damping=0.0)
@@ -252,7 +283,6 @@ class TestPrecondition:
         monkeypatch.setattr(linalg, "cholesky_factor", recording)
         state = KfacLayerState(damping=0.0)
         update_state(state, np.ones((2, 2)), np.eye(3))
-        refresh_inverses(state)
         assert shifts[0] == 0.0
         assert state.damping > 0.0
         shifts.clear()
@@ -266,13 +296,56 @@ class TestPrecondition:
         with pytest.raises(DimensionMismatch):
             precondition(state, np.ones((3, 3)))
 
-    def test_inverse_cache_invalidated_by_update(self):
+    def test_update_replaces_the_inverses(self):
         state = KfacLayerState(damping=0.0, decay=0.0)
         update_state(state, np.eye(2), np.eye(2))
-        refresh_inverses(state)
         update_state(state, 2.0 * np.eye(2), np.eye(2))
         v = np.ones((2, 2))
         np.testing.assert_allclose(precondition(state, v), v / 2.0)
+
+
+class TestPreconditionProduct:
+    """precondition on given inverses is (A^-1 (x) S^-1) applied to the
+    column-stacked vec(V)."""
+
+    @staticmethod
+    def apply(a_inv, s_inv, v):
+        return precondition(KfacLayerState(a_inv=a_inv, s_inv=s_inv), v)
+
+    def test_identity_factors(self):
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(3, 4))
+        np.testing.assert_array_equal(self.apply(np.eye(4), np.eye(3), v), v)
+
+    def test_scalar_case(self):
+        out = self.apply(np.array([[0.5]]), np.array([[1.0 / 3.0]]), np.array([[6.0]]))
+        np.testing.assert_allclose(out, [[1.0]])
+
+    def test_matches_explicit_kron(self):
+        rng = np.random.default_rng(1)
+        a_inv = rng.normal(size=(3, 3))
+        a_inv = symmetrize(a_inv)
+        s_inv = symmetrize(rng.normal(size=(2, 2)))
+        v = rng.normal(size=(2, 3))
+        explicit = (np.kron(a_inv, s_inv) @ v.T.reshape(-1)).reshape(3, 2).T
+        np.testing.assert_allclose(self.apply(a_inv, s_inv, v), explicit, atol=1e-12)
+
+    def test_all_shapes_up_to_four(self):
+        # vec(s v a) == (a kron s) vec(v) with column-stacked vec, for every
+        # factor size up to 4x4.
+        rng = np.random.default_rng(2)
+        for din in range(1, 5):
+            for dout in range(1, 5):
+                a_inv = symmetrize(rng.normal(size=(din, din)))
+                s_inv = symmetrize(rng.normal(size=(dout, dout)))
+                v = rng.normal(size=(dout, din))
+                got = self.apply(a_inv, s_inv, v)
+                explicit = np.kron(a_inv, s_inv) @ v.reshape(-1, order="F")
+                np.testing.assert_allclose(got.reshape(-1, order="F"), explicit, atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            self.apply(np.eye(3), np.eye(2), np.ones((3, 2)))
 
 
 class TestRefreshInverses:
@@ -286,14 +359,13 @@ class TestRefreshInverses:
 
     def test_inverses_are_c_ordered_float64(self):
         state = self.state()
-        refresh_inverses(state)
-        for inv in (state._a_inv, state._s_inv):
+        for inv in (state.a_inv, state.s_inv):
             assert inv.dtype == np.float64 and inv.flags.c_contiguous
 
     def test_precondition_is_the_oracle_product_bit_for_bit(self):
-        # The verify kfac oracle checks linalg.kron_precondition; K-FAC's
-        # product must be that one, on inverses formed as the potrs solve of
-        # the identity, whose C-ordered copy changes no bit.
+        # The verify kfac oracle checks kfac.precondition on given inverses;
+        # the step's inverses must be the potrs solve of the identity, whose
+        # C-ordered copy changes no bit, and pass that oracle.
         state = self.state(1)
         v = np.random.default_rng(2).normal(size=(3, 4))
         a, s = state.a_factor, state.s_factor
@@ -301,30 +373,32 @@ class TestRefreshInverses:
         sq = math.sqrt(state.damping)
         a_inv = linalg.solve_from_factor(linalg.cholesky_factor(a, sq / pi), np.eye(4))
         s_inv = linalg.solve_from_factor(linalg.cholesky_factor(s, sq * pi), np.eye(3))
-        np.testing.assert_array_equal(precondition(state, v), linalg.kron_precondition(a_inv, s_inv, v))
-        assert verify.kron_precondition_error(a_inv, s_inv, v) <= verify.KRON_PRECONDITION_TOL
+        np.testing.assert_array_equal(state.a_inv, a_inv)
+        np.testing.assert_array_equal(state.s_inv, s_inv)
+        assert verify.kron_precondition_error(state.a_inv, state.s_inv, v) <= verify.KRON_PRECONDITION_TOL
 
     @pytest.mark.parametrize("name, order", [("A", 4), ("S", 3)])
     @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
     def test_non_finite_factor_raises_without_damping_escalation(self, factor_orders, name, order, where):
         state = self.state()
+        factor_orders.clear()  # building the state refreshed once
         factor = state.a_factor if name == "A" else state.s_factor
         factor[where] = factor[where[::-1]] = np.nan
         with pytest.raises(NotPositiveDefinite, match=f"factor {name} of order {order} is not finite"):
             refresh_inverses(state)
         # One factorization of each factor tried, none repeated.
         assert factor_orders == ([4] if name == "A" else [4, 3])
-        assert state.damping == 0.03 and state._a_inv is None and state._s_inv is None
+        assert state.damping == 0.03 and state.a_inv is None and state.s_inv is None
 
     def test_failed_escalation_names_the_factor_and_last_damping(self):
-        state = update_state(KfacLayerState(damping=1e-6), np.eye(2), -np.eye(3))
         with pytest.raises(NotPositiveDefinite, match=r"factor S of order 3 .*\(last damping 0\.001\)$"):
-            refresh_inverses(state)
+            update_state(KfacLayerState(damping=1e-6), np.eye(2), -np.eye(3))
 
 
 class TestPlainStep:
     """A K-FAC step between refreshes is the two GEMMs of each layer on the
-    cached inverses: no factorization, no solve and no copy of an inverse."""
+    inverses the refresh formed: no factorization, no solve and no new
+    inverse."""
 
     @pytest.mark.parametrize("variant", ["amari_kfac", "sobolev_kfac"])
     def test_plain_step_factors_solves_and_copies_nothing(self, monkeypatch, variant):
@@ -337,14 +411,6 @@ class TestPlainStep:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
-        coerced, as_matrix = [], linalg.as_matrix
-
-        def watched(a):
-            out = as_matrix(a)
-            coerced.append(out is a)
-            return out
-
-        monkeypatch.setattr(linalg, "as_matrix", watched)
         ds = normalize(train_test_split(gen_two_moons(200, 0.1, seed=3), 0.25, seed=3))
         x, y = ds.train()
         cfg = OptimConfig(variant=variant, batch_size=50, seed=3, record_walltime=False)
@@ -353,8 +419,9 @@ class TestPlainStep:
         net, _ = train_step(net, x[:50], y[:50], cfg, state, 0.01)  # step 0 refreshes
         assert calls.count("cholesky_factor") >= 6 and calls.count("solve_from_factor") >= 6
         calls.clear()
-        coerced.clear()
+        inverses = [(layer.a_inv, layer.s_inv) for layer in state.kfac_layers]
         train_step(net, x[50:100], y[50:100], cfg, state, 0.01)
         assert calls == []
-        # a_inv, s_inv and the gradient of each of the three layers, all used as they are.
-        assert coerced == [True] * 9
+        # The three layers' inverses are the very arrays the refresh formed.
+        for layer, (a_inv, s_inv) in zip(state.kfac_layers, inverses):
+            assert layer.a_inv is a_inv and layer.s_inv is s_inv

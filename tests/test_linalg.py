@@ -5,11 +5,7 @@ import pytest
 import scipy.linalg
 
 from sobnat.errors import DimensionMismatch, NotPositiveDefinite
-from sobnat.linalg import FactorBuffers, cholesky_factor, cholesky_solve, kron_precondition
-
-
-def symmetrize(m):
-    return 0.5 * (m + m.T)
+from sobnat.linalg import FactorBuffers, cholesky_factor, cholesky_solve
 
 
 def laplace_det(m):
@@ -165,39 +161,3 @@ class TestFactorBuffers:
         assert buffers.get("gram", 3).shape == (3, 3)
         assert buffers.get("gram", 5) is not first
 
-
-class TestKronPrecondition:
-    def test_identity_factors(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(kron_precondition(np.eye(4), np.eye(3), v), v)
-
-    def test_scalar_case(self):
-        out = kron_precondition(np.array([[0.5]]), np.array([[1.0 / 3.0]]), np.array([[6.0]]))
-        np.testing.assert_allclose(out, [[1.0]])
-
-    def test_matches_explicit_kron(self):
-        rng = np.random.default_rng(1)
-        a_inv = rng.normal(size=(3, 3))
-        a_inv = symmetrize(a_inv)
-        s_inv = symmetrize(rng.normal(size=(2, 2)))
-        v = rng.normal(size=(2, 3))
-        explicit = (np.kron(a_inv, s_inv) @ v.T.reshape(-1)).reshape(3, 2).T
-        np.testing.assert_allclose(kron_precondition(a_inv, s_inv, v), explicit, atol=1e-12)
-
-    def test_all_shapes_up_to_four(self):
-        # vec(s v a) == (a kron s) vec(v) with column-stacked vec, for every
-        # factor size up to 4x4.
-        rng = np.random.default_rng(2)
-        for din in range(1, 5):
-            for dout in range(1, 5):
-                a_inv = symmetrize(rng.normal(size=(din, din)))
-                s_inv = symmetrize(rng.normal(size=(dout, dout)))
-                v = rng.normal(size=(dout, din))
-                got = kron_precondition(a_inv, s_inv, v)
-                explicit = np.kron(a_inv, s_inv) @ v.reshape(-1, order="F")
-                np.testing.assert_allclose(got.reshape(-1, order="F"), explicit, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            kron_precondition(np.eye(3), np.eye(2), np.ones((3, 2)))

@@ -27,14 +27,19 @@ def linear_chain(w1, w2):
     )
 
 
+def with_params(net, theta):
+    """A copy of net with the parameter vector theta."""
+    return MlpNetwork(net.layers, [v.copy() for v in net.split_vector(theta)])
+
+
 def finite_diff_outputs(net, x, h=1e-5):
     theta = net.params_vector()
     cols = []
     for i in range(net.num_params):
         e = np.zeros_like(theta)
         e[i] = h
-        up = forward(net.with_params_vector(theta + e), x).outputs
-        dn = forward(net.with_params_vector(theta - e), x).outputs
+        up = forward(with_params(net, theta + e), x).outputs
+        dn = forward(with_params(net, theta - e), x).outputs
         cols.append((up - dn).reshape(-1) / (2.0 * h))
     return np.asarray(cols)
 
@@ -132,8 +137,8 @@ class TestBackwardLoss:
         for i in range(theta.shape[0]):
             e = np.zeros_like(theta)
             e[i] = h
-            up = loss_value(forward(net.with_params_vector(theta + e), x).outputs, y, loss)
-            dn = loss_value(forward(net.with_params_vector(theta - e), x).outputs, y, loss)
+            up = loss_value(forward(with_params(net, theta + e), x).outputs, y, loss)
+            dn = loss_value(forward(with_params(net, theta - e), x).outputs, y, loss)
             fd[i] = (up - dn) / (2.0 * h)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(got - fd)) / scale <= 1e-5

@@ -391,7 +391,6 @@ def reference_step(net, x, y, cfg, kfac_layers, lr, refresh=True):
         if refresh:
             for layer, (a, s) in zip(kfac_layers, kfac.compute_factors(Tangents.of_network(net, cache), g)):
                 kfac.update_state(layer, a, s)
-                kfac.refresh_inverses(layer)
         deltas = [kfac.precondition(layer, d) for layer, d in zip(kfac_layers, deltas)]
     return MlpNetwork(net.layers, [w - lr * d for w, d in zip(net.weights, deltas)])
 
