@@ -159,8 +159,10 @@ def refresh_inverses(state: KfacLayerState) -> None:
     entry, for the symmetric factors update_state keeps) fails the first
     factorization, and the factor then raises NotPositiveDefinite at once,
     naming it, since no damping can mend it.  The old inverses are cleared
-    first, so a refresh that raises leaves none.
+    first, so a refresh that raises leaves none.  A state without factors raises ValueError.
     """
+    if state.a_factor is None:
+        raise ValueError("state holds no factors: it was never updated")
     state.a_inv = state.s_inv = None
     a, s = state.a_factor, state.s_factor
     ta, ts = a.trace() / len(a), s.trace() / len(s)

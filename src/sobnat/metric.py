@@ -17,9 +17,9 @@ exact and equals the Gram matrix itself.
 The metric has rank at most B*m, so the damped natural gradient
 (damping I + J~ J~^T) v = g is solved by :func:`damped_natural_gradient` in
 whichever space is smaller.  Its gradient is that of a train step's summed
-loss plus weight decay, g = J r + decay theta, given as the (B, m)
-per-sample residuals r = dL/dz and the parameters theta.  With P > B*m and
-damping > 0 it uses the push-through (Woodbury) identity
+loss plus weight decay, g = J r + decay w, given as the (B, m) per-sample
+residuals r = dL/dz and the weights w, and v comes back per layer, like w.
+With P > B*m and damping > 0 it uses the push-through (Woodbury) identity
 
     v = (g - J~ (damping I + J~^T J~)^-1 J~^T g) / damping,
 
@@ -46,9 +46,9 @@ place of the identity.  g is never formed: J^T J r = Theta r = S r -
 damping (I_m (x) K_j) r, so the J r in g cancels against part of J z,
 and with c = decay / damping
 
-    v = c theta + J y,    S y = (I_m (x) K_j) r - c J^T theta.
+    v = c w + J y,    S y = (I_m (x) K_j) r - c J^T w.
 
-J^T theta[c, b] = sum_l Ds_l^(c)(x_b) . s_l(x_b) is read from the forward
+J^T w[c, b] = sum_l Ds_l^(c)(x_b) . s_l(x_b) is read from the forward
 pass's pre-activations s_l = Abar_l Wbar_l^T
 (:meth:`~sobnat.network.Tangents.rmatvec_params`), so with K = I the
 step is one J product.  S is Theta with damping K_j added on its m
@@ -56,7 +56,7 @@ contiguous diagonal B x B blocks, and is factored once; J y is a
 per-layer product with Abar_l and Ds_l on an (m, B) array, and no
 triangular solve touches Theta.  The rounding of the formed Theta is not
 shaped like damping K_j, whose condition number is 1e9-1e10 on 50
-two-moons points at input scale 20, so on its own v_0 = c theta + J y is
+two-moons points at input scale 20, so on its own v_0 = c w + J y is
 up to 1.6e-7 off the P x P oracle.  One step of iterative refinement in
 kernel space fixes that.  The residual of v_0 is
 
@@ -64,11 +64,11 @@ kernel space fixes that.  The residual of v_0 is
     e = r - damping y - (I_m (x) K_j^-1) J^T v_0,
 
 and the same identity with e for r and no decay corrects y by
-S^-1 (I_m (x) K_j) e before v = c theta + J y is taken again.
+S^-1 (I_m (x) K_j) e before v = c w + J y is taken again.
 J^T v_0 must be taken by :meth:`~sobnat.network.Tangents.rmatvec`, and
 K_j^-1 is applied to its (B, m) transpose by :meth:`GramMatrix.solve`
 from the Gram's factor: the algebraically equal
-K_j^-1 (c J^T theta + Theta y) makes e vanish identically, and the
+K_j^-1 (c J^T w + Theta y) makes e vanish identically, and the
 refinement would then correct nothing.  The refined step is within
 2.2e-11 of the oracle, and the K = I step within 3.2e-12, relative to
 its largest entry (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
@@ -76,11 +76,13 @@ its largest entry (B = 50, seeds 0-39, [2,16,16,1], [2,16,16,2] and
 Sobolev solve makes two matvec calls and one rmatvec, factors S and
 solves with K_j only on (B, m) arrays; with K = I, S = Theta + damping I,
 the first v is the answer, and the solve makes one matvec.  (The
-Tangents of a dense J hold no pre-activations and take J^T theta by one
-rmatvec more.)  A dense train step runs no other J product, so its one backprop sweep is the output
-Jacobians of its Tangents.  With P <= B*m, or with damping 0 (the
-exactness oracles), where the identity would divide by 0, the step forms
-g = J r, adds decay theta to it, and factors the P x P metric that
+Tangents of a dense J hold no pre-activations and take J^T w by one
+rmatvec more.)  A dense train step runs no other J product, so its one
+backprop sweep is the output Jacobians of its Tangents.  With P <= B*m, or
+with damping 0 (the exactness oracles), where the identity would divide by
+0, the step forms g = J r + decay w, flattens it once in the order of
+:meth:`~sobnat.network.MlpNetwork.params_vector` and returns per-layer
+views of the solution.  It factors the P x P metric that
 :func:`estimate_metric` builds, as natural_gradient does: one private
 build that whitens the fresh buffer of
 :meth:`~sobnat.network.Tangents.matrix` in place and returns J~ J~^T.  A
@@ -168,53 +170,60 @@ def damped_natural_gradient(
     damping: float,
     residuals: np.ndarray,
     decay: float = 0.0,
-    params: np.ndarray = None,
+    weights: list = None,
     buffers: linalg.FactorBuffers = None,
-) -> np.ndarray:
-    """Solve (damping I + J~ J~^T) v = J r + decay * params with one factor in the smaller space.
+) -> list:
+    """Solve (damping I + J~ J~^T) v = J r + decay * w with one factor in the smaller space.
 
     J~ is the whitened Jacobian of :func:`estimate_metric` (gram=None: K = I),
     given as the :class:`~sobnat.network.Tangents` of a network or of a
-    dense J, r the (B, m) per-sample residuals dL/dz and params the
-    parameters the tangents were taken at (needed only with decay), so the
+    dense J, r the (B, m) per-sample residuals dL/dz and w the per-layer
+    weights the tangents were taken at (needed only with decay), so the
     right side is the gradient of a train step's summed loss plus weight
-    decay.  With P > B*m and damping > 0 the B*m x B*m system of the
-    module docstring is solved from r and J^T params, and neither J nor
-    J r is formed; otherwise J r + decay * params and the P x P metric are,
-    and the result equals natural_gradient(estimate_metric(...)) of that
-    gradient.  With ``buffers`` that P x P metric is factored into its
-    "metric" array.
+    decay.  w and v are lists shaped like the tangents'
+    :attr:`~sobnat.network.Tangents.shapes`: Wbar_l per layer, or one
+    (P, 1) array for a dense J.  With P > B*m and damping > 0 the B*m x B*m
+    system of the module docstring is solved from r and J^T w, and neither
+    J nor J r is formed; otherwise J r + decay * w and the P x P metric
+    are, and v is per-layer views of natural_gradient(estimate_metric(...))
+    of that gradient.  With ``buffers`` that P x P metric is factored into
+    its "metric" array.
     """
     p, n = tangents.num_params, tangents.batch * tangents.output_dim
     r = _residuals(tangents, residuals)
-    if params is not None:
-        params = np.asarray(params, dtype=np.float64).reshape(-1)
-        if params.shape[0] != p:
-            raise DimensionMismatch(f"params have length {params.shape[0]}, metric is {p}")
+    if weights is not None:
+        shapes = [np.shape(w) for w in weights]
+        if shapes != tangents.shapes:
+            raise DimensionMismatch(f"weights of shapes {shapes} for layers of shapes {tangents.shapes}")
     elif decay != 0:
         raise ValueError("weight decay needs the params it decays")
     if gram is not None and gram.size != tangents.batch:
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     if damping > 0 and p > n:
-        return _kernel_space_solve(tangents, gram, damping, r, decay, params)
-    grad = tangents.matvec(r.T)
-    if params is not None:
-        grad += decay * params
+        return _kernel_space_solve(tangents, gram, damping, r, decay, weights)
+    grad = _plus_decay(tangents.matvec(r.T), decay, weights)
     out = None if buffers is None else buffers.get("metric", p)
     factor = linalg.cholesky_factor(_metric_values(tangents, gram), damping, out=out)
-    return linalg.solve_from_factor(factor, grad)
+    v = linalg.solve_from_factor(factor, np.concatenate([g.reshape(-1) for g in grad]))
+    bounds = np.cumsum([g.size for g in grad])[:-1]
+    return [part.reshape(g.shape) for part, g in zip(np.split(v, bounds), grad)]
 
 
-def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, r, decay: float, params):
+def _plus_decay(vs: list, c: float, weights: list) -> list:
+    """vs_l += c * w_l in place, layer by layer; vs unchanged when c is 0."""
+    if c:
+        for v, w in zip(vs, weights):
+            v += c * w
+    return vs
+
+
+def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, r, decay: float, weights):
     """The P > B*m branch of :func:`damped_natural_gradient`; see the module docstring."""
     c = decay / damping
     theta = tangents.ntk()
 
-    def step(y):  # v = c theta + J y
-        v = tangents.matvec(y)
-        if c:
-            v += c * params
-        return v
+    def step(y):  # v = c w + J y
+        return _plus_decay(tangents.matvec(y), c, weights)
 
     if gram is None:
         rhs = r.T
@@ -230,7 +239,7 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, r,
             theta[start : start + batch, start : start + batch] += shift
         rhs = (kj @ r).T
     if c:
-        rhs = rhs - c * tangents.rmatvec_params(params)
+        rhs = rhs - c * tangents.rmatvec_params(weights)
     factor = linalg.cholesky_factor(theta, damping if gram is None else 0.0)
 
     def solve(b):
@@ -240,22 +249,22 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, r,
     if gram is None:
         return step(y)
     # v_0's residual is J e; J^T v_0 must come from rmatvec, since the
-    # algebraically equal K_j^-1 (c J^T theta + Theta y) makes e vanish.
+    # algebraically equal K_j^-1 (c J^T w + Theta y) makes e vanish.
     # K_j^-1 runs on the (B, m) transpose.
     e = r.T - damping * y - gram.solve(tangents.rmatvec(step(y)).T).T
     y += solve((kj @ e.T).T)
     return step(y)
 
 
-def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> np.ndarray:
-    """Tangent coefficients of the metric-free surrogate, J r.
+def ntk_surrogate_gradient(tangents: Tangents, residual_grads: np.ndarray) -> list:
+    """Tangent coefficients of the metric-free surrogate, J r, as per-layer arrays.
 
     Unlike the projection, :func:`damped_natural_gradient` of the same
     residuals, this applies no inverse metric; the two agree exactly when the
     metric estimate is the identity and disagree otherwise (the surrogate is
     not a projection).  With residual_grads the (B, m) per-sample dL/dz,
     J r is the gradient of the batch sum of the loss, the ntk_surrogate
-    step's direction.
+    step's direction before weight decay.
     """
     return tangents.matvec(_residuals(tangents, residual_grads).T)
 

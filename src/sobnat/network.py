@@ -127,17 +127,6 @@ class MlpNetwork:
     def params_vector(self) -> np.ndarray:
         return np.concatenate([w.reshape(-1) for w in self.weights])
 
-    def split_vector(self, vec: np.ndarray) -> list:
-        """Per-layer views of a length-P vector laid out as :meth:`params_vector`,
-        each shaped like Wbar_l: the layers in order, each row-major."""
-        if vec.shape[0] != self.num_params:
-            raise DimensionMismatch("parameter vector has wrong length")
-        views, k = [], 0
-        for w in self.weights:
-            views.append(vec[k : k + w.size].reshape(w.shape))
-            k += w.size
-        return views
-
 
 @dataclass
 class BatchCache:
@@ -191,16 +180,22 @@ def forward(net: MlpNetwork, x) -> BatchCache:
     return BatchCache(inputs=x, a_bars=a_bars, pre_acts=pre_acts, outputs=outputs)
 
 
+def _deltas(net: MlpNetwork, cache: BatchCache, seed: np.ndarray) -> list:
+    """The reverse recursion: per layer, the (..., B, d_l) gradient in s_l of
+    the (..., B, m) output gradient seed, so a stack of seeds is one sweep."""
+    deltas = [None] * len(net.layers)
+    d = _times_dact(seed, net, cache, len(net.layers) - 1)
+    deltas[-1] = d
+    for l in range(len(net.layers) - 1, 0, -1):
+        d = _times_dact(d @ net.weights[l][:, :-1], net, cache, l - 1)
+        deltas[l - 1] = d
+    return deltas
+
+
 def backward(net: MlpNetwork, cache: BatchCache, grad_z: np.ndarray) -> list:
     """Per-layer gradient matrices V_l, shaped like Wbar_l, of the batch sum
     of a loss whose per-sample gradient in the outputs is grad_z, (B, m)."""
-    grads = [None] * len(net.layers)
-    delta = _times_dact(grad_z, net, cache, len(net.layers) - 1)
-    for l in range(len(net.layers) - 1, -1, -1):
-        grads[l] = delta.T @ cache.a_bars[l]
-        if l > 0:
-            delta = _times_dact(delta @ net.weights[l][:, :-1], net, cache, l - 1)
-    return grads
+    return [d.T @ a for d, a in zip(_deltas(net, cache, grad_z), cache.a_bars)]
 
 
 def backward_loss(net, cache, targets, loss: str, reduction: str = "mean"):
@@ -224,14 +219,8 @@ def output_jacobians(net: MlpNetwork, cache: BatchCache) -> list:
     dphi^c/dphi = e_c.  Returns a list over layers of (m, B, d_l) arrays,
     the jacobians of :class:`Tangents`.
     """
-    jacs = [None] * len(net.layers)
     seed = np.repeat(np.eye(net.output_dim)[:, None, :], cache.batch_size, axis=1)
-    d = _times_dact(seed, net, cache, len(net.layers) - 1)
-    jacs[-1] = d
-    for l in range(len(net.layers) - 1, 0, -1):
-        d = _times_dact(d @ net.weights[l][:, :-1], net, cache, l - 1)
-        jacs[l - 1] = d
-    return jacs
+    return _deltas(net, cache, seed)
 
 
 @dataclass(frozen=True)
@@ -252,11 +241,14 @@ class Tangents:
     :meth:`rmatvec` returns and :meth:`matvec` takes (m, B) arrays, so
     none of them reorders a factor.  A (B, m) array of per-sample output
     gradients r enters :meth:`matvec` as its transpose, and J r is the
-    gradient of the batch sum of the loss.  :meth:`matrix` keeps the
-    sample-major columns (b, c) of :func:`param_jacobian`.
+    gradient of the batch sum of the loss.  Parameter space is the network's
+    own layout, one (p_l, q_l) array per layer shaped like Wbar_l
+    (:attr:`shapes`): :meth:`matvec` returns and :meth:`rmatvec` takes such
+    lists.  :meth:`matrix` keeps the sample-major columns (b, c) of
+    :func:`param_jacobian`.
 
     pre_acts are the forward pass's s_l = Abar_l Wbar_l^T, from which
-    :meth:`rmatvec_params` reads J^T theta; a dense J has none.
+    :meth:`rmatvec_params` reads J^T w; a dense J has none.
     """
 
     a_bars: list
@@ -292,8 +284,13 @@ class Tangents:
         return self.jacobians[0].shape[0]
 
     @property
+    def shapes(self) -> list:
+        """(p_l, q_l) of each layer's parameters: Wbar_l's shape, or (P, 1) for a dense J."""
+        return [(d.shape[2], a.shape[1]) for a, d in zip(self.a_bars, self.jacobians)]
+
+    @property
     def num_params(self) -> int:
-        return sum(d.shape[2] * a.shape[1] for a, d in zip(self.a_bars, self.jacobians))
+        return sum(p * q for p, q in self.shapes)
 
     def ntk(self) -> np.ndarray:
         """Empirical tangent kernel Theta = J^T J, a (m*B, m*B) array.
@@ -318,25 +315,20 @@ class Tangents:
                 theta += layer
         return theta
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """J^T v for a length-P vector v, as an (m, B) array: out[c, b] is column (b, c)."""
-        us, row = [], 0
-        for a, d in zip(self.a_bars, self.jacobians):
-            size = d.shape[2] * a.shape[1]
-            us.append(a @ v[row : row + size].reshape(d.shape[2], a.shape[1]).T)  # (B, p_l)
-            row += size
-        return self._contract(us)
+    def rmatvec(self, vs: list) -> np.ndarray:
+        """J^T v for per-layer (p_l, q_l) arrays vs, as an (m, B) array: out[c, b] is column (b, c)."""
+        return self._contract([a @ v.T for a, v in zip(self.a_bars, vs, strict=True)])  # (B, p_l) each
 
-    def rmatvec_params(self, params: np.ndarray) -> np.ndarray:
-        """J^T theta for the parameters theta the tangents were taken at.
+    def rmatvec_params(self, weights: list) -> np.ndarray:
+        """J^T w for the weights w, one Wbar_l per layer, the tangents were taken at.
 
         Column (b, c) of layer l contracted with Wbar_l is
         Ds_l^(c)(x_b) . s_l(x_b), so held pre-activations stand in for the
         products of :meth:`rmatvec`, which are the same GEMMs: the result is
-        rmatvec(params) bit for bit.  A dense J, which has none, runs rmatvec.
+        rmatvec(weights) bit for bit.  A dense J, which has none, runs rmatvec.
         """
         if self.pre_acts is None:
-            return self.rmatvec(params)
+            return self.rmatvec(weights)
         return self._contract(self.pre_acts)
 
     def _contract(self, us: list) -> np.ndarray:
@@ -350,11 +342,9 @@ class Tangents:
                 out += layer
         return out
 
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        """J z for an (m, B) array z, as a length-P vector; z[c, b] weighs column (b, c)."""
-        return np.concatenate(
-            [(np.einsum("cbp,cb->pb", d, z) @ a).reshape(-1) for a, d in zip(self.a_bars, self.jacobians)]
-        )
+    def matvec(self, z: np.ndarray) -> list:
+        """J z for an (m, B) array z, as per-layer (p_l, q_l) arrays; z[c, b] weighs column (b, c)."""
+        return [np.einsum("cbp,cb->pb", d, z) @ a for a, d in zip(self.a_bars, self.jacobians)]
 
     def matrix(self) -> np.ndarray:
         """The dense (P, B*m) Jacobian; column (b, c) = b*m + c.
@@ -365,14 +355,13 @@ class Tangents:
         """
         batch, m = self.batch, self.output_dim
         jt, row = np.empty((batch, m, self.num_params)), 0  # blocks written in place
-        for a, d in zip(self.a_bars, self.jacobians):
-            size = d.shape[2] * a.shape[1]
+        for a, d, (p, q) in zip(self.a_bars, self.jacobians, self.shapes):
             # (m, B, p_l) x (B, q_l) -> (b, c, p, q), an outer product in the
             # last two axes; splitting the contiguous last axis keeps the
             # block a view of jt.
-            block = jt[:, :, row : row + size].reshape(batch, m, d.shape[2], a.shape[1])
+            block = jt[:, :, row : row + p * q].reshape(batch, m, p, q)
             np.multiply(d.transpose(1, 0, 2)[:, :, :, None], a[:, None, None, :], out=block)
-            row += size
+            row += p * q
         return jt.reshape(batch * m, -1).T
 
 

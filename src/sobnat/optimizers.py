@@ -6,12 +6,12 @@ the gradient of the batch's summed loss plus weight decay, J the parameter
 Jacobian on the batch and r = dL/dz:
 
   sgd            Delta = g, by backprop
-  ntk_surrogate  Delta = g, taken as J r + weight_decay * theta from the
-                 step's tangents with no backward pass: an independent path
-                 to sgd's trajectory
-  amari_dense    Delta = (damping I + J J^T)^-1 g, solved from r and theta
+  ntk_surrogate  Delta = g, with grad L taken as J r from the step's
+                 tangents and no backward pass: an independent path to
+                 sgd's trajectory
+  amari_dense    Delta = (damping I + J J^T)^-1 g, solved from r and w
                  with no backward pass; where P > B*m it is
-                 (weight_decay / damping) theta + J y, y a kernel-space
+                 (weight_decay / damping) w + J y, y a kernel-space
                  solve, and neither g nor J r is formed (sobnat.metric)
   sobolev_dense  Delta = (damping I + J (I_m (x) K^-1) J^T)^-1 g, the same way
   amari_kfac     Delta = S^-1 g A^-1 per layer, damping split by trace
@@ -19,8 +19,8 @@ Jacobian on the batch and r = dL/dz:
 
 K is the batch's Sobolev Gram, rebuilt every step on the batch inputs
 divided by the input scale.  TrainState holds a kernel only for the sobolev
-variants, and a step without one takes K = I (Gauss-Newton).  The dense and
-ntk_surrogate directions are per-layer views of one length-P vector.  At
+variants, and a step without one takes K = I (Gauss-Newton).  J r and the
+dense solves come back per layer, as backprop's gradients do.  At
 desk scale the summed loss keeps the damping small relative to the
 unnormalized metric estimate, which is what makes the natural-gradient
 variants meaningfully faster than plain gradient steps.  Logged train_loss
@@ -176,19 +176,16 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
     cache = network.forward(net, batch_x)
     train_loss, residuals = losses.loss_and_grad(cache.outputs, batch_y, config.loss)
 
-    if config.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
-        tangents = network.Tangents.of_network(net, cache)
-        if config.variant == "ntk_surrogate":
-            direction = metric.ntk_surrogate_gradient(tangents, residuals)  # J r
-            direction += config.weight_decay * net.params_vector()
-        else:
-            direction = metric.damped_natural_gradient(
-                tangents, _batch_gram(batch_x, state), config.damping,
-                residuals, config.weight_decay, net.params_vector(), state.buffers,
-            )
-        deltas = net.split_vector(direction)
+    if config.variant in ("amari_dense", "sobolev_dense"):
+        deltas = metric.damped_natural_gradient(
+            network.Tangents.of_network(net, cache), _batch_gram(batch_x, state), config.damping,
+            residuals, config.weight_decay, net.weights, state.buffers,
+        )
     else:
-        grads = network.backward(net, cache, residuals)
+        if config.variant == "ntk_surrogate":
+            grads = metric.ntk_surrogate_gradient(network.Tangents.of_network(net, cache), residuals)  # J r
+        else:
+            grads = network.backward(net, cache, residuals)
         deltas = [g + config.weight_decay * w for w, g in zip(net.weights, grads)]
     if state.kfac_layers is not None:
         if state.step % config.kfac_update_period == 0:

@@ -229,6 +229,12 @@ class TestNoStaleInverses:
         with pytest.raises(ValueError, match="no inverses"):
             precondition(state, np.ones((2, 2)))
 
+    def test_refresh_of_a_never_updated_state_names_the_missing_factors(self):
+        state = KfacLayerState()
+        with pytest.raises(ValueError, match="state holds no factors: it was never updated"):
+            refresh_inverses(state)
+        assert state.a_inv is None and state.s_inv is None
+
     def test_failed_refresh_leaves_no_inverses(self):
         state = update_state(KfacLayerState(decay=0.0, damping=1e-6), np.eye(2), np.eye(3))
         assert state.a_inv is not None and state.s_inv is not None

@@ -28,6 +28,17 @@ def random_net(seed, dims=(2, 3, 2), activation="tanh"):
                              np.random.default_rng(seed))
 
 
+def flat(arrays):
+    """Per-layer arrays as one length-P vector, in the order of params_vector."""
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def layered(tangents, vec):
+    """A length-P vector laid out as params_vector, as the tangents' per-layer arrays."""
+    parts = np.split(vec, np.cumsum([p * q for p, q in tangents.shapes])[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, tangents.shapes)]
+
+
 def component_major(batch, m):
     """perm[c*B + b] = b*m + c: kernel space's (c, b) order in J's (b, c) columns."""
     return np.arange(batch * m).reshape(batch, m).T.reshape(-1)
@@ -147,7 +158,8 @@ class TestDampedNaturalGradient:
         else:
             tangents = Tangents.of_network(net, forward(net, x))
         factor_orders.clear()
-        got = damped_natural_gradient(tangents, g, 0.03, resid, decay, net.params_vector())
+        weights = layered(tangents, net.params_vector())
+        got = flat(damped_natural_gradient(tangents, g, 0.03, resid, decay, weights))
         assert factor_orders == [batch * net.output_dim]
         assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -166,7 +178,7 @@ class TestDampedNaturalGradient:
                 factor = linalg.cholesky_factor(estimate_metric(j, dims[-1], g).values, 0.03)
                 for decay in (0.0, 0.003):
                     oracle = linalg.solve_from_factor(factor, j @ resid.reshape(-1) + decay * params)
-                    got = damped_natural_gradient(tangents, g, 0.03, resid, decay, params)
+                    got = flat(damped_natural_gradient(tangents, g, 0.03, resid, decay, net.weights))
                     assert np.max(np.abs(got - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
@@ -183,8 +195,7 @@ class TestDampedNaturalGradient:
                 return _product(self, z)
 
             monkeypatch.setattr(Tangents, name, counting)
-        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003,
-                                net.params_vector())
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003, net.weights)
         expected = {"identity": ["matvec"], "sobolev": ["matvec", "matvec", "rmatvec"]}[kernel]
         assert sorted(calls) == expected
 
@@ -203,7 +214,7 @@ class TestDampedNaturalGradient:
 
             monkeypatch.setattr(GramMatrix, name, recording)
         factor_orders.clear()
-        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003, net.params_vector())
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003, net.weights)
         assert factor_orders == [50 * dims[-1]]
         assert shapes and set(shapes) == {(50, dims[-1])}
 
@@ -214,10 +225,11 @@ class TestDampedNaturalGradient:
         net, x, j, resid, _ = self.instance((2, 3, 2), 50, seed=13)
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         for tangents in (Tangents.of_matrix(j, 2), Tangents.of_network(net, forward(net, x))):
-            grad = tangents.matvec(resid.T)
+            grad = flat(tangents.matvec(resid.T))
             grad += 0.003 * net.params_vector()
             oracle = natural_gradient(estimate_metric(j, 2, g, damping=0.03), grad)
-            got = damped_natural_gradient(tangents, g, 0.03, resid, 0.003, net.params_vector())
+            weights = layered(tangents, net.params_vector())
+            got = flat(damped_natural_gradient(tangents, g, 0.03, resid, 0.003, weights))
             assert np.array_equal(got, oracle)
 
     def test_parameter_space_solve_whitens_j_in_its_own_buffer(self):
@@ -233,12 +245,12 @@ class TestDampedNaturalGradient:
         j_bytes = net.num_params * 500 * 2 * 8
         tracemalloc.start()
         try:
-            got = damped_natural_gradient(tangents, g, 0.03, resid, 0.003, params)
+            got = flat(damped_natural_gradient(tangents, g, 0.03, resid, 0.003, net.weights))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert j_bytes <= peak < 2 * j_bytes
-        grad = tangents.matvec(resid.T)  # J r + decay * theta, formed as a train step forms it
+        grad = flat(tangents.matvec(resid.T))  # J r + decay * theta, formed as a train step forms it
         grad += 0.003 * params
         oracle = natural_gradient(estimate_metric(tangents.matrix(), 2, g, damping=0.03), grad)
         assert np.array_equal(got, oracle)
@@ -254,10 +266,10 @@ class TestDampedNaturalGradient:
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         tangents = Tangents.of_network(net, forward(net, x))
         resid, params = rng.normal(size=(500, 2)), net.params_vector()
-        grad = tangents.matvec(resid.T)
+        grad = flat(tangents.matvec(resid.T))
         grad += decay * params
         oracle = natural_gradient(estimate_metric(tangents.matrix(), 2, g, damping=0.03), grad)
-        assert np.array_equal(damped_natural_gradient(tangents, g, 0.03, resid, decay, params), oracle)
+        assert np.array_equal(flat(damped_natural_gradient(tangents, g, 0.03, resid, decay, net.weights)), oracle)
 
     def test_zero_damping_is_the_oracle(self, factor_orders):
         # Damping 0 always solves in parameter space, as the exactness
@@ -265,26 +277,47 @@ class TestDampedNaturalGradient:
         net, x, j, resid, _ = self.instance((2, 2, 1), 12, seed=15)
         g = gram(x / 20.0, KernelSpec(input_dim=2))
         tangents = Tangents.of_matrix(j, 1)
-        grad = tangents.matvec(resid.T)
+        grad = flat(tangents.matvec(resid.T))
         grad += 0.003 * net.params_vector()
         for k in (None, g):
             oracle = natural_gradient(estimate_metric(j, 1, k), grad)
-            got = damped_natural_gradient(tangents, k, 0.0, resid, 0.003, net.params_vector())
+            got = flat(damped_natural_gradient(tangents, k, 0.0, resid, 0.003, [net.params_vector()[:, None]]))
             assert np.array_equal(got, oracle)
         # ... and P = 13 > B*m = 12 factors the 13 x 13 metric of rank <= 12,
         # whose last pivot is 0 up to a rounding error of either sign.
         net, x, j, resid, _ = self.instance((2, 3, 1), 12, seed=14)
         factor_orders.clear()
         with contextlib.suppress(NotPositiveDefinite):
-            damped_natural_gradient(Tangents.of_matrix(j, 1), None, 0.0, resid, 0.003, net.params_vector())
+            damped_natural_gradient(Tangents.of_matrix(j, 1), None, 0.0, resid, 0.003, [net.params_vector()[:, None]])
         assert factor_orders == [13]
 
     @pytest.mark.parametrize("resid_shape,params_len", [((2, 1), 3), ((4,), 3), ((2, 2), 4), ((2, 2), 2)])
     def test_residual_and_params_shape_mismatch(self, resid_shape, params_len):
-        # B = 2, m = 2 and P = 3: r must be (2, 2) and theta of length 3.
+        # B = 2, m = 2 and P = 3: r must be (2, 2) and the dense J's one
+        # layer of weights (3, 1).
         with pytest.raises(DimensionMismatch):
             damped_natural_gradient(Tangents.of_matrix(np.ones((3, 4)), 2), None, 0.1,
-                                    np.ones(resid_shape), 0.003, np.ones(params_len))
+                                    np.ones(resid_shape), 0.003, [np.ones((params_len, 1))])
+
+    @pytest.mark.parametrize("change", ["one_layer_short", "one_layer_extra", "transposed", "flattened",
+                                        "dense_flat"])
+    def test_weights_of_the_wrong_count_or_shape(self, change):
+        # The weights must be one array per layer, each shaped like Wbar_l:
+        # (4, 3) and (2, 5) for [2, 4, 2]; a dense J's are one (P, 1) array.
+        net, x, j, resid, _ = self.instance((2, 4, 2), 3, seed=2)
+        tangents, weights = Tangents.of_network(net, forward(net, x)), net.weights
+        if change == "one_layer_short":
+            weights = weights[:1]
+        elif change == "one_layer_extra":
+            weights = weights + [np.ones((2, 3))]
+        elif change == "transposed":
+            weights = [w.T for w in weights]
+        elif change == "flattened":
+            weights = [net.params_vector()]
+        else:
+            tangents, weights = Tangents.of_matrix(j, 2), [net.params_vector()]
+        with pytest.raises(DimensionMismatch, match="weights of shapes"):
+            damped_natural_gradient(tangents, None, 0.03, resid, 0.003, weights)
 
     def test_decay_needs_the_params(self):
         with pytest.raises(ValueError, match="weight decay needs the params"):
@@ -305,7 +338,7 @@ class TestProjectEmpiricalGradient:
         pts = rng.normal(size=(4, 1))
         g = jitterless_gram(pts, 1)
         j = rng.normal(size=(3, 4))
-        out = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 0.0, np.zeros((4, 1)))
+        out = flat(damped_natural_gradient(Tangents.of_matrix(j, 1), g, 0.0, np.zeros((4, 1))))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_single_parameter_linear_model(self):
@@ -317,7 +350,7 @@ class TestProjectEmpiricalGradient:
         j = xs.reshape(1, -1)
         resid = (theta * xs - ys).reshape(-1, 1)
         gtilde = float(xs @ np.linalg.solve(g.values, xs))
-        got = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 0.0, resid)
+        got = flat(damped_natural_gradient(Tangents.of_matrix(j, 1), g, 0.0, resid))
         expected = float(xs @ resid[:, 0]) / gtilde
         np.testing.assert_allclose(got, [expected], atol=1e-12)
 
@@ -333,7 +366,7 @@ class TestProjectEmpiricalGradient:
             resid = loss_grad_z(cache.outputs, y, SQUARED)
             g = jitterless_gram(x / 20.0, 2)
             j = param_jacobian(net, x)
-            path1 = damped_natural_gradient(Tangents.of_matrix(j, 1), g, 1e-3, resid)
+            path1 = flat(damped_natural_gradient(Tangents.of_matrix(j, 1), g, 1e-3, resid))
             grads = backward_loss(net, cache, y, SQUARED, reduction="sum")
             grad_vec = np.concatenate([v.reshape(-1) for v in grads])
             est = estimate_metric(j, 1, g, damping=1e-3)
@@ -350,7 +383,7 @@ class TestProjectEmpiricalGradient:
         resid = rng.normal(size=(8, 2))
         g = jitterless_gram(x / 5.0, 1)
         j = param_jacobian(net, x)
-        got = damped_natural_gradient(Tangents.of_matrix(j, 2), g, 0.0, resid)
+        got = flat(damped_natural_gradient(Tangents.of_matrix(j, 2), g, 0.0, resid))
 
         chol = np.linalg.cholesky(g.values)
         j3 = j.reshape(net.num_params, 8, 2)
@@ -373,10 +406,11 @@ class TestNtk:
         # bit; a dense J, which has no pre-activations, runs rmatvec.
         net = random_net(batch, dims=dims, activation=activation)
         x = np.random.default_rng(batch).normal(size=(batch, dims[0]))
-        tangents, params = Tangents.of_network(net, forward(net, x)), net.params_vector()
+        tangents, params = Tangents.of_network(net, forward(net, x)), net.weights
         assert tangents.pre_acts is not None
         assert np.array_equal(tangents.rmatvec_params(params), tangents.rmatvec(params))
         dense = Tangents.of_matrix(tangents.matrix(), dims[-1])
+        params = layered(dense, net.params_vector())
         assert np.array_equal(dense.rmatvec_params(params), dense.rmatvec(params))
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
@@ -400,9 +434,18 @@ class TestNtk:
         j = param_jacobian(net, x)
         tangents = Tangents.of_network(net, forward(net, x))
         z, v = rng.normal(size=(6, 3)), rng.normal(size=net.num_params)
-        np.testing.assert_allclose(tangents.matvec(z.T), j @ z.reshape(-1), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(tangents.rmatvec(v), (j.T @ v).reshape(6, 3).T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(flat(tangents.matvec(z.T)), j @ z.reshape(-1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tangents.rmatvec(layered(tangents, v)), (j.T @ v).reshape(6, 3).T, rtol=0,
+                                   atol=1e-14)
         assert np.array_equal(tangents.matrix(), j)
+
+    def test_rmatvec_takes_one_array_per_layer(self):
+        # A list one layer short is refused, not contracted over the layers it has.
+        net = random_net(8, dims=(2, 5, 4, 3))
+        tangents = Tangents.of_network(net, forward(net, np.ones((2, 2))))
+        assert tangents.rmatvec(net.weights).shape == (3, 2)
+        with pytest.raises(ValueError):
+            tangents.rmatvec(net.weights[:-1])
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     @pytest.mark.parametrize("dims,batch", [((2, 3, 2), 7), ((2, 16, 16, 1), 5), ((3, 4, 5, 3), 1)])
@@ -414,7 +457,7 @@ class TestNtk:
         tangents = Tangents.of_network(net, forward(net, rng.normal(size=(batch, dims[0]))))
         v = rng.normal(size=net.num_params)
         for z in (rng.normal(size=(dims[-1], batch)), rng.normal(size=(batch, dims[-1])).T):
-            left, right = tangents.matvec(z) @ v, np.sum(z * tangents.rmatvec(v))
+            left, right = flat(tangents.matvec(z)) @ v, np.sum(z * tangents.rmatvec(layered(tangents, v)))
             assert abs(left - right) <= 1e-13 * max(1.0, abs(left))
 
     def test_single_parameter(self):
@@ -433,7 +476,7 @@ class TestNtk:
     def test_surrogate_zero_residuals(self):
         j = np.random.default_rng(9).normal(size=(4, 6))
         np.testing.assert_array_equal(
-            ntk_surrogate_gradient(Tangents.of_matrix(j, 2), np.zeros((3, 2))), np.zeros(4)
+            flat(ntk_surrogate_gradient(Tangents.of_matrix(j, 2), np.zeros((3, 2)))), np.zeros(4)
         )
 
     def test_surrogate_equals_projection_for_orthonormal_tangents(self):
@@ -443,7 +486,7 @@ class TestNtk:
         q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
         j = q.T  # rows orthonormal
         resid = rng.normal(size=(6, 1))
-        surr = ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid)
+        surr = flat(ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid))
         est = estimate_metric(j, 1, None)
         proj = natural_gradient(est, j @ resid.reshape(-1))
         np.testing.assert_allclose(surr, proj, atol=1e-12)
@@ -453,7 +496,7 @@ class TestNtk:
         xs = np.array([0.5, 1.0, 2.0])
         j = np.vstack([xs, xs**2])
         resid = np.array([[1.0], [0.5], [-1.0]])
-        surr = ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid)
+        surr = flat(ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid))
         proj = natural_gradient(estimate_metric(j, 1, None), j @ resid.reshape(-1))
         assert np.max(np.abs(surr - proj)) > 1e-3
 
@@ -474,7 +517,7 @@ class TestNtk:
         np.testing.assert_allclose(tangent_gram, np.eye(net.num_params), atol=1e-8)
         j = param_jacobian(net, probes)
         resid = np.random.default_rng(0).normal(size=(9, 1))
-        surr = ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid)
+        surr = flat(ntk_surrogate_gradient(Tangents.of_matrix(j, 1), resid))
         proj = natural_gradient(PullbackMetric(tangent_gram), j @ resid.reshape(-1))
         np.testing.assert_allclose(surr, proj, atol=1e-7)
 

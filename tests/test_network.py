@@ -28,8 +28,9 @@ def linear_chain(w1, w2):
 
 
 def with_params(net, theta):
-    """A copy of net with the parameter vector theta."""
-    return MlpNetwork(net.layers, [v.copy() for v in net.split_vector(theta)])
+    """A copy of net with the parameter vector theta, laid out as params_vector."""
+    parts = np.split(theta, np.cumsum([w.size for w in net.weights])[:-1])
+    return MlpNetwork(net.layers, [part.reshape(w.shape).copy() for part, w in zip(parts, net.weights)])
 
 
 def finite_diff_outputs(net, x, h=1e-5):

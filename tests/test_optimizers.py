@@ -155,7 +155,7 @@ class TestTrainStep:
         # J r already is the sum-loss gradient; a backprop pass would be waste.
         # backward_loss runs through backward, so this one swap covers both.
         # output_jacobians is the step's one backprop sweep, and the
-        # parameters are read once.
+        # parameters are never read as one length-P vector.
         def no_backward(*args, **kwargs):
             raise AssertionError(f"backward pass run on a {variant} step")
 
@@ -174,21 +174,22 @@ class TestTrainStep:
         x, y = TWO_MOONS.train()
         cfg = OptimConfig(variant=variant, batch_size=8, seed=0, record_walltime=False)
         new_net, _ = train_step(net, x[:8], y[:8], cfg, TrainState.create(net, cfg), 0.01)
-        assert sorted(calls) == ["jacobians", "params"]
+        assert calls == ["jacobians"]
         assert not np.array_equal(params(new_net), params(net))
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     @pytest.mark.parametrize("variant", ["amari_dense", "sobolev_dense"])
     @pytest.mark.parametrize("dims,loss", [([2, 5, 4, 2], SOFTMAX_CE), ([2, 6, 1], SQUARED), ([3, 4, 3], SQUARED)])
     def test_dense_gradient_is_the_backward_gradient(self, variant, activation, dims, loss, monkeypatch):
-        # The gradient J r + decay * theta the dense step solves with,
-        # rebuilt from the residuals, decay and parameters it passes, is the
+        # The gradient J r + decay * w the dense step solves with, rebuilt
+        # from the residuals, decay and weights it passes, is the
         # concatenated backprop gradient of the sum loss, plus weight decay.
         seen, solve = [], optimizers.metric.damped_natural_gradient
 
-        def recording(tangents, gram_matrix, damping, residuals, decay, params, buffers=None):
-            seen.append(tangents.matvec(residuals.T) + decay * params)
-            return solve(tangents, gram_matrix, damping, residuals, decay, params, buffers)
+        def recording(tangents, gram_matrix, damping, residuals, decay, weights, buffers=None):
+            layers = zip(tangents.matvec(residuals.T), weights)
+            seen.append(np.concatenate([(jr + decay * w).reshape(-1) for jr, w in layers]))
+            return solve(tangents, gram_matrix, damping, residuals, decay, weights, buffers)
 
         monkeypatch.setattr(optimizers.metric, "damped_natural_gradient", recording)
         rng = np.random.default_rng(len(dims) + dims[-1])
@@ -376,17 +377,15 @@ def reference_step(net, x, y, cfg, kfac_layers, lr, refresh=True):
     if cfg.variant.startswith("sobolev"):
         spec = KernelSpec(input_dim=x.shape[1], input_scale=cfg.input_scale)
         g = gram(x / cfg.input_scale, spec)
-    if cfg.variant in ("ntk_surrogate", "amari_dense", "sobolev_dense"):
-        tangents = Tangents.of_network(net, cache)
-        if cfg.variant == "ntk_surrogate":
-            direction = tangents.matvec(resid.T) + cfg.weight_decay * net.params_vector()
-        else:
-            direction = damped_natural_gradient(tangents, g, cfg.damping, resid, cfg.weight_decay,
-                                                net.params_vector())
-        parts = np.split(direction, np.cumsum([w.size for w in net.weights])[:-1])
-        deltas = [part.reshape(w.shape) for part, w in zip(parts, net.weights)]
+    if cfg.variant in ("amari_dense", "sobolev_dense"):
+        deltas = damped_natural_gradient(Tangents.of_network(net, cache), g, cfg.damping, resid, cfg.weight_decay,
+                                         net.weights)
     else:
-        deltas = [v + cfg.weight_decay * w for w, v in zip(net.weights, backward(net, cache, resid))]
+        if cfg.variant == "ntk_surrogate":
+            grads = Tangents.of_network(net, cache).matvec(resid.T)
+        else:
+            grads = backward(net, cache, resid)
+        deltas = [v + cfg.weight_decay * w for w, v in zip(net.weights, grads)]
     if cfg.variant.endswith("_kfac"):
         if refresh:
             for layer, (a, s) in zip(kfac_layers, kfac.compute_factors(Tangents.of_network(net, cache), g)):

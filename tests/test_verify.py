@@ -64,8 +64,9 @@ def test_tangent_basis_takes_one_jacobian_per_probe(monkeypatch, dims, seed):
 
 
 def with_params(net, theta):
-    """A copy of net with the parameter vector theta."""
-    return MlpNetwork(net.layers, [v.copy() for v in net.split_vector(theta)])
+    """A copy of net with the parameter vector theta, laid out as params_vector."""
+    parts = np.split(theta, np.cumsum([w.size for w in net.weights])[:-1])
+    return MlpNetwork(net.layers, [part.reshape(w.shape).copy() for part, w in zip(parts, net.weights)])
 
 
 def rebuilt_differences(net, x, y):
