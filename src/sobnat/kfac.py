@@ -155,16 +155,18 @@ def refresh_inverses(state: KfacLayerState) -> None:
     (A + sqrt(lam)/pi I)^-1 and (S + pi sqrt(lam) I)^-1.  While a damped
     factor is indefinite lam rises tenfold, up to three times; an escalated
     damping is kept in state.damping, so later refreshes start from it.
-    A non-finite entry in the triangle that cholesky_factor reads (every
-    entry, for the symmetric factors update_state keeps) fails the first
-    factorization, and the factor then raises NotPositiveDefinite at once,
-    naming it, since no damping can mend it.  The old inverses are cleared
+    A factor with a non-finite entry anywhere raises NotPositiveDefinite,
+    naming it, before any factorization, since no damping can mend it and
+    cholesky_factor reads only one triangle.  The old inverses are cleared
     first, so a refresh that raises leaves none.  A state without factors raises ValueError.
     """
     if state.a_factor is None:
         raise ValueError("state holds no factors: it was never updated")
     state.a_inv = state.s_inv = None
     a, s = state.a_factor, state.s_factor
+    for name, factor in (("A", a), ("S", s)):
+        if not np.isfinite(factor).all():
+            raise NotPositiveDefinite(f"K-FAC factor {name} of order {len(factor)} is not finite")
     ta, ts = a.trace() / len(a), s.trace() / len(s)
     pi = math.sqrt(ts / ta) if ta > 0 and ts > 0 else 1.0
     lam = state.damping
@@ -178,10 +180,6 @@ def refresh_inverses(state: KfacLayerState) -> None:
             name, factor = "S", s
             s_inv = _damped_inverse(s, sq * pi)
         except NotPositiveDefinite:
-            if not np.isfinite(factor).all():
-                raise NotPositiveDefinite(
-                    f"K-FAC factor {name} of order {len(factor)} is not finite"
-                ) from None
             continue
         state.a_inv, state.s_inv, state.damping = a_inv, s_inv, lam
         return

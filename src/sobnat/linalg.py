@@ -47,9 +47,14 @@ def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None) -
     a) when it is given, with shift added on its diagonal; a itself is
     never modified.  LAPACK gets the copy's transpose, which is
     Fortran-ordered and so needs no layout copy, and reads its lower
-    triangle: the factor is of the *upper* triangle of a.  For the
-    bitwise-symmetric matrices every caller passes (syrk products, ``cdist``
-    kernel tables and their averages) that is the same matrix.
+    triangle: the factor is of the *upper* triangle of a, and a's strict
+    lower triangle is never read.  The kernel Gram (a ``cdist`` table),
+    the K-FAC factors (syrk products and their averages) and the P x P
+    metric (a syrk product) are bitwise symmetric, so for them that is the
+    same matrix.  The kernel-space S of
+    :func:`sobnat.metric.damped_natural_gradient` is symmetric only to
+    rounding, since :meth:`sobnat.network.Tangents.ntk` builds Theta from
+    plain GEMMs, and is factored from its upper triangle.
 
     Raises NotPositiveDefinite, naming the row, when a pivot is <= 0 or not
     finite; the caller owns jitter and damping.  LAPACK's potrf flags only

@@ -52,7 +52,8 @@ J^T w[c, b] = sum_l Ds_l^(c)(x_b) . s_l(x_b) is read from the forward
 pass's pre-activations s_l = Abar_l Wbar_l^T
 (:meth:`~sobnat.network.Tangents.rmatvec_params`), so with K = I the
 step is one J product.  S is Theta with damping K_j added on its m
-contiguous diagonal B x B blocks, and is factored once; J y is a
+contiguous diagonal B x B blocks, and is factored once, from its upper
+triangle (Theta is symmetric to rounding only); J y is a
 per-layer product with Abar_l and Ds_l on an (m, B) array, and no
 triangular solve touches Theta.  The rounding of the formed Theta is not
 shaped like damping K_j, whose condition number is 1e9-1e10 on 50

@@ -75,13 +75,15 @@ def evaluate_batch(f: KernelExpansion, xs) -> np.ndarray:
     The result is filled in row blocks whose kernel table against the
     centers holds at most max(PROFILE_BLOCK, T) entries, so memory does not
     grow as N * T.  Raises DimensionMismatch when the rows are not of width
-    spec.input_dim.
+    spec.input_dim, and ValueError naming the first row with a NaN or
+    infinite entry.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.shape[1] != f.spec.input_dim:
         raise DimensionMismatch(
             f"points have dimension {xs.shape[1]}, spec.input_dim is {f.spec.input_dim}"
         )
+    _reject_non_finite_row(xs, "point")
     out = np.empty((len(xs), f.output_dim))
     rows = max(1, PROFILE_BLOCK // max(len(f.centers), 1))
     for start in range(0, len(xs), rows):

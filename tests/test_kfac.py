@@ -392,9 +392,16 @@ class TestRefreshInverses:
         factor[where] = factor[where[::-1]] = np.nan
         with pytest.raises(NotPositiveDefinite, match=f"factor {name} of order {order} is not finite"):
             refresh_inverses(state)
-        # One factorization of each factor tried, none repeated.
-        assert factor_orders == ([4] if name == "A" else [4, 3])
+        # Both factors are checked before any factorization.
+        assert factor_orders == []
         assert state.damping == 0.03 and state.a_inv is None and state.s_inv is None
+
+    def test_non_finite_entry_below_the_diagonal_raises(self):
+        # cholesky_factor reads one triangle only, so the check must see both.
+        a = 2 * np.eye(3)
+        a[2, 0] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="^K-FAC factor A of order 3 is not finite$"):
+            update_state(KfacLayerState(), a, np.eye(2))
 
     def test_failed_escalation_names_the_factor_and_last_damping(self):
         with pytest.raises(NotPositiveDefinite, match=r"factor S of order 3 .*\(last damping 0\.001\)$"):

@@ -144,6 +144,21 @@ class TestCholeskyFactor:
             np.testing.assert_array_equal(got, cholesky_factor(a, s))
             np.testing.assert_array_equal(a, before)
 
+    @pytest.mark.parametrize("n", [1, 17, 100])
+    @pytest.mark.parametrize("use_out", [False, True])
+    def test_reads_only_the_upper_triangle(self, n, use_out):
+        # Callers may pass a matrix that is symmetric only to rounding (the
+        # kernel-space S): finite junk in the strict lower triangle changes
+        # no bit of the factor of the matrix a's upper triangle defines.
+        rng = np.random.default_rng(n)
+        upper = np.triu(self.gram_of(rng, n))
+        symmetric = upper + np.triu(upper, 1).T
+        a = upper + np.tril(rng.normal(scale=1e3, size=(n, n)), -1)
+        out = np.empty((n, n)) if use_out else None
+        for s in (0.0, 0.03):
+            got = cholesky_factor(a, s, out=out)
+            np.testing.assert_array_equal(np.tril(got), np.tril(cholesky_factor(symmetric, s)))
+
     def test_out_of_another_shape_or_layout_is_refused(self):
         a = self.gram_of(np.random.default_rng(2), 4)
         for buf in (np.empty((5, 5)), np.empty((4, 4), order="F"), np.empty((4, 4), np.float32)):

@@ -56,6 +56,17 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch, match="dimension 1, spec.input_dim is 2"):
             evaluate_batch(f, np.ones((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_named_by_row(self, bad):
+        f = KernelExpansion(UNIT_1D, np.array([[0.0], [1.0]]), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^point in row 0 is not finite$"):
+            evaluate_batch(f, [[bad]])
+        xs = np.zeros((4, 2))
+        xs[2, 1] = bad
+        f = KernelExpansion(KernelSpec(input_dim=2), np.zeros((1, 2)), np.ones((1, 1)))
+        with pytest.raises(ValueError, match="^point in row 2 is not finite$"):
+            evaluate_batch(f, xs)
+
     @pytest.mark.parametrize("n_centers", [3, 700, PROFILE_BLOCK + 5])
     def test_batch_tables_are_row_blocks_of_bounded_size(self, monkeypatch, n_centers):
         # Each kernel table holds at most max(PROFILE_BLOCK, T) entries, the
