@@ -15,11 +15,13 @@ descent with the generator 0.5 |.|^2_g and step alpha is the same map with
 
 A descent runs once, as the stack of its iterates x_0..x_T (:func:`descend`);
 f, Prog and the rate bound are then taken over the whole stack in a few
-array operations.  :func:`grad_step`, :func:`mirror_step` and
-:func:`descend` share one private step, a solve with the metric's Cholesky
-factor (no step matrix or inverse is formed); a descent handles its
-arguments once, not on every row, and each of its rows is the grad_step of
-the row before, bit for bit.
+array operations.  On a quadratic the step is the fixed linear map
+T = I - rate g^-1 H; :func:`grad_step`, :func:`mirror_step` and
+:func:`descend` share one private step map that forms T from one solve with
+the metric's Cholesky factor, d right-hand sides, with no inverse of g.  A
+descent forms T once and applies it to every row, so each row is the
+grad_step of the row before, bit for bit.  T is formed per call, not cached
+on the problem, since its constants are settable fields.
 """
 
 from __future__ import annotations
@@ -84,20 +86,16 @@ class RiemannProblem:
         )
 
 
-def _step(problem: RiemannProblem, x: np.ndarray, rate: float) -> np.ndarray:
-    """x - rate g^-1 grad f(x) for a float64 vector x, with no argument
-    handling: LAPACK potrs on the metric factor, as solve_from_factor calls
-    it, since this step runs once per row of a descent."""
-    nat, info = scipy.linalg.lapack.dpotrs(problem.metric_factor, problem.hessian @ x, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x - rate * nat
+def _step_map(problem: RiemannProblem, rate: float) -> np.ndarray:
+    """The step matrix T = I - rate g^-1 H, from one solve with the metric's
+    factor; a step from x is T @ x."""
+    return np.eye(problem.dim) - rate * linalg.solve_from_factor(problem.metric_factor, problem.hessian)
 
 
 def grad_step(problem: RiemannProblem, x) -> np.ndarray:
     """One primal step x - (1/CL) g^-1 grad f."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return _step(problem, x, 1.0 / (problem.compat_C * problem.lipschitz_L))
+    return _step_map(problem, 1.0 / (problem.compat_C * problem.lipschitz_L)) @ x
 
 
 def prog(problem: RiemannProblem, x):
@@ -120,18 +118,18 @@ def mirror_step(problem: RiemannProblem, x, alpha: float) -> np.ndarray:
     if not alpha > 0:
         raise ValueError("step parameter alpha must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return _step(problem, x, 1.0 / alpha)
+    return _step_map(problem, 1.0 / alpha) @ x
 
 
 def descend(problem: RiemannProblem, x0, steps: int) -> np.ndarray:
     """The (steps+1, d) iterates x_0..x_T of the primal descent from x0,
-    each row the grad_step of the row before, bit for bit; the arguments
-    are handled once, not per row."""
+    each row the grad_step of the row before, bit for bit; the step map is
+    formed once, not per row."""
     xs = np.empty((steps + 1, problem.dim))
-    x = xs[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
-    rate = 1.0 / (problem.compat_C * problem.lipschitz_L)
+    xs[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
+    t = _step_map(problem, 1.0 / (problem.compat_C * problem.lipschitz_L))
     for k in range(steps):
-        x = xs[k + 1] = _step(problem, x, rate)
+        np.matmul(t, xs[k], out=xs[k + 1])
     return xs
 
 

@@ -43,7 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """An RKHS function sum_t d(|x - x_t|) c_t with values in R^m."""
+    """An RKHS function sum_t d(|x - x_t|) c_t with values in R^m.
+
+    A non-finite center or coefficient raises ValueError naming its row.
+    """
 
     spec: KernelSpec
     centers: np.ndarray  # (T, n)
@@ -60,6 +63,8 @@ class KernelExpansion:
             raise DimensionMismatch(
                 f"{centers.shape[0]} centers but {coeffs.shape[0]} coefficient rows"
             )
+        _reject_non_finite_row(centers, "center")
+        _reject_non_finite_row(coeffs, "coefficient")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -119,7 +124,8 @@ def functional_gd(
     unknown loss name (checked first), a negative step count, a class label
     that is not a non-negative integer, a non-finite point, squared-loss
     target or ``lr``, or a callable ``lr`` returning a non-finite eta (named
-    by step) ValueError.
+    by step) ValueError.  A run that diverges to non-finite coefficients
+    raises the expansion's ValueError instead of returning them.
 
     With W[i] the sum of the coefficients added so far at point i,
     f_{t-1}(x_t) = K[i_t] W for K = kernel_matrix(xs, xs, spec).  The
@@ -220,9 +226,10 @@ def functional_gd(
 
 def _reject_non_finite_row(a: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first row of a with a NaN or infinite entry."""
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        raise ValueError(f"{what} in row {np.unravel_index(bad[0], a.shape)[0]} is not finite")
+    finite = np.isfinite(a)
+    if not finite.all():
+        row = np.unravel_index(np.argmin(finite), a.shape)[0]  # the first False
+        raise ValueError(f"{what} in row {row} is not finite")
 
 
 def _basis_matrix(basis, probes) -> np.ndarray:

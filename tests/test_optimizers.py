@@ -488,6 +488,21 @@ class TestTrain:
         assert log_a.steps == log_b.steps
         assert log_a.epochs == log_b.epochs
 
+    @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
+    def test_identical_seeds_identical_bytes_at_batch_500(self, variant):
+        # Two steps of B = 500 per run, past the desk shapes: the dense run
+        # factors the 500 x 500 Gram and the 354 x 354 metric, and the K-FAC
+        # run refreshes on its first step.  Same seed, same process: the logged
+        # losses and the final weights agree byte for byte.
+        cfg = OptimConfig(variant=variant, epochs=2, batch_size=500, seed=5,
+                          record_walltime=False)
+        (log_a, net_a), (log_b, net_b) = (train(cfg, TWO_MOONS, [2, 16, 16, 2]) for _ in range(2))
+        assert len(log_a.steps) == 2
+        assert np.array(log_a.steps).tobytes() == np.array(log_b.steps).tobytes()
+        assert np.array(log_a.epochs).tobytes() == np.array(log_b.epochs).tobytes()
+        for w_a, w_b in zip(net_a.weights, net_b.weights):
+            assert w_a.tobytes() == w_b.tobytes()
+
     def test_shared_init_across_variants(self):
         # The named init stream makes every variant start from the same
         # weights for a given seed.

@@ -162,12 +162,50 @@ class TestDescend:
         assert xs.shape == (41, dim)
         assert np.array_equal(xs[0], x)
         rate = 1.0 / (problem.compat_C * problem.lipschitz_L)
+        # The step map I - rate g^-1 H, from one solve with the metric's factor.
+        t = np.eye(dim) - rate * linalg.solve_from_factor(problem.metric_factor, problem.hessian)
         for row in xs[1:]:
-            # The step as solve_from_factor takes it, with all its argument handling.
-            nat = linalg.solve_from_factor(problem.metric_factor, problem.hessian @ x)
-            assert np.array_equal(row, x - rate * nat)
+            assert np.array_equal(row, t @ x)
             x = grad_step(problem, x)
             assert np.array_equal(row, x)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    def test_matches_an_independent_solve_recursion(self, dim, with_metric):
+        # Against x - rate np.linalg.solve(g, H x), one solve per step, over
+        # 200 steps: within 1e-13 of the trajectory's largest entry (about
+        # 4e-16 is seen on 200 random problems).
+        rng = np.random.default_rng(30 + dim)
+        for _ in range(10):
+            problem = random_quadratic(rng, dim=dim, with_metric=with_metric)
+            x = rng.normal(size=dim) * 2.0
+            rate = 1.0 / (problem.compat_C * problem.lipschitz_L)
+            expected = [x]
+            for _ in range(200):
+                x = x - rate * np.linalg.solve(problem.metric, problem.hessian @ x)
+                expected.append(x)
+            expected = np.array(expected)
+            xs = descend(problem, expected[0], 200)
+            assert np.max(np.abs(xs - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_one_solve_per_descent(self, monkeypatch):
+        # The step map is formed once per descent, not once per row.
+        calls = []
+        original = linalg.solve_from_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "solve_from_factor", counted)
+        rng = np.random.default_rng(13)
+        problem = random_quadratic(rng, with_metric=True)
+        x0 = rng.normal(size=3)
+        descend(problem, x0, 200)
+        assert len(calls) == 1
+        calls.clear()
+        verify_rate(problem, x0, 200)
+        assert len(calls) == 1
 
     def test_f_and_prog_over_a_stack_match_each_point(self):
         rng = np.random.default_rng(11)

@@ -67,6 +67,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^point in row 2 is not finite$"):
             evaluate_batch(f, xs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what", ["center", "coefficient"])
+    def test_non_finite_expansion_is_named_by_row(self, bad, what):
+        centers, coeffs = np.zeros((3, 2)), np.ones((3, 2))
+        (centers if what == "center" else coeffs)[1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{what} in row 1 is not finite$"):
+            KernelExpansion(KernelSpec(input_dim=2), centers, coeffs)
+        args = ([[bad]], [[1.0]]) if what == "center" else ([[0.0]], [[bad]])
+        with pytest.raises(ValueError, match=f"^{what} in row 0 is not finite$"):
+            evaluate_batch(KernelExpansion(UNIT_1D, *args), [[0.5]])
+
     @pytest.mark.parametrize("n_centers", [3, 700, PROFILE_BLOCK + 5])
     def test_batch_tables_are_row_blocks_of_bounded_size(self, monkeypatch, n_centers):
         # Each kernel table holds at most max(PROFILE_BLOCK, T) entries, the
@@ -264,6 +275,14 @@ class TestFunctionalGD:
         lr = lambda t: bad if t == 7 else 0.1
         with pytest.raises(ValueError, match=f"lr returned {bad} at step 7"):
             functional_gd(xs, np.sin(xs), SQUARED, 10, lr, UNIT_1D, mode=mode)
+
+    def test_diverging_run_raises_instead_of_returning_non_finite_coefficients(self):
+        # Full-batch steps of lr 50 on 10 points overflow within 200 steps;
+        # the expansion rejects the coefficients the run ends with.
+        xs = np.linspace(-2.0, 2.0, 10).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^coefficient in row \d+ is not finite$"):
+                functional_gd(xs, np.sin(xs), SQUARED, 200, 50.0, UNIT_1D, mode="full_batch")
 
     @staticmethod
     def _assert_recursion(f, xs, ys, loss, steps, lr, mode):
