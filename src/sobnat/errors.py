@@ -53,13 +53,17 @@ class RateViolation(SobnatError):
 
 class Diverged(SobnatError):
     """Training produced a non-finite batch loss, or a non-finite update
-    from a finite one (update=True)."""
+    from a finite one (update=True); or functional GD a non-finite
+    coefficient (loss None)."""
 
-    def __init__(self, step: int, loss: float, update: bool = False):
+    def __init__(self, step: int, loss: float = None, update: bool = False):
         self.step = step
         self.loss = loss
         self.update = update
-        what = f"update (train loss {loss})" if update else f"train loss {loss}"
+        if loss is None:
+            what = "coefficient"
+        else:
+            what = f"update (train loss {loss})" if update else f"train loss {loss}"
         super().__init__(f"non-finite {what} at step {step}")
 
 

@@ -19,9 +19,13 @@ array operations.  On a quadratic the step is the fixed linear map
 T = I - rate g^-1 H; :func:`grad_step`, :func:`mirror_step` and
 :func:`descend` share one private step map that forms T from one solve with
 the metric's Cholesky factor, d right-hand sides, with no inverse of g.  A
-descent forms T once and applies it to every row, so each row is the
-grad_step of the row before, bit for bit.  T is formed per call, not cached
-on the problem, since its constants are settable fields.
+descent forms T once and writes each row with one call of T's bound
+``ndarray.dot`` into the next row of the stack, so each row is the
+grad_step of the row before, bit for bit, at one call per row.  T is
+formed per call, not cached on the problem, since its constants are
+settable fields.  The sublevel radius takes the generalized eigenvalues of
+(g, H) from one LAPACK ``dsygvd`` call, the routine scipy.linalg.eigh calls
+for them, without its wrapper.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import RateViolation
+from .errors import NotPositiveDefinite, RateViolation
 
 __all__ = [
     "RiemannProblem",
@@ -88,14 +92,17 @@ class RiemannProblem:
 
 def _step_map(problem: RiemannProblem, rate: float) -> np.ndarray:
     """The step matrix T = I - rate g^-1 H, from one solve with the metric's
-    factor; a step from x is T @ x."""
+    factor; a step from x is T.dot(x)."""
     return np.eye(problem.dim) - rate * linalg.solve_from_factor(problem.metric_factor, problem.hessian)
 
 
 def grad_step(problem: RiemannProblem, x) -> np.ndarray:
-    """One primal step x - (1/CL) g^-1 grad f."""
+    """One primal step x - (1/CL) g^-1 grad f.
+
+    Each call forms the whole d x d step map; :func:`descend` is the path
+    for many steps, forming it once."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return _step_map(problem, 1.0 / (problem.compat_C * problem.lipschitz_L)) @ x
+    return _step_map(problem, 1.0 / (problem.compat_C * problem.lipschitz_L)).dot(x)
 
 
 def prog(problem: RiemannProblem, x):
@@ -113,23 +120,25 @@ def mirror_step(problem: RiemannProblem, x, alpha: float) -> np.ndarray:
     """Mirror-descent update for the generator 0.5 |.|^2_g.
 
     The argmin of <grad f(x), y - x> + (alpha/2) |x - y|^2_g in closed
-    form; with alpha = C L it coincides with grad_step exactly.
+    form; with alpha = C L it coincides with grad_step exactly.  Like
+    grad_step, each call forms the whole d x d step map.
     """
     if not alpha > 0:
         raise ValueError("step parameter alpha must be positive")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return _step_map(problem, 1.0 / alpha) @ x
+    return _step_map(problem, 1.0 / alpha).dot(x)
 
 
 def descend(problem: RiemannProblem, x0, steps: int) -> np.ndarray:
     """The (steps+1, d) iterates x_0..x_T of the primal descent from x0,
     each row the grad_step of the row before, bit for bit; the step map is
-    formed once, not per row."""
+    formed once, not per row, and each row is one call of its bound dot."""
     xs = np.empty((steps + 1, problem.dim))
     xs[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
-    t = _step_map(problem, 1.0 / (problem.compat_C * problem.lipschitz_L))
-    for k in range(steps):
-        np.matmul(t, xs[k], out=xs[k + 1])
+    step = _step_map(problem, 1.0 / (problem.compat_C * problem.lipschitz_L)).dot
+    rows = list(xs)  # views of the rows, split once
+    for row, nxt in zip(rows, rows[1:]):
+        step(row, out=nxt)
     return xs
 
 
@@ -146,18 +155,35 @@ def _sublevel_radius(problem: RiemannProblem, f0: float) -> float:
     """g-radius of the sublevel set {f <= f0} around the minimizer 0.
 
     The set is the ellipsoid x^T H x <= 2 f0, on which x^T g x peaks at
-    2 f0 times the largest eigenvalue of g u = lam H u.
+    2 f0 times the largest eigenvalue of g u = lam H u.  Raises ValueError
+    naming the first non-finite entry of H or g, and NotPositiveDefinite
+    naming the leading minor of H that is not positive definite.
     """
+    for name, a in (("hessian", problem.hessian), ("metric", problem.metric)):
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first False
+            raise ValueError(f"{name} entry ({i}, {j}) is not finite")
     if f0 <= 0:
         return 0.0
-    lam = scipy.linalg.eigh(problem.metric, problem.hessian, eigvals_only=True)
+    lam, _, info = scipy.linalg.lapack.dsygvd(
+        problem.metric, problem.hessian, itype=1, jobz="N", uplo="L"
+    )
+    if info > problem.dim:
+        raise NotPositiveDefinite(
+            f"leading minor of order {info - problem.dim} of the hessian is not positive definite"
+        )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"sygvd failed with info {info}")
     return float(np.sqrt(2.0 * f0 * np.max(lam)))
 
 
 def verify_rate(problem: RiemannProblem, x0, steps: int) -> RateReport:
     """Descend from x0 and assert f(x_T) - f* <= 2 L C R^2 / T for every prefix.
 
-    Raises RateViolation at the first offending step.
+    Raises RateViolation at the first offending step, and what the sublevel
+    radius raises: NotPositiveDefinite for an H that is not positive
+    definite, ValueError for a non-finite entry of H or g.
     """
     iterates = descend(problem, x0, steps)
     values = problem.f(iterates)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from . import losses
-from .errors import DimensionMismatch, SingularProbeSet
+from .errors import DimensionMismatch, Diverged, SingularProbeSet
 from .kernel import PROFILE_BLOCK, KernelSpec, kernel_matrix
 
 __all__ = [
@@ -124,8 +124,10 @@ def functional_gd(
     unknown loss name (checked first), a negative step count, a class label
     that is not a non-negative integer, a non-finite point, squared-loss
     target or ``lr``, or a callable ``lr`` returning a non-finite eta (named
-    by step) ValueError.  A run that diverges to non-finite coefficients
-    raises the expansion's ValueError instead of returning them.
+    by step) ValueError.  A run that ends with a non-finite coefficient
+    raises Diverged naming the first step whose coefficient is not finite,
+    found by running again with a check after each segment; a run that
+    stays finite is checked once, at its end.
 
     With W[i] the sum of the coefficients added so far at point i,
     f_{t-1}(x_t) = K[i_t] W for K = kernel_matrix(xs, xs, spec).  The
@@ -184,6 +186,17 @@ def functional_gd(
     if n == 0 and steps > 0:
         raise DimensionMismatch(f"{steps} steps over an empty set of points")
 
+    w = _coefficients(xs, ys, loss, steps, lr, spec, mode, output_dim)
+    if not np.isfinite(w).all():  # run again, checking each segment, to name the step
+        _coefficients(xs, ys, loss, steps, lr, spec, mode, output_dim, checked=True)
+    return KernelExpansion(spec, xs[: len(w)].copy(), w)
+
+
+def _coefficients(xs, ys, loss, steps, lr, spec, mode, output_dim, checked=False) -> np.ndarray:
+    """W of :func:`functional_gd`'s run over validated input, one segment at
+    a time; checked raises Diverged at the first step whose coefficient is
+    not finite."""
+    n = xs.shape[0]
     visits = 1 if mode == "cyclic" else n
     block = n if mode == "full_batch" else max(1, PROFILE_BLOCK // max(n, 1))
     sweep = mode == "cyclic" and loss == losses.SQUARED  # segments span the block
@@ -220,8 +233,12 @@ def functional_gd(
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of trtrs")
         w[start:stop] += step
+        if checked:
+            finite = np.isfinite(w[start:stop]).all(axis=1)
+            if not finite.all():
+                raise Diverged(t + int(np.argmin(finite)) // visits)
         t += length
-    return KernelExpansion(spec, xs[: len(w)].copy(), w)
+    return w
 
 
 def _reject_non_finite_row(a: np.ndarray, what: str) -> None:

@@ -345,6 +345,14 @@ class TestFuncgd:
         resid = float(result.stdout.split("training residual")[1].split()[0])
         assert resid < 2.0
 
+    def test_diverging_run_exits_1_with_a_typed_error(self, tmp_path):
+        out = tmp_path / "fgd.csv"
+        result = run_cli("funcgd", "--lr", "50", "--out", str(out))
+        assert result.returncode == 1
+        assert "error: Diverged: non-finite coefficient at step " in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_predictions_are_the_cyclic_recursion(self, tmp_path):
         # f_t = f_{t-1} - lr k(., x_i) (f_{t-1}(x_i) - y_i), i = t mod n,
         # tracked at the training points with the unit-constant kernel
@@ -415,6 +423,12 @@ class TestRiemannCmd:
         assert result.returncode == 0, result.stdout
         assert "held on all" in result.stdout
 
+    def test_demo_passes_at_dim_200(self):
+        # Order 200 besides the default 3: numpy may take a product down another path by size.
+        result = run_cli("riemann", "--dim", "200", "--instances", "2", "--steps", "50")
+        assert result.returncode == 0, result.stdout
+        assert "held on all 2 instances (50 steps each)" in result.stdout
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("shrink, steps, diverges", [(0.4, 30, False), (1e-3, 150, True)])
     def test_shrunk_lipschitz_constant_fails_with_the_reference_count(
@@ -438,9 +452,11 @@ class TestRiemannCmd:
 
 
 class TestThreadCap:
-    def test_thread_cap_env_does_not_change_results(self, tmp_path):
+    # The variants README names as byte-identical across thread counts, at
+    # B = 500, where the batch's products reach order 500.
+    @pytest.mark.parametrize("variant", ["sgd", "ntk_surrogate", "amari_kfac"])
+    def test_thread_cap_env_does_not_change_results(self, tmp_path, variant):
         import os
-        import subprocess
 
         outs = []
         for name, cap in (("one", "1"), ("two", "2")):
@@ -448,8 +464,8 @@ class TestThreadCap:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=cap)
             result = subprocess.run(
                 [sys.executable, "-m", "sobnat.cli", "train", "--dataset", "two-moons",
-                 "--variant", "amari_kfac", *TRAIN_QUICK, "--no-walltime",
-                 "--out", str(out)],
+                 "--variant", variant, "--count", "2000", "--batch-size", "500",
+                 "--epochs", "2", "--seed", "3", "--no-walltime", "--out", str(out)],
                 capture_output=True, text=True, env=env, timeout=240,
             )
             assert result.returncode == 0, result.stderr

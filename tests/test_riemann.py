@@ -4,9 +4,10 @@ import scipy.linalg
 import scipy.optimize
 
 from sobnat import linalg
-from sobnat.errors import RateViolation
+from sobnat.errors import NotPositiveDefinite, RateViolation
 from sobnat.riemann import (
     RiemannProblem,
+    _sublevel_radius,
     descend,
     grad_step,
     mirror_step,
@@ -152,7 +153,8 @@ def reference_rate_violation(problem, x0, steps):
 
 
 class TestDescend:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    # Orders 50 and 200 besides 1-3: numpy may take a product down another path by size.
+    @pytest.mark.parametrize("dim", [1, 2, 3, 50, 200])
     @pytest.mark.parametrize("with_metric", [False, True])
     def test_rows_are_repeated_grad_steps(self, dim, with_metric):
         rng = np.random.default_rng(10 + dim)
@@ -167,7 +169,7 @@ class TestDescend:
         for row in xs[1:]:
             assert np.array_equal(row, t @ x)
             x = grad_step(problem, x)
-            assert np.array_equal(row, x)
+            assert row.tobytes() == x.tobytes()  # bit for bit, signed zeros too
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("with_metric", [False, True])
@@ -221,6 +223,50 @@ class TestDescend:
         x0 = rng.normal(size=3)
         report = verify_rate(problem, x0, 30)
         assert np.array_equal(report.iterates, descend(problem, x0, 30))
+
+
+class TestSublevelRadius:
+    def test_equals_the_eigh_radius_bit_for_bit(self):
+        # One dsygvd call against the scipy.linalg.eigh wrapper around it, on
+        # identity, diagonal and dense SPD metrics of orders 1-40.
+        rng = np.random.default_rng(40)
+        for k in range(120):
+            dim = 1 + k % 40
+            m = rng.normal(size=(dim, dim))
+            h = m @ m.T + 0.5 * np.eye(dim)
+            kind = k % 3
+            if kind == 0:
+                g = None
+            elif kind == 1:
+                g = np.diag(rng.uniform(0.5, 3.0, size=dim))
+            else:
+                a = rng.normal(size=(dim, dim))
+                g = a @ a.T + np.eye(dim)
+            problem = RiemannProblem.quadratic(h, g)
+            f0 = float(rng.uniform(0.1, 10.0))
+            lam = scipy.linalg.eigh(problem.metric, problem.hessian, eigvals_only=True)
+            expected = float(np.sqrt(2.0 * f0 * np.max(lam)))
+            assert _sublevel_radius(problem, f0) == expected
+
+    def test_indefinite_hessian_names_its_leading_minor(self):
+        # f0 = 0.5 > 0 from x0 = (1, 0); H's leading minor of order 2 is -1.
+        problem = RiemannProblem.quadratic(np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefinite, match="^leading minor of order 2 of the hessian "):
+            verify_rate(problem, np.array([1.0, 0.0]), 10)
+
+    @pytest.mark.parametrize("field", ["hessian", "metric"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_with_its_location(self, field, bad):
+        # The metric's upper triangle is read neither by its factor nor by
+        # dsygvd, so only the radius's own check can see it; a -inf entry
+        # of H makes f0 = -inf, which must not pass as a zero radius.
+        problem = RiemannProblem.quadratic(np.diag([2.0, 1.0]), 2.0 * np.eye(2))
+        a = getattr(problem, field).copy()
+        a[0, 1] = bad
+        setattr(problem, field, a)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"^{field} entry \(0, 1\) is not finite$"):
+                verify_rate(problem, np.array([1.0, 1.0]), 10)
 
 
 class TestVerifyRate:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from sobnat import rkhs
-from sobnat.errors import DimensionMismatch, SingularProbeSet
+from sobnat.errors import DimensionMismatch, Diverged, SingularProbeSet
 from sobnat.kernel import EXACT_CONSTANT, PROFILE_BLOCK, KernelSpec, point_kernel
 from sobnat.losses import SOFTMAX_CE, SQUARED, loss_grad_z
 from sobnat.rkhs import (
@@ -276,13 +276,22 @@ class TestFunctionalGD:
         with pytest.raises(ValueError, match=f"lr returned {bad} at step 7"):
             functional_gd(xs, np.sin(xs), SQUARED, 10, lr, UNIT_1D, mode=mode)
 
-    def test_diverging_run_raises_instead_of_returning_non_finite_coefficients(self):
-        # Full-batch steps of lr 50 on 10 points overflow within 200 steps;
-        # the expansion rejects the coefficients the run ends with.
+    @pytest.mark.parametrize("mode", ["cyclic", "full_batch"])
+    def test_diverging_run_raises_instead_of_returning_non_finite_coefficients(self, mode):
+        # Steps of lr 50 on 10 points overflow within 400 steps.  Diverged
+        # names the first step whose coefficient is not finite: a run of that
+        # many steps returns finite coefficients, one step more names it.
         xs = np.linspace(-2.0, 2.0, 10).reshape(-1, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=r"^coefficient in row \d+ is not finite$"):
-                functional_gd(xs, np.sin(xs), SQUARED, 200, 50.0, UNIT_1D, mode="full_batch")
+            with pytest.raises(Diverged, match=r"^non-finite coefficient at step \d+$") as info:
+                functional_gd(xs, np.sin(xs), SQUARED, 400, 50.0, UNIT_1D, mode=mode)
+            step = info.value.step
+            assert 0 < step < 400 and info.value.loss is None
+            f = functional_gd(xs, np.sin(xs), SQUARED, step, 50.0, UNIT_1D, mode=mode)
+            assert np.isfinite(f.coeffs).all()
+            with pytest.raises(Diverged) as info:
+                functional_gd(xs, np.sin(xs), SQUARED, step + 1, 50.0, UNIT_1D, mode=mode)
+            assert info.value.step == step
 
     @staticmethod
     def _assert_recursion(f, xs, ys, loss, steps, lr, mode):
