@@ -13,7 +13,7 @@ rejection sampling inside the same bounding box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def _sqrt_dets(query: FlatnessQuery, points: np.ndarray) -> np.ndarray:
 
 
 def _half_widths(query: FlatnessQuery) -> np.ndarray:
-    hw = getattr(query.sampler, "half_width")
+    hw = query.sampler.half_width
     return np.broadcast_to(np.asarray(hw, dtype=np.float64), query.minimum.shape).astype(float)
 
 
@@ -271,17 +271,13 @@ def invariance_check(query: FlatnessQuery, reparam: Reparam, base_volume: float 
             g = _float_array(query.metric(_float_array(reparam.forward(u), 1)), 2)
             return dj.T @ g @ dj
 
-    if isinstance(query.sampler, GridSampler):
-        sampler = GridSampler(query.sampler.resolution, u_halfwidth)
-    else:
-        sampler = MonteCarloSampler(query.sampler.count, query.sampler.seed, u_halfwidth)
     warped_query = FlatnessQuery(
         loss=warped_loss,
         minimum=u0,
         epsilon=query.epsilon,
         metric=warped_metric,
         metric_source=query.metric_source,
-        sampler=sampler,
+        sampler=replace(query.sampler, half_width=u_halfwidth),
     )
     warped = epsilon_flatness(warped_query).volume
     return abs(base - warped) / max(abs(base), 1e-300)

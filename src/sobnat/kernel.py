@@ -227,7 +227,7 @@ class GramMatrix:
         return out
 
 
-def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> GramMatrix:
+def gram(points, spec: KernelSpec, buffer: np.ndarray = None) -> GramMatrix:
     """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|).
 
     Points are rows (a 1-D array is one point) already divided by
@@ -237,9 +237,10 @@ def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> Gram
     adds to its copy, so values keeps the pure kernel; on failure the jitter
     is escalated tenfold up to three times before DegenerateGram, naming the
     last jitter tried, is raised (duplicate points at excessive batch
-    size); a zero jitter fails at the first attempt.  With ``buffers`` every
-    attempt factors into its "gram" array, and the returned Gram's factor
-    is valid until the next Gram factored there; without, into a fresh one.
+    size); a zero jitter fails at the first attempt.  Every attempt factors
+    into ``buffer``, a C-ordered float64 (B, B) array, when it is given, so
+    the factor is valid until the next Gram factored there; a training run
+    keeps one (:class:`~sobnat.optimizers.TrainState`).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
@@ -252,7 +253,6 @@ def gram(points, spec: KernelSpec, buffers: linalg.FactorBuffers = None) -> Gram
     if not finite.all():
         raise DegenerateGram(f"point in row {int(np.argmin(finite))} is not finite")
     out = GramMatrix(values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
-    buffer = None if buffers is None else buffers.get("gram", len(pts))
     for attempt in range(4):  # initial attempt plus three escalations
         if attempt:
             out.jitter *= 10.0

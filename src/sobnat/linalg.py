@@ -5,7 +5,8 @@ only adds the SPD factor and solves that the metric and K-FAC paths need,
 with the package's error types.
 Jitter and damping enter as the diagonal shift of :func:`cholesky_factor`,
 which factors in a single copy of its argument, fresh or in a caller's
-buffer (:class:`FactorBuffers`).
+``out`` array; a training run keeps one, for the Gram, and says why
+(:class:`~sobnat.optimizers.TrainState`).
 """
 
 from __future__ import annotations
@@ -15,25 +16,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-__all__ = ["FactorBuffers", "cholesky_factor", "cholesky_solve", "solve_from_factor"]
-
-
-class FactorBuffers:
-    """Square float64 arrays for :func:`cholesky_factor`'s ``out``, one per key.
-
-    Each key names the caller that factors into it.  An array is kept across
-    calls and re-made only when the order asked for changes, so a factor
-    taken into it is valid until the next factor under the same key.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, key: str, order: int) -> np.ndarray:
-        array = self._arrays.get(key)
-        if array is None or len(array) != order:
-            array = self._arrays[key] = np.empty((order, order))
-        return array
+__all__ = ["cholesky_factor", "cholesky_solve", "solve_from_factor"]
 
 
 def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None) -> np.ndarray:

@@ -83,15 +83,14 @@ backprop sweep is the output Jacobians of its Tangents.  With P <= B*m, or
 with damping 0 (the exactness oracles), where the identity would divide by
 0, the step forms g = J r + decay w, flattens it once in the order of
 :meth:`~sobnat.network.MlpNetwork.params_vector` and returns per-layer
-views of the solution.  It factors the P x P metric that
-:func:`estimate_metric` builds, as natural_gradient does: one private
-build that whitens the fresh buffer of
-:meth:`~sobnat.network.Tangents.matrix` in place and returns J~ J~^T.  A
-scalar damping is passed as the diagonal shift of
-:func:`sobnat.linalg.cholesky_factor`, not added to a copy beforehand,
-and a training run has the factor taken in a buffer it keeps across steps.
-:func:`estimate_metric` and :func:`natural_gradient` stay as the P x P
-oracle the fast path is tested against.
+views of :func:`natural_gradient` of it on the P x P metric that
+:func:`estimate_metric` builds: one private build that whitens the fresh
+buffer of :meth:`~sobnat.network.Tangents.matrix` in place and returns
+J~ J~^T.  natural_gradient factors into a fresh array, with a scalar
+damping as the diagonal shift of :func:`sobnat.linalg.cholesky_factor`;
+a run keeps no P x P buffer (:class:`~sobnat.optimizers.TrainState` says
+what it measured).  The same two functions are the P x P oracle the
+kernel-space path is tested against.
 
 An exact quadrature oracle for the L2 pullback metric of tiny networks is
 included for desk-scale ground truth.
@@ -172,7 +171,6 @@ def damped_natural_gradient(
     residuals: np.ndarray,
     decay: float = 0.0,
     weights: list = None,
-    buffers: linalg.FactorBuffers = None,
 ) -> list:
     """Solve (damping I + J~ J~^T) v = J r + decay * w with one factor in the smaller space.
 
@@ -187,8 +185,7 @@ def damped_natural_gradient(
     system of the module docstring is solved from r and J^T w, and neither
     J nor J r is formed; otherwise J r + decay * w and the P x P metric
     are, and v is per-layer views of natural_gradient(estimate_metric(...))
-    of that gradient.  With ``buffers`` that P x P metric is factored into
-    its "metric" array.
+    of that gradient, taken by natural_gradient itself.
     """
     p, n = tangents.num_params, tangents.batch * tangents.output_dim
     r = _residuals(tangents, residuals)
@@ -203,9 +200,8 @@ def damped_natural_gradient(
     if damping > 0 and p > n:
         return _kernel_space_solve(tangents, gram, damping, r, decay, weights)
     grad = _plus_decay(tangents.matvec(r.T), decay, weights)
-    out = None if buffers is None else buffers.get("metric", p)
-    factor = linalg.cholesky_factor(_metric_values(tangents, gram), damping, out=out)
-    v = linalg.solve_from_factor(factor, np.concatenate([g.reshape(-1) for g in grad]))
+    metric = PullbackMetric(_metric_values(tangents, gram), damping)
+    v = natural_gradient(metric, np.concatenate([g.reshape(-1) for g in grad]))
     bounds = np.cumsum([g.size for g in grad])[:-1]
     return [part.reshape(g.shape) for part, g in zip(np.split(v, bounds), grad)]
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kfac, linalg, losses, metric, network, rng
+from . import kfac, losses, metric, network, rng
 from .data import Dataset
 from .errors import DimensionMismatch, Diverged, SobnatError, StepFailed
 from .kernel import GramMatrix, KernelSpec, gram
@@ -116,18 +116,25 @@ def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
 class TrainState:
     """Per-run mutable state owned by one optimizer.
 
-    ``buffers`` holds the arrays the Sobolev and dense steps factor into:
-    the B x B Gram's factor and, when P <= B*m, the P x P metric's.  At
-    B = 500 each is a multi-megabyte block, which glibc serves by a fresh
-    mmap or from the top of its heap and hands back to the OS when it is
-    freed, so a copy made per step page-faults in again on every step.
-    They stay here for the run and are re-made only when B or P changes.
+    ``gram_buffer`` is the run's one factor buffer: the Sobolev steps factor
+    the B x B Gram into it, and it is re-made only when B changes.  What a
+    kept array saves is page faults.  At B = 500 a step frees megabytes of
+    temporaries, and when that leaves more than glibc's trim threshold at
+    the top of its heap, glibc hands the pages back to the OS and the next
+    step faults them in again, so the gain depends on the heap's layout.
+    In the benchmark's interleaved large_batch rounds (10 alternating
+    pairs, one BLAS thread, 2-core x86 host) the kept Gram buffer raised
+    sobolev_dense from 46.2 to 49.8 steps/s and sobolev_kfac from 928 to
+    1005.  A kept P x P metric buffer raised sobolev_dense from 50.9 to
+    55.9 steps/s there but saved nothing in a single training run, where a
+    sobolev_dense step faults about 1517 times with or without it; the
+    dense steps factor the metric into a fresh array.
     ``kernel_spec`` is the Sobolev variants' kernel, made once per run.
     """
 
     kfac_layers: list = None
     step: int = 0
-    buffers: linalg.FactorBuffers = field(default_factory=linalg.FactorBuffers)
+    gram_buffer: np.ndarray = None
     kernel_spec: KernelSpec = None
 
     @classmethod
@@ -161,7 +168,9 @@ def _batch_gram(x: np.ndarray, state: TrainState) -> GramMatrix | None:
     """The batch's Sobolev Gram, or None (K = I) when the run holds no kernel."""
     if state.kernel_spec is None:
         return None
-    return gram(x / state.kernel_spec.input_scale, state.kernel_spec, state.buffers)
+    if state.gram_buffer is None or len(state.gram_buffer) != len(x):
+        state.gram_buffer = np.empty((len(x), len(x)))
+    return gram(x / state.kernel_spec.input_scale, state.kernel_spec, state.gram_buffer)
 
 
 def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr: float):
@@ -179,7 +188,7 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
     if config.variant in ("amari_dense", "sobolev_dense"):
         deltas = metric.damped_natural_gradient(
             network.Tangents.of_network(net, cache), _batch_gram(batch_x, state), config.damping,
-            residuals, config.weight_decay, net.weights, state.buffers,
+            residuals, config.weight_decay, net.weights,
         )
     else:
         if config.variant == "ntk_surrogate":

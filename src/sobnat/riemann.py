@@ -78,9 +78,12 @@ class RiemannProblem:
 
         The constants are computed, not assumed: L = lambda_max(H) and
         C = lambda_max(g^-1) = 1 / lambda_min(g).  g is factored here, once.
+        A non-finite entry of H or g, which eigvalsh would turn into NaN
+        constants, raises ValueError naming it.
         """
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         g_mat = np.eye(len(h)) if g is None else np.atleast_2d(np.asarray(g, dtype=np.float64))
+        _check_finite(h, g_mat)
         return cls(
             hessian=h,
             metric=g_mat,
@@ -88,6 +91,15 @@ class RiemannProblem:
             lipschitz_L=float(np.max(np.linalg.eigvalsh(h))),
             compat_C=float(1.0 / np.min(np.linalg.eigvalsh(g_mat))),
         )
+
+
+def _check_finite(hessian: np.ndarray, metric: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite entry of H, then of g."""
+    for name, a in (("hessian", hessian), ("metric", metric)):
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first False
+            raise ValueError(f"{name} entry ({i}, {j}) is not finite")
 
 
 def _step_map(problem: RiemannProblem, rate: float) -> np.ndarray:
@@ -159,11 +171,7 @@ def _sublevel_radius(problem: RiemannProblem, f0: float) -> float:
     naming the first non-finite entry of H or g, and NotPositiveDefinite
     naming the leading minor of H that is not positive definite.
     """
-    for name, a in (("hessian", problem.hessian), ("metric", problem.metric)):
-        finite = np.isfinite(a)
-        if not finite.all():
-            i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first False
-            raise ValueError(f"{name} entry ({i}, {j}) is not finite")
+    _check_finite(problem.hessian, problem.metric)  # they are settable fields
     if f0 <= 0:
         return 0.0
     lam, _, info = scipy.linalg.lapack.dsygvd(

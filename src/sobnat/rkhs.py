@@ -252,14 +252,12 @@ def _reject_non_finite_row(a: np.ndarray, what: str) -> None:
 def _basis_matrix(basis, probes) -> np.ndarray:
     """Stack basis values at probes into M[(probe, comp), i] = b_i(p)."""
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    if callable(basis):  # a feature map: row i of basis(p) holds b_i(p)
-        rows = [np.asarray(basis(p), dtype=np.float64) for p in probes]
-        return np.vstack([r.reshape(len(r), -1).T for r in rows])
-    columns = []
-    for b in basis:
-        vals = np.asarray([np.atleast_1d(np.asarray(b(p), dtype=np.float64)) for p in probes])
-        columns.append(vals.reshape(-1))
-    return np.column_stack(columns)
+    feature_map = basis  # row i of feature_map(p) holds b_i(p)
+    if not callable(basis):  # a sequence of the functions b_i
+        functions = list(basis)
+        feature_map = lambda p: [np.atleast_1d(np.asarray(b(p), dtype=np.float64)) for b in functions]
+    rows = [np.asarray(feature_map(p), dtype=np.float64) for p in probes]
+    return np.vstack([r.reshape(len(r), -1).T for r in rows])
 
 
 def check_basis_orthonormality(basis, probes, rcond: float = 1e-10) -> np.ndarray:

@@ -64,10 +64,12 @@ def _row_relative_error(got, fd):
 
 def gradcheck_error(net, x, y) -> float:
     """Worst relative error of ``param_jacobian`` and of the mean squared-loss
-    gradient from ``backward_loss``, both against one set of central
-    differences in every parameter."""
+    gradient of the train step's ``loss_and_grad`` and ``backward``, both
+    against one set of central differences in every parameter."""
     j = network.param_jacobian(net, x)
-    grads = network.backward_loss(net, network.forward(net, x), y, losses.SQUARED)
+    cache = network.forward(net, x)
+    _, residuals = losses.loss_and_grad(cache.outputs, y, losses.SQUARED)
+    grads = network.backward(net, cache, residuals / cache.batch_size)
     grad = np.concatenate([v.reshape(-1) for v in grads])
     h = 1e-5
     fd_out = np.empty_like(j)
@@ -83,7 +85,7 @@ def gradcheck_error(net, x, y) -> float:
         dn = network.forward(perturbed, x).outputs
         flat[k] = theta
         fd_out[i] = (up - dn).reshape(-1) / (2 * h)
-        loss_up, loss_dn = (losses.loss_value(z, y, losses.SQUARED) for z in (up, dn))
+        loss_up, loss_dn = (losses.loss_and_grad(z, y, losses.SQUARED)[0] for z in (up, dn))
         fd_loss[i] = (loss_up - loss_dn) / (2 * h)
     jac_err = _row_relative_error(j, fd_out)
     return float(np.maximum(jac_err, _row_relative_error(grad[:, None], fd_loss[:, None])))

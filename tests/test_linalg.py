@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from sobnat.errors import DimensionMismatch, NotPositiveDefinite
-from sobnat.linalg import FactorBuffers, cholesky_factor, cholesky_solve
+from sobnat.linalg import cholesky_factor, cholesky_solve
 
 
 def laplace_det(m):
@@ -164,15 +164,3 @@ class TestCholeskyFactor:
         for buf in (np.empty((5, 5)), np.empty((4, 4), order="F"), np.empty((4, 4), np.float32)):
             with pytest.raises(DimensionMismatch):
                 cholesky_factor(a, out=buf)
-
-
-class TestFactorBuffers:
-    def test_kept_per_key_and_remade_when_the_order_changes(self):
-        buffers = FactorBuffers()
-        first = buffers.get("gram", 5)
-        assert first.shape == (5, 5) and first.flags.c_contiguous
-        assert buffers.get("gram", 5) is first
-        assert buffers.get("metric", 5) is not first
-        assert buffers.get("gram", 3).shape == (3, 3)
-        assert buffers.get("gram", 5) is not first
-

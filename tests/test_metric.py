@@ -232,6 +232,32 @@ class TestDampedNaturalGradient:
             got = flat(damped_natural_gradient(tangents, g, 0.03, resid, 0.003, weights))
             assert np.array_equal(got, oracle)
 
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    @pytest.mark.parametrize("damping", [0.0, 0.03])
+    def test_parameter_space_branch_is_natural_gradient(self, monkeypatch, kernel, damping):
+        # P = 17 <= B*m = 100, damped and at damping 0: the branch is one
+        # call of natural_gradient(estimate_metric(J, m, gram, damping),
+        # J r + decay w), and its layers are views of that call's solution.
+        net, x, j, resid, _ = self.instance((2, 3, 2), 50, seed=13)
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
+        tangents = Tangents.of_network(net, forward(net, x))
+        grad = flat(tangents.matvec(resid.T))
+        grad += 0.003 * net.params_vector()
+        oracle_metric = estimate_metric(j, 2, g, damping)
+        calls, solve = [], natural_gradient
+
+        def recording(metric, euclid_grad):
+            calls.append((metric, euclid_grad, solve(metric, euclid_grad)))
+            return calls[-1][2]
+
+        monkeypatch.setattr("sobnat.metric.natural_gradient", recording)
+        got = damped_natural_gradient(tangents, g, damping, resid, 0.003, net.weights)
+        (metric, euclid_grad, v), = calls
+        assert metric.damping == damping and np.array_equal(metric.values, oracle_metric.values)
+        assert np.array_equal(euclid_grad, grad)
+        assert all(np.shares_memory(layer, v) for layer in got)
+        assert np.array_equal(flat(got), solve(oracle_metric, grad))
+
     def test_parameter_space_solve_whitens_j_in_its_own_buffer(self):
         # A large_batch-shaped Sobolev step, [2,16,16,2] at B = 500 (P = 354
         # <= B*m = 1000), whitens the J it forms in place: it never holds

@@ -186,10 +186,10 @@ class TestTrainStep:
         # concatenated backprop gradient of the sum loss, plus weight decay.
         seen, solve = [], optimizers.metric.damped_natural_gradient
 
-        def recording(tangents, gram_matrix, damping, residuals, decay, weights, buffers=None):
+        def recording(tangents, gram_matrix, damping, residuals, decay, weights):
             layers = zip(tangents.matvec(residuals.T), weights)
             seen.append(np.concatenate([(jr + decay * w).reshape(-1) for jr, w in layers]))
-            return solve(tangents, gram_matrix, damping, residuals, decay, weights, buffers)
+            return solve(tangents, gram_matrix, damping, residuals, decay, weights)
 
         monkeypatch.setattr(optimizers.metric, "damped_natural_gradient", recording)
         rng = np.random.default_rng(len(dims) + dims[-1])
@@ -412,11 +412,14 @@ def test_every_variant_steps_w_minus_lr_delta(variant):
 
 
 class TestFactorBuffers:
-    """A run's Gram and P x P metric factors go to buffers its TrainState
-    keeps across steps, and the steps stay those of fresh arrays."""
+    """A run factors each batch's Gram into the one buffer its TrainState
+    keeps across steps, and every other matrix, the dense P x P metric
+    included, into a fresh array; the steps stay those of fresh arrays."""
 
     @staticmethod
     def run(monkeypatch, variant, dims, batches, loss=SOFTMAX_CE):
+        """Per step: the (order, out) of each cholesky_factor call it made,
+        and state.gram_buffer after it."""
         x, y = TWO_MOONS.train()
         if loss == SQUARED:
             y = np.tanh(x[:, :1])
@@ -425,50 +428,58 @@ class TestFactorBuffers:
         net = make_net(dims, "tanh", rngmod.stream(5, "init"))
         state = TrainState.create(net, cfg)
         reference, ref_layers = net, TrainState.create(net, cfg).kfac_layers
-        outs, factor = [], linalg.cholesky_factor
+        steps, calls, factor = [], [], linalg.cholesky_factor
 
         def recording(a, shift=0.0, out=None):
-            if out is not None:
-                outs[-1].append(out)
+            calls.append((len(a), out))
             return factor(a, shift, out=out)
 
         monkeypatch.setattr(linalg, "cholesky_factor", recording)
         for k, b in enumerate(batches):
             rows = np.arange(97 * k, 97 * k + b) % len(x)
             xb, yb = x[rows], y[rows]
-            outs.append([])
+            calls.clear()
             net, _ = train_step(net, xb, yb, cfg, state, 0.01)
+            steps.append((calls[:], state.gram_buffer))
             reference = reference_step(reference, xb, yb, cfg, ref_layers, 0.01)
             np.testing.assert_array_equal(net.params_vector(), reference.params_vector())
             for got, want in zip(state.kfac_layers or [], ref_layers or []):
                 np.testing.assert_array_equal(got.a_factor, want.a_factor)
                 np.testing.assert_array_equal(got.s_factor, want.s_factor)
-        return outs
+        return steps
 
     @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac", "amari_dense"])
-    def test_large_batch_steps_reuse_their_buffers(self, monkeypatch, variant):
+    def test_large_batch_steps_reuse_only_the_gram_buffer(self, monkeypatch, variant):
         # [2,16,16,2] at B = 500: P = 354 <= B*m = 1000, so a dense step
-        # factors the P x P metric too.
-        outs = self.run(monkeypatch, variant, [2, 16, 16, 2], [500] * 3)
-        orders = {"sobolev_dense": [500, 354], "sobolev_kfac": [500], "amari_dense": [354]}[variant]
-        assert [[len(o) for o in step] for step in outs] == [orders] * 3
-        for step in outs[1:]:
-            assert all(np.shares_memory(o, first) for o, first in zip(step, outs[0]))
+        # factors the P x P metric too, into a fresh array each step.
+        steps = self.run(monkeypatch, variant, [2, 16, 16, 2], [500] * 3)
+        first = steps[0][1]
+        for calls, buffer in steps:
+            outs = [out for _, out in calls if out is not None]
+            if variant == "amari_dense":
+                assert buffer is None and outs == []
+            else:
+                assert buffer is first and buffer.shape == (500, 500)
+                assert len(outs) == 1 and outs[0] is buffer
+            metric_calls = [out for order, out in calls if order == 354]
+            assert metric_calls == ([None] if variant.endswith("_dense") else [])
 
     @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
-    def test_batch_size_changes_remake_only_the_gram_buffer(self, monkeypatch, variant):
-        # B = 20 takes the kernel-space branch (P = 354 > 40), which
-        # factors no P x P metric, so the metric buffer outlives it.
-        outs = self.run(monkeypatch, variant, [2, 16, 16, 2], [500, 20, 500])
-        assert [len(o) for o in outs[1]] == [20]
-        assert not np.shares_memory(outs[2][0], outs[0][0])
-        if variant == "sobolev_dense":
-            assert np.shares_memory(outs[2][1], outs[0][1])
+    def test_batch_size_changes_remake_the_gram_buffer(self, monkeypatch, variant):
+        # B = 20 takes the dense kernel-space branch (P = 354 > 40).
+        steps = self.run(monkeypatch, variant, [2, 16, 16, 2], [500, 20, 20, 500])
+        buffers = [buffer for _, buffer in steps]
+        assert [b.shape for b in buffers] == [(500, 500), (20, 20), (20, 20), (500, 500)]
+        assert buffers[2] is buffers[1]
+        assert not any(np.shares_memory(buffers[3], b) for b in buffers[:3])
+        for calls, buffer in steps:
+            outs = [out for _, out in calls if out is not None]
+            assert len(outs) == 1 and outs[0] is buffer
 
     @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
     def test_single_point_single_output(self, monkeypatch, variant):
-        outs = self.run(monkeypatch, variant, [2, 4, 1], [1] * 3, loss=SQUARED)
-        assert all(np.shares_memory(step[0], outs[0][0]) for step in outs)
+        steps = self.run(monkeypatch, variant, [2, 4, 1], [1] * 3, loss=SQUARED)
+        assert all(buffer is steps[0][1] and buffer.shape == (1, 1) for _, buffer in steps)
 
 
 class TestTrain:

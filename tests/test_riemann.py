@@ -269,6 +269,16 @@ class TestSublevelRadius:
                 verify_rate(problem, np.array([1.0, 1.0]), 10)
 
 
+    @pytest.mark.parametrize("field", ["hessian", "metric"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quadratic_refuses_a_non_finite_entry(self, field, bad):
+        # eigvalsh would make L or C NaN, and every step from it NaN.
+        a = np.array([[1.0, bad], [bad, 2.0]])
+        h, g = (a, None) if field == "hessian" else (np.eye(2), a)
+        with pytest.raises(ValueError, match=rf"^{field} entry \(0, 1\) is not finite$"):
+            RiemannProblem.quadratic(h, g)
+
+
 class TestVerifyRate:
     def test_euclidean_quadratics_from_random_starts(self):
         rng = np.random.default_rng(4)

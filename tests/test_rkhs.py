@@ -460,6 +460,26 @@ class TestBasisOrthonormality:
         g = check_basis_orthonormality(basis, probes)
         np.testing.assert_allclose(g, np.eye(3), atol=1e-8)
 
+    def test_function_sequence_stacks_as_its_column_loop(self):
+        # A sequence of functions runs the feature-map path; the matrix is
+        # the column-by-column stack of each function's values, bit for bit,
+        # for scalar and for vector values.
+        rng = np.random.default_rng(6)
+        probes = rng.normal(size=(5, 2))
+        mix = rng.normal(size=(2, 2))
+        for basis in (
+            [lambda x: float(np.sin(x[0])), lambda x: x[1] ** 3, lambda x: np.exp(x @ x)],
+            [lambda x: np.tanh(mix @ x), lambda x: x / 3.0, lambda x: np.array([x[0] * x[1], 1.0])],
+        ):
+            columns = [
+                np.asarray([np.atleast_1d(np.asarray(b(p), dtype=np.float64)) for p in probes]).reshape(-1)
+                for b in basis
+            ]
+            assert np.array_equal(rkhs._basis_matrix(basis, probes), np.column_stack(columns))
+            feature_map = lambda x, basis=basis: np.array([np.atleast_1d(b(x)) for b in basis])
+            assert np.array_equal(rkhs._basis_matrix(iter(basis), probes),
+                                  rkhs._basis_matrix(feature_map, probes))
+
     def test_singular_probe_set(self):
         basis = [lambda x: np.array([x[0]]), lambda x: np.array([1.0])]
         with pytest.raises(SingularProbeSet):
