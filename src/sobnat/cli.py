@@ -175,7 +175,10 @@ def _load_dataset(args, parser) -> data.Dataset:
             parser.error(f"--dataset: cannot read {path}: {exc.strerror or exc}")
     else:
         parser.error(f"--dataset: unknown dataset {name!r} (use two-moons or csv:PATH)")
-    ds = data.train_test_split(ds, args.test_fraction, args.seed)
+    try:
+        ds = data.train_test_split(ds, args.test_fraction, args.seed)
+    except ValueError as exc:
+        parser.error(f"--test-fraction: {exc}")
     return data.normalize(ds)
 
 

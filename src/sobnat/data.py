@@ -83,9 +83,12 @@ def gen_two_moons(count: int, noise: float, seed: int) -> Dataset:
 
 
 def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.features.shape[0])
-    n_test = int(round(test_fraction * ds.features.shape[0]))
+    """Seeded split with round(test_fraction * rows) test rows; ValueError if none is left to train."""
+    rows = ds.features.shape[0]
+    perm = np.random.default_rng(seed).permutation(rows)
+    n_test = int(round(test_fraction * rows))
+    if n_test >= rows:
+        raise ValueError(f"test fraction {test_fraction} leaves none of the {rows} rows for training")
     return replace(ds, test_idx=np.sort(perm[:n_test]), train_idx=np.sort(perm[n_test:]))
 
 

@@ -64,7 +64,7 @@ class MonteCarloSampler:
         _check_half_width(self.half_width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlatnessQuery:
     loss: callable  # w -> float
     minimum: np.ndarray
@@ -74,13 +74,13 @@ class FlatnessQuery:
     sampler: object = None
 
     def __post_init__(self):
-        self.minimum = np.asarray(self.minimum, dtype=np.float64).reshape(-1)
+        object.__setattr__(self, "minimum", np.asarray(self.minimum, dtype=np.float64).reshape(-1))
         if self.minimum.shape[0] > 3:
             raise ValueError("flatness is implemented for dimension <= 3")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.sampler is None:
-            self.sampler = GridSampler()
+            object.__setattr__(self, "sampler", GridSampler())
 
 
 @dataclass(frozen=True)
@@ -271,12 +271,8 @@ def invariance_check(query: FlatnessQuery, reparam: Reparam, base_volume: float 
             g = _float_array(query.metric(_float_array(reparam.forward(u), 1)), 2)
             return dj.T @ g @ dj
 
-    warped_query = FlatnessQuery(
-        loss=warped_loss,
-        minimum=u0,
-        epsilon=query.epsilon,
-        metric=warped_metric,
-        metric_source=query.metric_source,
+    warped_query = replace(
+        query, loss=warped_loss, minimum=u0, metric=warped_metric,
         sampler=replace(query.sampler, half_width=u_halfwidth),
     )
     warped = epsilon_flatness(warped_query).volume

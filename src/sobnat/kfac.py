@@ -23,7 +23,7 @@ factors in and forms their damped inverses (:func:`refresh_inverses`), and
 :func:`precondition` is the product S^-1 V A^-1 on the inverses the last
 update formed.  These are the package's one explicit inverse: each is
 formed from its Cholesky factor once per refresh, as LAPACK potrs of the
-identity, and reused for ``kfac_update_period`` steps.  potrs returns it
+identity, and reused for :data:`REFRESH_PERIOD` steps.  potrs returns it
 Fortran-ordered; the refresh stores one C-ordered copy, so a plain step
 between refreshes is two GEMMs per layer, S^-1 V A^-1, on arrays used as
 they are.  On the desk config ([2,16,16,2], B = 50, one BLAS thread, 2-core
@@ -49,6 +49,8 @@ from .kernel import GramMatrix
 from .network import Tangents
 
 __all__ = ["KfacLayerState", "compute_factors", "update_state", "refresh_inverses", "precondition"]
+
+REFRESH_PERIOD = 10  # train_step refreshes the factors on steps 0, 10, 20, ...
 
 
 @dataclass

@@ -55,8 +55,10 @@ VARIANTS = ("sgd", "amari_kfac", "sobolev_kfac", "amari_dense", "sobolev_dense",
 SCHEDULES = ("baseline_tenth_at_40pct", "ours_fifth_at_40_and_60pct")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimConfig:
+    """One run's settings, checked when made; frozen, and ``dataclasses.replace`` checks again."""
+
     variant: str = "sobolev_kfac"
     lr: float = 0.01
     weight_decay: float = 0.003
@@ -67,8 +69,6 @@ class OptimConfig:
     epochs: int = 10
     seed: int = 0
     loss: str = losses.SOFTMAX_CE
-    kfac_decay: float = 0.95
-    kfac_update_period: int = 10
     record_walltime: bool = True
 
     def __post_init__(self):
@@ -90,10 +90,6 @@ class OptimConfig:
             raise ValueError("epochs must be non-negative")
         if not 0 < self.input_scale < math.inf:
             raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
-        if not 0 <= self.kfac_decay <= 1:
-            raise ValueError(f"kfac_decay must lie in [0, 1], got {self.kfac_decay}")
-        if self.kfac_update_period < 1:
-            raise ValueError(f"kfac_update_period must be at least 1, got {self.kfac_update_period}")
 
 
 def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
@@ -141,10 +137,7 @@ class TrainState:
     def create(cls, net: network.MlpNetwork, config: OptimConfig) -> "TrainState":
         layers = spec = None
         if config.variant.endswith("_kfac"):
-            layers = [
-                kfac.KfacLayerState(decay=config.kfac_decay, damping=config.damping)
-                for _ in net.layers
-            ]
+            layers = [kfac.KfacLayerState(damping=config.damping) for _ in net.layers]
         if config.variant.startswith("sobolev"):
             spec = KernelSpec(input_dim=net.input_dim, input_scale=config.input_scale)
         return cls(kfac_layers=layers, kernel_spec=spec)
@@ -197,7 +190,7 @@ def train_step(net, batch_x, batch_y, config: OptimConfig, state: TrainState, lr
             grads = network.backward(net, cache, residuals)
         deltas = [g + config.weight_decay * w for w, g in zip(net.weights, grads)]
     if state.kfac_layers is not None:
-        if state.step % config.kfac_update_period == 0:
+        if state.step % kfac.REFRESH_PERIOD == 0:
             fresh = kfac.compute_factors(network.Tangents.of_network(net, cache), _batch_gram(batch_x, state))
             for layer_state, (a, s) in zip(state.kfac_layers, fresh):
                 kfac.update_state(layer_state, a, s)
@@ -219,14 +212,16 @@ def train(config: OptimConfig, dataset: Dataset, net_dims, activation: str = "ta
     Weight init draws from the "init" stream and batch order from the
     "shuffle" stream of the run seed, so identical seeds and configs give
     bitwise-identical trajectories across variants sharing an init.
-    Under the softmax loss every class label must be an integer in
-    [0, net output width); before any step, DimensionMismatch names the
-    first dataset row whose label is not.  Raises Diverged at the first
+    Before any step, DimensionMismatch names an empty training split or,
+    under the softmax loss, the first dataset row whose class label is not
+    an integer in [0, net output width).  Raises Diverged at the first
     step whose batch loss, or else whose update, is not finite, and
     StepFailed, naming the step (and the dataset row of a non-finite
     feature in its batch) and chained from the original, for any other
     SobnatError a step raises.
     """
+    if len(dataset.train_idx) == 0:
+        raise DimensionMismatch("the dataset has no training rows")
     net = make_net(net_dims, activation, rng.stream(config.seed, "init"))
     if config.loss == losses.SOFTMAX_CE:
         labels = np.asarray(dataset.targets, dtype=np.float64)

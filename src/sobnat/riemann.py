@@ -22,10 +22,9 @@ the metric's Cholesky factor, d right-hand sides, with no inverse of g.  A
 descent forms T once and writes each row with one call of T's bound
 ``ndarray.dot`` into the next row of the stack, so each row is the
 grad_step of the row before, bit for bit, at one call per row.  T is
-formed per call, not cached on the problem, since its constants are
-settable fields.  The sublevel radius takes the generalized eigenvalues of
-(g, H) from one LAPACK ``dsygvd`` call, the routine scipy.linalg.eigh calls
-for them, without its wrapper.
+formed per call, not cached on the problem.  The sublevel radius takes the
+generalized eigenvalues of (g, H) from one LAPACK ``dsygvd`` call, the
+routine scipy.linalg.eigh calls for them, without its wrapper.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RiemannProblem:
     """f(x) = 0.5 x^T H x with a constant SPD metric g and certified constants."""
 
@@ -79,27 +78,26 @@ class RiemannProblem:
         The constants are computed, not assumed: L = lambda_max(H) and
         C = lambda_max(g^-1) = 1 / lambda_min(g).  g is factored here, once.
         A non-finite entry of H or g, which eigvalsh would turn into NaN
-        constants, raises ValueError naming it.
+        constants, raises ValueError naming it.  H, g and g's factor are
+        kept as read-only copies, so the certified constants stay theirs.
         """
-        h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-        g_mat = np.eye(len(h)) if g is None else np.atleast_2d(np.asarray(g, dtype=np.float64))
-        _check_finite(h, g_mat)
+        h = np.atleast_2d(np.array(h, dtype=np.float64))
+        g_mat = np.eye(len(h)) if g is None else np.atleast_2d(np.array(g, dtype=np.float64))
+        for name, a in (("hessian", h), ("metric", g_mat)):
+            finite = np.isfinite(a)
+            if not finite.all():
+                i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first False
+                raise ValueError(f"{name} entry ({i}, {j}) is not finite")
+        factor = linalg.cholesky_factor(g_mat)
+        for a in (h, g_mat, factor):
+            a.setflags(write=False)
         return cls(
             hessian=h,
             metric=g_mat,
-            metric_factor=linalg.cholesky_factor(g_mat),
+            metric_factor=factor,
             lipschitz_L=float(np.max(np.linalg.eigvalsh(h))),
             compat_C=float(1.0 / np.min(np.linalg.eigvalsh(g_mat))),
         )
-
-
-def _check_finite(hessian: np.ndarray, metric: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite entry of H, then of g."""
-    for name, a in (("hessian", hessian), ("metric", metric)):
-        finite = np.isfinite(a)
-        if not finite.all():
-            i, j = np.unravel_index(np.argmin(finite), a.shape)  # the first False
-            raise ValueError(f"{name} entry ({i}, {j}) is not finite")
 
 
 def _step_map(problem: RiemannProblem, rate: float) -> np.ndarray:
@@ -167,11 +165,10 @@ def _sublevel_radius(problem: RiemannProblem, f0: float) -> float:
     """g-radius of the sublevel set {f <= f0} around the minimizer 0.
 
     The set is the ellipsoid x^T H x <= 2 f0, on which x^T g x peaks at
-    2 f0 times the largest eigenvalue of g u = lam H u.  Raises ValueError
-    naming the first non-finite entry of H or g, and NotPositiveDefinite
-    naming the leading minor of H that is not positive definite.
+    2 f0 times the largest eigenvalue of g u = lam H u.  Raises
+    NotPositiveDefinite naming the leading minor of H that is not positive
+    definite.
     """
-    _check_finite(problem.hessian, problem.metric)  # they are settable fields
     if f0 <= 0:
         return 0.0
     lam, _, info = scipy.linalg.lapack.dsygvd(
@@ -191,7 +188,7 @@ def verify_rate(problem: RiemannProblem, x0, steps: int) -> RateReport:
 
     Raises RateViolation at the first offending step, and what the sublevel
     radius raises: NotPositiveDefinite for an H that is not positive
-    definite, ValueError for a non-finite entry of H or g.
+    definite.
     """
     iterates = descend(problem, x0, steps)
     values = problem.f(iterates)

@@ -260,7 +260,10 @@ def _basis_matrix(basis, probes) -> np.ndarray:
     return np.vstack([r.reshape(len(r), -1).T for r in rows])
 
 
-def check_basis_orthonormality(basis, probes, rcond: float = 1e-10) -> np.ndarray:
+RANK_RCOND = 1e-10  # singular values at or below this times max(s_max, 1) count as rank lost
+
+
+def check_basis_orthonormality(basis, probes) -> np.ndarray:
     """Gram of a basis under the kernel the basis itself induces.
 
     For K(x, x') = sum_i b_i(x) (x) b_i(x'), every basis of the spanned space
@@ -276,10 +279,10 @@ def check_basis_orthonormality(basis, probes, rcond: float = 1e-10) -> np.ndarra
     m = _basis_matrix(basis, probes)  # (mP, D)
     dim = m.shape[1]
     u, sing, _ = np.linalg.svd(m, full_matrices=False)
-    if sing.shape[0] < dim or sing[-1] <= rcond * max(sing[0], 1.0):
+    floor = RANK_RCOND * max(sing[0], 1.0)
+    if sing.shape[0] < dim or sing[-1] <= floor:
         raise SingularProbeSet(
-            f"basis of dimension {dim} has numerical rank "
-            f"{int(np.sum(sing > rcond * max(sing[0], 1.0)))} over the probe set"
+            f"basis of dimension {dim} has numerical rank {int(np.sum(sing > floor))} over the probe set"
         )
     # G = M M^T is the probe Gram of {K(p, .)}; coefficients C solve G C = M,
     # and the RKHS Gram is M^T C = M^T G^+ M = W^T W with W = S^-1 U^T M,

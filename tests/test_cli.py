@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import subprocess
 import sys
 from unittest.mock import Mock
@@ -82,6 +83,18 @@ class TestTrain:
         result = run_cli("train", "--dataset", f"csv:{path}")
         assert result.returncode == 1
         assert result.stderr == "error: ParseError: line 2, column 1: byte 0xff is not UTF-8\n"
+
+    @pytest.mark.parametrize("variant", ["sgd", "sobolev_kfac", "amari_dense"])
+    def test_empty_training_split_is_a_test_fraction_error(self, tmp_path, capsys, variant):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--count", "4", "--test-fraction", "0.9", "--variant", variant,
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sobnat train [-h]")
+        assert err.endswith(
+            "sobnat train: error: --test-fraction: test fraction 0.9 leaves none of the 4 rows for training\n"
+        )
 
     def test_unknown_variant_exits_2(self):
         result = run_cli("train", "--variant", "bogus")
@@ -440,8 +453,7 @@ class TestRiemannCmd:
 
         def shrunk(cls, h, g=None):
             problem = quadratic(cls, h, g)
-            problem.lipschitz_L *= shrink
-            return problem
+            return dataclasses.replace(problem, lipschitz_L=problem.lipschitz_L * shrink)
 
         monkeypatch.setattr(RiemannProblem, "quadratic", classmethod(shrunk))
         expected, nans = reference_violations(4, steps, seed=5)

@@ -374,6 +374,16 @@ class TestCsvAgainstRowParser:
         assert f"cannot parse {field!r} as a number" in str(err.value)
 
 
+class TestSplit:
+    def test_split_without_training_rows_raises_naming_rows_and_fraction(self):
+        ds = gen_two_moons(4, 0.1, seed=0)
+        for fraction in (0.9, 0.875):  # round(3.5) = 4 test rows too
+            message = rf"^test fraction {fraction} leaves none of the 4 rows for training$"
+            with pytest.raises(ValueError, match=message):
+                train_test_split(ds, fraction, seed=0)
+        assert len(train_test_split(ds, 0.7, seed=0).train_idx) == 1
+
+
 class TestNormalize:
     def test_train_statistics_applied_to_both_splits(self):
         rng = np.random.default_rng(5)

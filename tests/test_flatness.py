@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,23 @@ class TestEpsilonFlatness:
             )
 
 
+class TestFrozenQuery:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(FlatnessQuery)])
+    def test_assigning_a_field_raises(self, field):
+        query = quadratic_query()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(query, field, getattr(query, field))
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            dataclasses.replace(quadratic_query(), epsilon=0.0)
+
+    def test_post_init_normalizes_minimum_and_sampler(self):
+        query = FlatnessQuery(loss=lambda w: 0.0, minimum=[[0.5], [1.0]], epsilon=0.1)
+        assert query.minimum.dtype == np.float64 and query.minimum.tolist() == [0.5, 1.0]
+        assert query.sampler == GridSampler()
+
+
 class TestInvarianceCheck:
     def test_identity_reparam_zero_discrepancy(self):
         same = lambda u: np.asarray(u, float)
@@ -336,7 +355,7 @@ class TestInvarianceVolumes:
             calls.append(w)
             return metric(w)
 
-        query.metric = counting
+        query = dataclasses.replace(query, metric=counting)
         base = epsilon_flatness(query)
         assert len(calls) == base.samples_in_region
         results = record_flatness(monkeypatch)

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -248,7 +248,7 @@ class TestTrainStep:
             finals[variant] = net.params_vector()
         assert np.max(np.abs(finals["amari_dense"] - finals["sobolev_dense"])) <= 1e-12
 
-    def test_kfac_matches_block_oracle_on_factorizing_batch(self):
+    def test_kfac_matches_block_oracle_on_factorizing_batch(self, monkeypatch):
         # On a batch of identical inputs the layer statistics factorize, so
         # the K-FAC optimizer must follow a hand-rolled per-layer oracle that
         # builds the factors, the trace-balanced damping, and the factored
@@ -261,10 +261,11 @@ class TestTrainStep:
         y = np.full((batch, 1), -0.3)
 
         cfg = quick_config(variant="amari_kfac", damping=lam, weight_decay=wd)
-        cfg.kfac_update_period = 1
-        cfg.kfac_decay = 0.0
+        monkeypatch.setattr(kfac, "REFRESH_PERIOD", 1)
         net = MlpNetwork(layers, [w1.copy(), w2.copy()])
         state = TrainState.create(net, cfg)
+        for layer in state.kfac_layers:
+            layer.decay = 0.0
         oracle = [w1.copy(), w2.copy()]
         for _ in range(10):
             net, _ = train_step(net, x, y, cfg, state, lr)
@@ -356,13 +357,33 @@ def test_config_rejects_non_finite_values_by_name(field, value):
         OptimConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("kfac_update_period", 0), ("kfac_update_period", -1),
-                                         ("kfac_decay", -0.1), ("kfac_decay", 1.5), ("kfac_decay", np.nan)])
-def test_config_rejects_out_of_range_kfac_fields_by_name(field, value):
-    # A period below 1 would divide by zero at step 0, and a decay outside
-    # [0, 1] would fail only when the K-FAC state is made.
-    with pytest.raises(ValueError, match=f"^{field} must "):
-        OptimConfig(**{field: value})
+@pytest.mark.parametrize("field", [f.name for f in fields(OptimConfig)])
+def test_config_fields_cannot_be_assigned(field):
+    cfg = OptimConfig()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, field, getattr(cfg, field))
+
+
+def test_config_replace_checks_again():
+    with pytest.raises(ValueError, match="^variant must be one of "):
+        replace(OptimConfig(), variant="bogus")
+
+
+def test_kfac_factors_refresh_every_refresh_period_steps(monkeypatch):
+    # 25 steps of a K-FAC run refresh the factors on steps 0, 10 and 20.
+    x, y = TWO_MOONS.train()
+    cfg = OptimConfig(variant="sobolev_kfac", batch_size=20, seed=3, record_walltime=False)
+    net = make_net([2, 8, 2], "tanh", rngmod.stream(3, "init"))
+    state, refreshed, compute = TrainState.create(net, cfg), [], kfac.compute_factors
+
+    def recording(*args):
+        refreshed.append(state.step)
+        return compute(*args)
+
+    monkeypatch.setattr(kfac, "compute_factors", recording)
+    for k in range(25):
+        net, _ = train_step(net, x[20 * k : 20 * k + 20], y[20 * k : 20 * k + 20], cfg, state, 0.01)
+    assert refreshed == [0, 10, 20]
 
 
 def reference_step(net, x, y, cfg, kfac_layers, lr, refresh=True):
@@ -423,8 +444,8 @@ class TestFactorBuffers:
         x, y = TWO_MOONS.train()
         if loss == SQUARED:
             y = np.tanh(x[:, :1])
-        cfg = OptimConfig(variant=variant, seed=5, loss=loss, kfac_update_period=1,
-                          record_walltime=False)
+        monkeypatch.setattr(kfac, "REFRESH_PERIOD", 1)
+        cfg = OptimConfig(variant=variant, seed=5, loss=loss, record_walltime=False)
         net = make_net(dims, "tanh", rngmod.stream(5, "init"))
         state = TrainState.create(net, cfg)
         reference, ref_layers = net, TrainState.create(net, cfg).kfac_layers
@@ -590,6 +611,16 @@ class TestTrain:
         cfg = OptimConfig(variant=variant, epochs=1, batch_size=8, seed=4, record_walltime=False)
         with pytest.raises(DimensionMismatch, match=rf"^class label {label} in dataset row 28 "):
             train(cfg, padded, [2, 8, 2])
+        assert steps == []
+
+    @pytest.mark.parametrize("variant", ["sgd", "sobolev_kfac", "amari_dense"])
+    def test_empty_training_split_raises_before_any_step(self, monkeypatch, variant):
+        steps = []
+        monkeypatch.setattr(optimizers, "train_step", lambda *a: steps.append(a))
+        empty = replace(TWO_MOONS, train_idx=np.zeros(0, dtype=np.int64))
+        cfg = OptimConfig(variant=variant, epochs=1, seed=4, record_walltime=False)
+        with pytest.raises(DimensionMismatch, match="^the dataset has no training rows$"):
+            train(cfg, empty, [2, 8, 2])
         assert steps == []
 
     @pytest.mark.parametrize("variant", ["sgd", "sobolev_dense"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -256,27 +258,29 @@ class TestSublevelRadius:
 
     @pytest.mark.parametrize("field", ["hessian", "metric"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_raises_with_its_location(self, field, bad):
-        # The metric's upper triangle is read neither by its factor nor by
-        # dsygvd, so only the radius's own check can see it; a -inf entry
-        # of H makes f0 = -inf, which must not pass as a zero radius.
-        problem = RiemannProblem.quadratic(np.diag([2.0, 1.0]), 2.0 * np.eye(2))
-        a = getattr(problem, field).copy()
-        a[0, 1] = bad
-        setattr(problem, field, a)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match=rf"^{field} entry \(0, 1\) is not finite$"):
-                verify_rate(problem, np.array([1.0, 1.0]), 10)
-
-
-    @pytest.mark.parametrize("field", ["hessian", "metric"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_quadratic_refuses_a_non_finite_entry(self, field, bad):
         # eigvalsh would make L or C NaN, and every step from it NaN.
         a = np.array([[1.0, bad], [bad, 2.0]])
         h, g = (a, None) if field == "hessian" else (np.eye(2), a)
         with pytest.raises(ValueError, match=rf"^{field} entry \(0, 1\) is not finite$"):
             RiemannProblem.quadratic(h, g)
+
+
+class TestFrozenProblem:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RiemannProblem)])
+    def test_assigning_a_field_raises(self, field):
+        problem = RiemannProblem.quadratic(np.diag([2.0, 1.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, field, getattr(problem, field))
+
+    @pytest.mark.parametrize("field", ["hessian", "metric", "metric_factor"])
+    def test_arrays_are_read_only_copies_of_the_callers(self, field):
+        h, g = np.diag([2.0, 1.0]), 2.0 * np.eye(2)
+        problem = RiemannProblem.quadratic(h, g)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem, field)[1, 0] = 1.0
+        h[1, 0] = g[1, 0] = 1.0  # the caller's arrays stay writable, and apart
+        assert problem.hessian[1, 0] == problem.metric[1, 0] == 0.0
 
 
 class TestVerifyRate:
@@ -304,7 +308,7 @@ class TestVerifyRate:
         # the harness must notice.
         h = np.diag([4.0, 1.0])
         problem = RiemannProblem.quadratic(h)
-        problem.lipschitz_L = 0.05 * problem.lipschitz_L
+        problem = dataclasses.replace(problem, lipschitz_L=0.05 * problem.lipschitz_L)
         with pytest.raises(RateViolation):
             verify_rate(problem, np.array([3.0, 2.0]), 200)
 
@@ -315,7 +319,8 @@ class TestVerifyRate:
         # step-by-step loop.
         rng = np.random.default_rng(20 + dim)
         problem = random_quadratic(rng, dim=dim, with_metric=with_metric)
-        problem.lipschitz_L = 0.4 * problem.lipschitz_L  # first violations at T = 1..7
+        # first violations at T = 1..7
+        problem = dataclasses.replace(problem, lipschitz_L=0.4 * problem.lipschitz_L)
         x0 = rng.normal(size=dim) * 3.0
         expected = reference_rate_violation(problem, x0, 200)
         assert expected is not None
