@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     EmptyRegion,
+    EmptySplit,
     InconsistentWidth,
     NotPositiveDefinite,
     ParseError,

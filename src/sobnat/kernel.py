@@ -27,12 +27,25 @@ is evaluated in place on that table, in row blocks of at most
 PROFILE_BLOCK entries, so its temporary is 128 KB rather than a second
 B x B array; a table of one block or less is one evaluation.
 
+A batch Gram is one B x B array.  :func:`gram` has ``cdist`` write the
+table into the caller's buffer, and LAPACK's potrf factors K_j there from
+the upper triangle, the only one it reads or writes (Anderson et al.,
+*LAPACK Users' Guide*, 1999), so the strict lower triangle keeps the
+kernel.  :attr:`GramMatrix.values` and :meth:`GramMatrix.jittered` rebuild
+the symmetric table from it only when asked: by the kernel-space solve,
+whose batch is small, and by the oracles.  At B = 500 a fresh 2 MB table
+per step, freed once a copy of it was factored, left glibc's heap past its
+trim threshold, so the next step faulted about 1500 pages back in; a
+``sobolev_dense`` train step in one array takes no minor faults and 10.2
+instead of 12.0 ms (one BLAS thread, 2-core x86 host).
+
 Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 ``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor
 ``K = L L^T`` (:meth:`GramMatrix.whiten`), or by a system that carries K
 itself: the dense natural-gradient step of :mod:`sobnat.metric` factors
 ``Theta + damping (I_m (x) K_j)``, with ``K_j = values + jitter*d(0)*I``
-the matrix whose factor the Gram holds.  No ``K^-1`` is ever formed.
+the matrix whose factor the Gram holds (:meth:`GramMatrix.jittered`).  No
+``K^-1`` is ever formed.
 
 The whitening is a triangular solve, blocked by SOLVE_BLOCK = 64 points
 (Goto & van de Geijn 2008): a TRSM on each 64-point diagonal block of L,
@@ -49,6 +62,7 @@ from the same factor in one LAPACK potrs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -140,16 +154,18 @@ def point_kernel(r, spec: KernelSpec):
     return float(value) if np.isscalar(r) or r_arr.ndim == 0 else value
 
 
-def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec, out: np.ndarray = None) -> np.ndarray:
     """Kernel table T[a, b] = d(|x_a - y_b|) between two (., n) point sets.
 
     ``cdist`` takes each distance on its own, so ``kernel_matrix(x, x, spec)``
-    is bitwise symmetric with a diagonal of exactly d(0).  The profile is
-    evaluated in place on the fresh distance table, PROFILE_BLOCK entries
-    of whole rows at a time, so its temporary stays in cache; each entry's
-    bits do not depend on the blocking.
+    is bitwise symmetric with a diagonal of exactly d(0).  The distance
+    table is fresh, or ``out`` (a C-ordered float64 array of the table's
+    shape) when it is given, with the same bits; the profile is evaluated
+    in place on it, PROFILE_BLOCK entries of whole rows at a time, so its
+    temporary stays in cache; each entry's bits do not depend on the
+    blocking.
     """
-    r = cdist(x, y)
+    r = cdist(x, y, out=out)
     if r.size <= PROFILE_BLOCK:
         return _profile_in_place(r, spec.constant)
     rows = max(1, PROFILE_BLOCK // r.shape[1])
@@ -158,30 +174,58 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return r
 
 
-@dataclass
-class GramMatrix:
-    """Kernel Gram matrix over a batch of (already scaled) points.
+@functools.lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of the strict upper triangle."""
+    mask = ~np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
-    ``values`` holds the pure kernel evaluations (diagonal exactly d(0));
-    the cached Cholesky factor L is of K_j = values + jitter*d(0)*I, where
-    ``jitter`` is the effective value after any escalation.  Its two solves
-    are whiten, L^-1 b, which the dense metric and the K-FAC factors run
-    in place on the arrays they have just built, and solve, K_j^-1 b.
+
+@dataclass(frozen=True, eq=False)
+class GramMatrix:
+    """Kernel Gram matrix over a batch of (already scaled) points, in one B x B array.
+
+    ``_factor`` is that array as LAPACK leaves it, Fortran-ordered: its
+    lower triangle is the Cholesky factor L of K_j = K + jitter*d0*I, where
+    ``jitter`` is the effective value after any escalation, and its strict
+    upper triangle still holds the kernel values, which the factor never
+    wrote.  ``d0`` is the diagonal of K: the kernel's d(0), times c for
+    :meth:`scaled`.  :attr:`values` and :meth:`jittered` rebuild K and K_j
+    from that triangle and d0 as new arrays, which stay valid when the
+    buffer is reused.  The two solves are whiten, L^-1 b, which the dense metric and
+    the K-FAC factors run in place on the arrays they have just built, and
+    solve, K_j^-1 b.
     """
 
-    values: np.ndarray
     jitter: float
     spec: KernelSpec
-    _factor: np.ndarray = field(repr=False, default=None)
+    d0: float
+    _factor: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return len(self._factor)
 
     @property
-    def d0(self) -> float:
-        """d(0) = C_n e^0 (1 + 0), which is C_n exactly."""
-        return self.spec.constant
+    def values(self) -> np.ndarray:
+        """The pure kernel table K as a new C-ordered array: bitwise symmetric, diagonal d0."""
+        return self._table(self.d0)
+
+    def jittered(self) -> np.ndarray:
+        """K_j = values + jitter*d0*I, the matrix the factor is of, as a new C-ordered array."""
+        return self._table(self.d0 + self.jitter * self.d0)
+
+    def _table(self, diagonal: float) -> np.ndarray:
+        # The C-ordered view of the factor's array holds K in its strict
+        # lower triangle; a contiguous copy of it takes the strict upper
+        # triangle from the F-ordered factor's, which is that triangle's
+        # transpose.
+        n = len(self._factor)
+        table = self._factor.T.copy()
+        np.copyto(table, self._factor, where=_strict_upper(n))
+        table.reshape(-1)[:: n + 1] = diagonal
+        return table
 
     def whiten(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
         """L^-1 b, so that whiten(b)^T whiten(c) = b^T (K + jitter*d(0)*I)^-1 c.
@@ -218,29 +262,31 @@ class GramMatrix:
         return linalg.solve_from_factor(self._factor, b)
 
     def scaled(self, c: float) -> "GramMatrix":
-        """Gram matrix with every kernel entry multiplied by c > 0."""
+        """Gram matrix of the kernel c*d, c > 0: every entry and d0 times c, in a new array."""
         if not c > 0:
             raise ValueError("scale must be positive")
-        scaled_values = self.values * c
-        out = GramMatrix(scaled_values, self.jitter, self.spec)
-        out._factor = linalg.cholesky_factor(scaled_values, self.jitter * self.d0 * c)
-        return out
+        table = self.values
+        table *= c
+        d0 = self.d0 * c
+        factor = linalg.cholesky_factor(table, self.jitter * d0, out=table)
+        return GramMatrix(self.jitter, self.spec, d0, factor)
 
 
 def gram(points, spec: KernelSpec, buffer: np.ndarray = None) -> GramMatrix:
-    """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|).
+    """Assemble and factor the Gram matrix K[a, b] = d(|x_a - x_b|) in one B x B array.
 
     Points are rows (a 1-D array is one point) already divided by
     spec.input_scale; a non-finite point raises DegenerateGram before any
-    factor is attempted.  The factor is of
-    values + jitter*d(0)*I, the shift :func:`sobnat.linalg.cholesky_factor`
-    adds to its copy, so values keeps the pure kernel; on failure the jitter
-    is escalated tenfold up to three times before DegenerateGram, naming the
-    last jitter tried, is raised (duplicate points at excessive batch
-    size); a zero jitter fails at the first attempt.  Every attempt factors
-    into ``buffer``, a C-ordered float64 (B, B) array, when it is given, so
-    the factor is valid until the next Gram factored there; a training run
-    keeps one (:class:`~sobnat.optimizers.TrainState`).
+    factor is attempted.  The kernel table is written into ``buffer``, a
+    C-ordered float64 (B, B) array, or a fresh one, and
+    :func:`sobnat.linalg.cholesky_factor` factors K_j = K + jitter*d(0)*I
+    in place there from its upper triangle, so the strict lower triangle
+    keeps K for :attr:`GramMatrix.values`.  On failure the jitter is
+    escalated tenfold up to three times, each attempt on a rewritten
+    table, before DegenerateGram, naming the last jitter tried, is raised
+    (duplicate points at excessive batch size); a zero jitter fails at the
+    first attempt.  The Gram is valid until the next one made in the same
+    buffer; a training run keeps one (:class:`~sobnat.optimizers.TrainState`).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
@@ -252,17 +298,25 @@ def gram(points, spec: KernelSpec, buffer: np.ndarray = None) -> GramMatrix:
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise DegenerateGram(f"point in row {int(np.argmin(finite))} is not finite")
-    out = GramMatrix(values=kernel_matrix(pts, pts, spec), jitter=spec.jitter, spec=spec)
+    n = pts.shape[0]
+    if buffer is None:
+        buffer = np.empty((n, n))
+    elif buffer.shape != (n, n) or buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
+        raise DimensionMismatch(
+            f"buffer must be a C-ordered float64 array of shape {(n, n)}, got {buffer.dtype} {buffer.shape}"
+        )
+    d0, jitter = spec.constant, spec.jitter
     for attempt in range(4):  # initial attempt plus three escalations
         if attempt:
-            out.jitter *= 10.0
+            jitter *= 10.0
+        # A failed factor leaves part of the upper triangle written.
+        kernel_matrix(pts, pts, spec, out=buffer)
         try:
-            out._factor = linalg.cholesky_factor(out.values, out.jitter * out.d0, out=buffer)
-            return out
+            return GramMatrix(jitter, spec, d0, linalg.cholesky_factor(buffer, jitter * d0, out=buffer))
         except NotPositiveDefinite:
-            if out.jitter == 0.0:
+            if jitter == 0.0:
                 break  # tenfold zero is zero: a retry would repeat this factor
     raise DegenerateGram(
         f"Gram of {pts.shape[0]} points not positive definite after jitter escalation "
-        f"(final jitter {out.jitter:.3g})"
+        f"(final jitter {jitter:.3g})"
     )

@@ -5,8 +5,11 @@ only adds the SPD factor and solves that the metric and K-FAC paths need,
 with the package's error types.
 Jitter and damping enter as the diagonal shift of :func:`cholesky_factor`,
 which factors in a single copy of its argument, fresh or in a caller's
-``out`` array; a training run keeps one, for the Gram, and says why
-(:class:`~sobnat.optimizers.TrainState`).
+``out`` array, or in the argument itself when ``out`` is it.  The kernel
+Gram is factored that way, in the array that holds its table, since the
+factor takes one triangle and leaves the other to the kernel values; a
+training run keeps that one array (:class:`~sobnat.optimizers.TrainState`
+says what it saves).
 """
 
 from __future__ import annotations
@@ -26,15 +29,16 @@ def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None) -
     is not cleared.
 
     The factor is taken in place in one plain C-ordered copy of a, or in
-    ``out`` (a C-ordered float64 array of a's shape that does not overlap
-    a) when it is given, with shift added on its diagonal; a itself is
-    never modified.  LAPACK gets the copy's transpose, which is
-    Fortran-ordered and so needs no layout copy, and reads its lower
-    triangle: the factor is of the *upper* triangle of a, and a's strict
-    lower triangle is never read.  The kernel Gram (a ``cdist`` table),
-    the K-FAC factors (syrk products and their averages) and the P x P
-    metric (a syrk product) are bitwise symmetric, so for them that is the
-    same matrix.  The kernel-space S of
+    ``out`` (a C-ordered float64 array of a's shape) when it is given, with
+    shift added on its diagonal; a itself is not modified unless ``out is
+    a``, which factors a in place.  LAPACK gets the copy's transpose, which
+    is Fortran-ordered and so needs no layout copy, and reads and writes
+    its lower triangle: the factor is of the *upper* triangle of a, and
+    the strict lower triangle of the C-ordered array is neither read nor
+    written, so an in-place factor leaves a's there as it was.  The kernel
+    Gram (a ``cdist`` table), the K-FAC factors (syrk products and their
+    averages) and the P x P metric (a syrk product) are bitwise symmetric,
+    so for them that is the same matrix.  The kernel-space S of
     :func:`sobnat.metric.damped_natural_gradient` is symmetric only to
     rounding, since :meth:`sobnat.network.Tangents.ntk` builds Theta from
     plain GEMMs, and is factored from its upper triangle.
@@ -52,7 +56,8 @@ def cholesky_factor(a: np.ndarray, shift: float = 0.0, out: np.ndarray = None) -
                 f"got {out.dtype} {out.shape}"
             )
         c = out
-        np.copyto(c, a)
+        if out is not a:
+            np.copyto(c, a)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {c.shape}")
     c.flat[:: len(c) + 1] += shift

@@ -52,7 +52,9 @@ J^T w[c, b] = sum_l Ds_l^(c)(x_b) . s_l(x_b) is read from the forward
 pass's pre-activations s_l = Abar_l Wbar_l^T
 (:meth:`~sobnat.network.Tangents.rmatvec_params`), so with K = I the
 step is one J product.  S is Theta with damping K_j added on its m
-contiguous diagonal B x B blocks, and is factored once, from its upper
+contiguous diagonal B x B blocks, K_j being the table
+:meth:`GramMatrix.jittered` rebuilds from the one array that holds the
+Gram's kernel values and factor, and is factored once, from its upper
 triangle (Theta is symmetric to rounding only); J y is a
 per-layer product with Abar_l and Ds_l on an (m, B) array, and no
 triangular solve touches Theta.  The rounding of the formed Theta is not
@@ -86,11 +88,14 @@ with damping 0 (the exactness oracles), where the identity would divide by
 views of :func:`natural_gradient` of it on the P x P metric that
 :func:`estimate_metric` builds: one private build that whitens the fresh
 buffer of :meth:`~sobnat.network.Tangents.matrix` in place and returns
-J~ J~^T.  natural_gradient factors into a fresh array, with a scalar
-damping as the diagonal shift of :func:`sobnat.linalg.cholesky_factor`;
-a run keeps no P x P buffer (:class:`~sobnat.optimizers.TrainState` says
-what it measured).  The same two functions are the P x P oracle the
-kernel-space path is tested against.
+J~ J~^T; this branch reads only the Gram's factor.  natural_gradient
+factors into a fresh array, with a scalar damping as the diagonal shift
+of :func:`sobnat.linalg.cholesky_factor`, since it is also the oracle:
+a run keeps no P x P buffer, and with the Gram's table built and factored
+in the run's one B x B array a B = 500 ``sobolev_dense`` step takes no
+page faults without one (:class:`~sobnat.optimizers.TrainState`).  The
+same two functions are the P x P oracle the kernel-space path is tested
+against.
 
 An exact quadrature oracle for the L2 pullback metric of tiny networks is
 included for desk-scale ground truth.
@@ -228,8 +233,7 @@ def _kernel_space_solve(tangents: Tangents, gram: GramMatrix, damping: float, r,
         # K_j, the matrix gram's factor is of, and S = Theta + damping
         # (I_m (x) K_j) with damping K_j on each of the m diagonal B x B
         # blocks; Theta is not needed again, so S is built in its array.
-        kj = gram.values.copy()
-        kj.flat[:: len(kj) + 1] += gram.jitter * gram.d0
+        kj = gram.jittered()
         shift = damping * kj
         batch = len(kj)
         for start in range(0, len(theta), batch):

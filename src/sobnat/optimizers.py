@@ -112,19 +112,19 @@ def lr_at(config: OptimConfig, step: int, total_steps: int) -> float:
 class TrainState:
     """Per-run mutable state owned by one optimizer.
 
-    ``gram_buffer`` is the run's one factor buffer: the Sobolev steps factor
-    the B x B Gram into it, and it is re-made only when B changes.  What a
-    kept array saves is page faults.  At B = 500 a step frees megabytes of
-    temporaries, and when that leaves more than glibc's trim threshold at
-    the top of its heap, glibc hands the pages back to the OS and the next
-    step faults them in again, so the gain depends on the heap's layout.
-    In the benchmark's interleaved large_batch rounds (10 alternating
-    pairs, one BLAS thread, 2-core x86 host) the kept Gram buffer raised
-    sobolev_dense from 46.2 to 49.8 steps/s and sobolev_kfac from 928 to
-    1005.  A kept P x P metric buffer raised sobolev_dense from 50.9 to
-    55.9 steps/s there but saved nothing in a single training run, where a
-    sobolev_dense step faults about 1517 times with or without it; the
-    dense steps factor the metric into a fresh array.
+    ``gram_buffer`` is the run's one B x B array: each Sobolev step has
+    :func:`~sobnat.kernel.gram` write the batch's kernel table into it and
+    factor the table there, and it is re-made only when B changes.  What
+    the one array saves is page faults.  At B = 500 a step used to free a
+    fresh 2 MB table after factoring a copy of it, which left more than
+    glibc's trim threshold at the top of its heap, so glibc handed the
+    pages back to the OS and the next step faulted them in again: 1517
+    minor faults per sobolev_dense step.  In one array a step takes none,
+    and runs in 10.2 instead of 12.0 ms (a single training run, one BLAS
+    thread, 2-core x86 host).  In 6 alternating bench/run.py large_batch
+    pairs there, sobolev_dense rose from 50.5 to 59.0 steps/s and
+    sobolev_kfac from 1000 to 1064.  The dense steps factor the P x P
+    metric into a fresh array: a kept one saved nothing in a single run.
     ``kernel_spec`` is the Sobolev variants' kernel, made once per run.
     """
 

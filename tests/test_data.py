@@ -12,7 +12,7 @@ from sobnat.data import (
     normalize,
     train_test_split,
 )
-from sobnat.errors import InconsistentWidth, ParseError
+from sobnat.errors import EmptySplit, InconsistentWidth, ParseError
 
 
 def write_csv(ds, path, schema):
@@ -396,6 +396,16 @@ class TestNormalize:
         # Test rows use the train statistics, so they are not exactly standard.
         manual = (ds.features[ds.test_idx] - normed.feature_mean) / normed.feature_std
         np.testing.assert_allclose(normed.features[normed.test_idx], manual)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_train_split_is_named_before_any_arithmetic(self):
+        # The mean and std of no rows are nan, with RuntimeWarnings, so the
+        # split is refused before either is taken.
+        ds = Dataset(features=np.arange(6.0).reshape(3, 2), targets=np.zeros(3, dtype=np.int64),
+                     train_idx=np.zeros(0, dtype=np.int64), test_idx=np.arange(3))
+        with pytest.raises(EmptySplit, match="^train split is empty") as caught:
+            normalize(ds)
+        assert caught.value.split == "train"
 
     def test_constant_column_left_alone(self):
         feats = np.column_stack([np.full(50, 2.0), np.arange(50.0)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ class TestPointKernel:
 
 
 class TestGram:
+    @staticmethod
+    def assert_holds_its_table(g, table, d0):
+        """values is table, bitwise symmetric with diagonal d0; jittered()
+        adds jitter*d0 on that diagonal and is the matrix L is of."""
+        values = g.values
+        assert g.d0 == d0 and np.array_equal(values, table) and np.array_equal(values, values.T)
+        assert np.all(np.diag(values) == d0)
+        shifted = table.copy()
+        shifted.flat[:: len(table) + 1] += g.jitter * d0
+        assert np.array_equal(g.jittered(), shifted)
+        lower = np.tril(g._factor)
+        assert np.array_equal(lower, np.tril(linalg.cholesky_factor(shifted)))
+
     def test_single_point(self):
         g = gram(np.array([[0.3]]), SPEC_1D)
         np.testing.assert_allclose(g.values, [[0.25]])
@@ -140,18 +154,44 @@ class TestGram:
 
     def test_duplicate_points_rescued_by_escalation(self):
         # Nearly identical points: the initial jitter fails but escalation
-        # succeeds, and the stored kernel values stay jitter-free.
+        # succeeds on a rewritten table (a failed factor writes part of the
+        # upper triangle), and the kernel values stay jitter-free.
         spec = KernelSpec(input_dim=1, jitter=1e-16)
-        g = gram(np.array([[1.0], [1.0 + 1e-13]]), spec)
+        pts = np.array([[1.0], [1.0 + 1e-13], [0.5]])
+        g = gram(pts, spec)
         assert g.jitter > spec.jitter
-        assert np.all(np.diag(g.values) == g.d0)
+        self.assert_holds_its_table(g, kernel_matrix(pts, pts, spec), spec.constant)
 
-    @pytest.mark.parametrize("batch, dim", [(500, 2), (7, 3)])
+    def test_gram_in_a_buffer_allocates_no_second_table(self):
+        batch = 500
+        pts = np.random.default_rng(3).normal(size=(batch, 2)) / 20.0
+        spec, buffer = KernelSpec(input_dim=2), np.empty((batch, batch))
+        gram(pts, spec, buffer)
+        tracemalloc.start()
+        try:
+            g = gram(pts, spec, buffer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer.nbytes / 4
+        assert np.shares_memory(g._factor, buffer)
+
+    def test_buffer_of_another_shape_or_layout_is_refused(self):
+        pts = np.zeros((4, 1)) + np.arange(4.0).reshape(-1, 1)
+        for buf in (np.empty((5, 5)), np.empty((4, 4), order="F"), np.empty((4, 4), np.float32)):
+            with pytest.raises(DimensionMismatch, match="^buffer must be"):
+                gram(pts, SPEC_1D, buf)
+
+    @pytest.mark.parametrize("batch, dim", [(500, 2), (7, 3), (1, 2), (2, 2), (63, 2), (64, 2), (65, 2)])
     def test_values_bitwise_symmetric_with_exact_diagonal(self, batch, dim):
+        # The factor takes the upper triangle of the Gram's one array and
+        # the strict lower one keeps the kernel, from which values rebuilds
+        # the table kernel_matrix makes; scaled(c) holds c times it.
         pts = np.random.default_rng(batch).normal(size=(batch, dim)) / 20.0
-        g = gram(pts, KernelSpec(input_dim=dim))
-        assert np.array_equal(g.values, g.values.T)
-        assert np.all(np.diag(g.values) == g.d0)
+        spec = KernelSpec(input_dim=dim)
+        table = kernel_matrix(pts, pts, spec)
+        self.assert_holds_its_table(gram(pts, spec), table, point_kernel(0.0, spec))
+        self.assert_holds_its_table(gram(pts, spec).scaled(2.5), table * 2.5, 2.5 * point_kernel(0.0, spec))
 
     @pytest.mark.parametrize("mode", ["unit_constant", EXACT_CONSTANT])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])

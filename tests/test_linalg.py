@@ -59,11 +59,13 @@ class TestCholeskySolve:
             cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
     def test_nan_pivot_raises_with_its_row(self):
-        # LAPACK's potrf passes a NaN pivot through without an error code.
-        a = np.eye(3)
-        a[1, 1] = np.nan
-        with pytest.raises(NotPositiveDefinite, match="row 1"):
-            cholesky_factor(a)
+        # LAPACK's potrf passes a NaN pivot through without an error code,
+        # in a copy or in place.
+        for in_place in (False, True):
+            a = np.eye(3)
+            a[1, 1] = np.nan
+            with pytest.raises(NotPositiveDefinite, match="row 1"):
+                cholesky_factor(a, 0.1, out=a if in_place else None)
 
     def test_rhs_row_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -158,6 +160,23 @@ class TestCholeskyFactor:
         for s in (0.0, 0.03):
             got = cholesky_factor(a, s, out=out)
             np.testing.assert_array_equal(np.tril(got), np.tril(cholesky_factor(symmetric, s)))
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 64, 65, 500])
+    def test_in_place_matches_the_copy_and_keeps_the_lower_triangle(self, n):
+        # out is a: the factor is the copying form's bit for bit, in a's own
+        # buffer, and a's strict lower (C-order) triangle is never written,
+        # here holding finite junk the factor must not read either.
+        rng = np.random.default_rng(n)
+        a = self.gram_of(rng, n)
+        a[np.tril_indices(n, -1)] = rng.normal(scale=1e3, size=n * (n - 1) // 2)
+        for s in (0.0, 0.03):
+            copy = a.copy()
+            expected = cholesky_factor(copy, s)
+            lower = np.tril(copy, -1)
+            got = cholesky_factor(copy, s, out=copy)
+            assert np.shares_memory(got, copy)
+            np.testing.assert_array_equal(np.tril(got), np.tril(expected))
+            np.testing.assert_array_equal(np.tril(copy, -1), lower)
 
     def test_out_of_another_shape_or_layout_is_refused(self):
         a = self.gram_of(np.random.default_rng(2), 4)
