@@ -13,7 +13,6 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     EmptyRegion,
-    EmptySplit,
     InconsistentWidth,
     NotPositiveDefinite,
     ParseError,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptySplit, InconsistentWidth, ParseError, SobnatError
+from .errors import DimensionMismatch, InconsistentWidth, ParseError, SobnatError
 
 __all__ = [
     "Dataset",
@@ -97,11 +97,11 @@ def normalize(ds: Dataset) -> Dataset:
 
     Statistics come from the train split only and are applied to every row;
     constant columns keep std 1 so they pass through unchanged.  An empty
-    train split has none and raises EmptySplit.
+    train split has none and raises DimensionMismatch.
     """
     train_feats = ds.features[ds.train_idx]
     if len(train_feats) == 0:
-        raise EmptySplit("train")
+        raise DimensionMismatch("the train split is empty: no rows to take statistics from")
     mean = np.mean(train_feats, axis=0)
     std = np.std(train_feats, axis=0)
     std = np.where(std < 1e-12, 1.0, std)

@@ -96,11 +96,3 @@ class InconsistentWidth(SobnatError):
     def __init__(self, line: int, expected: int, got: int):
         self.line = line
         super().__init__(f"line {line}: expected {expected} fields, got {got}")
-
-
-class EmptySplit(SobnatError):
-    """A dataset split has no rows to take statistics from."""
-
-    def __init__(self, split: str):
-        self.split = split
-        super().__init__(f"{split} split is empty: no rows to take statistics from")

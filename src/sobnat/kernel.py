@@ -268,7 +268,7 @@ class GramMatrix:
         table = self.values
         table *= c
         d0 = self.d0 * c
-        factor = linalg.cholesky_factor(table, self.jitter * d0, out=table)
+        factor = linalg.cholesky_factor(table, self.jitter * d0, overwrite_a=True)
         return GramMatrix(self.jitter, self.spec, d0, factor)
 
 
@@ -312,7 +312,7 @@ def gram(points, spec: KernelSpec, buffer: np.ndarray = None) -> GramMatrix:
         # A failed factor leaves part of the upper triangle written.
         kernel_matrix(pts, pts, spec, out=buffer)
         try:
-            return GramMatrix(jitter, spec, d0, linalg.cholesky_factor(buffer, jitter * d0, out=buffer))
+            return GramMatrix(jitter, spec, d0, linalg.cholesky_factor(buffer, jitter * d0, overwrite_a=True))
         except NotPositiveDefinite:
             if jitter == 0.0:
                 break  # tenfold zero is zero: a retry would repeat this factor

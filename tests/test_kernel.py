@@ -143,7 +143,7 @@ class TestGram:
         # and a zero jitter, which tenfold stays zero, is tried only once.
         shifts = []
 
-        def always_fails(a, shift=0.0, out=None):
+        def always_fails(a, shift=0.0, overwrite_a=False):
             shifts.append(shift)
             raise NotPositiveDefinite("pivot in row 0 is not positive")
 

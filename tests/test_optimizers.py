@@ -439,8 +439,9 @@ class TestFactorBuffers:
 
     @staticmethod
     def run(monkeypatch, variant, dims, batches, loss=SOFTMAX_CE):
-        """Per step: the (order, out) of each cholesky_factor call it made,
-        and state.gram_buffer after it."""
+        """Per step: the order of each cholesky_factor call it made with the
+        array it factored in place (None for a copy), and state.gram_buffer
+        after it."""
         x, y = TWO_MOONS.train()
         if loss == SQUARED:
             y = np.tanh(x[:, :1])
@@ -451,9 +452,9 @@ class TestFactorBuffers:
         reference, ref_layers = net, TrainState.create(net, cfg).kfac_layers
         steps, calls, factor = [], [], linalg.cholesky_factor
 
-        def recording(a, shift=0.0, out=None):
-            calls.append((len(a), out))
-            return factor(a, shift, out=out)
+        def recording(a, shift=0.0, overwrite_a=False):
+            calls.append((len(a), a if overwrite_a else None))
+            return factor(a, shift, overwrite_a)
 
         monkeypatch.setattr(linalg, "cholesky_factor", recording)
         for k, b in enumerate(batches):
@@ -476,13 +477,13 @@ class TestFactorBuffers:
         steps = self.run(monkeypatch, variant, [2, 16, 16, 2], [500] * 3)
         first = steps[0][1]
         for calls, buffer in steps:
-            outs = [out for _, out in calls if out is not None]
+            in_place = [a for _, a in calls if a is not None]
             if variant == "amari_dense":
-                assert buffer is None and outs == []
+                assert buffer is None and in_place == []
             else:
                 assert buffer is first and buffer.shape == (500, 500)
-                assert len(outs) == 1 and outs[0] is buffer
-            metric_calls = [out for order, out in calls if order == 354]
+                assert len(in_place) == 1 and in_place[0] is buffer
+            metric_calls = [a for order, a in calls if order == 354]
             assert metric_calls == ([None] if variant.endswith("_dense") else [])
 
     @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
@@ -494,8 +495,8 @@ class TestFactorBuffers:
         assert buffers[2] is buffers[1]
         assert not any(np.shares_memory(buffers[3], b) for b in buffers[:3])
         for calls, buffer in steps:
-            outs = [out for _, out in calls if out is not None]
-            assert len(outs) == 1 and outs[0] is buffer
+            in_place = [a for _, a in calls if a is not None]
+            assert len(in_place) == 1 and in_place[0] is buffer
 
     @pytest.mark.parametrize("variant", ["sobolev_dense", "sobolev_kfac"])
     def test_single_point_single_output(self, monkeypatch, variant):
