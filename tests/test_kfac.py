@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,14 +96,54 @@ class TestComputeFactors:
             precondition(state1, v), 16.0 * precondition(state0, v), rtol=1e-8
         )
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_block_is_the_dense_metric(self, m):
         # K-FAC is exact on a single block: a dense J as Tangents.of_matrix
         # has the constant input abar = 1, so A = [[1]] and S = J J^T.
         j = np.random.default_rng(6).normal(size=(7, 5 * m))
         ((a, s),) = compute_factors(Tangents.of_matrix(j, m), None)
         np.testing.assert_array_equal(a, [[1.0]])
-        assert np.max(np.abs(s - estimate_metric(j, m, None).values)) <= 1e-14
+        np.testing.assert_array_equal(s, estimate_metric(j, m, None).values)
+        np.testing.assert_array_equal(s, j @ j.T)
+
+    @pytest.mark.parametrize(
+        "sizes, batch", [([2, 16, 16, 2], 50), ([2, 16, 16, 2], 500), ([2, 8, 8, 3], 60)]
+    )
+    def test_identity_kernel_keeps_the_stacked_bits(self, sizes, batch):
+        # With K = I each layer's arrays are read where Tangents holds them.
+        # The factors keep the bits of the stacked formula: every layer's
+        # columns concatenated into one array, A and S from its slices.
+        rng = np.random.default_rng(batch)
+        net = MlpNetwork.create(sizes, ["tanh", "tanh", "identity"], rng)
+        tangents = tangents_of(net, rng.normal(size=(batch, 2)))
+        layers = list(zip(tangents.a_bars, tangents.jacobians))
+        stacked = np.concatenate([col for a_bar, ds in layers for col in (a_bar, *ds)], axis=1)
+        start = 0
+        for (a, s), (a_bar, ds) in zip(compute_factors(tangents, None), layers, strict=True):
+            mid = start + a_bar.shape[1]
+            end = mid + ds.shape[0] * ds.shape[2]
+            a_w = stacked[:, start:mid]
+            ds_w = stacked[:, mid:end].reshape(-1, ds.shape[2])
+            np.testing.assert_array_equal(a, a_w.T @ a_w / batch)
+            np.testing.assert_array_equal(s, ds_w.T @ ds_w)
+            start = end
+
+    def test_identity_kernel_stacks_no_copy(self):
+        # The stacked array of every layer's columns, which only the Gram
+        # whitening needs, would be B * sum(q_l + m p_l) * 8 bytes: 420 000
+        # at B = 500 on [2,16,16,2].  K = I peaks below it.
+        rng = np.random.default_rng(0)
+        net = MlpNetwork.create([2, 16, 16, 2], ["tanh", "tanh", "identity"], rng)
+        tangents = tangents_of(net, rng.normal(size=(500, 2)))
+        stack_bytes = 8 * sum(a.size + ds.size for a, ds in zip(tangents.a_bars, tangents.jacobians))
+        assert stack_bytes == 420_000
+        tracemalloc.start()
+        try:
+            compute_factors(tangents, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes
 
     def test_duplicate_points_match_the_cho_solve_oracle(self):
         # 65 points each given twice: K is singular and K_j = K + jitter d(0) I
