@@ -15,12 +15,13 @@ symmetric by construction.  The whitening is one solve over every layer's
 columns stacked into one array; K = I needs no whitening, so there
 :func:`compute_factors` reads each layer's abar and Ds where
 :class:`~sobnat.network.Tangents` holds them, with no stack (420 KB at
-B = 500 on [2,16,16,2]).  The single batch-size normalization sits on the
-activation factor: with K = I it makes A the empirical activation average of
-standard K-FAC, and on batches whose statistics factorize the product A (x) S
-then reproduces the corresponding block of the unnormalized metric estimate
-exactly.  Factors are tracked as moving averages; damping is split across
-the factors with the trace-balancing pi heuristic.
+B = 500 on [2,16,16,2]) and no copy.  The single batch-size normalization
+sits on the activation factor: with K = I it makes A the empirical
+activation average of standard K-FAC, and on batches whose statistics
+factorize the product A (x) S then reproduces the corresponding block of
+the unnormalized metric estimate exactly.  Factors are tracked as moving
+averages; damping is split across the factors with the trace-balancing pi
+heuristic.
 
 A refresh is one state transition: :func:`update_state` folds the fresh
 factors in and forms their damped inverses (:func:`refresh_inverses`), and
@@ -92,34 +93,42 @@ def compute_factors(tangents: Tangents, gram: GramMatrix = None) -> list:
 
     tangents is :meth:`Tangents.of_network` of the batch, or any dense J
     as :meth:`Tangents.of_matrix`: a single block, on which gram=None gives
-    A = [[1]] and S = J J^T exactly.  gram=None selects K = I.  A carries the
-    batch-size normalization; S sums the per-output-component Jacobian
-    statistics unnormalized, so that A (x) S matches the unnormalized dense
-    layer block when the batch statistics factorize.
+    A = [[1]] and S = J J^T, bit for bit the K = I metric of
+    :func:`sobnat.metric.estimate_metric`.  gram=None selects K = I.  A
+    carries the batch-size normalization; S sums the per-output-component
+    Jacobian statistics unnormalized, so that A (x) S matches the
+    unnormalized dense layer block when the batch statistics factorize.
 
     Each layer's A = a_w^T a_w / B and S = ds_w^T ds_w are products of its
-    (B, q_l) activations a_w and its (B*m, p_l) output Jacobians ds_w.  With
-    K = I these are read where tangents holds them: a_w is a_bars[l]
-    itself, and ds_w is one copy of jacobians[l] in (b, c) row order.  With
-    a Gram, every layer's columns are whitened by one solve, so they are
-    stacked into one (B, sum(q_l + m*p_l)) array first, and a_w and ds_w are
-    its slices.  Both give ds_w the same (b, c) row order, which keeps the
-    bits of S equal to those of the stacked slice.
+    (B, q_l) activations a_w and its (B*m, p_l) output Jacobians ds_w
+    (:func:`_operands`).
     """
-    batch = tangents.batch
-    layers = list(zip(tangents.a_bars, tangents.jacobians))
-    if gram is None:
-        pairs = ((a_bar, ds.transpose(1, 0, 2).reshape(-1, ds.shape[2])) for a_bar, ds in layers)
-    else:
-        if gram.size != batch:
-            raise DimensionMismatch(f"gram has {gram.size} points, batch is {batch}")
-        pairs = _whitened_layers(layers, gram)
     factors = []
-    for a_w, ds_w in pairs:
+    for a_w, ds_w in _operands(tangents, gram):
         a = a_w.T @ a_w
-        a /= batch
+        a /= tangents.batch
         factors.append((a, ds_w.T @ ds_w))
     return factors
+
+
+def _operands(tangents: Tangents, gram: GramMatrix):
+    """Per layer, the (a_w, ds_w) whose products are A and S.
+
+    With K = I these are read where tangents holds them: a_w is a_bars[l]
+    itself, and ds_w is jacobians[l] with its rows in (c, b) order, a view
+    for a network's tangents.  That is the order of the K = I metric's
+    columns (:func:`sobnat.metric.estimate_metric`), so every K = I Gram
+    product of the output Jacobians sums in one order.  With a Gram, every
+    layer's columns are whitened by one solve, so they are stacked into one
+    (B, sum(q_l + m*p_l)) array first, and a_w and ds_w are its slices,
+    ds_w in (b, c) row order.
+    """
+    layers = list(zip(tangents.a_bars, tangents.jacobians))
+    if gram is None:
+        return ((a_bar, ds.reshape(-1, ds.shape[2])) for a_bar, ds in layers)
+    if gram.size != tangents.batch:
+        raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
+    return _whitened_layers(layers, gram)
 
 
 def _whitened_layers(layers: list, gram: GramMatrix):

@@ -86,11 +86,21 @@ with damping 0 (the exactness oracles), where the identity would divide by
 0, the step forms g = J r + decay w, flattens it once in the order of
 :meth:`~sobnat.network.MlpNetwork.params_vector` and returns per-layer
 views of :func:`natural_gradient` of it on the P x P metric that
-:func:`estimate_metric` builds: one private build that whitens the fresh
-buffer of :meth:`~sobnat.network.Tangents.matrix` in place and returns
-J~ J~^T; this branch reads only the Gram's factor.  natural_gradient
-factors into a fresh array, with a scalar damping as the diagonal shift
-of :func:`sobnat.linalg.cholesky_factor`, since it is also the oracle:
+:func:`estimate_metric` builds.  That one private build returns J~ J~^T.
+With a Gram it whitens the fresh buffer of
+:meth:`~sobnat.network.Tangents.matrix` in place, and this branch reads
+only the Gram's factor.  The blocked whitening solves contiguous column
+blocks of the buffer's (m*P, B) transpose in place, so the buffer keeps
+the sample index slowest.  With K = I nothing is whitened, and J is built
+component-major instead, a (P, m, B) array in which each layer block is
+one broadcast multiply whose inner loop runs over the B samples; J J^T,
+numpy's syrk product of that array, sums over the columns in (c, b)
+order, as K-FAC's S does.  At B = 500 on [2,16,16,2] (one BLAS thread,
+2-core x86 host, in-process minimum) the build takes 0.46-0.48 ms against
+0.79-0.97 ms for the sample-major buffer, and the K = I metric 2.5-2.6
+against 2.9-3.1 ms.  natural_gradient factors into a fresh array, with a
+scalar damping as the diagonal shift of
+:func:`sobnat.linalg.cholesky_factor`, since it is also the oracle:
 a run keeps no P x P buffer, and with the Gram's table built and factored
 in the run's one B x B array a B = 500 ``sobolev_dense`` step takes no
 page faults without one (:class:`~sobnat.optimizers.TrainState`).  The
@@ -136,16 +146,38 @@ class PullbackMetric:
 def _metric_values(tangents: Tangents, gram: GramMatrix) -> np.ndarray:
     """J~ J~^T, a (P, P) array; gram=None (K = I) leaves J unwhitened.
 
-    The whitening overwrites the fresh buffer of :meth:`Tangents.matrix`,
+    K = I takes J component-major (:func:`_jacobian_by_component`).  The
+    whitening overwrites the fresh buffer of :meth:`Tangents.matrix`,
     whose transposed view of a C-ordered array it solves without a copy.
     """
-    if gram is not None and gram.size != tangents.batch:
+    if gram is None:
+        j = _jacobian_by_component(tangents).reshape(tangents.num_params, -1)
+        return j @ j.T
+    if gram.size != tangents.batch:
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     jt = tangents.matrix().T  # (B*m, P), row b*m + c holds dphi^c(x_b)/dtheta
-    if gram is not None:
-        # Column block c of the (B, m*P) reshape is J_c^T; one solve whitens all m.
-        jt = gram.whiten(jt.reshape(tangents.batch, -1), overwrite_b=True).reshape(jt.shape)
+    # Column block c of the (B, m*P) reshape is J_c^T; one solve whitens all m.
+    jt = gram.whiten(jt.reshape(tangents.batch, -1), overwrite_b=True).reshape(jt.shape)
     return jt.T @ jt
+
+
+def _jacobian_by_component(tangents: Tangents) -> np.ndarray:
+    """J as a C-ordered (P, m, B) array: column (c, b), the sample index innermost.
+
+    Layer l's rows are one broadcast multiply of contiguous copies of
+    Ds_l^T, (p_l, m, B), and Abar_l^T, (q_l, B), into a (p_l, q_l, m, B)
+    view, so every inner loop runs over the B samples.  J J^T does not
+    depend on the order of J's columns, and this is the order in which
+    Tangents holds the output Jacobians.
+    """
+    batch, m = tangents.batch, tangents.output_dim
+    j, row = np.empty((tangents.num_params, m, batch)), 0
+    for a, d, (p, q) in zip(tangents.a_bars, tangents.jacobians, tangents.shapes):
+        block = j[row : row + p * q].reshape(p, q, m, batch)
+        ds_t = np.ascontiguousarray(d.transpose(2, 0, 1))
+        np.multiply(ds_t[:, None, :, :], np.ascontiguousarray(a.T)[:, None, :], out=block)
+        row += p * q
+    return j
 
 
 def estimate_metric(
@@ -156,7 +188,10 @@ def estimate_metric(
 ) -> PullbackMetric:
     """Batch estimate of the pullback metric from a (P, B*m) Jacobian.
 
-    gram=None selects K = I, in which case the result is exactly J @ J.T.
+    gram=None selects K = I, in which case the result is J @ J.T with J's
+    columns taken in component-major (c, b) order, bit for bit
+    ``jc @ jc.T`` for that C-ordered copy jc of J; with one output that is
+    J's own order, and the result is exactly ``j @ j.T``.
     """
     return PullbackMetric(_metric_values(Tangents.of_matrix(j, output_dim), gram), damping=damping)
 

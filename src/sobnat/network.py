@@ -234,7 +234,9 @@ class Tangents:
     also the factors of K-FAC (:func:`sobnat.kfac.compute_factors`), and
     this is the one place they are held.  The products below touch only
     the factors, so no P x B*m array exists unless :meth:`matrix` is called
-    (the structured tangent-kernel products of Novak et al. 2022).
+    or the K = I P x P metric is built from them
+    (:func:`sobnat.metric.estimate_metric`; the structured tangent-kernel
+    products of Novak et al. 2022).
 
     Kernel space is component-major, the order jacobians are stored in:
     :meth:`ntk` indexes its rows and columns (c, b) as c*B + b,
@@ -366,7 +368,11 @@ class Tangents:
 
         It is the transposed view of a C-ordered (B, m, P) array, so J^T
         reshapes to the (B, m*P) layout of :meth:`GramMatrix.whiten`
-        without a copy.
+        without a copy.  It stays sample-major although the jacobians are
+        component-major: the whitening solves contiguous blocks of samples
+        across every column at once, so the sample index must be slowest
+        here.  The K = I metric, which whitens nothing, builds its own
+        component-major J instead (:func:`sobnat.metric.estimate_metric`).
         """
         batch, m = self.batch, self.output_dim
         jt, row = np.empty((batch, m, self.num_params)), 0  # blocks written in place
@@ -385,7 +391,7 @@ def param_jacobian(net: MlpNetwork, x) -> np.ndarray:
 
     Column (b, c) = b*m + c holds dphi^c(x_b)/dtheta, with theta ordered by
     layer and row-major within each Wbar_l; see :class:`Tangents`, whose
-    :meth:`~Tangents.matrix` the training steps call instead.
+    :meth:`~Tangents.matrix` a Sobolev dense step with P <= B*m calls instead.
 
     Raises TooLarge when P*B*m exceeds DENSE_BUDGET.
     """

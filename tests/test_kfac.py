@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sobnat import linalg, verify
+from sobnat import kfac, linalg, verify
 from sobnat.data import gen_two_moons, normalize, train_test_split
 from sobnat.errors import DimensionMismatch, NotPositiveDefinite
 from sobnat.kernel import KernelSpec, gram
@@ -99,20 +99,25 @@ class TestComputeFactors:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_block_is_the_dense_metric(self, m):
         # K-FAC is exact on a single block: a dense J as Tangents.of_matrix
-        # has the constant input abar = 1, so A = [[1]] and S = J J^T.
+        # has the constant input abar = 1, so A = [[1]] and S = J J^T, summed
+        # over J's columns in the K = I metric's component-major order.
         j = np.random.default_rng(6).normal(size=(7, 5 * m))
         ((a, s),) = compute_factors(Tangents.of_matrix(j, m), None)
         np.testing.assert_array_equal(a, [[1.0]])
         np.testing.assert_array_equal(s, estimate_metric(j, m, None).values)
-        np.testing.assert_array_equal(s, j @ j.T)
+        jc = j[:, np.arange(5 * m).reshape(5, m).T.reshape(-1)]  # column c*B + b is j's b*m + c
+        np.testing.assert_array_equal(s, jc @ jc.T)
+        if m == 1:
+            np.testing.assert_array_equal(s, j @ j.T)
 
     @pytest.mark.parametrize(
         "sizes, batch", [([2, 16, 16, 2], 50), ([2, 16, 16, 2], 500), ([2, 8, 8, 3], 60)]
     )
-    def test_identity_kernel_keeps_the_stacked_bits(self, sizes, batch):
+    def test_identity_kernel_factors_are_products_of_the_held_arrays(self, sizes, batch):
         # With K = I each layer's arrays are read where Tangents holds them.
-        # The factors keep the bits of the stacked formula: every layer's
-        # columns concatenated into one array, A and S from its slices.
+        # A keeps the bits of the stacked formula, every layer's columns
+        # concatenated into one array and A from its slice; S is the product
+        # of Ds's rows in the (c, b) order they are held in.
         rng = np.random.default_rng(batch)
         net = MlpNetwork.create(sizes, ["tanh", "tanh", "identity"], rng)
         tangents = tangents_of(net, rng.normal(size=(batch, 2)))
@@ -123,15 +128,17 @@ class TestComputeFactors:
             mid = start + a_bar.shape[1]
             end = mid + ds.shape[0] * ds.shape[2]
             a_w = stacked[:, start:mid]
-            ds_w = stacked[:, mid:end].reshape(-1, ds.shape[2])
+            d = ds.reshape(-1, ds.shape[2])
             np.testing.assert_array_equal(a, a_w.T @ a_w / batch)
-            np.testing.assert_array_equal(s, ds_w.T @ ds_w)
+            np.testing.assert_array_equal(s, d.T @ d)
             start = end
 
     def test_identity_kernel_stacks_no_copy(self):
         # The stacked array of every layer's columns, which only the Gram
         # whitening needs, would be B * sum(q_l + m p_l) * 8 bytes: 420 000
-        # at B = 500 on [2,16,16,2].  K = I peaks below it.
+        # at B = 500 on [2,16,16,2].  K = I peaks below it, and below one
+        # copy of a hidden layer's Ds, B * m * p_l * 8 = 128 000 bytes, since
+        # S's operand is a view of the held Ds.
         rng = np.random.default_rng(0)
         net = MlpNetwork.create([2, 16, 16, 2], ["tanh", "tanh", "identity"], rng)
         tangents = tangents_of(net, rng.normal(size=(500, 2)))
@@ -144,6 +151,9 @@ class TestComputeFactors:
         finally:
             tracemalloc.stop()
         assert peak < stack_bytes
+        assert peak < 500 * 2 * 16 * 8 == 128_000
+        for (_, ds_w), ds in zip(kfac._operands(tangents, None), tangents.jacobians, strict=True):
+            assert np.shares_memory(ds_w, ds)
 
     def test_duplicate_points_match_the_cho_solve_oracle(self):
         # 65 points each given twice: K is singular and K_j = K + jitter d(0) I

@@ -46,11 +46,13 @@ def component_major(batch, m):
 
 class TestEstimateMetric:
     def test_identity_kernel_is_gauss_newton(self):
+        # K = I sums J J^T over J's columns in component-major (c, b) order;
+        # with one output that is J's own order.
         rng = np.random.default_rng(0)
         j = rng.normal(size=(5, 8))
-        for m in (1, 2):
-            got = estimate_metric(j, m, None)
-            assert np.array_equal(got.values, j @ j.T)
+        assert np.array_equal(estimate_metric(j, 1, None).values, j @ j.T)
+        jc = j[:, component_major(4, 2)]
+        assert np.array_equal(estimate_metric(j, 2, None).values, jc @ jc.T)
 
     def test_kernel_machine_exactness(self):
         # Model phi(theta)(x) = sum_a theta_a d(|x_a - x|): the jacobian over
@@ -257,6 +259,40 @@ class TestDampedNaturalGradient:
         assert np.array_equal(euclid_grad, grad)
         assert all(np.shares_memory(layer, v) for layer in got)
         assert np.array_equal(flat(got), solve(oracle_metric, grad))
+
+    @pytest.mark.parametrize("dims, batch", [((2, 16, 16, 2), 500), ((2, 8, 8, 3), 60)])
+    def test_identity_kernel_metric_is_component_major(self, monkeypatch, dims, batch):
+        # P <= B*m with K = I: the step's metric is J J^T summed over J's
+        # columns in component-major order, bit for bit.
+        net, x, j, resid, _ = self.instance(dims, batch, seed=batch)
+        assert net.num_params <= batch * dims[-1]
+        metrics, solve = [], natural_gradient
+
+        def recording(metric, euclid_grad):
+            metrics.append(metric)
+            return solve(metric, euclid_grad)
+
+        monkeypatch.setattr("sobnat.metric.natural_gradient", recording)
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), None, 0.03, resid)
+        jc = j[:, component_major(batch, dims[-1])]
+        (metric,) = metrics
+        assert np.array_equal(metric.values, jc @ jc.T)
+
+    @pytest.mark.parametrize("kernel, calls", [("identity", 0), ("sobolev", 1)])
+    def test_parameter_space_step_forms_the_sample_major_j_only_to_whiten_it(self, monkeypatch, kernel, calls):
+        # P = 123 <= B*m = 180: the K = I metric builds its own
+        # component-major J, and only the Sobolev one needs Tangents.matrix.
+        net, x, _, resid, _ = self.instance((2, 8, 8, 3), 60, seed=7)
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
+        made = []
+
+        def counting(self, _matrix=Tangents.matrix):
+            made.append(self)
+            return _matrix(self)
+
+        monkeypatch.setattr(Tangents, "matrix", counting)
+        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003, net.weights)
+        assert len(made) == calls
 
     def test_parameter_space_solve_whitens_j_in_its_own_buffer(self):
         # A large_batch-shaped Sobolev step, [2,16,16,2] at B = 500 (P = 354
