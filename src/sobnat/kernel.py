@@ -27,9 +27,15 @@ is evaluated in place on that table, in row blocks of at most
 PROFILE_BLOCK entries, so its temporary is 128 KB rather than a second
 B x B array; a table of one block or less is one evaluation.
 
-A batch Gram is one B x B array.  :func:`gram` has ``cdist`` write the
-table into the caller's buffer, and LAPACK's potrf factors K_j there from
-the upper triangle, the only one it reads or writes (Anderson et al.,
+A batch Gram is one B x B array.  :func:`gram` writes the table into the
+caller's buffer: up to TABLE_BLOCK = 64 points ``cdist`` writes it there in
+one call; above, each block of 64 rows takes ``cdist`` and the profile for
+the points from its own first row on, and the part right of its diagonal
+block is mirrored into the lower triangle.  That takes each distance once,
+with the bits ``kernel_matrix`` gives it, and at B = 500 builds the table
+in 0.76-0.78 ms against 0.99-1.01 ms for the whole one (one BLAS thread,
+2-core x86 host).  At 64 points or fewer the blocked form measured slower
+than the one call.  LAPACK's potrf factors K_j there from the upper triangle, the only one it reads or writes (Anderson et al.,
 *LAPACK Users' Guide*, 1999), so the strict lower triangle keeps the
 kernel.  :attr:`GramMatrix.values` and :meth:`GramMatrix.jittered` rebuild
 the symmetric table from it only when asked: by the kernel-space solve,
@@ -82,6 +88,9 @@ EXACT_CONSTANT = "exact_dimension_constant"
 PROFILE_BLOCK = 16_384
 # Points per diagonal block of the blocked triangular solve.
 SOLVE_BLOCK = 64
+# Rows per block of a batch Gram's kernel table, whose distances are taken
+# from the diagonal on and mirrored.
+TABLE_BLOCK = 64
 
 
 def dimension_constant(n: int) -> float:
@@ -172,6 +181,29 @@ def kernel_matrix(x: np.ndarray, y: np.ndarray, spec: KernelSpec, out: np.ndarra
     for start in range(0, len(r), rows):
         _profile_in_place(r[start : start + rows], spec.constant)
     return r
+
+
+def _gram_table(pts: np.ndarray, spec: KernelSpec, out: np.ndarray) -> np.ndarray:
+    """kernel_matrix(pts, pts, spec, out=out), bit for bit, with each distance taken once.
+
+    Up to TABLE_BLOCK points it is that one call.  Above, each block of
+    TABLE_BLOCK rows takes the kernel against the points from its own
+    first row on, in one scratch array reused by every block, and the part
+    right of its diagonal block is mirrored below it: cdist takes each
+    distance on its own, so the mirrored entry has the bits the table's
+    own would have.
+    """
+    n = len(pts)
+    if n <= TABLE_BLOCK:
+        return kernel_matrix(pts, pts, spec, out=out)
+    scratch = np.empty(TABLE_BLOCK * n)
+    for r0 in range(0, n, TABLE_BLOCK):
+        r1 = min(r0 + TABLE_BLOCK, n)
+        rows = scratch[: (r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
+        kernel_matrix(pts[r0:r1], pts[r0:], spec, out=rows)
+        out[r0:r1, r0:] = rows
+        out[r1:, r0:r1] = rows[:, r1 - r0 :].T
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -310,7 +342,7 @@ def gram(points, spec: KernelSpec, buffer: np.ndarray = None) -> GramMatrix:
         if attempt:
             jitter *= 10.0
         # A failed factor leaves part of the upper triangle written.
-        kernel_matrix(pts, pts, spec, out=buffer)
+        _gram_table(pts, spec, buffer)
         try:
             return GramMatrix(jitter, spec, d0, linalg.cholesky_factor(buffer, jitter * d0, overwrite_a=True))
         except NotPositiveDefinite:

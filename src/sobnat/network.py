@@ -52,24 +52,30 @@ def _act(name: str, s: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _times_dact(x: np.ndarray, net: "MlpNetwork", cache: "BatchCache", l: int) -> np.ndarray:
-    """x * dphi/ds of layer l, elementwise, read from the cached forward pass.
+def _dact(name: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """dphi/ds at the pre-activations s, a new array; a = phi(s) is the layer's output.
 
-    tanh and sigmoid derivatives come from the layer's own activation
-    a = phi(s_l), so no transcendental is evaluated twice.
+    tanh and sigmoid derivatives come from the activation a, so no
+    transcendental is evaluated twice.
     """
+    if name == "identity":
+        return np.ones_like(s)
+    if name == "relu":
+        # Subgradient at 0 is fixed to 0 for reproducible finite differences.
+        return (s > 0).astype(np.float64)
+    if name == "tanh":
+        return 1.0 - a * a
+    if name == "sigmoid":
+        return a * (1.0 - a)
+    raise ValueError(f"unknown activation {name!r}")
+
+
+def _times_dact(x: np.ndarray, net: "MlpNetwork", cache: "BatchCache", l: int) -> np.ndarray:
+    """x * dphi/ds of layer l, elementwise, read from the cached forward pass."""
     name = net.layers[l].activation
     if name == "identity":
         return x
-    if name == "relu":
-        # Subgradient at 0 is fixed to 0 for reproducible finite differences.
-        return x * (cache.pre_acts[l] > 0).astype(np.float64)
-    a = cache.activation(l)
-    if name == "tanh":
-        return x * (1.0 - a * a)
-    if name == "sigmoid":
-        return x * (a * (1.0 - a))
-    raise ValueError(f"unknown activation {name!r}")
+    return x * _dact(name, cache.pre_acts[l], cache.activation(l))
 
 
 @dataclass(frozen=True)
@@ -251,16 +257,32 @@ class Tangents:
 
     pre_acts are the forward pass's s_l = Abar_l Wbar_l^T, from which
     :meth:`rmatvec_params` reads J^T w; a dense J has none.
+
+    readout is (activation of layer L-1, W_L), W_L being Wbar_L without
+    its bias column, for a network of two or more layers whose output
+    layer L is the identity; for any other network, and for a dense J, it
+    is None.  With an identity output the top two layers' Jacobians are
+    rank one across the m outputs: Ds_L^(c) = e_c and
+    Ds_{L-1}^(c) = W_L[c] .* phi'(s_{L-1}), which
+    :meth:`readout_factors` returns as its two factors.  The Sobolev
+    P x P metric whitens those layers' columns once instead of once per
+    output (:func:`sobnat.metric.estimate_metric`).  Only references are
+    held: phi' is computed when readout_factors is called, so the steps
+    that never call it pay nothing for it.
     """
 
     a_bars: list
     jacobians: list
     pre_acts: list = None
+    readout: tuple = None
 
     @classmethod
     def of_network(cls, net: MlpNetwork, cache: BatchCache) -> "Tangents":
         """Tangents of net on the cached batch (runs :func:`output_jacobians`)."""
-        return cls(cache.a_bars, output_jacobians(net, cache), cache.pre_acts)
+        readout = None
+        if len(net.layers) > 1 and net.layers[-1].activation == "identity":
+            readout = (net.layers[-2].activation, net.weights[-1][:, :-1])
+        return cls(cache.a_bars, output_jacobians(net, cache), cache.pre_acts, readout)
 
     @classmethod
     def of_matrix(cls, j: np.ndarray, output_dim: int) -> "Tangents":
@@ -363,6 +385,17 @@ class Tangents:
         """J z for an (m, B) array z, as per-layer (p_l, q_l) arrays; z[c, b] weighs column (b, c)."""
         return [np.einsum("cbp,cb->pb", d, z) @ a for a, d in zip(self.a_bars, self.jacobians)]
 
+    def readout_factors(self) -> tuple:
+        """(phi'(s_{L-1}), W_L), a new (B, p_{L-1}) and an (m, p_{L-1}) array, or None.
+
+        None unless :attr:`readout` is recorded.  jacobians[-2][c] is
+        W_L[c] * phi' bit for bit, and jacobians[-1][c] is e_c in every row.
+        """
+        if self.readout is None:
+            return None
+        name, w = self.readout
+        return _dact(name, self.pre_acts[-2], self.a_bars[-1][:, :-1]), w
+
     def matrix(self) -> np.ndarray:
         """The dense (P, B*m) Jacobian; column (b, c) = b*m + c.
 
@@ -374,16 +407,25 @@ class Tangents:
         here.  The K = I metric, which whitens nothing, builds its own
         component-major J instead (:func:`sobnat.metric.estimate_metric`).
         """
+        jt = np.empty((self.batch, self.output_dim, self.num_params))
+        self.write_columns(jt, len(self.shapes))
+        return jt.reshape(-1, self.num_params).T
+
+    def write_columns(self, out: np.ndarray, layers: int) -> None:
+        """Write the first layers' rows of J^T into out, a (B, m, P') array or view.
+
+        out[b, c] receives column (b, c) of those layers, P' being their
+        parameter count, in the layout of :meth:`matrix`.
+        """
         batch, m = self.batch, self.output_dim
-        jt, row = np.empty((batch, m, self.num_params)), 0  # blocks written in place
-        for a, d, (p, q) in zip(self.a_bars, self.jacobians, self.shapes):
+        row = 0
+        for a, d, (p, q) in zip(self.a_bars[:layers], self.jacobians[:layers], self.shapes[:layers]):
             # (m, B, p_l) x (B, q_l) -> (b, c, p, q), an outer product in the
-            # last two axes; splitting the contiguous last axis keeps the
-            # block a view of jt.
-            block = jt[:, :, row : row + p * q].reshape(batch, m, p, q)
+            # last two axes; splitting the last axis, whose stride is one
+            # entry, keeps the block a view of out.
+            block = out[:, :, row : row + p * q].reshape(batch, m, p, q)
             np.multiply(d.transpose(1, 0, 2)[:, :, :, None], a[:, None, None, :], out=block)
             row += p * q
-        return jt.reshape(batch * m, -1).T
 
 
 def param_jacobian(net: MlpNetwork, x) -> np.ndarray:

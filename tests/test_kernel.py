@@ -7,12 +7,13 @@ import scipy.integrate
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from sobnat import linalg
+from sobnat import kernel, linalg
 from sobnat.data import gen_two_moons, normalize
 from sobnat.errors import DegenerateGram, DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 from sobnat.kernel import (
     EXACT_CONSTANT,
     SOLVE_BLOCK,
+    TABLE_BLOCK,
     KernelSpec,
     _profile_in_place,
     dimension_constant,
@@ -321,6 +322,37 @@ def test_kernel_matrix_in_row_blocks_is_the_whole_table_profile(shape):
     spec = KernelSpec(input_dim=2)
     x, y = rng.normal(size=(shape[0], 2)), rng.normal(size=(shape[1], 2))
     assert np.array_equal(kernel_matrix(x, y, spec), _profile_in_place(cdist(x, y), spec.constant))
+
+
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130, 500])
+def test_gram_table_in_symmetric_row_blocks_is_kernel_matrix(monkeypatch, batch):
+    # Above TABLE_BLOCK points the Gram takes each distance once, by row
+    # blocks mirrored into the lower triangle: the table it factors, its
+    # values and its factor are kernel_matrix's and cholesky_factor's bit
+    # for bit.  Up to TABLE_BLOCK points the table is one cdist call.
+    pts = np.random.default_rng(batch).normal(size=(batch, 2)) / 20.0
+    spec = KernelSpec(input_dim=2)
+    table = kernel_matrix(pts, pts, spec)
+    tables, factor, calls = [], linalg.cholesky_factor, []
+
+    def recording(a, shift=0.0, overwrite_a=False):
+        tables.append(np.array(a))
+        return factor(a, shift, overwrite_a)
+
+    def counting(*args, _cdist=kernel.cdist, **kwargs):
+        calls.append(args[0].shape)
+        return _cdist(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cholesky_factor", recording)
+    monkeypatch.setattr(kernel, "cdist", counting)
+    g = gram(pts, spec, np.empty((batch, batch)))
+    (made,) = tables
+    assert np.array_equal(made, table)
+    assert np.array_equal(g.values, table)
+    shifted = table.copy()
+    shifted.flat[:: batch + 1] += g.jitter * g.d0
+    assert np.array_equal(np.tril(g._factor), np.tril(factor(shifted)))
+    assert len(calls) == -(-batch // TABLE_BLOCK) and (batch > TABLE_BLOCK or calls == [(batch, 2)])
 
 
 class TestBlockedSolve:

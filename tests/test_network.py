@@ -188,6 +188,33 @@ class TestOutputJacobians:
         assert np.max(np.abs(j - fd)) / scale <= 1e-5
 
 
+class TestReadout:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    def test_factors_reproduce_the_top_two_jacobians(self, hidden, m):
+        # With an identity output layer, Ds_L^(c) = e_c and
+        # Ds_{L-1}^(c) = W_L[c] * phi'(s_{L-1}), bit for bit as the backward
+        # sweep holds them.
+        net, _, cache = activation_case(hidden, "identity", 5, m)
+        tangents = Tangents.of_network(net, cache)
+        dphi, w = tangents.readout_factors()
+        assert np.array_equal(w, net.weights[-1][:, :-1])
+        assert np.array_equal(tangents.jacobians[-2], w[:, None, :] * dphi)
+        assert np.array_equal(tangents.jacobians[-1], np.broadcast_to(np.eye(m)[:, None, :], (m, 5, m)))
+
+    @pytest.mark.parametrize("output", ["tanh", "sigmoid"])
+    def test_no_readout_without_an_identity_output(self, output):
+        net, _, cache = activation_case("tanh", output, 5, 2)
+        tangents = Tangents.of_network(net, cache)
+        assert tangents.readout is None and tangents.readout_factors() is None
+
+    def test_no_readout_for_one_layer_or_a_dense_j(self):
+        net = tiny_net([2, 3], ["identity"])
+        x = np.random.default_rng(3).normal(size=(4, 2))
+        assert Tangents.of_network(net, forward(net, x)).readout is None
+        assert Tangents.of_matrix(param_jacobian(net, x), 3).readout is None
+
+
 class TestParamJacobian:
     def test_single_parameter_linear_model(self):
         # phi(theta)(x) = theta x realized as a 1-1 net with zero bias; the
