@@ -35,9 +35,9 @@ block is mirrored into the lower triangle.  That takes each distance once,
 with the bits ``kernel_matrix`` gives it, and at B = 500 builds the table
 in 0.76-0.78 ms against 0.99-1.01 ms for the whole one (one BLAS thread,
 2-core x86 host).  At 64 points or fewer the blocked form measured slower
-than the one call.  LAPACK's potrf factors K_j there from the upper triangle, the only one it reads or writes (Anderson et al.,
-*LAPACK Users' Guide*, 1999), so the strict lower triangle keeps the
-kernel.  :attr:`GramMatrix.values` and :meth:`GramMatrix.jittered` rebuild
+than the one call.  LAPACK's potrf factors K_j there from the upper
+triangle, the only one it reads or writes (Anderson et al., *LAPACK
+Users' Guide*, 1999), so the strict lower triangle keeps the kernel.  :attr:`GramMatrix.values` and :meth:`GramMatrix.jittered` rebuild
 the symmetric table from it only when asked: by the kernel-space solve,
 whose batch is small, and by the oracles.  At B = 500 a fresh 2 MB table
 per step, freed once a copy of it was factored, left glibc's heap past its
