@@ -42,8 +42,10 @@ the symmetric table from it only when asked: by the kernel-space solve,
 whose batch is small, and by the oracles.  At B = 500 a fresh 2 MB table
 per step, freed once a copy of it was factored, left glibc's heap past its
 trim threshold, so the next step faulted about 1500 pages back in; a
-``sobolev_dense`` train step in one array takes no minor faults and 10.2
-instead of 12.0 ms (one BLAS thread, 2-core x86 host).
+``sobolev_dense`` train step in one array took no minor faults and 10.2
+instead of 12.0 ms (one BLAS thread, 2-core x86 host), until the P x P
+metric's smaller operand lowered the threshold again
+(:class:`~sobnat.optimizers.TrainState`).
 
 Every kernel-weighted average ``X^T K^-1 Y`` is taken as the Gram product
 ``(L^-1 X)^T (L^-1 Y)`` of arrays whitened by the cached Cholesky factor

@@ -93,11 +93,10 @@ def compute_factors(tangents: Tangents, gram: GramMatrix = None) -> list:
 
     tangents is :meth:`Tangents.of_network` of the batch, or any dense J
     as :meth:`Tangents.of_matrix`: a single block, on which gram=None gives
-    A = [[1]] and S = J J^T, bit for bit the K = I metric of
-    :func:`sobnat.metric.estimate_metric`.  gram=None selects K = I.  A
-    carries the batch-size normalization; S sums the per-output-component
-    Jacobian statistics unnormalized, so that A (x) S matches the
-    unnormalized dense layer block when the batch statistics factorize.
+    A = [[1]] and S = J J^T.  gram=None selects K = I.  A carries the
+    batch-size normalization; S sums the per-output-component Jacobian
+    statistics unnormalized, so that A (x) S matches the unnormalized dense
+    layer block when the batch statistics factorize.
 
     Each layer's A = a_w^T a_w / B and S = ds_w^T ds_w are products of its
     (B, q_l) activations a_w and its (B*m, p_l) output Jacobians ds_w
@@ -115,11 +114,10 @@ def _operands(tangents: Tangents, gram: GramMatrix):
     """Per layer, the (a_w, ds_w) whose products are A and S.
 
     With K = I these are read where tangents holds them: a_w is a_bars[l]
-    itself, and ds_w is jacobians[l] with its rows in (c, b) order, a view
-    for a network's tangents.  That is the order of the K = I metric's
-    columns (:func:`sobnat.metric.estimate_metric`), so every K = I Gram
-    product of the output Jacobians sums in one order.  With a Gram, every
-    layer's columns are whitened by one solve, so they are stacked into one
+    itself, and ds_w is jacobians[l] with its rows in the (c, b) order they
+    are held in, a view for a network's tangents, so nothing is copied; S
+    does not depend on the order of the rows.  With a Gram, every layer's
+    columns are whitened by one solve, so they are stacked into one
     (B, sum(q_l + m*p_l)) array first, and a_w and ds_w are its slices,
     ds_w in (b, c) row order.
     """

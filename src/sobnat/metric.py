@@ -86,19 +86,20 @@ with damping 0 (the exactness oracles), where the identity would divide by
 0, the step forms g = J r + decay w, flattens it once in the order of
 :meth:`~sobnat.network.MlpNetwork.params_vector` and returns per-layer
 views of :func:`natural_gradient` of it on the P x P metric that
-:func:`estimate_metric` builds.  That one private build returns J~ J~^T.
-With a Gram it whitens one sample-major (B, N) operand in place, and this
-branch reads only the Gram's factor.  The blocked whitening solves
+:func:`estimate_metric` builds.  That one private build returns J~ J~^T
+from one sample-major (B, N) operand, and the kernel decides only whether
+the operand is whitened: a Gram whitens it in place, reading only the
+Gram's factor, and K = I leaves it as it is.  The blocked whitening solves
 contiguous column blocks of the operand's (N, B) transpose in place, so
 the operand keeps the sample index slowest.  For a dense J, and for a
 network whose output layer is not the identity, the operand is the fresh
 buffer of :meth:`~sobnat.network.Tangents.matrix`, N = m*P, and J~ J~^T
-is its one syrk.  With an identity output layer the output Jacobians of
-the top two layers are rank one across the m outputs, Ds_L^(c) = e_c and
-Ds_{L-1}^(c) = W_L[c] .* phi'(s_{L-1})
+is its one syrk: with K = I, exactly J J^T.  With an identity output
+layer the output Jacobians of the top two layers are rank one across the
+m outputs, Ds_L^(c) = e_c and Ds_{L-1}^(c) = W_L[c] .* phi'(s_{L-1})
 (:meth:`~sobnat.network.Tangents.readout_factors`; the structured
 derivatives of Novak et al. 2022), so J has only p*q + q_L distinct
-columns there, each whitened once.  The operand holds the generic layers
+columns there, each taken once.  The operand holds the generic layers
 1 .. L-2 in matrix()'s (b, c, theta) layout, then
 Z = phi'(s_{L-1}) (x) Abar_{L-1} and Abar_L: 385 columns in place of
 J's 708 on [2,16,16,2].  With omega_c[(i, j)] = W_L[c, i] and Omega the
@@ -111,20 +112,15 @@ mirrored, so the metric stays bitwise symmetric.  At B = 500 on
 [2,16,16,2] the whitening takes 48M multiply-adds in place of 88M, and
 the products 36M in place of 63M.  The sums are not the dense J's, so
 the metric is not the oracle estimate_metric(Tangents.matrix(), m, gram)
-bit for bit.  Relative to its largest entry it differs by at most 2.1e-14
-with sigmoid hidden layers at input scale 20, and by 4.5e-15 or less
-with tanh and relu.  That was measured on [2,16,16,2] at B = 500 and 50,
-[2,3,2], [2,8,8,3], [2,8,8,8,3], [3,6,5,4,2] and [3,4,1], at input scales
-20, 2 and 0.5.  The oracle itself lies 4.6e-14 to 1.1e-13 from a metric
-whitened by a plain triangular solve on the sigmoid instances.  With K = I
-nothing is whitened, and J is built
-component-major instead, a (P, m, B) array in which each layer block is
-one broadcast multiply whose inner loop runs over the B samples; J J^T,
-numpy's syrk product of that array, sums over the columns in (c, b)
-order, as K-FAC's S does.  At B = 500 on [2,16,16,2] (one BLAS thread,
-2-core x86 host, in-process minimum) the build takes 0.46-0.48 ms against
-0.79-0.97 ms for the sample-major buffer, and the K = I metric 2.5-2.6
-against 2.9-3.1 ms.  natural_gradient factors into a fresh array, with a
+bit for bit.  Relative to its largest entry the Sobolev metric differs
+by at most 2.1e-14 with sigmoid hidden layers at input scale 20, and by
+4.5e-15 or less with tanh and relu.  That was measured on [2,16,16,2] at
+B = 500 and 50, [2,3,2], [2,8,8,3], [2,8,8,8,3], [3,6,5,4,2] and [3,4,1],
+at input scales 20, 2 and 0.5.  The oracle itself lies 4.6e-14 to
+1.1e-13 from a metric whitened by a plain triangular solve on the
+sigmoid instances.  On the same shapes the K = I metric differs from
+J J^T by at most 1.9e-15 with relu hidden layers and 6.7e-16 with tanh
+and sigmoid.  natural_gradient factors into a fresh array, with a
 scalar damping as the diagonal shift of
 :func:`sobnat.linalg.cholesky_factor`, since it is also the oracle:
 a run keeps no P x P buffer (:class:`~sobnat.optimizers.TrainState`).
@@ -170,22 +166,19 @@ class PullbackMetric:
 def _metric_values(tangents: Tangents, gram: GramMatrix) -> np.ndarray:
     """J~ J~^T, a (P, P) array; gram=None (K = I) leaves J unwhitened.
 
-    K = I takes J component-major (:func:`_jacobian_by_component`).  A
-    Gram whitens the sample-major operand of :func:`_whitening_operand` in
-    place: without a readout that is the fresh buffer of
-    :meth:`Tangents.matrix`, whose transposed view of a C-ordered array it
-    solves without a copy, and J~ J~^T is its one syrk; with one,
-    :func:`_readout_blocks` assembles it.
+    A Gram whitens the sample-major operand of :func:`_whitening_operand`
+    in place.  Without a readout that operand is the fresh buffer of
+    :meth:`Tangents.matrix`, whose transposed view of a C-ordered array
+    the whitening solves without a copy, and J~ J~^T is its one syrk; with
+    one, :func:`_readout_blocks` assembles it.
     """
-    if gram is None:
-        j = _jacobian_by_component(tangents).reshape(tangents.num_params, -1)
-        return j @ j.T
-    if gram.size != tangents.batch:
+    if gram is not None and gram.size != tangents.batch:
         raise DimensionMismatch(f"gram has {gram.size} points, batch is {tangents.batch}")
     readout = tangents.readout_factors()
     x, generic = _whitening_operand(tangents, None if readout is None else readout[0])
-    # Column block c of each of x's rows is J_c^T; one solve whitens all m.
-    x = gram.whiten(x, overwrite_b=True)
+    if gram is not None:
+        # Column block c of each of x's rows is J_c^T; one solve whitens all m.
+        x = gram.whiten(x, overwrite_b=True)
     if readout is None:
         jt = x.reshape(-1, generic)  # row b*m + c, a view
         return jt.T @ jt
@@ -193,7 +186,7 @@ def _metric_values(tangents: Tangents, gram: GramMatrix) -> np.ndarray:
 
 
 def _whitening_operand(tangents: Tangents, dphi: np.ndarray) -> tuple:
-    """The sample-major (B, N) array the Sobolev metric whitens, and P_gen.
+    """The sample-major (B, N) operand of the P x P metric, and P_gen.
 
     Row b holds the generic layers' columns (b, c) in the (m, P_gen)
     layout of :meth:`Tangents.matrix`.  Those are all layers when dphi,
@@ -217,7 +210,7 @@ def _whitening_operand(tangents: Tangents, dphi: np.ndarray) -> tuple:
 
 
 def _readout_blocks(x, generic: int, w: np.ndarray, q_last: int) -> np.ndarray:
-    """J~ J~^T from the whitened operand x of a network with an identity output layer.
+    """J~ J~^T from the (whitened) operand x of a network with an identity output layer.
 
     x = [Y~ Z~ A~_L]: Y~ the (B, m*P_gen) generic part, Y~_c its column
     block c, and Z~, A~_L the readout columns.  w is W_L, (m, p), and
@@ -268,25 +261,6 @@ def _readout_blocks(x, generic: int, w: np.ndarray, q_last: int) -> np.ndarray:
     return values
 
 
-def _jacobian_by_component(tangents: Tangents) -> np.ndarray:
-    """J as a C-ordered (P, m, B) array: column (c, b), the sample index innermost.
-
-    Layer l's rows are one broadcast multiply of contiguous copies of
-    Ds_l^T, (p_l, m, B), and Abar_l^T, (q_l, B), into a (p_l, q_l, m, B)
-    view, so every inner loop runs over the B samples.  J J^T does not
-    depend on the order of J's columns, and this is the order in which
-    Tangents holds the output Jacobians.
-    """
-    batch, m = tangents.batch, tangents.output_dim
-    j, row = np.empty((tangents.num_params, m, batch)), 0
-    for a, d, (p, q) in zip(tangents.a_bars, tangents.jacobians, tangents.shapes):
-        block = j[row : row + p * q].reshape(p, q, m, batch)
-        ds_t = np.ascontiguousarray(d.transpose(2, 0, 1))
-        np.multiply(ds_t[:, None, :, :], np.ascontiguousarray(a.T)[:, None, :], out=block)
-        row += p * q
-    return j
-
-
 def estimate_metric(
     j: np.ndarray,
     output_dim: int,
@@ -295,10 +269,7 @@ def estimate_metric(
 ) -> PullbackMetric:
     """Batch estimate of the pullback metric from a (P, B*m) Jacobian.
 
-    gram=None selects K = I, in which case the result is J @ J.T with J's
-    columns taken in component-major (c, b) order, bit for bit
-    ``jc @ jc.T`` for that C-ordered copy jc of J; with one output that is
-    J's own order, and the result is exactly ``j @ j.T``.
+    gram=None selects K = I, in which case the result is exactly J @ J.T.
     """
     return PullbackMetric(_metric_values(Tangents.of_matrix(j, output_dim), gram), damping=damping)
 

@@ -240,9 +240,7 @@ class Tangents:
     also the factors of K-FAC (:func:`sobnat.kfac.compute_factors`), and
     this is the one place they are held.  The products below touch only
     the factors, so no P x B*m array exists unless :meth:`matrix` is called
-    or the K = I P x P metric is built from them
-    (:func:`sobnat.metric.estimate_metric`; the structured tangent-kernel
-    products of Novak et al. 2022).
+    (the structured tangent-kernel products of Novak et al. 2022).
 
     Kernel space is component-major, the order jacobians are stored in:
     :meth:`ntk` indexes its rows and columns (c, b) as c*B + b,
@@ -264,9 +262,9 @@ class Tangents:
     is None.  With an identity output the top two layers' Jacobians are
     rank one across the m outputs: Ds_L^(c) = e_c and
     Ds_{L-1}^(c) = W_L[c] .* phi'(s_{L-1}), which
-    :meth:`readout_factors` returns as its two factors.  The Sobolev
-    P x P metric whitens those layers' columns once instead of once per
-    output (:func:`sobnat.metric.estimate_metric`).  Only references are
+    :meth:`readout_factors` returns as its two factors.  The P x P metric
+    takes those layers' columns once instead of once per output, and
+    forms no J (:func:`sobnat.metric.estimate_metric`).  Only references are
     held: phi' is computed when readout_factors is called, so the steps
     that never call it pay nothing for it.
     """
@@ -404,8 +402,7 @@ class Tangents:
         without a copy.  It stays sample-major although the jacobians are
         component-major: the whitening solves contiguous blocks of samples
         across every column at once, so the sample index must be slowest
-        here.  The K = I metric, which whitens nothing, builds its own
-        component-major J instead (:func:`sobnat.metric.estimate_metric`).
+        here.
         """
         jt = np.empty((self.batch, self.output_dim, self.num_params))
         self.write_columns(jt, len(self.shapes))
@@ -433,7 +430,8 @@ def param_jacobian(net: MlpNetwork, x) -> np.ndarray:
 
     Column (b, c) = b*m + c holds dphi^c(x_b)/dtheta, with theta ordered by
     layer and row-major within each Wbar_l; see :class:`Tangents`, whose
-    :meth:`~Tangents.matrix` a Sobolev dense step with P <= B*m calls instead.
+    :meth:`~Tangents.matrix` a dense step with P <= B*m calls instead when
+    the output layer is not the identity.
 
     Raises TooLarge when P*B*m exceeds DENSE_BUDGET.
     """

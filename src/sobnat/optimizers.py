@@ -123,14 +123,15 @@ class TrainState:
     and runs in 10.2 instead of 12.0 ms (a single training run, one BLAS
     thread, 2-core x86 host).  In 6 alternating bench/run.py large_batch
     pairs there, sobolev_dense rose from 50.5 to 59.0 steps/s and
-    sobolev_kfac from 1000 to 1064.  Since the Sobolev P x P metric
-    whitens 385 columns instead of J's 708 (:mod:`sobnat.metric`), a
-    step's largest transient is 1.5 instead of 2.8 MB, and the trim
-    threshold follows it: a sobolev_dense-only run at B = 500 takes about
-    800 minor faults a step again, but none after a larger array was
-    freed, as in the benchmark's interleaved runs.  The dense steps
-    factor the P x P metric into a fresh array: a kept one saved nothing
-    in a single run.
+    sobolev_kfac from 1000 to 1064.  Since the P x P metric of either
+    kernel takes 385 columns instead of J's 708 (:mod:`sobnat.metric`),
+    a dense step's largest transient is 1.5 instead of 2.8 MB, and the
+    trim threshold follows it: an amari_dense-only or sobolev_dense-only
+    run at B = 500 takes 740-800 minor faults a step again.  After a
+    larger array is freed, such as a finished run's 2 MB Gram buffer in
+    the benchmark's interleaved rounds, it takes about 4.  The dense
+    steps factor the P x P metric into a fresh array: a kept one saved
+    nothing in a single run.
     ``kernel_spec`` is the Sobolev variants' kernel, made once per run.
     """
 

@@ -13,6 +13,7 @@ from sobnat.kfac import KfacLayerState, compute_factors, precondition, refresh_i
 from sobnat.metric import estimate_metric
 from sobnat.network import LayerSpec, MlpNetwork, Tangents, forward, param_jacobian
 from sobnat.optimizers import OptimConfig, TrainState, make_net, train_step
+from test_metric import assert_near_oracle_metric
 
 
 def tangents_of(net, x):
@@ -99,16 +100,18 @@ class TestComputeFactors:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_one_block_is_the_dense_metric(self, m):
         # K-FAC is exact on a single block: a dense J as Tangents.of_matrix
-        # has the constant input abar = 1, so A = [[1]] and S = J J^T, summed
-        # over J's columns in the K = I metric's component-major order.
+        # has the constant input abar = 1, so A = [[1]] and S = J J^T.  S
+        # sums over J's columns in the (c, b) order Tangents holds them in,
+        # and the K = I metric in J's own (b, c) order, so with more than one
+        # output the two agree to rounding.
         j = np.random.default_rng(6).normal(size=(7, 5 * m))
         ((a, s),) = compute_factors(Tangents.of_matrix(j, m), None)
         np.testing.assert_array_equal(a, [[1.0]])
-        np.testing.assert_array_equal(s, estimate_metric(j, m, None).values)
         jc = j[:, np.arange(5 * m).reshape(5, m).T.reshape(-1)]  # column c*B + b is j's b*m + c
         np.testing.assert_array_equal(s, jc @ jc.T)
-        if m == 1:
-            np.testing.assert_array_equal(s, j @ j.T)
+        metric = estimate_metric(j, m, None).values
+        np.testing.assert_array_equal(metric, j @ j.T)
+        assert_near_oracle_metric(s, metric)
 
     @pytest.mark.parametrize(
         "sizes, batch", [([2, 16, 16, 2], 50), ([2, 16, 16, 2], 500), ([2, 8, 8, 3], 60)]

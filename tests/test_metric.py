@@ -44,15 +44,17 @@ def component_major(batch, m):
     return np.arange(batch * m).reshape(batch, m).T.reshape(-1)
 
 
-# The Sobolev P x P metric of a network with an identity output layer is
-# assembled block by block from its top two layers' distinct whitened
-# columns (sobnat.metric docstring), so its rounding is not the dense-J
-# oracle's.  The largest error measured, relative to max|G|, was 2.1e-14
-# (sigmoid hidden layers at input scale 20; tanh and relu 4.5e-15 or less)
-# over [2,16,16,2] at B = 500 and 50, [2,3,2], [2,8,8,3], [2,8,8,8,3],
-# [3,6,5,4,2] and [3,4,1], at input scales 20, 2 and 0.5.  The oracle itself
-# is 4.6e-14 to 1.1e-13 from one whitened by a plain triangular solve on
-# the sigmoid instances.  The bound leaves a margin of about 50.
+# The P x P metric of a network with an identity output layer is assembled
+# block by block from its top two layers' distinct columns, whitened by a
+# Sobolev Gram or not (sobnat.metric docstring), so its rounding is not the
+# dense-J oracle's.  The largest Sobolev error measured, relative to
+# max|G|, was 2.1e-14 (sigmoid hidden layers at input scale 20; tanh and
+# relu 4.5e-15 or less) over [2,16,16,2] at B = 500 and 50, [2,3,2],
+# [2,8,8,3], [2,8,8,8,3], [3,6,5,4,2] and [3,4,1], at input scales 20, 2
+# and 0.5.  The oracle itself is 4.6e-14 to 1.1e-13 from one whitened by a
+# plain triangular solve on the sigmoid instances.  With K = I the largest
+# error on the same shapes was 1.9e-15 (relu; tanh and sigmoid 6.7e-16 or
+# less).  The bound leaves a margin of about 50.
 READOUT_METRIC_TOL = 1e-12
 
 
@@ -74,13 +76,10 @@ def record_solves(monkeypatch):
 
 class TestEstimateMetric:
     def test_identity_kernel_is_gauss_newton(self):
-        # K = I sums J J^T over J's columns in component-major (c, b) order;
-        # with one output that is J's own order.
         rng = np.random.default_rng(0)
-        j = rng.normal(size=(5, 8))
-        assert np.array_equal(estimate_metric(j, 1, None).values, j @ j.T)
-        jc = j[:, component_major(4, 2)]
-        assert np.array_equal(estimate_metric(j, 2, None).values, jc @ jc.T)
+        j = rng.normal(size=(5, 12))
+        for m in (1, 2, 3):
+            assert np.array_equal(estimate_metric(j, m, None).values, j @ j.T)
 
     def test_kernel_machine_exactness(self):
         # Model phi(theta)(x) = sum_a theta_a d(|x_a - x|): the jacobian over
@@ -250,10 +249,10 @@ class TestDampedNaturalGradient:
 
     @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
     def test_parameter_space_solve_is_the_oracle(self, monkeypatch, kernel):
-        # P = 17 <= B*m = 100 factors the P x P metric, bit for bit, from a
-        # dense J or from the network's layer factors.  The Sobolev metric
-        # of the network's factors is assembled from its readout columns:
-        # the step solves its own metric, which is near the oracle's.
+        # P = 17 <= B*m = 100 factors the P x P metric.  From a dense J the
+        # step is the oracle bit for bit; the metric of the network's
+        # factors is assembled from its readout columns, so the step solves
+        # its own metric, which is near the oracle's.
         net, x, j, resid, _ = self.instance((2, 3, 2), 50, seed=13)
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         solves = record_solves(monkeypatch)
@@ -265,7 +264,7 @@ class TestDampedNaturalGradient:
             weights = layered(tangents, net.params_vector())
             solves.clear()
             got = flat(damped_natural_gradient(tangents, g, 0.03, resid, 0.003, weights))
-            if g is None or tangents.readout is None:
+            if tangents.readout is None:
                 assert np.array_equal(got, oracle)
             else:
                 (metric, _, _), = solves
@@ -290,47 +289,31 @@ class TestDampedNaturalGradient:
         assert metric.damping == damping
         assert np.array_equal(euclid_grad, grad)
         assert all(np.shares_memory(layer, v) for layer in got)
-        if g is None:
-            assert np.array_equal(metric.values, oracle_metric.values)
-            assert np.array_equal(flat(got), natural_gradient(oracle_metric, grad))
-        else:  # the network's readout columns: its own metric, near the oracle's
-            assert_near_oracle_metric(metric.values, oracle_metric.values)
-            assert np.array_equal(flat(got), natural_gradient(metric, grad))
+        # The network's readout columns: its own metric, near the oracle's.
+        assert_near_oracle_metric(metric.values, oracle_metric.values)
+        assert np.array_equal(flat(got), natural_gradient(metric, grad))
 
-    @pytest.mark.parametrize("dims, batch", [((2, 16, 16, 2), 500), ((2, 8, 8, 3), 60)])
-    def test_identity_kernel_metric_is_component_major(self, monkeypatch, dims, batch):
-        # P <= B*m with K = I: the step's metric is J J^T summed over J's
-        # columns in component-major order, bit for bit.
-        net, x, j, resid, _ = self.instance(dims, batch, seed=batch)
-        assert net.num_params <= batch * dims[-1]
-        metrics, solve = [], natural_gradient
-
-        def recording(metric, euclid_grad):
-            metrics.append(metric)
-            return solve(metric, euclid_grad)
-
-        monkeypatch.setattr("sobnat.metric.natural_gradient", recording)
-        damped_natural_gradient(Tangents.of_network(net, forward(net, x)), None, 0.03, resid)
-        jc = j[:, component_major(batch, dims[-1])]
-        (metric,) = metrics
-        assert np.array_equal(metric.values, jc @ jc.T)
-
-    @pytest.mark.parametrize("kernel, calls", [("identity", 0), ("sobolev", 0)])
-    def test_parameter_space_step_forms_the_sample_major_j_only_to_whiten_it(self, monkeypatch, kernel, calls):
-        # P = 123 <= B*m = 180: the K = I metric builds its own
-        # component-major J, and the Sobolev one whitens the network's
-        # generic and readout columns, so neither calls Tangents.matrix.
-        net, x, _, resid, _ = self.instance((2, 8, 8, 3), 60, seed=7)
+    @pytest.mark.parametrize("output", ["identity", "tanh"], ids=["identity_output", "tanh_output"])
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    def test_parameter_space_step_forms_j_only_without_a_readout(self, monkeypatch, kernel, output):
+        # P = 123 <= B*m = 180.  Under either kernel an identity output
+        # layer's readout columns stand in for J, and a tanh output takes
+        # one Tangents.matrix; only a Gram whitens.
+        rng = np.random.default_rng(7)
+        net = MlpNetwork.create([2, 8, 8, 3], ["tanh", "tanh", output], rng)
+        x, resid = rng.normal(size=(60, 2)), rng.normal(size=(60, 3))
         g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
-        made = []
+        calls = []
+        for cls, name in ((Tangents, "matrix"), (GramMatrix, "whiten")):
 
-        def counting(self, _matrix=Tangents.matrix):
-            made.append(self)
-            return _matrix(self)
+            def counting(self, *args, _name=name, _method=getattr(cls, name), **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
 
-        monkeypatch.setattr(Tangents, "matrix", counting)
+            monkeypatch.setattr(cls, name, counting)
         damped_natural_gradient(Tangents.of_network(net, forward(net, x)), g, 0.03, resid, 0.003, net.weights)
-        assert len(made) == calls
+        assert calls.count("matrix") == (output == "tanh")
+        assert calls.count("whiten") == (g is not None)
 
     def test_parameter_space_solve_whitens_j_in_its_own_buffer(self, monkeypatch):
         # A large_batch-shaped Sobolev step, [2,16,16,2] at B = 500 (P = 354
@@ -360,24 +343,17 @@ class TestDampedNaturalGradient:
         assert np.array_equal(got, natural_gradient(metric, grad))
         assert_near_oracle_metric(metric.values, estimate_metric(tangents.matrix(), 2, g).values)
 
-    def test_parameter_space_solve_without_a_readout_is_the_oracle(self, monkeypatch):
-        # A tanh output layer records no readout: the Sobolev P = 123 <=
-        # B*m = 180 step whitens the buffer of one Tangents.matrix call and
-        # is the dense-J oracle bit for bit.
+    @pytest.mark.parametrize("kernel", ["identity", "sobolev"])
+    def test_parameter_space_solve_without_a_readout_is_the_oracle(self, kernel):
+        # A tanh output layer records no readout: the P = 123 <= B*m = 180
+        # step takes the buffer of Tangents.matrix and is the dense-J
+        # oracle bit for bit.
         rng = np.random.default_rng(8)
         net = MlpNetwork.create([2, 8, 8, 3], ["tanh", "tanh", "tanh"], rng)
         x, resid = rng.normal(size=(60, 2)), rng.normal(size=(60, 3))
-        g = gram(x / 20.0, KernelSpec(input_dim=2))
+        g = None if kernel == "identity" else gram(x / 20.0, KernelSpec(input_dim=2))
         tangents = Tangents.of_network(net, forward(net, x))
-        made = []
-
-        def counting(self, _matrix=Tangents.matrix):
-            made.append(self)
-            return _matrix(self)
-
-        monkeypatch.setattr(Tangents, "matrix", counting)
         got = flat(damped_natural_gradient(tangents, g, 0.03, resid, 0.003, net.weights))
-        assert len(made) == 1
         grad = flat(tangents.matvec(resid.T))
         grad += 0.003 * net.params_vector()
         assert np.array_equal(got, natural_gradient(estimate_metric(param_jacobian(net, x), 3, g, damping=0.03), grad))
@@ -385,9 +361,10 @@ class TestDampedNaturalGradient:
     @pytest.mark.parametrize("dims, batch", [((2, 8, 8, 8, 3), 70), ((3, 4, 1), 40), ((2, 3, 2), 50)])
     @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
     def test_readout_metric_is_near_the_oracle(self, monkeypatch, dims, batch, activation):
-        # Two generic layers, one output, and no generic layer: the Sobolev
-        # metric a step assembles from the readout columns is bitwise
-        # symmetric and near the dense-J oracle's at input scales 20, 2, 0.5.
+        # Two generic layers, one output, and no generic layer: the metric a
+        # step assembles from the readout columns is bitwise symmetric and
+        # near the dense-J oracle's, with K = I and with the Sobolev Gram at
+        # input scales 20, 2 and 0.5.
         rng = np.random.default_rng(batch)
         net = random_net(batch, dims, activation)
         x, resid = rng.normal(size=(batch, dims[0])), rng.normal(size=(batch, dims[-1]))
@@ -395,8 +372,7 @@ class TestDampedNaturalGradient:
         tangents = Tangents.of_network(net, forward(net, x))
         j = tangents.matrix()
         solves = record_solves(monkeypatch)
-        for scale in (20.0, 2.0, 0.5):
-            g = gram(x / scale, KernelSpec(input_dim=dims[0]))
+        for g in [None] + [gram(x / scale, KernelSpec(input_dim=dims[0])) for scale in (20.0, 2.0, 0.5)]:
             solves.clear()
             damped_natural_gradient(tangents, g, 0.03, resid)
             (metric, _, _), = solves
@@ -407,8 +383,8 @@ class TestDampedNaturalGradient:
     @pytest.mark.parametrize("decay", [0.0, 0.003])
     def test_large_batch_solve_is_the_oracle_of_the_formed_gradient(self, monkeypatch, kernel, decay):
         # [2,16,16,2] at B = 500 (P = 354 <= B*m = 1000) forms g = J r, adds
-        # decay * theta, and is the P x P oracle of that g bit for bit; the
-        # Sobolev step solves its own metric, which is near the oracle's.
+        # decay * theta, and solves it on its own metric, assembled from the
+        # readout columns and near the P x P oracle's.
         rng = np.random.default_rng(6)
         net = random_net(6, dims=(2, 16, 16, 2))
         x = rng.normal(size=(500, 2))
@@ -420,12 +396,9 @@ class TestDampedNaturalGradient:
         oracle_metric = estimate_metric(tangents.matrix(), 2, g, damping=0.03)
         solves = record_solves(monkeypatch)
         got = flat(damped_natural_gradient(tangents, g, 0.03, resid, decay, net.weights))
-        if g is None:
-            assert np.array_equal(got, natural_gradient(oracle_metric, grad))
-        else:
-            (metric, _, _), = solves
-            assert np.array_equal(got, natural_gradient(metric, grad))
-            assert_near_oracle_metric(metric.values, oracle_metric.values)
+        (metric, _, _), = solves
+        assert np.array_equal(got, natural_gradient(metric, grad))
+        assert_near_oracle_metric(metric.values, oracle_metric.values)
 
     def test_zero_damping_is_the_oracle(self, factor_orders):
         # Damping 0 always solves in parameter space, as the exactness
