@@ -8,11 +8,15 @@ every value passes its flag's type.  All randomness flows from the single
 
 Exit codes: 0 success, 1 numerical failure (the error type is printed) or
 failed verification, 2 configuration errors (the message names the flag or key).
+
+The parser is built once per process, on the first call of main, and every
+later call in that process reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -300,7 +304,10 @@ def cmd_riemann(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared after that: parsing
+    leaves it unchanged, and each parse makes its own Namespace."""
     parser = argparse.ArgumentParser(prog="sobnat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

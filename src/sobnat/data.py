@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -21,6 +22,8 @@ __all__ = [
 
 LABEL_FIRST = "label_first"
 TARGETS_LAST = "targets_last"
+# Suffixes numpy's path reader decompresses; _located_fault scans raw bytes.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass
@@ -127,15 +130,29 @@ def load_csv(path, schema: str = LABEL_FIRST, target_dim: int = 1, skip_header: 
     left for the features (else ValueError).  Malformed rows, undecodable
     bytes, nan/inf fields and out-of-range labels are rejected with their
     line and column.
+
+    numpy reads the file from its resolved local path, in blocks; a name
+    ending in .gz, .bz2, .xz or .lzma is refused (ParseError at line 1,
+    column 1), since numpy would decompress it.  A missing, unreadable or
+    directory path raises OSError.  Only a rejected file is scanned again,
+    row by row, to locate its fault.
     """
     if schema not in (LABEL_FIRST, TARGETS_LAST):
         raise ValueError(f"unknown schema {schema!r}")
+    # Absolute, so that numpy's reader never takes the name for a URL.
+    path = os.path.abspath(os.fsdecode(path))
+    # Opened here, so that a missing, unreadable or directory path raises its
+    # own OSError: numpy's reader would fall back to a path.gz sibling.
+    with open(path, "rb"):
+        pass
+    if path.endswith(_COMPRESSED):
+        raise ParseError(1, 1, f"compressed file ({os.path.splitext(path)[1]}) is not read")
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             # A file without data rows is named by _located_fault, not warned of.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
-                             skiprows=1 if skip_header else 0)
+            arr = np.loadtxt(path, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                             skiprows=1 if skip_header else 0, encoding="utf-8-sig")
     except ValueError as exc:  # UnicodeDecodeError included
         raise _located_fault(path, schema, skip_header, str(exc)) from None
     if arr.shape[1] < 2:

@@ -275,6 +275,45 @@ def test_command_error_prints_its_own_usage(tmp_path, capsys, args, command):
     assert capsys.readouterr().err.startswith(f"usage: sobnat {command} [-h]")
 
 
+class TestSharedParser:
+    """main reuses one argparse tree per process; no call's values reach the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_suite_selection_does_not_carry_over(self, capsys):
+        assert cli.main(["verify", "--suite", "kernel"]) == 0
+        assert "kernel:" in capsys.readouterr().out
+        assert cli.main(["verify", "--suite", "flatness"]) == 0
+        checks = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
+        assert checks and all(l.startswith("[PASS] flatness:") for l in checks)
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["riemann", "--dim", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["riemann", "--instances", "2", "--steps", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "riemann demo: decrease >= Prog, mirror == grad, and the 2LCR^2/T rate "
+            "held on all 2 instances (10 steps each)\n"
+        )
+
+    def test_each_config_file_takes_its_own_keys(self, tmp_path, capsys):
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text(f"variant=sgd\nepochs=2\ncount=40\nlayers=4\nout={tmp_path / 'a'}\n")
+        second.write_text(f"variant=amari_kfac\ncount=20\nout={tmp_path / 'b'}\n")
+        assert cli.main(["train", "--config", str(first)]) == 0
+        assert cli.main(["train", "--config", str(second)]) == 0
+        out = capsys.readouterr().out
+        assert "variant=sgd " in out and "variant=amari_kfac " in out
+        assert len(read_csv(tmp_path / "a" / "log_epochs.csv")[1]) == 2
+        # The second file sets no epochs: the default, not the first file's 2.
+        assert len(read_csv(tmp_path / "b" / "log_epochs.csv")[1]) == cli.OptimConfig.epochs
+        args = cli.parse_args(cli.build_parser(), ["train", "--config", str(second)])
+        assert args.layers == [16, 16] and args.epochs == cli.OptimConfig.epochs
+
+
 class TestVerify:
     def test_all_suites_pass(self):
         result = run_cli("verify")

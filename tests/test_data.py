@@ -1,10 +1,16 @@
+import bz2
+import errno
+import gc
+import gzip
 import io
+import lzma
 import random
 import warnings
 
 import numpy as np
 import pytest
 
+from sobnat import cli
 from sobnat.data import (
     Dataset,
     gen_two_moons,
@@ -190,6 +196,74 @@ class TestCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, skip_header=True)
         assert (err.value.line, err.value.column) == (1, 1)
+
+
+COMPRESSORS = {
+    ".gz": gzip.compress,
+    ".bz2": bz2.compress,
+    ".xz": lzma.compress,
+    ".lzma": lambda raw: lzma.compress(raw, format=lzma.FORMAT_ALONE),
+}
+
+
+class TestCsvPath:
+    """numpy reads load_csv's file by path, and its reader would fetch a URL,
+    decompress a .gz or fall back to a .gz sibling: load_csv reads only the
+    local file it is named."""
+
+    @pytest.fixture(autouse=True)
+    def no_handle_left_open(self):
+        # As under -W error::ResourceWarning: a handle left open fails the test.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            yield
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as err:
+            load_csv(tmp_path / "missing.csv")
+        assert err.value.errno == errno.ENOENT
+
+    def test_missing_file_on_the_command_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", "csv:missing.csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "sobnat train: error: --dataset: cannot read missing.csv: No such file or directory"
+        )
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            load_csv(tmp_path)
+
+    def test_url_shaped_name_is_a_local_path(self, tmp_path, monkeypatch):
+        def no_fetch(url, *args, **kwargs):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "x.csv").write_text("1,0.5\n0,0.25\n")
+        ds = load_csv("http://host/x.csv")
+        assert ds.targets.tolist() == [1, 0]
+        np.testing.assert_array_equal(ds.features, [[0.5], [0.25]])
+
+    @pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+    def test_compressed_file_is_refused(self, tmp_path, suffix):
+        path = tmp_path / f"x.csv{suffix}"
+        path.write_bytes(COMPRESSORS[suffix](b"0,1.0\n1,2.0\n"))
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert suffix in str(err.value)
+
+    def test_compressed_sibling_is_not_read(self, tmp_path):
+        (tmp_path / "x.csv.gz").write_bytes(gzip.compress(b"0,1.0\n1,2.0\n"))
+        with pytest.raises(FileNotFoundError):
+            load_csv(tmp_path / "x.csv")
+
 
 def reference_load_csv(path, schema="label_first", target_dim=1, skip_header=False):
     """The row-by-row parser load_csv used before it read through np.loadtxt,
